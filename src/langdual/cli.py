@@ -56,6 +56,7 @@ def _add_common(parser: argparse.ArgumentParser, *, regexes: bool = True) -> Non
         )
     parser.add_argument("--alphabet", default="ab", help="alphabet symbols in order")
     parser.add_argument("--max-states", type=int, default=None, help="state cap override")
+    parser.add_argument("--max-carrier", type=int, default=None, help="carrier cap override")
     parser.add_argument("--out", default=None, metavar="PATH", help="write the report here")
 
 
@@ -116,9 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _limits(args) -> Limits:
-    if args.max_states is None:
-        return DEFAULT_LIMITS
-    return Limits(max_states=args.max_states, max_carrier=DEFAULT_LIMITS.max_carrier)
+    return Limits(
+        max_states=DEFAULT_LIMITS.max_states if args.max_states is None else args.max_states,
+        max_carrier=DEFAULT_LIMITS.max_carrier if args.max_carrier is None else args.max_carrier,
+    )
 
 
 def _languages(args, limits: Limits, at_least: int = 1):

@@ -632,10 +632,6 @@ def full_language(alphabet: Sequence[str]) -> LanguageId:
     return canonical_language(Dfa(symbols, 1, 0, frozenset({0}), ((0,) * len(symbols),)))
 
 
-def lang_is_empty(lang: LanguageId) -> bool:
-    return not lang.dfa.finals
-
-
 # ---------------------------------------------------------------------------
 # regex synthesis (state elimination), for reports and labels
 

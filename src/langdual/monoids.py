@@ -15,7 +15,7 @@ word left to right is a monoid homomorphism.
 
 from __future__ import annotations
 
-from collections import deque
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -31,12 +31,11 @@ from .varieties import (
     VarietyTag,
     VectZ2,
     algebra_to_json,
-    binary_ops,
     constants,
     gaussian_basis,
     is_order_reflecting,
+    jsl_irreducibles,
     leq,
-    unary_ops,
     validate_morphism,
 )
 
@@ -178,23 +177,8 @@ def eval_word(m: SigmaMonoid, x: FreeElement | str) -> int:
 
 
 def _encode_linear(graph: tuple[int, ...], dim: int) -> int:
+    """A linear map on Z2^dim as one integer: its basis images, dim bits each."""
     return sum(graph[1 << i] << (i * dim) for i in range(dim))
-
-
-def _decode_linear(code: int, dim: int) -> tuple[int, ...]:
-    images = [(code >> (i * dim)) & ((1 << dim) - 1) for i in range(dim)]
-    out = []
-    for x in range(1 << dim):
-        v = 0
-        for i in range(dim):
-            if x >> i & 1:
-                v ^= images[i]
-        out.append(v)
-    return tuple(out)
-
-
-def _map_pointwise(carrier: FinAlgebra, f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(carrier_add(carrier, f[q], g[q]) for q in range(len(f)))
 
 
 def transition_monoid(
@@ -209,6 +193,13 @@ def transition_monoid(
     this variant is used at the duality boundary, where the dual letter
     actions act like left multiplications and the reading order has to be
     restored.
+
+    The letter actions are carrier morphisms, so composition is bilinear and
+    the closure is the additive span of the word images.  The word images
+    come from a breadth-first search of the right Cayley graph (each one is
+    a parent times a letter), and for JSL0/Z2VECT every sum is a smaller sum
+    plus a word image.  Each multiplication column then follows from its
+    parent's column by table lookups: x(pa) = (xp)a and x(s + w) = xs + xw.
     """
     if a.carrier.tag not in D_TAGS:
         raise TagMismatchError(f"{a.carrier.tag} is not an algebra-side variety")
@@ -217,93 +208,139 @@ def transition_monoid(
 
     carrier = a.carrier
     n = carrier.size
+    linear = carrier.tag in LINEARISH
     ident = tuple(range(n))
-    seeds = [ident] + [m.graph for m in a.alpha]
-    if carrier.tag in LINEARISH:
-        seeds.append(tuple(carrier_zero(carrier) for _ in range(n)))
-    closed: dict[tuple[int, ...], int] = {}
-    order: list[tuple[int, ...]] = []
-    queue: deque[tuple[int, ...]] = deque()
-    for s in seeds:
-        if s not in closed:
-            closed[s] = len(order)
-            order.append(s)
-            queue.append(s)
-    while queue:
-        f = queue.popleft()
-        new = []
-        for g in list(order):
-            new.append(tuple(g[f[q]] for q in range(n)))
-            new.append(tuple(f[g[q]] for q in range(n)))
-            if carrier.tag in LINEARISH:
-                new.append(_map_pointwise(carrier, f, g))
-        for h in new:
-            if h not in closed:
-                if len(order) >= limits.max_carrier:
-                    raise ResourceExceededError("transition monoid exceeded the carrier cap")
-                closed[h] = len(order)
-                order.append(h)
-                queue.append(h)
+    letters = [m.graph for m in a.alpha]
+    seeds = {ident, *letters}
+    if linear:
+        zero_map = (carrier_zero(carrier),) * n
+        seeds.add(zero_map)
+    # the seeds never count against the cap, only what grows past them
+    cap = max(limits.max_carrier, len(seeds))
 
-    funcs, index = _present_map_family(carrier, order)
+    def admit(keys: list) -> int:
+        if len(keys) >= cap:
+            raise ResourceExceededError("transition monoid exceeded the carrier cap")
+        return len(keys)
 
-    def compose(i: int, j: int) -> int:
-        f, g = funcs[i], funcs[j]
-        if reverse_composition:
-            return index[tuple(f[g[q]] for q in range(n))]
-        return index[tuple(g[f[q]] for q in range(n))]
+    # word images by BFS over the right Cayley graph; tree[c] = (parent, letter)
+    keys: list = [ident]
+    word_id = {ident: 0}
+    tree = [(0, -1)]
+    right: list[list[int]] = [[] for _ in letters]  # right[ai][x] = x·a
+    for p, f in enumerate(keys):
+        for ai, g in enumerate(letters):
+            h = tuple(map(f.__getitem__, g)) if reverse_composition else tuple(map(g.__getitem__, f))
+            c = word_id.get(h)
+            if c is None:
+                c = word_id[h] = admit(keys)
+                keys.append(h)
+                tree.append((p, ai))
+            right[ai].append(c)
+    n_words = len(keys)
 
-    size = len(funcs)
-    mult = tuple(tuple(compose(i, j) for j in range(size)) for i in range(size))
-    unit = index[ident]
-    gens = tuple(index[m.graph] for m in a.alpha)
-    monoid_carrier = _map_carrier(carrier, funcs)
-    return SigmaMonoid(monoid_carrier, a.alphabet, unit, mult, gens)
+    # sums, each an earlier element plus a word image: ids after the words
+    # are the zero (unless it is a word image) and then the sums, in order
+    zero = 0
+    sums: list[tuple[int, int]] = []
+    add_cols: list[list[int]] = []  # add_cols[y][x] = x + y
+    if linear:
+        if isinstance(carrier, VectZ2):
+            # linear maps as _encode_linear codes, added by XOR
+            keys = [_encode_linear(f, carrier.dim) for f in keys]
+            zero_key: object = 0
+            plus = operator.xor
+        else:
+            assert isinstance(carrier, JoinSemilattice)
+            rows = carrier.join
+            zero_key = zero_map
 
+            def plus(f, g):
+                return tuple(map(operator.getitem, map(rows.__getitem__, f), g))
 
-def _present_map_family(carrier: FinAlgebra, maps: list[tuple[int, ...]]):
-    """Fix the enumeration of a closed family of maps, per carrier variety."""
-    if carrier.tag is VarietyTag.Z2VECT:
-        assert isinstance(carrier, VectZ2)
-        d = carrier.dim
-        basis = gaussian_basis(_encode_linear(m, d) for m in maps)
-        funcs = []
-        for idx in range(1 << len(basis)):
-            code = 0
-            for i, b in enumerate(basis):
-                if idx >> i & 1:
-                    code ^= b
-            funcs.append(_decode_linear(code, d))
-        if len(funcs) != len(maps):
-            raise ValueError("map family is not closed under pointwise sums")
-        return funcs, {f: i for i, f in enumerate(funcs)}
-    funcs = sorted(maps)
-    return funcs, {f: i for i, f in enumerate(funcs)}
+        index = {k: i for i, k in enumerate(keys)}
+        zero = index.get(zero_key, -1)
+        if zero < 0:
+            zero = index[zero_key] = admit(keys)
+            keys.append(zero_key)
+        add_cols = [[] for _ in range(n_words)]
+        for x, f in enumerate(keys):
+            for w in range(n_words):
+                s = plus(f, keys[w])
+                j = index.get(s)
+                if j is None:
+                    j = index[s] = admit(keys)
+                    keys.append(s)
+                    sums.append((x, w))
+                add_cols[w].append(j)
+        if zero >= n_words:
+            add_cols.append(list(range(len(keys))))
+        for left, w in sums:
+            # x + (left + w) = (x + left) + w
+            add_cols.append(list(map(add_cols[w].__getitem__, add_cols[left])))
+        for r in right:
+            if zero >= n_words:
+                r.append(zero)
+            for left, w in sums:
+                r.append(add_cols[r[w]][r[left]])  # (left + w)a = left·a + w·a
+    size = len(keys)
 
+    # multiplication columns, cols[y][x] = x·y: x(pa) = (xp)a, x(l + w) = xl + xw
+    cols = [list(range(size))]
+    for parent, ai in tree[1:]:
+        cols.append(list(map(right[ai].__getitem__, cols[parent])))
+    if linear:
+        if zero >= n_words:
+            cols.append([zero] * size)
+        for left, w in sums:
+            cols.append(list(map(operator.getitem, map(add_cols.__getitem__, cols[w]), cols[left])))
+    pos = _present_map_family(carrier, keys)
+    order = sorted(range(size), key=pos.__getitem__)  # order[pos[x]] = x
 
-def _map_carrier(carrier: FinAlgebra, funcs: list[tuple[int, ...]]) -> FinAlgebra:
-    """The carrier structure on a closed family of maps, pointwise."""
+    def renumber(table: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+        """Rows in the final enumeration of a table given as columns of ids."""
+        return tuple(
+            zip(*(map(pos.__getitem__, map(col.__getitem__, order)) for col in map(table.__getitem__, order)))
+        )
+
     match carrier:
         case FinSet():
-            return FinSet(len(funcs))
+            monoid_carrier: FinAlgebra = FinSet(size)
         case FinPoset():
-            return FinPoset(
+            funcs = sorted(keys)
+            monoid_carrier = FinPoset(
                 tuple(
-                    tuple(all(carrier.leq[f[q]][g[q]] for q in range(len(f))) for g in funcs)
+                    tuple(all(carrier.leq[f[q]][g[q]] for q in range(n)) for g in funcs)
                     for f in funcs
                 )
             )
         case JoinSemilattice():
-            index = {f: i for i, f in enumerate(funcs)}
-            join = tuple(
-                tuple(index[_map_pointwise(carrier, f, g)] for g in funcs) for f in funcs
-            )
-            zero = index[tuple(carrier.zero for _ in range(carrier.size))]
-            return JoinSemilattice(join, zero)
-        case VectZ2():
-            r = (len(funcs) - 1).bit_length() if len(funcs) > 1 else 0
-            return VectZ2(r)
-    raise TagMismatchError(f"{carrier.tag} is not an algebra-side variety")
+            monoid_carrier = JoinSemilattice(renumber(add_cols), pos[zero])
+        case _:
+            monoid_carrier = VectZ2((size - 1).bit_length())
+    gens = tuple(pos[word_id[g]] for g in letters)
+    return SigmaMonoid(monoid_carrier, a.alphabet, pos[0], renumber(cols), gens)
+
+
+def _present_map_family(carrier: FinAlgebra, keys: list) -> list[int]:
+    """Fix the enumeration of a closed family of maps, per carrier variety.
+
+    Returns the position of each map.  Z2VECT maps come as _encode_linear
+    codes and are numbered by their coordinates over a basis of the family;
+    all other maps come as graphs and are numbered in sorted order.
+    """
+    if carrier.tag is VarietyTag.Z2VECT:
+        coords = {0: 0}
+        for i, b in enumerate(gaussian_basis(keys)):
+            for code, idx in list(coords.items()):
+                coords[code ^ b] = idx | 1 << i
+        if len(coords) != len(keys):
+            raise ValueError("map family is not closed under pointwise sums")
+        return [coords[k] for k in keys]
+    pos = [0] * len(keys)
+    for rank, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+        pos[i] = rank
+    return pos
 
 
 # ---------------------------------------------------------------------------
@@ -311,45 +348,89 @@ def _map_carrier(carrier: FinAlgebra, funcs: list[tuple[int, ...]]) -> FinAlgebr
 
 
 def validate_monoid(m: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> bool:
-    """Exhaustive monoid axioms, bilinearity, and alphabet-generation."""
+    """Monoid axioms, bilinearity and alphabet-generation, without a triple scan.
+
+    Checked in turn: table shapes and index ranges; the unit; for JSL0, that
+    the carrier's join table is a semilattice; that every left and right
+    translation is a carrier morphism; that the unit reaches every element
+    under right letter actions and, for JSL0/Z2VECT, sums with word images;
+    and Light's associativity test on the letters only, x(ay) = (xa)y.
+
+    Light's test is exact here.  The elements b with x(by) = (xb)y for all
+    x, y contain the unit and are closed under products (if a and b qualify,
+    so does ab).  With bilinear translations they also contain the zero and
+    are closed under sums, so once the letters qualify, every element of a
+    generated monoid does.  The same argument checks the join table on its
+    join-irreducibles (jsl_irreducibles), and a translation f of a
+    semilattice is a join-morphism exactly when f(0) = 0 and
+    f(x + j) = f(x) + f(j) for every x and join-irreducible j.  All checks
+    are quadratic in the size, times the letters or the join-irreducibles,
+    except POS, whose translations keep the pairwise order check.
+    """
     n = m.size
-    if len(m.mult) != n or any(len(row) != n for row in m.mult):
+    mult = m.mult
+    if len(mult) != n or any(len(row) != n for row in mult):
         return False
-    if any(m.mult[m.unit][x] != x or m.mult[x][m.unit] != x for x in range(n)):
+    if not 0 <= m.unit < n or len(m.gen) != len(m.alphabet):
         return False
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if m.mult[m.mult[x][y]][z] != m.mult[x][m.mult[y][z]]:
-                    return False
-    for x in range(n):
-        left = FinMorphism(m.carrier, m.carrier, tuple(m.mult[x][y] for y in range(n)))
-        right = FinMorphism(m.carrier, m.carrier, tuple(m.mult[y][x] for y in range(n)))
-        if not (validate_morphism(left) and validate_morphism(right)):
+    if any(not 0 <= g < n for g in m.gen) or any(min(row) < 0 or max(row) >= n for row in mult):
+        return False
+    if any(mult[m.unit][x] != x or mult[x][m.unit] != x for x in range(n)):
+        return False
+    carrier = m.carrier
+    if carrier.tag not in D_TAGS:
+        raise TagMismatchError(f"{carrier.tag} is not an algebra-side variety")
+    translations = [tuple(row) for row in mult] + list(zip(*mult))
+    if isinstance(carrier, JoinSemilattice):
+        try:
+            irreducibles = jsl_irreducibles(carrier)
+        except ValueError:
             return False
-    return _generated_closure(m, limits) == set(range(n))
+        join, zero = carrier.join, carrier.zero
+        for f in translations:
+            if f[zero] != zero:
+                return False
+            for j in irreducibles:
+                if list(map(f.__getitem__, join[j])) != list(map(join[f[j]].__getitem__, f)):
+                    return False
+    elif not all(validate_morphism(FinMorphism(carrier, carrier, f)) for f in translations):
+        return False
+    if _generated_closure(m, limits) != n:
+        return False
+    for g in set(m.gen):
+        after_g = mult[g]
+        for x in range(n):
+            if list(map(mult[x].__getitem__, after_g)) != list(mult[mult[x][g]]):
+                return False
+    return True
 
 
-def _generated_closure(m: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> set[int]:
-    closed = {m.unit} | set(m.gen) | set(constants(m.carrier))
-    unary = unary_ops(m.carrier)
-    binary = binary_ops(m.carrier)
-    queue = deque(sorted(closed))
-    while queue:
-        x = queue.popleft()
-        new = [op(x) for op in unary]
-        for y in sorted(closed):
-            new.append(m.mult[x][y])
-            new.append(m.mult[y][x])
-            for op in binary:
-                new.append(op(x, y))
-        for v in new:
-            if v not in closed:
-                if len(closed) >= limits.max_carrier:
-                    raise ResourceExceededError("generation closure exceeded the carrier cap")
-                closed.add(v)
-                queue.append(v)
-    return closed
+def _generated_closure(m: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> int:
+    """Size of the closure of the unit under right letter actions and, for
+    JSL0/Z2VECT, sums with word images."""
+    start = {m.unit, *m.gen, *constants(m.carrier)}
+    # the starting elements never count against the cap, only what grows past them
+    cap = max(limits.max_carrier, len(start))
+    reached = [m.unit]
+    seen = {m.unit}
+
+    def reach(v: int) -> None:
+        if v not in seen:
+            if len(seen) >= cap:
+                raise ResourceExceededError("generation closure exceeded the carrier cap")
+            seen.add(v)
+            reached.append(v)
+
+    for x in reached:
+        for g in m.gen:
+            reach(m.mult[x][g])
+    if m.carrier.tag in LINEARISH:
+        words = list(reached)
+        reach(carrier_zero(m.carrier))
+        for x in reached:
+            for w in words:
+                reach(carrier_add(m.carrier, x, w))
+    return len(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -364,34 +445,34 @@ def _check_compatible(m1: SigmaMonoid, m2: SigmaMonoid) -> None:
 
 
 def _subdirect_pairs(m1: SigmaMonoid, m2: SigmaMonoid, limits: Limits) -> list[tuple[int, int]]:
-    """Image of the paired evaluation: word pairs, then the additive span."""
+    """Image of the paired evaluation: word pairs, then the additive span.
+
+    Every element of the span is a sum of word pairs, so closing under
+    "+ word pair" alone reaches it.
+    """
     _check_compatible(m1, m2)
-    pairs = {(m1.unit, m2.unit)}
-    queue = deque(pairs)
-    while queue:
-        x1, x2 = queue.popleft()
+    words = [(m1.unit, m2.unit)]
+    pairs = set(words)
+
+    def reach(p: tuple[int, int], found: list) -> None:
+        if p not in pairs:
+            if len(pairs) >= limits.max_carrier:
+                raise ResourceExceededError("subdirect closure exceeded the carrier cap")
+            pairs.add(p)
+            found.append(p)
+
+    for x1, x2 in words:
         for g1, g2 in zip(m1.gen, m2.gen):
-            nxt = (m1.mult[x1][g1], m2.mult[x2][g2])
-            if nxt not in pairs:
-                if len(pairs) >= limits.max_carrier:
-                    raise ResourceExceededError("subdirect closure exceeded the carrier cap")
-                pairs.add(nxt)
-                queue.append(nxt)
+            reach((m1.mult[x1][g1], m2.mult[x2][g2]), words)
     if m1.carrier.tag in LINEARISH:
-        pairs.add((carrier_zero(m1.carrier), carrier_zero(m2.carrier)))
-        queue = deque(sorted(pairs))
-        while queue:
-            p = queue.popleft()
-            for q in sorted(pairs):
-                s = (
-                    carrier_add(m1.carrier, p[0], q[0]),
-                    carrier_add(m2.carrier, p[1], q[1]),
-                )
-                if s not in pairs:
-                    if len(pairs) >= limits.max_carrier:
-                        raise ResourceExceededError("subdirect closure exceeded the carrier cap")
-                    pairs.add(s)
-                    queue.append(s)
+        span = list(words)
+        zero = (carrier_zero(m1.carrier), carrier_zero(m2.carrier))
+        if zero not in pairs:
+            pairs.add(zero)
+            span.append(zero)
+        for x1, x2 in span:
+            for w1, w2 in words:
+                reach((carrier_add(m1.carrier, x1, w1), carrier_add(m2.carrier, x2, w2)), span)
     return sorted(pairs)
 
 

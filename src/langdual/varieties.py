@@ -182,20 +182,54 @@ def make_poset(leq: Matrix) -> FinPoset:
 
 
 def make_jsl(join: Sequence[Sequence[int]], zero: int) -> JoinSemilattice:
-    table = tuple(tuple(row) for row in join)
-    n = len(table)
-    for x in range(n):
-        if table[x][x] != x:
-            raise ValueError("join not idempotent")
-        if table[x][zero] != x or table[zero][x] != x:
-            raise ValueError("zero is not a unit for join")
-        for y in range(n):
-            if table[x][y] != table[y][x]:
-                raise ValueError("join not commutative")
-            for z in range(n):
-                if table[table[x][y]][z] != table[x][table[y][z]]:
-                    raise ValueError("join not associative")
-    return JoinSemilattice(table, zero)
+    alg = JoinSemilattice(tuple(tuple(row) for row in join), zero)
+    jsl_irreducibles(alg)
+    return alg
+
+
+def jsl_irreducibles(alg: JoinSemilattice) -> list[int]:
+    """The join-irreducibles of a join table, after checking that it is a
+    semilattice with least element zero.
+
+    Raises ValueError unless the table is idempotent and commutative, has the
+    zero as its unit, is generated from the zero by the join-irreducibles, and
+    passes Light's associativity test on them: (x + j) + y = x + (j + y) for
+    every irreducible j.  The elements passing that test are closed under
+    joins, so with generation it is exact, at n^2 times the number of
+    irreducibles instead of n^3.
+    """
+    join, zero, n = alg.join, alg.zero, alg.size
+    if not 0 <= zero < n or any(len(row) != n or min(row) < 0 or max(row) >= n for row in join):
+        raise ValueError("join table is not square over its elements")
+    if any(join[x][x] != x for x in range(n)):
+        raise ValueError("join not idempotent")
+    if list(join[zero]) != list(range(n)):
+        raise ValueError("zero is not a unit for join")
+    if list(map(tuple, join)) != list(zip(*join)):
+        raise ValueError("join not commutative")
+    reducible = [False] * n
+    reducible[zero] = True
+    for y, row in enumerate(join):
+        for z in range(y + 1, n):
+            v = row[z]
+            if v != y and v != z:
+                reducible[v] = True
+    irreducibles = [x for x in range(n) if not reducible[x]]
+    reached = [zero]
+    seen = {zero}
+    for x in reached:
+        for j in irreducibles:
+            v = join[x][j]
+            if v not in seen:
+                seen.add(v)
+                reached.append(v)
+    if len(reached) != n:
+        raise ValueError("join table is not generated by its join-irreducibles")
+    for j in irreducibles:
+        for x in range(n):
+            if list(map(join[x].__getitem__, join[j])) != list(join[join[x][j]]):
+                raise ValueError("join not associative")
+    return irreducibles
 
 
 def make_distlat(ji_leq: Matrix) -> DistLat:
@@ -242,21 +276,17 @@ def jsl_top(alg: JoinSemilattice) -> int:
 
 @lru_cache(maxsize=None)
 def jsl_meet_table(alg: JoinSemilattice) -> tuple[tuple[int, ...], ...]:
-    """Binary meets; they exist in any finite join-semilattice with zero."""
-    n = alg.size
-    table = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            m = alg.zero
-            for z in range(n):
-                if jsl_leq(alg, z, x) and jsl_leq(alg, z, y):
-                    m = alg.join[m][z]
-            if not (jsl_leq(alg, m, x) and jsl_leq(alg, m, y)):
-                raise ValueError("join table does not admit meets")
-            row.append(m)
-        table.append(tuple(row))
-    return tuple(table)
+    """Binary meets; they exist in any finite join-semilattice with zero.
+
+    The meet of x and y is the element whose down-set is the intersection of
+    theirs, looked up by down-set mask.
+    """
+    down = [sum(1 << z for z, v in enumerate(row) if v == x) for x, row in enumerate(alg.join)]
+    by_down = {mask: x for x, mask in enumerate(down)}
+    try:
+        return tuple(tuple(by_down[dx & dy] for dy in down) for dx in down)
+    except KeyError:
+        raise ValueError("join table does not admit meets") from None
 
 
 def jsl_from_masks(family: Iterable[int]) -> tuple[JoinSemilattice, tuple[int, ...]]:
@@ -317,11 +347,6 @@ def free_on_one(tag: VarietyTag) -> FinAlgebra:
         case VarietyTag.Z2VECT:
             return VectZ2(1)
     raise TagMismatchError(f"{tag} is not an algebra-side variety")
-
-
-def free_generator_index(tag: VarietyTag) -> int:
-    """Index of the generator inside free_on_one(tag)."""
-    return 0 if tag in (VarietyTag.SET, VarietyTag.POS) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -418,16 +443,9 @@ def validate_morphism(m: FinMorphism) -> bool:
                         return False
             return True
         case VectZ2():
-            if g[0] != 0:
-                return False
-            for x in range(dom.size):
-                image = 0
-                for i in range(dom.dim):
-                    if x >> i & 1:
-                        image ^= g[1 << i]
-                if g[x] != image:
-                    return False
-            return True
+            # x is x without its lowest bit plus that bit, so by induction on
+            # the bit count this is g[x] = sum of g over the basis bits of x
+            return g[0] == 0 and all(g[x] == g[x & (x - 1)] ^ g[x & -x] for x in range(1, dom.size))
         case FinSet():
             return True
         case FinPoset():
@@ -465,17 +483,6 @@ def gaussian_basis(vectors: Iterable[int]) -> list[int]:
             basis.sort(reverse=True)
     basis.sort()
     return basis
-
-
-def _xor_decompose(basis: list[int], v: int) -> int | None:
-    """Coefficients of v over the sorted basis, or None if outside the span."""
-    coeffs = 0
-    for i in range(len(basis) - 1, -1, -1):
-        b = basis[i]
-        if v ^ b < v:
-            v ^= b
-            coeffs |= 1 << i
-    return coeffs if v == 0 else None
 
 
 def present_subset(

@@ -1,14 +1,34 @@
 """Independent brute-force oracles used to pin expected values.
 
-Everything here works from word membership and plain enumeration, never
-through the minimization/duality code paths it is used to check.
+The language oracles work from word membership and plain enumeration, never
+through the minimization/duality code paths they are used to check.  The
+monoid and join-semilattice oracles are the exhaustive algorithms that the
+library's quadratic ones replaced; they share only carrier primitives such
+as validate_morphism and gaussian_basis with the code they check.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import product
 
+from langdual.automata import reachable_part
+from langdual.config import DEFAULT_LIMITS
+from langdual.errors import NotReachableError, ResourceExceededError
 from langdual.languages import Dfa, LanguageId
+from langdual.monoids import LINEARISH, SigmaMonoid, carrier_add, carrier_zero
+from langdual.varieties import (
+    FinMorphism,
+    FinPoset,
+    FinSet,
+    JoinSemilattice,
+    VectZ2,
+    binary_ops,
+    constants,
+    gaussian_basis,
+    unary_ops,
+    validate_morphism,
+)
 
 
 def words_up_to(alphabet, max_len):
@@ -126,3 +146,226 @@ def brute_syntactic_monoid(lang: LanguageId):
     mult = tuple(tuple(intern(reps[i] + reps[j]) for j in range(size)) for i in range(size))
     gens = {a: intern(a) for a in d.alphabet}
     return size, mult, unit, gens, tuple(reps)
+
+
+# ---------------------------------------------------------------------------
+# exhaustive monoid construction and validation
+#
+# The pairwise closure and the triple associativity scan that the quadratic
+# transition_monoid and validate_monoid replaced; differential tests compare
+# the two.  The enumeration (sorted graphs, or coordinates over the Gaussian
+# basis for Z2VECT) is part of what they pin.
+
+
+def _encode_linear(graph, dim):
+    return sum(graph[1 << i] << (i * dim) for i in range(dim))
+
+
+def _decode_linear(code, dim):
+    images = [(code >> (i * dim)) & ((1 << dim) - 1) for i in range(dim)]
+    out = []
+    for x in range(1 << dim):
+        v = 0
+        for i in range(dim):
+            if x >> i & 1:
+                v ^= images[i]
+        out.append(v)
+    return tuple(out)
+
+
+def _map_pointwise(carrier, f, g):
+    return tuple(carrier_add(carrier, f[q], g[q]) for q in range(len(f)))
+
+
+def _present_map_family(carrier, maps):
+    if isinstance(carrier, VectZ2):
+        d = carrier.dim
+        basis = gaussian_basis(_encode_linear(m, d) for m in maps)
+        funcs = []
+        for idx in range(1 << len(basis)):
+            code = 0
+            for i, b in enumerate(basis):
+                if idx >> i & 1:
+                    code ^= b
+            funcs.append(_decode_linear(code, d))
+        if len(funcs) != len(maps):
+            raise ValueError("map family is not closed under pointwise sums")
+        return funcs, {f: i for i, f in enumerate(funcs)}
+    funcs = sorted(maps)
+    return funcs, {f: i for i, f in enumerate(funcs)}
+
+
+def _map_carrier(carrier, funcs):
+    match carrier:
+        case FinSet():
+            return FinSet(len(funcs))
+        case FinPoset():
+            return FinPoset(
+                tuple(
+                    tuple(all(carrier.leq[f[q]][g[q]] for q in range(len(f))) for g in funcs)
+                    for f in funcs
+                )
+            )
+        case JoinSemilattice():
+            index = {f: i for i, f in enumerate(funcs)}
+            join = tuple(
+                tuple(index[_map_pointwise(carrier, f, g)] for g in funcs) for f in funcs
+            )
+            zero = index[tuple(carrier.zero for _ in range(carrier.size))]
+            return JoinSemilattice(join, zero)
+        case VectZ2():
+            r = (len(funcs) - 1).bit_length() if len(funcs) > 1 else 0
+            return VectZ2(r)
+    raise TypeError(f"not an algebra-side carrier: {carrier!r}")
+
+
+def cubic_transition_monoid(a, reverse_composition=False, limits=DEFAULT_LIMITS):
+    """Closure of the letter actions under composition both ways and pointwise
+    sums against every known map, then every table built from graphs."""
+    if reachable_part(a, limits).size != a.size:
+        raise NotReachableError("algebra is not generated by its initial state")
+    carrier = a.carrier
+    n = carrier.size
+    ident = tuple(range(n))
+    seeds = [ident] + [m.graph for m in a.alpha]
+    if carrier.tag in LINEARISH:
+        seeds.append(tuple(carrier_zero(carrier) for _ in range(n)))
+    closed = {}
+    order = []
+    queue = deque()
+    for s in seeds:
+        if s not in closed:
+            closed[s] = len(order)
+            order.append(s)
+            queue.append(s)
+    while queue:
+        f = queue.popleft()
+        new = []
+        for g in list(order):
+            new.append(tuple(g[f[q]] for q in range(n)))
+            new.append(tuple(f[g[q]] for q in range(n)))
+            if carrier.tag in LINEARISH:
+                new.append(_map_pointwise(carrier, f, g))
+        for h in new:
+            if h not in closed:
+                if len(order) >= limits.max_carrier:
+                    raise ResourceExceededError("transition monoid exceeded the carrier cap")
+                closed[h] = len(order)
+                order.append(h)
+                queue.append(h)
+    funcs, index = _present_map_family(carrier, order)
+
+    def compose(i, j):
+        f, g = funcs[i], funcs[j]
+        if reverse_composition:
+            return index[tuple(f[g[q]] for q in range(n))]
+        return index[tuple(g[f[q]] for q in range(n))]
+
+    size = len(funcs)
+    mult = tuple(tuple(compose(i, j) for j in range(size)) for i in range(size))
+    gens = tuple(index[m.graph] for m in a.alpha)
+    return SigmaMonoid(_map_carrier(carrier, funcs), a.alphabet, index[ident], mult, gens)
+
+
+def cubic_generated_closure(m, limits=DEFAULT_LIMITS):
+    """Closure of the unit, the letters and the constants under products on
+    both sides and every carrier operation, against every known element."""
+    closed = {m.unit} | set(m.gen) | set(constants(m.carrier))
+    unary = unary_ops(m.carrier)
+    binary = binary_ops(m.carrier)
+    queue = deque(sorted(closed))
+    while queue:
+        x = queue.popleft()
+        new = [op(x) for op in unary]
+        for y in sorted(closed):
+            new.append(m.mult[x][y])
+            new.append(m.mult[y][x])
+            for op in binary:
+                new.append(op(x, y))
+        for v in new:
+            if v not in closed:
+                if len(closed) >= limits.max_carrier:
+                    raise ResourceExceededError("generation closure exceeded the carrier cap")
+                closed.add(v)
+                queue.append(v)
+    return closed
+
+
+def cubic_validate_monoid(m, limits=DEFAULT_LIMITS):
+    """Triple associativity scan, every translation through validate_morphism,
+    and generation by the pairwise closure.  Tables must be in range."""
+    n = m.size
+    if len(m.mult) != n or any(len(row) != n for row in m.mult):
+        return False
+    if any(m.mult[m.unit][x] != x or m.mult[x][m.unit] != x for x in range(n)):
+        return False
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if m.mult[m.mult[x][y]][z] != m.mult[x][m.mult[y][z]]:
+                    return False
+    for x in range(n):
+        left = FinMorphism(m.carrier, m.carrier, tuple(m.mult[x][y] for y in range(n)))
+        right = FinMorphism(m.carrier, m.carrier, tuple(m.mult[y][x] for y in range(n)))
+        if not (validate_morphism(left) and validate_morphism(right)):
+            return False
+    return cubic_generated_closure(m, limits) == set(range(n))
+
+
+def cubic_jsl_laws(join, zero):
+    """The semilattice laws by a triple scan: idempotent, zero as unit,
+    commutative and associative."""
+    n = len(join)
+    for x in range(n):
+        if join[x][x] != x or join[x][zero] != x or join[zero][x] != x:
+            return False
+        for y in range(n):
+            if join[x][y] != join[y][x]:
+                return False
+            for z in range(n):
+                if join[join[x][y]][z] != join[x][join[y][z]]:
+                    return False
+    return True
+
+
+def cubic_meet_table(join, zero):
+    """Meets as the join of all common lower bounds, x <= y meaning x + y = y."""
+    n = len(join)
+    table = []
+    for x in range(n):
+        row = []
+        for y in range(n):
+            m = zero
+            for z in range(n):
+                if join[z][x] == x and join[z][y] == y:
+                    m = join[m][z]
+            row.append(m)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def pairwise_subdirect_size(m1, m2):
+    """Size of the subdirect product: word pairs, then closed under sums of
+    every two pairs, as the subdirect closure did before it closed against
+    word pairs only."""
+    pairs = {(m1.unit, m2.unit)}
+    frontier = list(pairs)
+    while frontier:
+        x1, x2 = frontier.pop()
+        for g1, g2 in zip(m1.gen, m2.gen):
+            p = (m1.mult[x1][g1], m2.mult[x2][g2])
+            if p not in pairs:
+                pairs.add(p)
+                frontier.append(p)
+    if m1.carrier.tag in LINEARISH:
+        pairs.add((carrier_zero(m1.carrier), carrier_zero(m2.carrier)))
+        changed = True
+        while changed:
+            changed = False
+            for p in list(pairs):
+                for q in list(pairs):
+                    s = (carrier_add(m1.carrier, p[0], q[0]), carrier_add(m2.carrier, p[1], q[1]))
+                    if s not in pairs:
+                        pairs.add(s)
+                        changed = True
+    return len(pairs)

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from langdual.automata import (
@@ -11,6 +15,7 @@ from langdual.config import Limits
 from langdual.duality import DualityTag, dual_object
 from langdual.errors import ResourceExceededError
 from langdual.languages import Dfa, compile_text, parse_regex, compile_regex
+from langdual.monoids import SigmaMonoid
 from langdual.varieties import (
     FinSet,
     JoinSemilattice,
@@ -36,6 +41,37 @@ def test_carrier_cap_on_closures():
 
 def test_cli_reports_resource_errors_as_exit_2():
     assert main(["min-dfa", "--regex", "(ab)*", "--max-states", "1"]) == 2
+
+
+def test_cli_max_carrier_is_a_resource_error_without_traceback():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    cmd = [sys.executable, "-m", "langdual", "monoid", "--variety", "jsl", "--regex", "(a|b)*abb"]
+    r = subprocess.run(
+        cmd + ["--max-carrier", "8"],
+        capture_output=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src},
+    )
+    stderr = r.stderr.decode(errors="replace")
+    assert r.returncode == 2, stderr
+    assert r.stdout == b""
+    assert stderr.startswith("error: ") and "exceeded the carrier cap" in stderr
+    assert "Traceback" not in stderr
+    # the family has 44 languages, and so does its monoid
+    assert main(cmd[3:] + ["--max-carrier", "43"]) == 2
+    assert main(cmd[3:] + ["--max-carrier", "44"]) == 0
+
+
+def test_invalid_monoid_reaching_monoid_to_piece_exits_2(monkeypatch, capsys):
+    import langdual.correspondence as correspondence
+
+    broken = SigmaMonoid(FinSet(2), ("a",), 0, ((0, 1), (1, 7)), (1,))
+    with pytest.raises(ValueError):
+        correspondence.monoid_to_piece(DualityTag.BA_SET, broken)
+    monkeypatch.setattr(correspondence, "piece_to_monoid", lambda d, piece, limits: broken)
+    assert main(["verify-eilenberg", "--variety", "ba", "--alphabet", "a", "--regex", "a*"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: input is not a valid")
 
 
 def test_two_element_carrier_coalgebra_dualizes_onto_the_unit_dual():

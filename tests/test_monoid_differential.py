@@ -1,0 +1,320 @@
+"""The quadratic monoid construction and checks against the cubic oracles.
+
+Seeded corpora over all four dualities, with families up to 128 elements,
+plus free algebras on small DFAs (powerset join-semilattices and Z2 spans of
+the states), whose transition monoids outgrow their carriers and so reach the
+carrier cap inside transition_monoid itself.
+"""
+
+import json
+import random
+
+import pytest
+
+from langdual.automata import DAlgebra, coalgebra_to_dalgebra, language_dalgebra, reachable_part, rqc_closure
+from langdual.config import Limits
+from langdual.duality import DualityTag, c_tag
+from langdual.errors import LangdualError, ResourceExceededError
+from langdual.languages import compile_regex, compile_text
+from langdual.monoids import (
+    SigmaMonoid,
+    monoid_to_json,
+    quotient_leq,
+    subdirect_product,
+    transition_monoid,
+    validate_monoid,
+)
+from langdual.randgen import random_regex
+from langdual.varieties import (
+    FinMorphism,
+    JoinSemilattice,
+    VectZ2,
+    jsl_from_masks,
+    jsl_irreducibles,
+    jsl_meet_table,
+    make_jsl,
+)
+from oracles import (
+    cubic_jsl_laws,
+    cubic_meet_table,
+    cubic_transition_monoid,
+    cubic_validate_monoid,
+    pairwise_subdirect_size,
+)
+
+AB = ("a", "b")
+
+# families of 80 to 128 elements, past the random corpus below
+LARGE_FAMILIES = [
+    (DualityTag.Z2_SELF, "(a|b)*abb"),
+    (DualityTag.JSL_SELF, "(aa|b)*ab"),
+    (DualityTag.BA_SET, "(a|b)*abb"),
+    (DualityTag.DL01_POS, "(a|b)*abb"),
+]
+
+
+def _dual_algebra(d, langs, cap):
+    piece = rqc_closure(c_tag(d), langs, Limits(max_carrier=cap))
+    return piece.size, reachable_part(coalgebra_to_dalgebra(d, piece))
+
+
+def _corpus(seed, per_duality, cap=128):
+    """(duality, piece size, reachable dual algebra), seeded."""
+    rng = random.Random(seed)
+    out = []
+    for d in DualityTag:
+        found = 0
+        while found < per_duality:
+            langs = [compile_regex(random_regex(rng, AB), AB) for _ in range(rng.randint(1, 2))]
+            try:
+                size, alg = _dual_algebra(d, langs, cap)
+            except LangdualError:
+                continue
+            out.append((d, size, alg))
+            found += 1
+    return out
+
+
+def _free_algebras(d):
+    """The powerset join-semilattice and the Z2 span of a DFA's states, with
+    the letters acting by images; both generated from the initial state."""
+    n = d.n_states
+
+    def image(ai, mask, combine):
+        out = 0
+        for q in range(n):
+            if mask >> q & 1:
+                out = combine(out, 1 << d.delta[q][ai])
+        return out
+
+    jsl, masks = jsl_from_masks(range(1 << n))
+    index = {m: i for i, m in enumerate(masks)}
+    alpha = tuple(
+        FinMorphism(jsl, jsl, tuple(index[image(ai, m, int.__or__)] for m in masks))
+        for ai in range(len(d.alphabet))
+    )
+    yield reachable_part(DAlgebra(jsl, d.alphabet, alpha, index[1 << d.initial]))
+    z2 = VectZ2(n)
+    alpha = tuple(
+        FinMorphism(z2, z2, tuple(image(ai, v, int.__xor__) for v in range(1 << n)))
+        for ai in range(len(d.alphabet))
+    )
+    yield reachable_part(DAlgebra(z2, d.alphabet, alpha, 1 << d.initial))
+
+
+def _small_dfa_algebras(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        lang = compile_regex(random_regex(rng, AB), AB)
+        if 2 <= lang.n_states <= 5:
+            out.append(language_dalgebra(lang))
+            out.extend(_free_algebras(lang.dfa))
+    return out
+
+
+def _same(alg, reverse, limits=Limits()):
+    """Both constructions' JSON text, or both refusal messages."""
+    texts = []
+    for build in (transition_monoid, cubic_transition_monoid):
+        try:
+            texts.append(json.dumps(monoid_to_json(build(alg, reverse, limits))))
+        except ResourceExceededError as err:
+            texts.append(f"refused: {err}")
+    return texts
+
+
+def test_transition_monoid_is_byte_identical_to_the_cubic_oracle():
+    corpus = _corpus(seed=11, per_duality=10)
+    for d, text in LARGE_FAMILIES:
+        corpus.append((d, *_dual_algebra(d, [compile_text(text, AB)], 4096)))
+    assert max(size for _, size, _ in corpus) >= 128
+    for d, size, alg in corpus:
+        for reverse in (True, False):
+            new, old = _same(alg, reverse)
+            assert new == old, (d, size, reverse)
+
+
+def test_transition_monoid_on_free_algebras_and_cap_refusals_match_the_oracle():
+    refused = 0
+    for alg in _small_dfa_algebras(seed=5, count=60):
+        for reverse in (False, True):
+            new, old = _same(alg, reverse)
+            assert new == old
+            size = len(json.loads(new)["mult"])
+            for cap in sorted({1, alg.size, (alg.size + size) // 2, size - 1, size}):
+                new, old = _same(alg, reverse, Limits(max_carrier=cap))
+                assert new == old, cap
+                refused += new == "refused: transition monoid exceeded the carrier cap"
+    assert refused >= 20
+
+
+def _corrupt(rng, m):
+    """Monoids with one multiplication entry changed or the generators swapped."""
+    n = m.size
+    for _ in range(4):
+        mult = [list(row) for row in m.mult]
+        x, y = rng.randrange(n), rng.randrange(n)
+        mult[x][y] = (mult[x][y] + rng.randrange(1, n)) % n if n > 1 else 0
+        yield SigmaMonoid(m.carrier, m.alphabet, m.unit, tuple(map(tuple, mult)), m.gen)
+    yield SigmaMonoid(m.carrier, m.alphabet, m.unit, m.mult, m.gen[::-1])
+    yield SigmaMonoid(m.carrier, m.alphabet, m.unit, m.mult, (m.gen[0],) * len(m.gen))
+    yield SigmaMonoid(m.carrier, m.alphabet, m.unit, m.mult, (m.unit,) * len(m.gen))
+
+
+def test_validate_monoid_agrees_with_the_oracle_on_real_and_corrupted_tables():
+    rng = random.Random(23)
+    algebras = [alg for _, _, alg in _corpus(seed=17, per_duality=8, cap=48)]
+    algebras += _small_dfa_algebras(seed=29, count=15)
+    rejected = 0
+    for alg in algebras:
+        m = transition_monoid(alg, reverse_composition=rng.random() < 0.5)
+        if m.size > 48:
+            continue
+        assert validate_monoid(m) and cubic_validate_monoid(m)
+        for bad in _corrupt(rng, m):
+            verdict = validate_monoid(bad)
+            assert verdict == cubic_validate_monoid(bad)
+            rejected += not verdict
+    assert rejected >= 50
+
+
+def _lattice_on(rng, n, zero):
+    """A random n-element union-closed family of 4-bit masks as a join table,
+    renumbered at random with its least element at index zero."""
+    while True:
+        family = {0} | {rng.randrange(1, 16) for _ in range(rng.randint(2, n))}
+        while True:
+            extra = {x | y for x in family for y in family} - family
+            if not extra:
+                break
+            family |= extra
+        if len(family) == n:
+            break
+    lattice, _ = jsl_from_masks(family)
+    others = [x for x in range(n) if x != zero]
+    rng.shuffle(others)
+    rename = dict(zip([x for x in range(n) if x != lattice.zero], others))
+    rename[lattice.zero] = zero
+    join = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            join[rename[x]][rename[y]] = rename[lattice.join[x][y]]
+    return JoinSemilattice(tuple(map(tuple, join)), zero)
+
+
+def test_validate_monoid_agrees_with_the_oracle_on_mismatched_carriers():
+    # syntactic monoids with a zero, read over random semilattices of their
+    # size: mostly not semirings, so the translation checks decide
+    rng = random.Random(37)
+    monoids = {}
+    while len(monoids) < 25:
+        m = transition_monoid(language_dalgebra(compile_regex(random_regex(rng, AB), AB)))
+        zeros = [z for z in range(m.size) if all(m.mult[z][x] == z == m.mult[x][z] for x in range(m.size))]
+        if 4 <= m.size <= 7 and zeros:
+            monoids[m.mult, m.gen] = (m, zeros[0])
+    verdicts = []
+    for m, zero in monoids.values():
+        for _ in range(40):
+            carrier = _lattice_on(rng, m.size, zero)
+            over = SigmaMonoid(carrier, m.alphabet, m.unit, m.mult, m.gen)
+            verdict = validate_monoid(over)
+            assert verdict == cubic_validate_monoid(over)
+            verdicts.append(verdict)
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
+
+
+def test_validate_monoid_rejects_a_non_semilattice_jsl_carrier():
+    # the two-element field with XOR posing as a join: not idempotent, yet
+    # every translation preserves it, so the pairwise check alone accepts
+    xor = JoinSemilattice(((0, 1), (1, 0)), 0)
+    field = SigmaMonoid(xor, ("a",), 1, ((0, 0), (0, 1)), (1,))
+    assert cubic_validate_monoid(field)
+    assert not validate_monoid(field)
+    with pytest.raises(ValueError, match="idempotent"):
+        jsl_irreducibles(xor)
+
+
+def test_jsl_table_laws_are_checked_through_the_irreducibles():
+    # idempotent and commutative with zero as unit, but not associative:
+    # 1 + (2 + 3) = 1 + 3 = 4 while (1 + 2) + 3 = 3 + 3 = 3
+    lopsided = JoinSemilattice(
+        (
+            (0, 1, 2, 3, 4),
+            (1, 1, 3, 4, 4),
+            (2, 3, 2, 3, 4),
+            (3, 4, 3, 3, 4),
+            (4, 4, 4, 4, 4),
+        ),
+        0,
+    )
+    with pytest.raises(ValueError, match="associative"):
+        make_jsl(lopsided.join, 0)
+    # a lawful table: the subsets of {0, 1} under union, masks in order
+    square, _ = jsl_from_masks(range(4))
+    assert jsl_irreducibles(square) == [1, 2]
+    with pytest.raises(ValueError, match="commutative"):
+        make_jsl(((0, 1), (0, 1)), 0)
+
+
+@pytest.mark.parametrize("d", list(DualityTag))
+def test_subdirect_products_match_the_pairwise_closure(d):
+    rng = random.Random(31)
+    monoids = []
+    while len(monoids) < 6:
+        lang = compile_regex(random_regex(rng, AB), AB)
+        try:
+            _, alg = _dual_algebra(d, [lang], 32)
+        except LangdualError:
+            continue
+        monoids.append(transition_monoid(alg, reverse_composition=True))
+    for m1, m2 in zip(monoids, monoids[1:]):
+        product = subdirect_product(m1, m2)
+        assert product.size == pairwise_subdirect_size(m1, m2)
+        assert validate_monoid(product)
+        assert quotient_leq(m1, product) and quotient_leq(m2, product)
+
+
+def _scrambled_jsl(rng):
+    """A union-closed family of at most 64 masks as a join table, with the
+    elements renumbered at random."""
+    family = {0} | {rng.randrange(1 << 7) for _ in range(rng.randint(1, 6))}
+    while True:
+        extra = {x | y for x in family for y in family} - family
+        if not extra:
+            break
+        family |= extra
+    masks = sorted(family)
+    order = list(range(len(masks)))
+    rng.shuffle(order)
+    index = {masks[i]: k for k, i in enumerate(order)}
+    join = [[0] * len(masks) for _ in masks]
+    for x in masks:
+        for y in masks:
+            join[index[x]][index[y]] = index[x | y]
+    return join, index[0]
+
+
+def test_jsl_laws_and_meets_match_the_cubic_scans():
+    rng = random.Random(41)
+    broken = 0
+    for _ in range(120):
+        join, zero = _scrambled_jsl(rng)
+        alg = make_jsl(join, zero)
+        assert cubic_jsl_laws(alg.join, zero)
+        assert jsl_meet_table(alg) == cubic_meet_table(alg.join, zero)
+        n = len(join)
+        if n < 2:
+            continue
+        # change one entry and its mirror, so commutativity still holds
+        x, y = rng.randrange(n), rng.randrange(n)
+        join[x][y] = join[y][x] = rng.randrange(n)
+        lawful = cubic_jsl_laws(join, zero)
+        try:
+            make_jsl(join, zero)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == lawful
+        broken += not lawful
+    assert broken >= 40

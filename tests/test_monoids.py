@@ -193,6 +193,19 @@ def test_validate_monoid_rejects_broken_tables():
     assert not validate_monoid(not_bilinear)
 
 
+def test_validate_monoid_rejects_out_of_range_indices():
+    fine = ((0, 1), (1, 0))
+    assert validate_monoid(SigmaMonoid(FinSet(2), ("a",), 0, fine, (1,)))
+    assert not validate_monoid(SigmaMonoid(FinSet(2), ("a",), 0, ((0, 1), (1, 7)), (1,)))
+    assert not validate_monoid(SigmaMonoid(FinSet(2), ("a",), 0, ((0, 1), (1, -1)), (1,)))
+    assert not validate_monoid(SigmaMonoid(FinSet(2), ("a",), 2, fine, (1,)))
+    assert not validate_monoid(SigmaMonoid(FinSet(2), ("a",), -1, fine, (1,)))
+    assert not validate_monoid(SigmaMonoid(FinSet(2), ("a",), 0, fine, (5,)))
+    assert not validate_monoid(SigmaMonoid(FinSet(2), ("a",), 0, fine, (1, 1)))
+    chain = JoinSemilattice(((0, 1), (1, 9)), 0)
+    assert not validate_monoid(SigmaMonoid(chain, ("a",), 1, ((0, 0), (0, 1)), (1,)))
+
+
 # --- quotient order and subdirect products ---
 
 
