@@ -83,7 +83,6 @@ from .varieties import (
     BoolAlg,
     DistLat,
     FinAlgebra,
-    FinElement,
     FinMorphism,
     FinPoset,
     FinSet,

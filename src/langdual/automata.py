@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
@@ -38,16 +39,16 @@ from .varieties import (
     JoinSemilattice,
     VarietyTag,
     VectZ2,
-    gaussian_basis,
-    binary_ops,
+    close,
     constants,
     free_on_one,
+    generate_family,
     identity,
     jsl_from_masks,
     mask_lattice_presentation,
     present_subset,
+    subalgebra_elements,
     two_element_algebra,
-    unary_ops,
     validate_morphism,
 )
 
@@ -253,122 +254,35 @@ def class_automaton(gens: Sequence[LanguageId], limits: Limits = DEFAULT_LIMITS)
 
 def _derivative_mask_closure(
     caut: ClassAutomaton, seeds: Iterable[int], include_right: bool, limits: Limits
-) -> set[int]:
-    closed = set(seeds)
-    queue = deque(sorted(closed))
-    k = len(caut.alphabet)
-    while queue:
-        mask = queue.popleft()
-        for ai in range(k):
-            new = [caut.left_preimage(mask, ai)]
-            if include_right:
-                new.append(caut.right_preimage(mask, ai))
-            for nxt in new:
-                if nxt not in closed:
-                    if len(closed) >= limits.max_carrier:
-                        raise ResourceExceededError("derivative closure exceeded the carrier cap")
-                    closed.add(nxt)
-                    queue.append(nxt)
-    return closed
+) -> list[int]:
+    sides = (caut.left_preimage, caut.right_preimage) if include_right else (caut.left_preimage,)
+    steps = [partial(side, ai=ai) for ai in range(len(caut.alphabet)) for side in sides]
+    return close(seeds, steps, limits.max_carrier, "derivative closure")
 
 
-def _pairwise_fixpoint(seed: set[int], op, cap: int) -> set[int]:
-    closed = set(seed)
-    queue = deque(sorted(closed))
-    while queue:
-        x = queue.popleft()
-        for y in sorted(closed):
-            v = op(x, y)
-            if v not in closed:
-                if len(closed) >= cap:
-                    raise ResourceExceededError("operation closure exceeded the carrier cap")
-                closed.add(v)
-                queue.append(v)
-    return closed
-
-
-def _family_under_operations(tag: VarietyTag, seeds: set[int], full: int, cap: int) -> tuple[int, ...]:
-    """Close masks under the variety's language operations and constants."""
-    match tag:
-        case VarietyTag.BA:
-            nbits = full.bit_length()
-            ordered = sorted(seeds)
-            groups: dict[tuple[bool, ...], int] = {}
-            for j in range(nbits):
-                sig = tuple(bool(s >> j & 1) for s in ordered)
-                groups[sig] = groups.get(sig, 0) | (1 << j)
-            atoms = sorted(groups.values())
-            if 1 << len(atoms) > cap:
-                raise ResourceExceededError("boolean closure exceeded the carrier cap")
-            family = []
-            for choice in range(1 << len(atoms)):
-                v = 0
-                for i, atom in enumerate(atoms):
-                    if choice >> i & 1:
-                        v |= atom
-                family.append(v)
-            return tuple(sorted(family))
-        case VarietyTag.DL01:
-            meets = _pairwise_fixpoint(seeds | {0, full}, lambda x, y: x & y, cap)
-            joins = _pairwise_fixpoint(meets, lambda x, y: x | y, cap)
-            return tuple(sorted(joins))
-        case VarietyTag.JSL0:
-            return tuple(sorted(_pairwise_fixpoint(seeds | {0}, lambda x, y: x | y, cap)))
-        case VarietyTag.Z2VECT:
-            basis = gaussian_basis(seeds)
-            if 1 << len(basis) > cap:
-                raise ResourceExceededError("linear closure exceeded the carrier cap")
-            family = []
-            for choice in range(1 << len(basis)):
-                v = 0
-                for i, b in enumerate(basis):
-                    if choice >> i & 1:
-                        v ^= b
-                family.append(v)
-            return tuple(sorted(family))
-    raise TagMismatchError(f"{tag} is not an output-side variety")
-
-
-def _present_family(tag: VarietyTag, family: tuple[int, ...]) -> tuple[FinAlgebra, tuple[int, ...]]:
+def _present_family(tag: VarietyTag, family: list[int], n_maps: int) -> tuple[FinAlgebra, tuple[int, ...]]:
     """Carrier presentation of a closed family plus the element -> mask table."""
     match tag:
-        case VarietyTag.BA:
-            nonzero = [m for m in family if m]
-            atoms = [m for m in nonzero if not any(o & m == o and o != m for o in nonzero)]
-            carrier = BoolAlg(len(atoms))
-            element_masks = []
-            for idx in range(carrier.size):
-                v = 0
-                for i, atom in enumerate(atoms):
-                    if idx >> i & 1:
-                        v |= atom
-                element_masks.append(v)
-            if sorted(element_masks) != list(family):
-                raise ValueError("family is not a boolean algebra of classes")
-            return carrier, tuple(element_masks)
         case VarietyTag.DL01:
             return mask_lattice_presentation(family)
         case VarietyTag.JSL0:
-            carrier, masks = jsl_from_masks(family)
-            return carrier, masks
-        case VarietyTag.Z2VECT:
-            basis = gaussian_basis(family)
-            carrier = VectZ2(len(basis))
-            element_masks = []
-            for idx in range(carrier.size):
-                v = 0
-                for i, b in enumerate(basis):
-                    if idx >> i & 1:
-                        v ^= b
-                element_masks.append(v)
-            if sorted(element_masks) != list(family):
-                raise ValueError("family is not closed under symmetric difference")
-            return carrier, tuple(element_masks)
-    raise TagMismatchError(f"{tag} is not an output-side variety")
+            return jsl_from_masks(family)
+    amb = BoolAlg(n_maps) if tag is VarietyTag.BA else VectZ2(n_maps)
+    carrier, incl, _ = present_subset(amb, family)
+    return carrier, incl.graph
 
 
-def _piece_from_masks(tag: VarietyTag, caut: ClassAutomaton, family: tuple[int, ...]) -> CCoalgebra:
-    carrier, element_masks = _present_family(tag, family)
+def _closed_piece(tag: VarietyTag, gens: Iterable[LanguageId], include_right: bool, limits: Limits) -> CCoalgebra:
+    """The labeled piece generated by gens under left derivatives, right
+    derivatives if asked, and the variety operations."""
+    gens = sorted(set(gens), key=lambda g: g.sort_key())
+    if not gens:
+        raise ValueError("at least one generator language is required")
+    caut, gen_masks = class_automaton(gens, limits)
+    seeds = _derivative_mask_closure(caut, gen_masks, include_right, limits)
+    what = {VarietyTag.BA: "boolean closure", VarietyTag.Z2VECT: "linear closure"}.get(tag, "operation closure")
+    family = generate_family(tag, seeds, caut.full_mask, limits.max_carrier, what)
+    carrier, element_masks = _present_family(tag, family, caut.n_maps)
     mask_index = {m: i for i, m in enumerate(element_masks)}
     k = len(caut.alphabet)
     gamma = tuple(
@@ -394,26 +308,14 @@ def generate_subcoalgebra(
 ) -> CCoalgebra:
     """Smallest labeled subautomaton of the language automaton containing gens,
     closed under left derivatives and the variety operations on languages."""
-    gens = sorted(set(gens), key=lambda g: g.sort_key())
-    if not gens:
-        raise ValueError("at least one generator language is required")
-    caut, gen_masks = class_automaton(gens, limits)
-    seeds = _derivative_mask_closure(caut, gen_masks, include_right=False, limits=limits)
-    family = _family_under_operations(tag, seeds, caut.full_mask, limits.max_carrier)
-    return _piece_from_masks(tag, caut, family)
+    return _closed_piece(tag, gens, False, limits)
 
 
 def rqc_closure(
     tag: VarietyTag, gens: Iterable[LanguageId], limits: Limits = DEFAULT_LIMITS
 ) -> CCoalgebra:
     """Like generate_subcoalgebra, but also closed under right derivatives."""
-    gens = sorted(set(gens), key=lambda g: g.sort_key())
-    if not gens:
-        raise ValueError("at least one generator language is required")
-    caut, gen_masks = class_automaton(gens, limits)
-    seeds = _derivative_mask_closure(caut, gen_masks, include_right=True, limits=limits)
-    family = _family_under_operations(tag, seeds, caut.full_mask, limits.max_carrier)
-    return _piece_from_masks(tag, caut, family)
+    return _closed_piece(tag, gens, True, limits)
 
 
 def carrier_map_monoid(q: CCoalgebra, limits: Limits = DEFAULT_LIMITS) -> list[tuple[str, FinMorphism]]:
@@ -434,19 +336,13 @@ def carrier_map_monoid(q: CCoalgebra, limits: Limits = DEFAULT_LIMITS) -> list[t
     return order
 
 
-def is_rqc_closed(q: CCoalgebra, limits: Limits = DEFAULT_LIMITS) -> bool:
+def is_rqc_closed(q: CCoalgebra) -> bool:
     """All right derivatives of the labels stay inside the label set.
 
-    Words are enumerated up to stabilization of the composite transition
-    maps, which is exhaustive because a right derivative only depends on the
-    map gamma_w.
+    Single letters suffice: L(wa)^-1 = (La^-1)w^-1.
     """
     labels = label_set(q)
-    for word, _ in carrier_map_monoid(q, limits):
-        for lang in labels:
-            if right_derivative(lang, word) not in labels:
-                return False
-    return True
+    return all(right_derivative(lang, a) in labels for lang in labels for a in q.alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -531,27 +427,21 @@ def language_dalgebra(lang: LanguageId) -> DAlgebra:
 
 def reachable_part(a: DAlgebra, limits: Limits = DEFAULT_LIMITS) -> DAlgebra:
     """Restrict to the closure of the initial state under letter actions and
-    the carrier operations."""
-    closed = {a.init} | set(constants(a.carrier))
-    unary = unary_ops(a.carrier)
-    binary = binary_ops(a.carrier)
-    queue = deque(sorted(closed))
-    while queue:
-        x = queue.popleft()
-        new = [m.graph[x] for m in a.alpha]
-        new.extend(op(x) for op in unary)
-        for y in sorted(closed):
-            for op in binary:
-                new.append(op(x, y))
-        for v in new:
-            if v not in closed:
-                if len(closed) >= limits.max_carrier:
-                    raise ResourceExceededError("reachable closure exceeded the carrier cap")
-                closed.add(v)
-                queue.append(v)
+    the carrier operations.
+
+    The letter actions are carrier morphisms, so they map the subalgebra
+    generated by a set into the one generated by its image.  The closure is
+    therefore the subalgebra generated by the orbit of the initial state
+    under the letters, which is taken first.
+    """
+    cap = limits.max_carrier
+    letters = [m.graph.__getitem__ for m in a.alpha]
+    # the letters fix the constants; seeding them keeps them off the cap
+    orbit = close([a.init, *constants(a.carrier)], letters, cap, "reachable closure")
+    closed = subalgebra_elements(a.carrier, orbit, cap, "reachable closure")
     if len(closed) == a.size:
         return a
-    sub, incl, to_sub = present_subset(a.carrier, sorted(closed))
+    sub, incl, to_sub = present_subset(a.carrier, closed)
     alpha = tuple(
         FinMorphism(sub, sub, tuple(to_sub[m.graph[incl.graph[i]]] for i in range(sub.size)))
         for m in a.alpha

@@ -173,7 +173,7 @@ def _run(args) -> tuple[int, object]:
             "mode": args.mode,
             "size": piece.size,
             "languages": sorted(language_to_regex(l) for l in piece.labels),
-            "rqc_closed": is_rqc_closed(piece, limits),
+            "rqc_closed": is_rqc_closed(piece),
         }
 
     if verb == "dualize":

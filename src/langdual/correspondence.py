@@ -25,6 +25,7 @@ from .automata import (
     DAlgebra,
     coalgebra_to_dalgebra,
     dalgebra_to_coalgebra,
+    is_rqc_closed,
     label_set,
     rqc_closure,
     reachable_part,
@@ -32,7 +33,7 @@ from .automata import (
 from .config import DEFAULT_LIMITS, Limits
 from .duality import DualityTag, IsoWitness, c_tag, d_tag
 from .errors import CorrespondenceError, NotRqcClosedError, TagMismatchError
-from .languages import LanguageId, language_to_regex, right_derivative
+from .languages import LanguageId, language_to_regex
 from .monoids import (
     SigmaMonoid,
     monoid_to_json,
@@ -44,19 +45,11 @@ from .monoids import (
 from .varieties import FinMorphism, validate_morphism
 
 
-def _labels_closed_under_right_derivatives(piece: CCoalgebra) -> bool:
-    # single letters suffice: L(wa)^-1 = (La^-1)w^-1
-    labels = label_set(piece)
-    return all(
-        right_derivative(lang, a) in labels for lang in labels for a in piece.alphabet
-    )
-
-
 def piece_to_monoid(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_LIMITS) -> SigmaMonoid:
     """Dualize and read off the transition monoid in word order."""
     if piece.carrier.tag != c_tag(d):
         raise TagMismatchError(f"piece carrier {piece.carrier.tag} does not match {d}")
-    if piece.labels is None or not _labels_closed_under_right_derivatives(piece):
+    if piece.labels is None or not is_rqc_closed(piece):
         raise NotRqcClosedError("piece is not closed under right derivatives")
     algebra = reachable_part(coalgebra_to_dalgebra(d, piece), limits)
     return transition_monoid(algebra, reverse_composition=True, limits=limits)
@@ -110,7 +103,11 @@ class Correspondence:
 
 def roundtrip_check(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_LIMITS) -> IsoWitness:
     """piece -> monoid -> piece must reproduce the same language set."""
-    monoid = piece_to_monoid(d, piece, limits)
+    return _roundtrip_witness(d, piece, piece_to_monoid(d, piece, limits), limits)
+
+
+def _roundtrip_witness(d: DualityTag, piece: CCoalgebra, monoid: SigmaMonoid, limits: Limits) -> IsoWitness:
+    """roundtrip_check on the monoid already built from the piece."""
     back = monoid_to_piece(d, monoid, limits)
     ours, theirs = label_set(piece), label_set(back)
     if ours != theirs:
@@ -128,7 +125,7 @@ def correspond(
     """Close the generators, dualize, and certify the identification."""
     piece = rqc_closure(c_tag(d), gens, limits)
     monoid = piece_to_monoid(d, piece, limits)
-    return Correspondence(piece, monoid, roundtrip_check(d, piece, limits))
+    return Correspondence(piece, monoid, _roundtrip_witness(d, piece, monoid, limits))
 
 
 def monoid_roundtrip_check(d: DualityTag, m: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> FinMorphism:
@@ -163,7 +160,7 @@ def correspondence_report(
     piece = rqc_closure(c_tag(d), gens, limits)
     monoid = piece_to_monoid(d, piece, limits)
     try:
-        roundtrip_check(d, piece, limits)
+        _roundtrip_witness(d, piece, monoid, limits)
         verdict: object = "ok"
     except CorrespondenceError as err:
         verdict = {"counterexample": err.counterexample}

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from .automata import DAlgebra, reachable_part
@@ -31,11 +32,13 @@ from .varieties import (
     VarietyTag,
     VectZ2,
     algebra_to_json,
+    close,
     constants,
     gaussian_basis,
     is_order_reflecting,
     jsl_irreducibles,
     leq,
+    subset_sums,
     validate_morphism,
 )
 
@@ -330,10 +333,7 @@ def _present_map_family(carrier: FinAlgebra, keys: list) -> list[int]:
     all other maps come as graphs and are numbered in sorted order.
     """
     if carrier.tag is VarietyTag.Z2VECT:
-        coords = {0: 0}
-        for i, b in enumerate(gaussian_basis(keys)):
-            for code, idx in list(coords.items()):
-                coords[code ^ b] = idx | 1 << i
+        coords = {code: i for i, code in enumerate(subset_sums(gaussian_basis(keys), operator.xor))}
         if len(coords) != len(keys):
             raise ValueError("map family is not closed under pointwise sums")
         return [coords[k] for k in keys]
@@ -407,30 +407,19 @@ def validate_monoid(m: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> bool:
 
 def _generated_closure(m: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> int:
     """Size of the closure of the unit under right letter actions and, for
-    JSL0/Z2VECT, sums with word images."""
-    start = {m.unit, *m.gen, *constants(m.carrier)}
-    # the starting elements never count against the cap, only what grows past them
-    cap = max(limits.max_carrier, len(start))
-    reached = [m.unit]
-    seen = {m.unit}
+    JSL0/Z2VECT, sums with word images.
 
-    def reach(v: int) -> None:
-        if v not in seen:
-            if len(seen) >= cap:
-                raise ResourceExceededError("generation closure exceeded the carrier cap")
-            seen.add(v)
-            reached.append(v)
-
-    for x in reached:
-        for g in m.gen:
-            reach(m.mult[x][g])
+    The letters and the constants are seeds, so they never count against the
+    cap; the constants are fixed by the right letter actions, whose
+    translations validate_monoid has checked before.
+    """
+    cap = limits.max_carrier
+    steps = [lambda x, g=g: m.mult[x][g] for g in m.gen]
+    words = close([m.unit, *m.gen, *constants(m.carrier)], steps, cap, "generation closure")
     if m.carrier.tag in LINEARISH:
-        words = list(reached)
-        reach(carrier_zero(m.carrier))
-        for x in reached:
-            for w in words:
-                reach(carrier_add(m.carrier, x, w))
-    return len(seen)
+        sums = [partial(carrier_add, m.carrier, w) for w in words]
+        return len(close(words, sums, cap, "generation closure"))
+    return len(words)
 
 
 # ---------------------------------------------------------------------------
@@ -451,28 +440,13 @@ def _subdirect_pairs(m1: SigmaMonoid, m2: SigmaMonoid, limits: Limits) -> list[t
     "+ word pair" alone reaches it.
     """
     _check_compatible(m1, m2)
-    words = [(m1.unit, m2.unit)]
-    pairs = set(words)
-
-    def reach(p: tuple[int, int], found: list) -> None:
-        if p not in pairs:
-            if len(pairs) >= limits.max_carrier:
-                raise ResourceExceededError("subdirect closure exceeded the carrier cap")
-            pairs.add(p)
-            found.append(p)
-
-    for x1, x2 in words:
-        for g1, g2 in zip(m1.gen, m2.gen):
-            reach((m1.mult[x1][g1], m2.mult[x2][g2]), words)
+    cap = limits.max_carrier
+    letters = [lambda p, g=g: (m1.mult[p[0]][g[0]], m2.mult[p[1]][g[1]]) for g in zip(m1.gen, m2.gen)]
+    pairs = close([(m1.unit, m2.unit)], letters, cap, "subdirect closure")
     if m1.carrier.tag in LINEARISH:
-        span = list(words)
-        zero = (carrier_zero(m1.carrier), carrier_zero(m2.carrier))
-        if zero not in pairs:
-            pairs.add(zero)
-            span.append(zero)
-        for x1, x2 in span:
-            for w1, w2 in words:
-                reach((carrier_add(m1.carrier, x1, w1), carrier_add(m2.carrier, x2, w2)), span)
+        c1, c2 = m1.carrier, m2.carrier
+        sums = [lambda p, w=w: (carrier_add(c1, p[0], w[0]), carrier_add(c2, p[1], w[1])) for w in pairs]
+        pairs = close([*pairs, (carrier_zero(c1), carrier_zero(c2))], sums, cap, "subdirect closure")
     return sorted(pairs)
 
 
@@ -530,14 +504,7 @@ def _relabel_pairs_linearly(m1, m2, pairs):
     basis = gaussian_basis(p[0] << d2 | p[1] for p in pairs)
     if 1 << len(basis) != len(pairs):
         raise ValueError("pair family is not closed under sums")
-    out = []
-    for idx in range(1 << len(basis)):
-        code = 0
-        for i, b in enumerate(basis):
-            if idx >> i & 1:
-                code ^= b
-        out.append((code >> d2, code & ((1 << d2) - 1)))
-    return out
+    return [(code >> d2, code & ((1 << d2) - 1)) for code in subset_sums(basis, operator.xor)]
 
 
 def quotient_leq(m1: SigmaMonoid, m2: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> bool:
@@ -578,43 +545,19 @@ def pseudovariety_member(
 def sigma_monoid_iso(m1: SigmaMonoid, m2: SigmaMonoid) -> FinMorphism | None:
     """The generator-preserving isomorphism, if one exists.
 
-    Generation forces the candidate: images of words propagate through
-    multiplication by letters and through the carrier operations, so no
-    search is involved.
+    Generation forces the candidate: an isomorphism maps each element to its
+    partner in the image of the paired evaluation (the subdirect closure), so
+    that image must be the graph of a bijection, and no search is involved.
+    The closure stops as soon as it outgrows m1.
     """
-    try:
-        _check_compatible(m1, m2)
-    except (TagMismatchError, ValueError):
+    if m1.size != m2.size:
         return None
-    mapping = {m1.unit: m2.unit}
-    if m1.carrier.tag in LINEARISH:
-        # the additive zero is the image of the empty language, hence forced
-        mapping[carrier_zero(m1.carrier)] = carrier_zero(m2.carrier)
-    changed = True
-    while changed:
-        changed = False
-        for x in list(mapping):
-            fx = mapping[x]
-            images = [
-                (m1.mult[x][g1], m2.mult[fx][g2]) for g1, g2 in zip(m1.gen, m2.gen)
-            ]
-            for y in list(mapping):
-                fy = mapping[y]
-                images.append((m1.mult[x][y], m2.mult[fx][fy]))
-                if m1.carrier.tag in LINEARISH:
-                    images.append(
-                        (
-                            carrier_add(m1.carrier, x, y),
-                            carrier_add(m2.carrier, fx, fy),
-                        )
-                    )
-            for src, dst in images:
-                if mapping.get(src, dst) != dst:
-                    return None
-                if src not in mapping:
-                    mapping[src] = dst
-                    changed = True
-    if len(mapping) != m1.size or len(set(mapping.values())) != m2.size:
+    try:
+        pairs = _subdirect_pairs(m1, m2, Limits(max_carrier=m1.size))
+    except (TagMismatchError, ValueError, ResourceExceededError):
+        return None
+    mapping = dict(pairs)
+    if not len(pairs) == len(mapping) == len(set(mapping.values())) == m1.size:
         return None
     morphism = FinMorphism(m1.carrier, m2.carrier, tuple(mapping[x] for x in range(m1.size)))
     if not validate_morphism(morphism):

@@ -16,16 +16,17 @@ and expand elements on demand:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from functools import lru_cache, partial
+from operator import and_, or_, xor
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import ResourceExceededError, TagMismatchError
 
 Matrix = tuple[tuple[bool, ...], ...]
+T = TypeVar("T", bound=Hashable)
 
 
 class VarietyTag(str, Enum):
@@ -128,14 +129,6 @@ FinAlgebra = BoolAlg | DistLat | JoinSemilattice | VectZ2 | FinSet | FinPoset
 
 
 @dataclass(frozen=True)
-class FinElement:
-    """An element of a finite algebra, by owner and enumeration index."""
-
-    algebra: FinAlgebra
-    index: int
-
-
-@dataclass(frozen=True)
 class FinMorphism:
     dom: FinAlgebra
     cod: FinAlgebra
@@ -161,6 +154,42 @@ def is_surjective(m: FinMorphism) -> bool:
 
 def is_injective(m: FinMorphism) -> bool:
     return len(set(m.graph)) == len(m.graph)
+
+
+# ---------------------------------------------------------------------------
+# closures
+
+
+def close(seeds: Iterable[T], steps: Sequence[Callable[[T], T]], cap: int, what: str) -> list[T]:
+    """The closure of seeds under unary steps, in insertion order: the seeds
+    without repeats, then each new element as a worklist finds it.
+
+    Raises ResourceExceededError when the closure would pass cap elements;
+    the seeds never count against it, only what grows past them.  A binary
+    operation closes as the steps "op with a generator" when it is
+    associative, since every product of generators is then a shorter
+    product op one generator.
+    """
+    closed = list(dict.fromkeys(seeds))
+    seen = set(closed)
+    for x in closed:
+        for step in steps:
+            v = step(x)
+            if v not in seen:
+                if len(closed) >= cap:
+                    raise ResourceExceededError(f"{what} exceeded the carrier cap")
+                seen.add(v)
+                closed.append(v)
+    return closed
+
+
+def subset_sums(gens: Sequence[int], op: Callable[[int, int], int]) -> list[int]:
+    """Index i holds the op-sum of the gens picked by the bits of i, index 0
+    the empty sum 0: the span of atoms under | or of a basis under ^."""
+    sums = [0]
+    for g in gens:
+        sums += [op(s, g) for s in sums]
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +244,7 @@ def jsl_irreducibles(alg: JoinSemilattice) -> list[int]:
             if v != y and v != z:
                 reducible[v] = True
     irreducibles = [x for x in range(n) if not reducible[x]]
-    reached = [zero]
-    seen = {zero}
-    for x in reached:
-        for j in irreducibles:
-            v = join[x][j]
-            if v not in seen:
-                seen.add(v)
-                reached.append(v)
-    if len(reached) != n:
+    if len(close([zero], [join[j].__getitem__ for j in irreducibles], n, "join table")) != n:
         raise ValueError("join table is not generated by its join-irreducibles")
     for j in irreducibles:
         for x in range(n):
@@ -367,31 +388,6 @@ def constants(alg: FinAlgebra) -> list[int]:
             return []
 
 
-def unary_ops(alg: FinAlgebra) -> list[Callable[[int], int]]:
-    match alg:
-        case BoolAlg():
-            return [lambda x: alg.top ^ x]
-        case _:
-            return []
-
-
-def binary_ops(alg: FinAlgebra) -> list[Callable[[int, int], int]]:
-    match alg:
-        case BoolAlg():
-            return [lambda x, y: x | y, lambda x, y: x & y]
-        case DistLat():
-            return [
-                lambda x, y: dl_index(alg, dl_mask(alg, x) | dl_mask(alg, y)),
-                lambda x, y: dl_index(alg, dl_mask(alg, x) & dl_mask(alg, y)),
-            ]
-        case JoinSemilattice():
-            return [lambda x, y: alg.join[x][y]]
-        case VectZ2():
-            return [lambda x, y: x ^ y]
-        case _:
-            return []
-
-
 def validate_morphism(m: FinMorphism) -> bool:
     """Exhaustively check the preservation laws of the common variety."""
     if m.dom.tag != m.cod.tag:
@@ -502,15 +498,8 @@ def present_subset(
             if 1 << k != len(subset):
                 raise ValueError("subset is not a boolean subalgebra")
             sub = BoolAlg(k)
-            incl = []
-            for idx in range(1 << k):
-                v = 0
-                for i in range(k):
-                    if idx >> i & 1:
-                        v |= atoms[i]
-                incl.append(v)
-            to_sub = {v: i for i, v in enumerate(incl)}
-            return sub, FinMorphism(sub, amb, tuple(incl)), to_sub
+            incl = subset_sums(atoms, or_)
+            return sub, FinMorphism(sub, amb, tuple(incl)), {v: i for i, v in enumerate(incl)}
         case DistLat():
             masks = [dl_mask(amb, i) for i in subset]
             return _present_mask_lattice(masks, lambda m: dl_index(amb, m), amb)
@@ -525,15 +514,8 @@ def present_subset(
             if 1 << r != len(subset):
                 raise ValueError("subset is not a linear subspace")
             sub = VectZ2(r)
-            incl = []
-            for idx in range(1 << r):
-                v = 0
-                for i in range(r):
-                    if idx >> i & 1:
-                        v ^= basis[i]
-                incl.append(v)
-            to_sub = {v: i for i, v in enumerate(incl)}
-            return sub, FinMorphism(sub, amb, tuple(incl)), to_sub
+            incl = subset_sums(basis, xor)
+            return sub, FinMorphism(sub, amb, tuple(incl)), {v: i for i, v in enumerate(incl)}
         case FinSet():
             sub = FinSet(len(subset))
             return sub, FinMorphism(sub, amb, tuple(subset)), {v: i for i, v in enumerate(subset)}
@@ -562,14 +544,9 @@ def mask_lattice_presentation(masks: Iterable[int]) -> tuple[DistLat, tuple[int,
     sub = DistLat(ji_leq)
     if sub.size != len(family):
         raise ValueError("family is not a distributive lattice of sets")
-    element_masks = []
-    for dmask in downset_masks(sub):
-        v = 0
-        for i in range(len(ji)):
-            if dmask >> i & 1:
-                v |= ji[i]
-        element_masks.append(v)
-    return sub, tuple(element_masks)
+    # downset_masks already runs over every subset of the JIs
+    sums = subset_sums(ji, or_)
+    return sub, tuple(sums[dmask] for dmask in downset_masks(sub))
 
 
 def _present_mask_lattice(masks: Sequence[int], to_amb_index, amb):
@@ -582,30 +559,67 @@ def _present_mask_lattice(masks: Sequence[int], to_amb_index, amb):
     return sub, FinMorphism(sub, amb, tuple(incl)), to_sub
 
 
+def generate_family(tag: VarietyTag, seeds: Iterable[int], full: int, cap: int, what: str) -> list[int]:
+    """The masks generated by seeds under the set operations of an
+    output-side variety, ascending: union, intersection and complement in
+    full for BA; union, intersection, 0 and full for DL01; union and 0 for
+    JSL0; symmetric difference and 0 for Z2VECT.
+
+    BA takes the atoms from the seeds' membership signatures and Z2VECT a
+    Gaussian basis; both refuse when their span would pass cap.  DL01 closes
+    under meets with the seeds, then under joins with those meets; JSL0
+    closes under joins with the seeds.
+    """
+    seeds = set(seeds)
+    match tag:
+        case VarietyTag.BA:
+            ordered = sorted(seeds)
+            groups: dict[tuple[int, ...], int] = {}
+            for j in range(full.bit_length()):
+                sig = tuple(s >> j & 1 for s in ordered)
+                groups[sig] = groups.get(sig, 0) | 1 << j
+            gens, op = sorted(groups.values()), or_
+        case VarietyTag.DL01:
+            seeds |= {0, full}
+            meets = close(seeds, [partial(and_, s) for s in seeds], cap, what)
+            return sorted(close(meets, [partial(or_, m) for m in meets], cap, what))
+        case VarietyTag.JSL0:
+            return sorted(close(seeds | {0}, [partial(or_, s) for s in seeds], cap, what))
+        case VarietyTag.Z2VECT:
+            gens, op = gaussian_basis(seeds), xor
+        case _:
+            raise TagMismatchError(f"{tag} is not an output-side variety")
+    if 1 << len(gens) > cap:
+        raise ResourceExceededError(f"{what} exceeded the carrier cap")
+    return sorted(subset_sums(gens, op))
+
+
+def subalgebra_elements(amb: FinAlgebra, gens: Iterable[int], cap: int, what: str) -> list[int]:
+    """The elements of the subalgebra generated by gens and the constants,
+    ascending; refuses when they would pass cap, which the generators and
+    constants never count against."""
+    seeds = set(gens) | set(constants(amb))
+    cap = max(cap, len(seeds))
+    match amb:
+        case BoolAlg() | VectZ2():
+            return generate_family(amb.tag, seeds, amb.size - 1, cap, what)
+        case DistLat():
+            masks = (dl_mask(amb, x) for x in seeds)
+            family = generate_family(amb.tag, masks, (1 << amb.n_ji) - 1, cap, what)
+            return sorted(dl_index(amb, m) for m in family)
+        case JoinSemilattice():
+            return sorted(close(seeds, [amb.join[g].__getitem__ for g in seeds], cap, what))
+    return sorted(seeds)  # SET and POS have no operations
+
+
 def generate_subalgebra(
     amb: FinAlgebra,
     gens: Iterable[int],
     limits: Limits = DEFAULT_LIMITS,
 ) -> tuple[FinAlgebra, FinMorphism]:
-    """Smallest subalgebra containing gens: worklist closure, then presentation."""
-    closed = set(gens) | set(constants(amb))
-    unary = unary_ops(amb)
-    binary = binary_ops(amb)
-    queue = deque(sorted(closed))
-    while queue:
-        x = queue.popleft()
-        new = [op(x) for op in unary]
-        for y in sorted(closed):
-            for op in binary:
-                new.append(op(x, y))
-                new.append(op(y, x))
-        for v in new:
-            if v not in closed:
-                if len(closed) >= limits.max_carrier:
-                    raise ResourceExceededError("subalgebra closure exceeded the carrier cap")
-                closed.add(v)
-                queue.append(v)
-    sub, incl, _ = present_subset(amb, sorted(closed))
+    """Smallest subalgebra containing gens, presented in its own right."""
+    closed = subalgebra_elements(amb, gens, limits.max_carrier, "subalgebra closure")
+    sub, incl, _ = present_subset(amb, closed)
     return sub, incl
 
 

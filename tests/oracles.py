@@ -2,9 +2,10 @@
 
 The language oracles work from word membership and plain enumeration, never
 through the minimization/duality code paths they are used to check.  The
-monoid and join-semilattice oracles are the exhaustive algorithms that the
-library's quadratic ones replaced; they share only carrier primitives such
-as validate_morphism and gaussian_basis with the code they check.
+monoid, join-semilattice and closure oracles are the exhaustive algorithms
+that the library's quadratic ones replaced; they share only carrier
+primitives such as validate_morphism, present_subset and gaussian_basis with
+the code they check.
 """
 
 from __future__ import annotations
@@ -12,21 +13,26 @@ from __future__ import annotations
 from collections import deque
 from itertools import product
 
-from langdual.automata import reachable_part
+from langdual.automata import DAlgebra, carrier_map_monoid, label_set, reachable_part
 from langdual.config import DEFAULT_LIMITS
-from langdual.errors import NotReachableError, ResourceExceededError
-from langdual.languages import Dfa, LanguageId
+from langdual.errors import NotReachableError, ResourceExceededError, TagMismatchError
+from langdual.languages import Dfa, LanguageId, right_derivative
 from langdual.monoids import LINEARISH, SigmaMonoid, carrier_add, carrier_zero
 from langdual.varieties import (
+    BoolAlg,
+    DistLat,
     FinMorphism,
     FinPoset,
     FinSet,
     JoinSemilattice,
+    VarietyTag,
     VectZ2,
-    binary_ops,
     constants,
+    dl_index,
+    dl_mask,
     gaussian_basis,
-    unary_ops,
+    is_order_reflecting,
+    present_subset,
     validate_morphism,
 )
 
@@ -369,3 +375,209 @@ def pairwise_subdirect_size(m1, m2):
                         pairs.add(s)
                         changed = True
     return len(pairs)
+
+
+# ---------------------------------------------------------------------------
+# pairwise closures
+#
+# The worklist fixpoints that close() replaced: each popped element is
+# combined with every known one, both ways, re-sorting the closed set on every
+# pop, and the atom and basis spans are expanded bit by bit.  The refusal
+# messages and the points where the caps trip are part of what they pin.
+
+
+def unary_ops(alg):
+    match alg:
+        case BoolAlg():
+            return [lambda x: alg.top ^ x]
+        case _:
+            return []
+
+
+def binary_ops(alg):
+    match alg:
+        case BoolAlg():
+            return [lambda x, y: x | y, lambda x, y: x & y]
+        case DistLat():
+            return [
+                lambda x, y: dl_index(alg, dl_mask(alg, x) | dl_mask(alg, y)),
+                lambda x, y: dl_index(alg, dl_mask(alg, x) & dl_mask(alg, y)),
+            ]
+        case JoinSemilattice():
+            return [lambda x, y: alg.join[x][y]]
+        case VectZ2():
+            return [lambda x, y: x ^ y]
+        case _:
+            return []
+
+
+def _pairwise_fixpoint(seed, op, cap):
+    closed = set(seed)
+    queue = deque(sorted(closed))
+    while queue:
+        x = queue.popleft()
+        for y in sorted(closed):
+            v = op(x, y)
+            if v not in closed:
+                if len(closed) >= cap:
+                    raise ResourceExceededError("operation closure exceeded the carrier cap")
+                closed.add(v)
+                queue.append(v)
+    return closed
+
+
+def _expand(gens, op):
+    out = []
+    for choice in range(1 << len(gens)):
+        v = 0
+        for i, g in enumerate(gens):
+            if choice >> i & 1:
+                v = op(v, g)
+        out.append(v)
+    return out
+
+
+def derivative_mask_closure(caut, seeds, include_right, limits=DEFAULT_LIMITS):
+    closed = set(seeds)
+    queue = deque(sorted(closed))
+    while queue:
+        mask = queue.popleft()
+        for ai in range(len(caut.alphabet)):
+            new = [caut.left_preimage(mask, ai)]
+            if include_right:
+                new.append(caut.right_preimage(mask, ai))
+            for nxt in new:
+                if nxt not in closed:
+                    if len(closed) >= limits.max_carrier:
+                        raise ResourceExceededError("derivative closure exceeded the carrier cap")
+                    closed.add(nxt)
+                    queue.append(nxt)
+    return closed
+
+
+def pairwise_family(tag, seeds, full, cap):
+    """Masks closed under the variety's language operations and constants."""
+    match tag:
+        case VarietyTag.BA:
+            ordered = sorted(seeds)
+            groups = {}
+            for j in range(full.bit_length()):
+                sig = tuple(bool(s >> j & 1) for s in ordered)
+                groups[sig] = groups.get(sig, 0) | (1 << j)
+            atoms = sorted(groups.values())
+            if 1 << len(atoms) > cap:
+                raise ResourceExceededError("boolean closure exceeded the carrier cap")
+            return tuple(sorted(_expand(atoms, int.__or__)))
+        case VarietyTag.DL01:
+            meets = _pairwise_fixpoint(set(seeds) | {0, full}, lambda x, y: x & y, cap)
+            return tuple(sorted(_pairwise_fixpoint(meets, lambda x, y: x | y, cap)))
+        case VarietyTag.JSL0:
+            return tuple(sorted(_pairwise_fixpoint(set(seeds) | {0}, lambda x, y: x | y, cap)))
+        case VarietyTag.Z2VECT:
+            basis = gaussian_basis(seeds)
+            if 1 << len(basis) > cap:
+                raise ResourceExceededError("linear closure exceeded the carrier cap")
+            return tuple(sorted(_expand(basis, int.__xor__)))
+    raise TagMismatchError(f"{tag} is not an output-side variety")
+
+
+def pairwise_reachable_part(a, limits=DEFAULT_LIMITS):
+    closed = {a.init} | set(constants(a.carrier))
+    unary = unary_ops(a.carrier)
+    binary = binary_ops(a.carrier)
+    queue = deque(sorted(closed))
+    while queue:
+        x = queue.popleft()
+        new = [m.graph[x] for m in a.alpha]
+        new.extend(op(x) for op in unary)
+        for y in sorted(closed):
+            for op in binary:
+                new.append(op(x, y))
+        for v in new:
+            if v not in closed:
+                if len(closed) >= limits.max_carrier:
+                    raise ResourceExceededError("reachable closure exceeded the carrier cap")
+                closed.add(v)
+                queue.append(v)
+    if len(closed) == a.size:
+        return a
+    sub, incl, to_sub = present_subset(a.carrier, sorted(closed))
+    alpha = tuple(
+        FinMorphism(sub, sub, tuple(to_sub[m.graph[incl.graph[i]]] for i in range(sub.size)))
+        for m in a.alpha
+    )
+    return DAlgebra(sub, a.alphabet, alpha, to_sub[a.init])
+
+
+def pairwise_generate_subalgebra(amb, gens, limits=DEFAULT_LIMITS):
+    closed = set(gens) | set(constants(amb))
+    unary = unary_ops(amb)
+    binary = binary_ops(amb)
+    queue = deque(sorted(closed))
+    while queue:
+        x = queue.popleft()
+        new = [op(x) for op in unary]
+        for y in sorted(closed):
+            for op in binary:
+                new.append(op(x, y))
+                new.append(op(y, x))
+        for v in new:
+            if v not in closed:
+                if len(closed) >= limits.max_carrier:
+                    raise ResourceExceededError("subalgebra closure exceeded the carrier cap")
+                closed.add(v)
+                queue.append(v)
+    sub, incl, _ = present_subset(amb, sorted(closed))
+    return sub, incl
+
+
+def propagated_sigma_monoid_iso(m1, m2):
+    """The candidate map propagated from the unit (and zero) through letters,
+    products and sums until nothing changes; then it must be a bijection
+    that preserves the carrier and the multiplication."""
+    if m1.carrier.tag != m2.carrier.tag or m1.alphabet != m2.alphabet or m1.size != m2.size:
+        return None
+    linear = m1.carrier.tag in LINEARISH
+    mapping = {m1.unit: m2.unit}
+    if linear:
+        mapping[carrier_zero(m1.carrier)] = carrier_zero(m2.carrier)
+    changed = True
+    while changed:
+        changed = False
+        for x in list(mapping):
+            fx = mapping[x]
+            images = [(m1.mult[x][g1], m2.mult[fx][g2]) for g1, g2 in zip(m1.gen, m2.gen)]
+            for y in list(mapping):
+                fy = mapping[y]
+                images.append((m1.mult[x][y], m2.mult[fx][fy]))
+                if linear:
+                    images.append((carrier_add(m1.carrier, x, y), carrier_add(m2.carrier, fx, fy)))
+            for src, dst in images:
+                if mapping.get(src, dst) != dst:
+                    return None
+                if src not in mapping:
+                    mapping[src] = dst
+                    changed = True
+    if len(mapping) != m1.size or len(set(mapping.values())) != m2.size:
+        return None
+    morphism = FinMorphism(m1.carrier, m2.carrier, tuple(mapping[x] for x in range(m1.size)))
+    if not validate_morphism(morphism):
+        return None
+    if m1.carrier.tag is VarietyTag.POS and not is_order_reflecting(morphism):
+        return None
+    for x in range(m1.size):
+        for y in range(m1.size):
+            if morphism.graph[m1.mult[x][y]] != m2.mult[morphism.graph[x]][morphism.graph[y]]:
+                return None
+    return morphism
+
+
+def word_rqc_closed(q, limits=DEFAULT_LIMITS):
+    """Right derivatives by one word per distinct composite map gamma_w, which
+    is exhaustive because a right derivative depends only on that map."""
+    labels = label_set(q)
+    for word, _ in carrier_map_monoid(q, limits):
+        for lang in labels:
+            if right_derivative(lang, word) not in labels:
+                return False
+    return True

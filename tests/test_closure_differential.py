@@ -1,0 +1,220 @@
+"""The generator-wise closures against the pairwise fixpoints they replaced.
+
+Seeded corpora over all four dualities and all six carriers.  Every check
+compares outcomes: the closed family, algebra or map, or else the refusal
+message, so the caps must trip on the same inputs with the same words.
+"""
+
+import random
+from dataclasses import replace
+
+from langdual.automata import (
+    class_automaton,
+    coalgebra_to_dalgebra,
+    generate_subcoalgebra,
+    is_rqc_closed,
+    language_dalgebra,
+    reachable_part,
+    rqc_closure,
+)
+from langdual.config import Limits
+from langdual.duality import DualityTag, c_tag
+from langdual.errors import LangdualError, ResourceExceededError
+from langdual.languages import compile_regex
+from langdual.monoids import SigmaMonoid, sigma_monoid_iso, transition_monoid
+from langdual.randgen import random_algebra, random_regex
+from langdual.varieties import (
+    FinPoset,
+    JoinSemilattice,
+    VarietyTag,
+    VectZ2,
+    generate_subalgebra,
+)
+from oracles import (
+    derivative_mask_closure,
+    pairwise_family,
+    pairwise_generate_subalgebra,
+    pairwise_reachable_part,
+    propagated_sigma_monoid_iso,
+    word_rqc_closed,
+)
+
+AB = ("a", "b")
+SMALL_CAPS = (1, 2, 3, 4, 8)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ResourceExceededError as err:
+        return f"refused: {err}"
+
+
+def _generator_sets(seed, count):
+    rng = random.Random(seed)
+    return [
+        [compile_regex(random_regex(rng, AB), AB) for _ in range(rng.randint(1, 2))]
+        for _ in range(count)
+    ]
+
+
+def _old_piece_labels(tag, gens, include_right, limits):
+    """The language set of the piece, through the pairwise oracles."""
+    gens = sorted(set(gens), key=lambda g: g.sort_key())
+    caut, gen_masks = class_automaton(gens, limits)
+    seeds = derivative_mask_closure(caut, gen_masks, include_right, limits)
+    family = pairwise_family(tag, seeds, caut.full_mask, limits.max_carrier)
+    return frozenset(caut.language_of_mask(m) for m in family)
+
+
+def test_piece_families_and_refusals_match_the_pairwise_closure():
+    refused = compared = 0
+    for gens in _generator_sets(seed=3, count=60):
+        for tag in (VarietyTag.BA, VarietyTag.DL01, VarietyTag.JSL0, VarietyTag.Z2VECT):
+            for include_right, build in ((False, generate_subcoalgebra), (True, rqc_closure)):
+                for cap in (*SMALL_CAPS, 64):
+                    limits = Limits(max_carrier=cap)
+                    new = _outcome(lambda: frozenset(build(tag, gens, limits).labels))
+                    old = _outcome(lambda: _old_piece_labels(tag, gens, include_right, limits))
+                    assert new == old, (tag, include_right, cap)
+                    refused += isinstance(new, str)
+                    compared += 1
+    assert 100 <= refused <= compared - 100
+
+
+def _dual_algebras(seed, per_duality):
+    rng = random.Random(seed)
+    out = []
+    for d in DualityTag:
+        found = 0
+        while found < per_duality:
+            langs = [compile_regex(random_regex(rng, AB), AB) for _ in range(rng.randint(1, 2))]
+            try:
+                piece = rqc_closure(c_tag(d), langs, Limits(max_carrier=128))
+            except LangdualError:
+                continue
+            out.append(coalgebra_to_dalgebra(d, piece))
+            found += 1
+    return rng, out
+
+
+def test_reachable_parts_match_the_pairwise_closure():
+    rng, algebras = _dual_algebras(seed=7, per_duality=20)
+    for lang_gens in _generator_sets(seed=9, count=60):
+        algebras.append(language_dalgebra(lang_gens[0]))
+    tags = set()
+    shrunk = refused = 0
+    for a in algebras:
+        for init in {a.init, rng.randrange(a.size)}:
+            start = replace(a, init=init)
+            for cap in (*SMALL_CAPS, a.size // 2 + 1, 4096):
+                limits = Limits(max_carrier=cap)
+                new = _outcome(lambda: reachable_part(start, limits))
+                assert new == _outcome(lambda: pairwise_reachable_part(start, limits)), cap
+                refused += isinstance(new, str)
+                shrunk += not isinstance(new, str) and new.size < a.size
+        tags.add(a.carrier.tag)
+    assert tags == {VarietyTag.SET, VarietyTag.POS, VarietyTag.JSL0, VarietyTag.Z2VECT}
+    assert shrunk >= 200 and refused >= 200
+
+
+def test_generated_subalgebras_match_the_pairwise_closure():
+    rng = random.Random(11)
+    refused = 0
+    for tag in VarietyTag:
+        for _ in range(80):
+            amb = random_algebra(rng, tag, max_size=16)
+            gens = [rng.randrange(amb.size) for _ in range(rng.randint(0, 3))]
+            for cap in (*SMALL_CAPS, 4096):
+                limits = Limits(max_carrier=cap)
+                new = _outcome(lambda: generate_subalgebra(amb, gens, limits))
+                assert new == _outcome(lambda: pairwise_generate_subalgebra(amb, gens, limits)), (amb, gens, cap)
+                refused += isinstance(new, str)
+    assert refused >= 100
+
+
+def _renamed(rng, m):
+    """An isomorphic copy of m under a random renaming of its elements that
+    the carrier admits: any permutation for SET, POS and JSL0, an invertible
+    linear map for Z2VECT."""
+    n = m.size
+    if isinstance(m.carrier, VectZ2):
+        while True:
+            images = [rng.randrange(1, n) for _ in range(m.carrier.dim)] if n > 1 else []
+            rename = [0] * n
+            for x in range(1, n):
+                low = (x & -x).bit_length() - 1
+                rename[x] = rename[x & (x - 1)] ^ images[low]
+            if len(set(rename)) == n:
+                break
+        carrier = m.carrier
+    else:
+        rename = list(range(n))
+        rng.shuffle(rename)
+        match m.carrier:
+            case FinPoset():
+                order = [[False] * n for _ in range(n)]
+                for x in range(n):
+                    for y in range(n):
+                        order[rename[x]][rename[y]] = m.carrier.leq[x][y]
+                carrier = FinPoset(tuple(map(tuple, order)))
+            case JoinSemilattice():
+                join = [[0] * n for _ in range(n)]
+                for x in range(n):
+                    for y in range(n):
+                        join[rename[x]][rename[y]] = rename[m.carrier.join[x][y]]
+                carrier = JoinSemilattice(tuple(map(tuple, join)), rename[m.carrier.zero])
+            case _:
+                carrier = m.carrier
+    mult = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            mult[rename[x]][rename[y]] = rename[m.mult[x][y]]
+    return SigmaMonoid(carrier, m.alphabet, rename[m.unit], tuple(map(tuple, mult)), tuple(rename[g] for g in m.gen))
+
+
+def _corrupted(rng, m):
+    n = m.size
+    for _ in range(3):
+        mult = [list(row) for row in m.mult]
+        x, y = rng.randrange(n), rng.randrange(n)
+        mult[x][y] = (mult[x][y] + rng.randrange(1, n)) % n
+        yield SigmaMonoid(m.carrier, m.alphabet, m.unit, tuple(map(tuple, mult)), m.gen)
+    yield SigmaMonoid(m.carrier, m.alphabet, m.unit, m.mult, m.gen[::-1])
+    yield SigmaMonoid(m.carrier, m.alphabet, m.unit, m.mult, (m.gen[0],) * len(m.gen))
+
+
+def test_sigma_monoid_iso_matches_the_propagation_oracle_on_corrupted_tables():
+    rng, algebras = _dual_algebras(seed=13, per_duality=16)
+    found = missed = 0
+    for a in algebras:
+        m = transition_monoid(reachable_part(a), reverse_composition=True)
+        if m.size < 2 or m.size > 40:
+            continue
+        twin = _renamed(rng, m)
+        pairs = [(m, m), (m, twin), (twin, m)]
+        for bad in _corrupted(rng, m):
+            pairs += [(m, bad), (bad, m), (twin, bad), (bad, twin)]
+        for x, y in pairs:
+            new, old = sigma_monoid_iso(x, y), propagated_sigma_monoid_iso(x, y)
+            assert (new is None) == (old is None)
+            if new is not None:
+                assert new.graph == old.graph
+            found += new is not None
+            missed += new is None
+    assert found >= 100 and missed >= 500
+
+
+def test_is_rqc_closed_matches_word_enumeration():
+    verdicts = []
+    for gens in _generator_sets(seed=17, count=60):
+        for tag in (VarietyTag.BA, VarietyTag.DL01, VarietyTag.JSL0, VarietyTag.Z2VECT):
+            for build in (generate_subcoalgebra, rqc_closure):
+                try:
+                    piece = build(tag, gens, Limits(max_carrier=128))
+                except LangdualError:
+                    continue
+                verdict = is_rqc_closed(piece)
+                assert verdict == word_rqc_closed(piece)
+                verdicts.append(verdict)
+    assert verdicts.count(False) >= 30 and verdicts.count(True) >= 200

@@ -1,7 +1,9 @@
 import pytest
 
+import langdual.correspondence as correspondence_module
 from langdual.automata import generate_subcoalgebra, is_rqc_closed, label_set, rqc_closure
 from langdual.correspondence import (
+    correspond,
     correspondence_report,
     monoid_roundtrip_check,
     monoid_to_piece,
@@ -184,3 +186,19 @@ def test_correspond_bundles_all_three_parts():
     assert label_set(bundle.piece) == label_set(rqc_closure(VarietyTag.JSL0, [lang("(ab)*")]))
     assert bundle.monoid.size == bundle.piece.size
     assert bundle.witness.forward.dom == bundle.piece.carrier
+
+
+@pytest.mark.parametrize("tag,dtag", PAIRS)
+def test_correspond_builds_the_monoid_once(monkeypatch, tag, dtag):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return piece_to_monoid(*args, **kwargs)
+
+    monkeypatch.setattr(correspondence_module, "piece_to_monoid", counting)
+    correspond(dtag, [lang("(ab)*")])
+    assert len(calls) == 1
+    report = correspondence_report(dtag, [lang("(ab)*")])
+    assert report["roundtrip"] == "ok"
+    assert len(calls) == 2

@@ -282,3 +282,18 @@ def test_syntactic_monoid_against_brute_force_on_random_regexes():
             continue
         assert sigma_monoid_iso(m, brute_monoid_as_sigma(l)) is not None
         checked += 1
+
+
+def test_sigma_monoid_iso_rejects_a_proper_quotient():
+    # m2 identifies the two letters of m1: the paired evaluation is a
+    # surjection onto m2 but not injective, so there is no isomorphism
+    m1 = SigmaMonoid(FinSet(3), AB, 0, ((0, 1, 2), (1, 1, 1), (2, 2, 2)), (1, 2))
+    m2 = SigmaMonoid(FinSet(2), AB, 0, ((0, 1), (1, 1)), (1, 1))
+    assert validate_monoid(m1) and validate_monoid(m2)
+    assert quotient_leq(m2, m1) and not quotient_leq(m1, m2)
+    assert sigma_monoid_iso(m1, m2) is None
+    assert sigma_monoid_iso(m2, m1) is None
+    # m2 with an element no word reaches: the pairs are a bijection onto
+    # part of it only
+    padded = SigmaMonoid(FinSet(3), AB, 0, ((0, 1, 2), (1, 1, 2), (2, 2, 2)), (1, 1))
+    assert sigma_monoid_iso(m2, padded) is None

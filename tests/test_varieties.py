@@ -240,11 +240,3 @@ def test_leq_per_tag():
     assert not leq(BoolAlg(2), 0b10, 0b01)
     assert leq(CHAIN3, 0, 2)
     assert leq(VectZ2(2), 1, 1) and not leq(VectZ2(2), 1, 3)
-
-
-def test_fin_element_wrapper():
-    from langdual.varieties import FinElement
-
-    x = FinElement(CHAIN3, 2)
-    assert x.algebra is CHAIN3 and x.index == 2
-    assert FinElement(CHAIN3, 2) == x
