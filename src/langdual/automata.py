@@ -26,10 +26,10 @@ from .errors import ResourceExceededError, TagMismatchError
 from .languages import (
     Dfa,
     LanguageId,
-    canonical_language,
     language_to_regex,
     left_derivative,
-    right_derivative,
+    refine_partition,
+    state_languages,
 )
 from .varieties import (
     BoolAlg,
@@ -169,16 +169,6 @@ class ClassAutomaton:
     def full_mask(self) -> int:
         return (1 << self.n_maps) - 1
 
-    def language_of_mask(self, mask: int) -> LanguageId:
-        finals = frozenset(j for j in range(self.n_maps) if mask >> j & 1)
-        delta = tuple(
-            tuple(self.post[ai][j] for ai in range(len(self.alphabet)))
-            for j in range(self.n_maps)
-        )
-        return canonical_language(
-            Dfa(self.alphabet, self.n_maps, self.identity_index, finals, delta)
-        )
-
     def left_preimage(self, mask: int, ai: int) -> int:
         return sum(1 << j for j in range(self.n_maps) if mask >> self.pre[ai][j] & 1)
 
@@ -299,8 +289,7 @@ def _closed_piece(tag: VarietyTag, gens: Iterable[LanguageId], include_right: bo
         two,
         tuple(1 if m >> caut.identity_index & 1 else 0 for m in element_masks),
     )
-    labels = tuple(caut.language_of_mask(m) for m in element_masks)
-    return CCoalgebra(carrier, caut.alphabet, gamma, out, labels)
+    return _labelled(CCoalgebra(carrier, caut.alphabet, gamma, out))
 
 
 def generate_subcoalgebra(
@@ -339,10 +328,27 @@ def carrier_map_monoid(q: CCoalgebra, limits: Limits = DEFAULT_LIMITS) -> list[t
 def is_rqc_closed(q: CCoalgebra) -> bool:
     """All right derivatives of the labels stay inside the label set.
 
-    Single letters suffice: L(wa)^-1 = (La^-1)w^-1.
+    Single letters suffice: L(wa)^-1 = (La^-1)w^-1.  A state s with the
+    output out . gamma_a accepts L(s)a^-1, so for each letter a this refines
+    the disjoint union of the states with outputs out and the states with
+    outputs out . gamma_a, and asks that every shifted state share a block
+    with an unshifted one.  That is exact when the labels are the state
+    languages, which holds for every piece the library labels
+    (generate_subcoalgebra, rqc_closure, dalgebra_to_coalgebra); the labels
+    themselves are not read.
     """
-    labels = label_set(q)
-    return all(right_derivative(lang, a) in labels for lang in labels for a in q.alphabet)
+    label_set(q)  # refuses an unlabelled coalgebra
+    n = q.size
+    rows = _delta_rows(q)
+    union = rows + [tuple(t + n for t in row) for row in rows]
+    out = q.out.graph
+    finals = [s for s in range(n) if out[s] == 1]
+    for g in q.gamma:
+        shifted = [s + n for s in range(n) if out[g.graph[s]] == 1]
+        block = refine_partition(2 * n, len(q.alphabet), finals + shifted, union)
+        if not set(block[n:]) <= set(block[:n]):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -399,19 +405,30 @@ def dalgebra_to_coalgebra(d: DualityTag, a: DAlgebra) -> CCoalgebra:
     gamma = tuple(dual_morphism(d, al) for al in a.alpha)
     out = dual_morphism(d, _initial_state_morphism(d, a)).then(_two_relabel(d))
     carrier = dual_object(d, a.carrier)
-    partial = CCoalgebra(carrier, a.alphabet, gamma, out, labels=None)
-    labels = tuple(state_language(partial, s) for s in range(carrier.size))
-    return replace(partial, labels=labels)
+    return _labelled(CCoalgebra(carrier, a.alphabet, gamma, out))
 
 
 def state_language(q: CCoalgebra, state: int) -> LanguageId:
     """The language accepted from a state, reading outputs as finality."""
-    delta = tuple(
-        tuple(q.gamma[ai].graph[s] for ai in range(len(q.alphabet)))
-        for s in range(q.size)
-    )
+    return state_languages(_as_dfa(q))(state)
+
+
+def _delta_rows(q: CCoalgebra) -> list[tuple[int, ...]]:
+    """The letter actions as a transition table, one row per state."""
+    return list(zip(*(g.graph for g in q.gamma)))
+
+
+def _as_dfa(q: CCoalgebra) -> Dfa:
+    """The states as a DFA with the outputs as finality; its initial state
+    is a placeholder."""
     finals = frozenset(s for s in range(q.size) if q.out.graph[s] == 1)
-    return canonical_language(Dfa(q.alphabet, q.size, state, finals, delta))
+    return Dfa(q.alphabet, q.size, 0, finals, tuple(_delta_rows(q)))
+
+
+def _labelled(q: CCoalgebra) -> CCoalgebra:
+    """The coalgebra with every state labelled by its language, all from one
+    partition refinement."""
+    return replace(q, labels=tuple(map(state_languages(_as_dfa(q)), range(q.size))))
 
 
 def language_dalgebra(lang: LanguageId) -> DAlgebra:

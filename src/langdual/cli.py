@@ -216,10 +216,9 @@ def _run(args) -> tuple[int, object]:
             return _verify_random(args, dtag, limits)
         alphabet, langs = _languages(args, limits)
         report = correspondence_report(dtag, langs, limits)
-        piece = rqc_closure(c_tag(dtag), langs, limits)
         summary = {
             "roundtrip": report["roundtrip"],
-            "piece_size": piece.size,
+            "piece_size": len(report["piece"]["languages"]),
             "monoid_size": len(report["monoid"]["mult"]),
             "languages": report["piece"]["languages"],
         }

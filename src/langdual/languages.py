@@ -11,8 +11,8 @@ closure finite.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import RegexSyntaxError, ResourceExceededError, UnknownSymbolError
@@ -314,94 +314,102 @@ def validate_dfa(d: Dfa) -> None:
 
 
 def _restrict_reachable(d: Dfa) -> Dfa:
-    order = [d.initial]
-    seen = {d.initial}
-    queue = deque(order)
-    while queue:
-        q = queue.popleft()
-        for t in d.delta[q]:
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-                queue.append(t)
-    if len(order) == d.n_states and order == list(range(d.n_states)):
-        return d
-    renum = {old: new for new, old in enumerate(order)}
-    return Dfa(
-        alphabet=d.alphabet,
-        n_states=len(order),
-        initial=0,
-        finals=frozenset(renum[q] for q in d.finals if q in renum),
-        delta=tuple(tuple(renum[d.delta[old][ai]] for ai in range(len(d.alphabet))) for old in order),
-    )
-
-
-def minimize_dfa(d: Dfa) -> Dfa:
-    """Partition refinement on the reachable part."""
-    d = _restrict_reachable(d)
-    n = d.n_states
-    k = len(d.alphabet)
-    finals = frozenset(d.finals)
-    others = frozenset(range(n)) - finals
-
-    pre: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(k)]
-    for p in range(n):
-        for ai in range(k):
-            pre[ai][d.delta[p][ai]].append(p)
-
-    partition: set[frozenset[int]] = {b for b in (finals, others) if b}
-    worklist: deque[frozenset[int]] = deque(partition)
-    while worklist:
-        splitter = worklist.popleft()
-        for ai in range(k):
-            x = frozenset(p for q in splitter for p in pre[ai][q])
-            if not x:
-                continue
-            for block in list(partition):
-                inter = block & x
-                rest = block - x
-                if inter and rest:
-                    partition.remove(block)
-                    partition.update((inter, rest))
-                    if block in worklist:
-                        worklist.remove(block)
-                        worklist.extend((inter, rest))
-                    else:
-                        worklist.append(min(inter, rest, key=len))
-
-    blocks = sorted(partition, key=min)
-    block_of = {}
-    for i, b in enumerate(blocks):
-        for q in b:
-            block_of[q] = i
-    reps = [min(b) for b in blocks]
-    return Dfa(
-        alphabet=d.alphabet,
-        n_states=len(blocks),
-        initial=block_of[d.initial],
-        finals=frozenset(block_of[q] for q in d.finals),
-        delta=tuple(tuple(block_of[d.delta[r][ai]] for ai in range(k)) for r in reps),
-    )
-
-
-def _bfs_renumber(d: Dfa) -> Dfa:
-    order = [d.initial]
+    """The part reachable from the initial state, numbered in breadth-first
+    order from it."""
     renum = {d.initial: 0}
-    queue = deque([d.initial])
-    while queue:
-        q = queue.popleft()
+    order = [d.initial]
+    for q in order:
         for t in d.delta[q]:
             if t not in renum:
                 renum[t] = len(order)
                 order.append(t)
-                queue.append(t)
+    if len(order) == d.n_states and order == list(range(d.n_states)):
+        return d
     return Dfa(
         alphabet=d.alphabet,
         n_states=len(order),
         initial=0,
-        finals=frozenset(renum[q] for q in d.finals),
-        delta=tuple(tuple(renum[d.delta[old][ai]] for ai in range(len(d.alphabet))) for old in order),
+        finals=frozenset(new for new, old in enumerate(order) if old in d.finals),
+        delta=tuple(tuple(map(renum.__getitem__, d.delta[old])) for old in order),
     )
+
+
+def refine_partition(
+    n_states: int, n_letters: int, finals: Iterable[int], delta: Sequence[Sequence[int]]
+) -> list[int]:
+    """Hopcroft's refinement: the block of every state in the coarsest
+    partition that separates finals from the rest and is stable under delta.
+
+    Two states share a block exactly when they accept the same language.
+    delta[q][ai] is the successor of q under letter ai.  A worklist holds
+    splitter blocks; each popped splitter is scanned through the predecessor
+    lists, and only the blocks it touches are split.  The touched part moves
+    to a new block; the half to queue is the new one when the old block was
+    already queued, the smaller one otherwise (Hopcroft 1971), which bounds
+    the work by O(n k log n).
+    """
+    pre = [[[] for _ in range(n_states)] for _ in range(n_letters)]
+    for p, row in enumerate(delta):
+        for ai in range(n_letters):
+            pre[ai][row[ai]].append(p)
+    accepting = set(finals)
+    members = [b for b in (accepting, set(range(n_states)) - accepting) if b]
+    block = [0] * n_states
+    for b, states in enumerate(members):
+        for q in states:
+            block[q] = b
+    work = list(range(len(members)))
+    queued = [True] * len(members)
+    while work:
+        b = work.pop()
+        queued[b] = False
+        splitter = list(members[b])
+        for pre_a in pre:
+            touched: dict[int, list[int]] = {}
+            for q in splitter:
+                for p in pre_a[q]:
+                    touched.setdefault(block[p], []).append(p)
+            for c, moved in touched.items():
+                if len(moved) == len(members[c]):
+                    continue
+                new = len(members)
+                part = set(moved)
+                members[c] -= part
+                members.append(part)
+                queued.append(False)
+                for p in moved:
+                    block[p] = new
+                pick = new if queued[c] or len(part) <= len(members[c]) else c
+                work.append(pick)
+                queued[pick] = True
+    return block
+
+
+def _quotient(d: Dfa) -> tuple[Dfa, list[int]]:
+    """The quotient of d by language equivalence, its blocks numbered in the
+    order of their least states, and the block of every state."""
+    k = len(d.alphabet)
+    block = refine_partition(d.n_states, k, d.finals, d.delta)
+    number: dict[int, int] = {}
+    reps = []
+    for q, b in enumerate(block):
+        if b not in number:
+            number[b] = len(reps)
+            reps.append(q)
+    block_of = [number[b] for b in block]
+    quotient = Dfa(
+        alphabet=d.alphabet,
+        n_states=len(reps),
+        initial=block_of[d.initial],
+        finals=frozenset(block_of[q] for q in d.finals),
+        delta=tuple(tuple(block_of[d.delta[r][ai]] for ai in range(k)) for r in reps),
+    )
+    return quotient, block_of
+
+
+def minimize_dfa(d: Dfa) -> Dfa:
+    """Partition refinement on the reachable part."""
+    return _quotient(_restrict_reachable(d))[0]
 
 
 @dataclass(frozen=True)
@@ -428,7 +436,28 @@ class LanguageId:
 
 
 def canonical_language(d: Dfa) -> LanguageId:
-    return LanguageId(_bfs_renumber(minimize_dfa(d)))
+    return LanguageId(_restrict_reachable(minimize_dfa(d)))
+
+
+def state_languages(d: Dfa) -> Callable[[int], LanguageId]:
+    """State -> the language accepted from it, from one refinement of all
+    states; the initial state of d is not read.
+
+    The quotient by language equivalence is minimal from each of its states,
+    so a state's canonical DFA is the quotient restricted to what its block
+    reaches, renumbered breadth-first from that block, with no minimization
+    per state.  Languages are memoized per block.
+    """
+    quotient, block_of = _quotient(d)
+    memo: dict[int, LanguageId] = {}
+
+    def language(state: int) -> LanguageId:
+        b = block_of[state]
+        if b not in memo:
+            memo[b] = LanguageId(_restrict_reachable(replace(quotient, initial=b)))
+        return memo[b]
+
+    return language
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +538,7 @@ def right_derivative(lang: LanguageId, word: str) -> LanguageId:
 
 def residuals(lang: LanguageId) -> frozenset[LanguageId]:
     """All left derivatives; these are the state languages of the minimal DFA."""
-    d = lang.dfa
-    return frozenset(
-        canonical_language(Dfa(d.alphabet, d.n_states, q, d.finals, d.delta))
-        for q in range(d.n_states)
-    )
+    return frozenset(map(state_languages(lang.dfa), range(lang.n_states)))
 
 
 def two_sided_residuals(lang: LanguageId, limits: Limits = DEFAULT_LIMITS) -> frozenset[LanguageId]:

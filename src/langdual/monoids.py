@@ -203,11 +203,24 @@ def transition_monoid(
     a parent times a letter), and for JSL0/Z2VECT every sum is a smaller sum
     plus a word image.  Each multiplication column then follows from its
     parent's column by table lookups: x(pa) = (xp)a and x(s + w) = xs + xw.
+
+    The images of the initial state under the closed family are its
+    reachable part (the letter orbit, and its sums for JSL0/Z2VECT), so the
+    algebra is generated exactly when they cover the carrier.  reachable_part
+    runs only where the verdict could differ from that order of checks:
+    when the carrier passes the cap, where the reachable closure is refused
+    first, and before the closure here is refused, where an algebra that is
+    not generated is reported as such.
     """
     if a.carrier.tag not in D_TAGS:
         raise TagMismatchError(f"{a.carrier.tag} is not an algebra-side variety")
-    if reachable_part(a, limits).size != a.size:
-        raise NotReachableError("algebra is not generated by its initial state")
+
+    def require_generated() -> None:
+        if reachable_part(a, limits).size != a.size:
+            raise NotReachableError("algebra is not generated by its initial state")
+
+    if a.size > limits.max_carrier:
+        require_generated()
 
     carrier = a.carrier
     n = carrier.size
@@ -223,6 +236,7 @@ def transition_monoid(
 
     def admit(keys: list) -> int:
         if len(keys) >= cap:
+            require_generated()
             raise ResourceExceededError("transition monoid exceeded the carrier cap")
         return len(keys)
 
@@ -241,6 +255,7 @@ def transition_monoid(
                 tree.append((p, ai))
             right[ai].append(c)
     n_words = len(keys)
+    at_init = [f[a.init] for f in keys]
 
     # sums, each an earlier element plus a word image: ids after the words
     # are the zero (unless it is a word image) and then the sums, in order
@@ -278,14 +293,18 @@ def transition_monoid(
                 add_cols[w].append(j)
         if zero >= n_words:
             add_cols.append(list(range(len(keys))))
+            at_init.append(carrier_zero(carrier))
         for left, w in sums:
             # x + (left + w) = (x + left) + w
             add_cols.append(list(map(add_cols[w].__getitem__, add_cols[left])))
+            at_init.append(carrier_add(carrier, at_init[left], at_init[w]))
         for r in right:
             if zero >= n_words:
                 r.append(zero)
             for left, w in sums:
                 r.append(add_cols[r[w]][r[left]])  # (left + w)a = left·a + w·a
+    if len(set(at_init)) != n:
+        raise NotReachableError("algebra is not generated by its initial state")
     size = len(keys)
 
     # multiplication columns, cols[y][x] = x·y: x(pa) = (xp)a, x(l + w) = xl + xw

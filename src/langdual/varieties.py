@@ -258,16 +258,36 @@ def make_distlat(ji_leq: Matrix) -> DistLat:
     return DistLat(ji_leq)
 
 
+def _principal_downsets(alg: DistLat) -> list[int]:
+    """Per join-irreducible j, the mask of the JIs below it (j included)."""
+    k = alg.n_ji
+    return [sum(1 << i for i in range(k) if alg.ji_leq[i][j]) for j in range(k)]
+
+
+def _union_of(masks: Sequence[int], picked: int) -> int:
+    """The union of the masks at the positions of the bits of picked."""
+    union = 0
+    for j, mask in enumerate(masks):
+        if picked >> j & 1:
+            union |= mask
+    return union
+
+
 @lru_cache(maxsize=None)
 def downset_masks(alg: DistLat) -> tuple[int, ...]:
-    """All downset masks of the JI poset, ascending."""
-    k = alg.n_ji
-    below = [sum(1 << i for i in range(k) if alg.ji_leq[i][j]) for j in range(k)]
-    out = []
-    for mask in range(1 << k):
-        if all(below[j] & mask == below[j] for j in range(k) if mask >> j & 1):
-            out.append(mask)
-    return tuple(out)
+    """All downset masks of the JI poset, ascending.
+
+    The JIs are taken in a linear extension (fewer elements below first), so
+    a downset of the JIs seen so far extends by j exactly when it holds
+    everything strictly below j: the work is the number of downsets times
+    the number of JIs.
+    """
+    below = _principal_downsets(alg)
+    masks = [0]
+    for j in sorted(range(alg.n_ji), key=lambda j: below[j].bit_count()):
+        strict = below[j] ^ 1 << j
+        masks += [m | 1 << j for m in masks if m & strict == strict]
+    return tuple(sorted(masks))
 
 
 @lru_cache(maxsize=None)
@@ -410,22 +430,26 @@ def validate_morphism(m: FinMorphism) -> bool:
                     return False
             return True
         case DistLat():
+            # x is the join of the principal downsets of its JIs, and JIs are
+            # join-prime, so g preserves joins once it sends each x to the
+            # join of those images; x & y is the join of the meets of two
+            # principal downsets, so meets then follow from the pairs of JIs
             assert isinstance(cod, DistLat)
-            masks = downset_masks(dom)
+            index = _downset_index(dom)
             cod_index = _downset_index(cod)
             cod_masks = downset_masks(cod)
-            if g[dl_index(dom, 0)] != cod_index[0]:
+            if g[index[0]] != cod_index[0]:
                 return False
-            if g[dl_index(dom, (1 << dom.n_ji) - 1)] != cod_index[(1 << cod.n_ji) - 1]:
+            if g[index[(1 << dom.n_ji) - 1]] != cod_index[(1 << cod.n_ji) - 1]:
                 return False
-            n = dom.size
-            for x in range(n):
-                for y in range(x, n):
-                    join = _downset_index(dom)[masks[x] | masks[y]]
-                    meet = _downset_index(dom)[masks[x] & masks[y]]
-                    if cod_masks[g[join]] != cod_masks[g[x]] | cod_masks[g[y]]:
-                        return False
-                    if cod_masks[g[meet]] != cod_masks[g[x]] & cod_masks[g[y]]:
+            below = _principal_downsets(dom)
+            image = [cod_masks[g[index[b]]] for b in below]
+            for x, mask in enumerate(downset_masks(dom)):
+                if cod_masks[g[x]] != _union_of(image, mask):
+                    return False
+            for i, bi in enumerate(below):
+                for j in range(i + 1, dom.n_ji):
+                    if cod_masks[g[index[bi & below[j]]]] != image[i] & image[j]:
                         return False
             return True
         case JoinSemilattice():
@@ -532,21 +556,21 @@ def mask_lattice_presentation(masks: Iterable[int]) -> tuple[DistLat, tuple[int,
     Returns the lattice together with, per element index, the original mask.
     """
     family = sorted(set(masks))
+    # in a union-closed family, s is join-irreducible exactly when the
+    # members strictly below it do not join up to it (for 0 they join to 0)
     ji = []
     for s in family:
-        if s == 0:
-            continue
-        below = [t for t in family if t & s == t and t != s]
-        covers = [t for t in below if not any(u & t == t and t != u for u in below)]
-        if len(covers) == 1:
+        joined = 0
+        for t in family:
+            if t & s == t != s:
+                joined |= t
+        if joined != s:
             ji.append(s)
     ji_leq = tuple(tuple(ji[i] & ji[j] == ji[i] for j in range(len(ji))) for i in range(len(ji)))
     sub = DistLat(ji_leq)
     if sub.size != len(family):
         raise ValueError("family is not a distributive lattice of sets")
-    # downset_masks already runs over every subset of the JIs
-    sums = subset_sums(ji, or_)
-    return sub, tuple(sums[dmask] for dmask in downset_masks(sub))
+    return sub, tuple(_union_of(ji, dmask) for dmask in downset_masks(sub))
 
 
 def _present_mask_lattice(masks: Sequence[int], to_amb_index, amb):

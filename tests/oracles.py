@@ -2,10 +2,11 @@
 
 The language oracles work from word membership and plain enumeration, never
 through the minimization/duality code paths they are used to check.  The
-monoid, join-semilattice and closure oracles are the exhaustive algorithms
-that the library's quadratic ones replaced; they share only carrier
-primitives such as validate_morphism, present_subset and gaussian_basis with
-the code they check.
+monoid, join-semilattice, closure, minimization, labelling and DL01 oracles
+are the exhaustive algorithms that the library's faster ones replaced; they
+share only carrier primitives such as validate_morphism, present_subset,
+gaussian_basis and the breadth-first renumbering of a DFA with the code they
+check.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import product
 from langdual.automata import DAlgebra, carrier_map_monoid, label_set, reachable_part
 from langdual.config import DEFAULT_LIMITS
 from langdual.errors import NotReachableError, ResourceExceededError, TagMismatchError
-from langdual.languages import Dfa, LanguageId, right_derivative
+from langdual.languages import Dfa, LanguageId, _restrict_reachable, right_derivative
 from langdual.monoids import LINEARISH, SigmaMonoid, carrier_add, carrier_zero
 from langdual.varieties import (
     BoolAlg,
@@ -28,8 +29,10 @@ from langdual.varieties import (
     VarietyTag,
     VectZ2,
     constants,
+    _downset_index,
     dl_index,
     dl_mask,
+    downset_masks,
     gaussian_basis,
     is_order_reflecting,
     present_subset,
@@ -581,3 +584,144 @@ def word_rqc_closed(q, limits=DEFAULT_LIMITS):
             if right_derivative(lang, word) not in labels:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# one minimization per language
+#
+# The refinement that refine_partition replaced (every splitter scans every
+# block and tests worklist membership), the labelling, right-derivative
+# and DL01 morphism checks built on one minimization per state, per label
+# and letter, or per pair of elements, and the DL01 presentation by every
+# subset of the join-irreducibles and by counting lower covers.
+
+
+def scanning_minimize_dfa(d):
+    """Partition refinement on the reachable part, blocks numbered by their
+    least state."""
+    d = _restrict_reachable(d)
+    n = d.n_states
+    k = len(d.alphabet)
+    finals = frozenset(d.finals)
+    others = frozenset(range(n)) - finals
+
+    pre = [[[] for _ in range(n)] for _ in range(k)]
+    for p in range(n):
+        for ai in range(k):
+            pre[ai][d.delta[p][ai]].append(p)
+
+    partition = {b for b in (finals, others) if b}
+    worklist = deque(partition)
+    while worklist:
+        splitter = worklist.popleft()
+        for ai in range(k):
+            x = frozenset(p for q in splitter for p in pre[ai][q])
+            if not x:
+                continue
+            for block in list(partition):
+                inter = block & x
+                rest = block - x
+                if inter and rest:
+                    partition.remove(block)
+                    partition.update((inter, rest))
+                    if block in worklist:
+                        worklist.remove(block)
+                        worklist.extend((inter, rest))
+                    else:
+                        worklist.append(min(inter, rest, key=len))
+
+    blocks = sorted(partition, key=min)
+    block_of = {}
+    for i, b in enumerate(blocks):
+        for q in b:
+            block_of[q] = i
+    reps = [min(b) for b in blocks]
+    return Dfa(
+        alphabet=d.alphabet,
+        n_states=len(blocks),
+        initial=block_of[d.initial],
+        finals=frozenset(block_of[q] for q in d.finals),
+        delta=tuple(tuple(block_of[d.delta[r][ai]] for ai in range(k)) for r in reps),
+    )
+
+
+def scanning_language(d):
+    return LanguageId(_restrict_reachable(scanning_minimize_dfa(d)))
+
+
+def mask_language(caut, mask):
+    """The language of a mask over the transition-map automaton."""
+    finals = frozenset(j for j in range(caut.n_maps) if mask >> j & 1)
+    delta = tuple(
+        tuple(caut.post[ai][j] for ai in range(len(caut.alphabet))) for j in range(caut.n_maps)
+    )
+    return scanning_language(Dfa(caut.alphabet, caut.n_maps, caut.identity_index, finals, delta))
+
+
+def per_state_labels(q):
+    """Every state's language, one minimization of the whole coalgebra each."""
+    delta = tuple(
+        tuple(q.gamma[ai].graph[s] for ai in range(len(q.alphabet))) for s in range(q.size)
+    )
+    finals = frozenset(s for s in range(q.size) if q.out.graph[s] == 1)
+    return tuple(scanning_language(Dfa(q.alphabet, q.size, s, finals, delta)) for s in range(q.size))
+
+
+def letterwise_rqc_closed(q):
+    """One right derivative per label and letter, looked up in the label set."""
+    labels = label_set(q)
+    return all(right_derivative(lang, a) in labels for lang in labels for a in q.alphabet)
+
+
+def pairwise_dl_morphism(m):
+    """A DL01 map preserves 0, 1 and the join and meet of every pair."""
+    dom, cod, g = m.dom, m.cod, m.graph
+    if len(g) != dom.size or any(not 0 <= v < cod.size for v in g):
+        return False
+    masks = downset_masks(dom)
+    index = _downset_index(dom)
+    cod_index = _downset_index(cod)
+    cod_masks = downset_masks(cod)
+    if g[index[0]] != cod_index[0]:
+        return False
+    if g[index[(1 << dom.n_ji) - 1]] != cod_index[(1 << cod.n_ji) - 1]:
+        return False
+    for x in range(dom.size):
+        for y in range(x, dom.size):
+            if cod_masks[g[index[masks[x] | masks[y]]]] != cod_masks[g[x]] | cod_masks[g[y]]:
+                return False
+            if cod_masks[g[index[masks[x] & masks[y]]]] != cod_masks[g[x]] & cod_masks[g[y]]:
+                return False
+    return True
+
+
+def subset_downset_masks(alg):
+    """The downsets of a JI poset, by testing every subset of the JIs."""
+    k = alg.n_ji
+    below = [sum(1 << i for i in range(k) if alg.ji_leq[i][j]) for j in range(k)]
+    return tuple(
+        mask
+        for mask in range(1 << k)
+        if all(below[j] & mask == below[j] for j in range(k) if mask >> j & 1)
+    )
+
+
+def covers_lattice_presentation(masks):
+    """mask_lattice_presentation with the join-irreducibles found as the
+    members with exactly one lower cover, and each element as the union of a
+    subset of them."""
+    family = sorted(set(masks))
+    ji = []
+    for s in family:
+        if s == 0:
+            continue
+        below = [t for t in family if t & s == t and t != s]
+        covers = [t for t in below if not any(u & t == t and t != u for u in below)]
+        if len(covers) == 1:
+            ji.append(s)
+    ji_leq = tuple(tuple(ji[i] & ji[j] == ji[i] for j in range(len(ji))) for i in range(len(ji)))
+    sub = DistLat(ji_leq)
+    downsets = subset_downset_masks(sub)
+    if len(downsets) != len(family):
+        raise ValueError("family is not a distributive lattice of sets")
+    return sub, tuple(_expand(ji, int.__or__)[d] for d in downsets)

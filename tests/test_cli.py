@@ -1,4 +1,5 @@
 import json
+import time
 
 from langdual.cli import main
 
@@ -137,3 +138,13 @@ def test_out_flag(tmp_path, capsys):
     code = main(["min-dfa", "--regex", "a*", "--out", str(target)])
     assert code == 0
     assert json.loads(target.read_text())["states"] == 2
+
+
+def test_dl_closure_of_a_long_chain_is_fast(capsys):
+    # (a|b)^21 (a|b)*: the languages "length at least i" for i <= 21 and the
+    # empty one, a chain of 23; its JI poset has 2^22 subsets but 23 downsets
+    started = time.perf_counter()
+    code, report = run_json(capsys, "closure", "--variety", "dl", "--regex", "(a|b)" * 21 + "(a|b)*")
+    elapsed = time.perf_counter() - started
+    assert code == 0 and report["size"] == 23 and report["rqc_closed"]
+    assert elapsed < 2.0, elapsed

@@ -32,6 +32,7 @@ from langdual.varieties import (
 )
 from oracles import (
     derivative_mask_closure,
+    mask_language,
     pairwise_family,
     pairwise_generate_subalgebra,
     pairwise_reachable_part,
@@ -64,7 +65,7 @@ def _old_piece_labels(tag, gens, include_right, limits):
     caut, gen_masks = class_automaton(gens, limits)
     seeds = derivative_mask_closure(caut, gen_masks, include_right, limits)
     family = pairwise_family(tag, seeds, caut.full_mask, limits.max_carrier)
-    return frozenset(caut.language_of_mask(m) for m in family)
+    return frozenset(mask_language(caut, m) for m in family)
 
 
 def test_piece_families_and_refusals_match_the_pairwise_closure():

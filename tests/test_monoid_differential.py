@@ -14,7 +14,7 @@ import pytest
 from langdual.automata import DAlgebra, coalgebra_to_dalgebra, language_dalgebra, reachable_part, rqc_closure
 from langdual.config import Limits
 from langdual.duality import DualityTag, c_tag
-from langdual.errors import LangdualError, ResourceExceededError
+from langdual.errors import LangdualError, NotReachableError, ResourceExceededError
 from langdual.languages import compile_regex, compile_text
 from langdual.monoids import (
     SigmaMonoid,
@@ -24,10 +24,11 @@ from langdual.monoids import (
     transition_monoid,
     validate_monoid,
 )
-from langdual.randgen import random_regex
+from langdual.randgen import random_algebra, random_morphism, random_regex
 from langdual.varieties import (
     FinMorphism,
     JoinSemilattice,
+    VarietyTag,
     VectZ2,
     jsl_from_masks,
     jsl_irreducibles,
@@ -318,3 +319,33 @@ def test_jsl_laws_and_meets_match_the_cubic_scans():
         assert accepted == lawful
         broken += not lawful
     assert broken >= 40
+
+
+def test_transition_monoid_refuses_the_algebras_reachable_part_shrinks():
+    """Random letter actions on random carriers, some generated from the
+    initial state and some not: the verdict, the monoid or the refusal
+    message match the oracle, which runs reachable_part first."""
+    rng = random.Random(43)
+    verdicts = {"generated": 0, "not generated": 0, "refused": 0}
+    for tag in (VarietyTag.SET, VarietyTag.POS, VarietyTag.JSL0, VarietyTag.Z2VECT):
+        for _ in range(60):
+            carrier = random_algebra(rng, tag, max_size=8 if tag is not VarietyTag.Z2VECT else 4)
+            alpha = tuple(random_morphism(rng, carrier, carrier) for _ in AB)
+            alg = DAlgebra(carrier, AB, alpha, rng.randrange(carrier.size))
+            generated = reachable_part(alg).size == alg.size
+            for cap in (1, 2, 4, 8, 64):
+                texts = []
+                for build in (transition_monoid, cubic_transition_monoid):
+                    try:
+                        texts.append(json.dumps(monoid_to_json(build(alg, True, Limits(max_carrier=cap)))))
+                    except ResourceExceededError as err:
+                        texts.append(f"refused: {err}")
+                    except NotReachableError:
+                        texts.append("not generated")
+                assert texts[0] == texts[1], (alg, cap)
+                if texts[0].startswith("refused"):
+                    verdicts["refused"] += 1
+                else:
+                    assert (texts[0] == "not generated") == (not generated)
+                    verdicts["generated" if generated else "not generated"] += 1
+    assert min(verdicts.values()) >= 100
