@@ -1,13 +1,16 @@
 """Command-line front end: one verb per construction, JSON reports on stdout.
 
 Exit codes: 0 success, 1 verification failure (a counterexample is part of
-the report), 2 usage or resource errors.
+the report), 2 usage or resource errors, 141 (128 + SIGPIPE) when the reader
+of stdout closed it before the report was written, as `langdual ... | head`
+does; the rest of the report is then discarded without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from typing import Sequence
@@ -45,6 +48,21 @@ from .monoids import monoid_to_dot, monoid_to_json, quotient_leq, subdirect_prod
 from .randgen import random_regex
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser, *, regexes: bool = True) -> None:
     if regexes:
         parser.add_argument(
@@ -55,8 +73,8 @@ def _add_common(parser: argparse.ArgumentParser, *, regexes: bool = True) -> Non
             help="regular expression; repeat the flag for several generators",
         )
     parser.add_argument("--alphabet", default="ab", help="alphabet symbols in order")
-    parser.add_argument("--max-states", type=int, default=None, help="state cap override")
-    parser.add_argument("--max-carrier", type=int, default=None, help="carrier cap override")
+    parser.add_argument("--max-states", type=_int_at_least(1), default=None, help="state cap override")
+    parser.add_argument("--max-carrier", type=_int_at_least(1), default=None, help="carrier cap override")
     parser.add_argument("--out", default=None, metavar="PATH", help="write the report here")
 
 
@@ -103,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-eilenberg", help="round-trip verification")
     _add_common(p)
     p.add_argument("--variety", default="ba")
-    p.add_argument("--random", type=int, default=0, metavar="N", help="verify N random instances")
+    p.add_argument("--random", type=_int_at_least(0), default=0, metavar="N", help="verify N random instances")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("export-dot", help="DOT graph of a construction")
@@ -290,7 +308,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         with open(args.out, "w") as handle:
             handle.write(text if text.endswith("\n") else text + "\n")
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the interpreter flushes stdout again at exit; point it at
+            # devnull so that flush cannot fail too
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 141
     return code
 
 

@@ -12,156 +12,314 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import cmp_to_key
+from typing import Callable, Iterable, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
-from .errors import RegexSyntaxError, ResourceExceededError, UnknownSymbolError
+from .errors import LangdualError, RegexSyntaxError, ResourceExceededError, UnknownSymbolError
 
 RESERVED_TOKENS = "#@|*()"
 
 
 # ---------------------------------------------------------------------------
 # regex syntax trees
+#
+# No walk over a tree recurses, so depth is bounded by memory, not by the
+# interpreter's stack.  The bottom-up walks keep their results per node
+# object, so a subtree shared by several parents is visited once.
+
+
+# node tags, in the order the sort key gives them
+_TAG_EMPTY, _TAG_EPSILON, _TAG_LITERAL, _TAG_STAR, _TAG_CONCAT, _TAG_UNION = range(6)
 
 
 class Regex:
-    """Base class for regular-expression syntax trees."""
+    """Base class for regular-expression syntax trees.
 
-    __slots__ = ()
+    Nodes are immutable.  Each one computes its hash and `nullable` from its
+    children when it is built.  Equality is structural and tests identity
+    first.  The sort key of a node is its tag followed by its symbol or by
+    its children's keys; `_compare` reads that order off two trees without
+    building the keys.
+    """
+
+    __slots__ = ("__weakref__",)
+    tag: int
+    nullable: bool
+    _hash: int
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Regex):
+            return NotImplemented
+        return self._hash == other._hash and _compare(self, other) == 0
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"{type(self).__name__}({render_regex(self)!r})"
+
+    def __reduce__(self):
+        # rebuilt through the constructor, because the cached hash depends on
+        # the string hash seed of the process that computed it
+        return type(self), tuple(getattr(self, field) for field in self._fields)
 
 
-@dataclass(frozen=True)
 class Empty(Regex):
-    pass
+    __slots__ = ()
+    tag = _TAG_EMPTY
+    nullable = False
+    _hash = hash((_TAG_EMPTY,))
 
 
-@dataclass(frozen=True)
 class Epsilon(Regex):
-    pass
+    __slots__ = ()
+    tag = _TAG_EPSILON
+    nullable = True
+    _hash = hash((_TAG_EPSILON,))
 
 
-@dataclass(frozen=True)
 class Literal(Regex):
-    symbol: str
+    __slots__ = ("symbol", "_hash")
+    tag = _TAG_LITERAL
+    nullable = False
+    _fields = ("symbol",)
+
+    def __init__(self, symbol: str):
+        self.symbol = symbol
+        self._hash = hash((_TAG_LITERAL, symbol))
 
 
-@dataclass(frozen=True)
-class Union(Regex):
-    left: Regex
-    right: Regex
-
-
-@dataclass(frozen=True)
-class Concat(Regex):
-    left: Regex
-    right: Regex
-
-
-@dataclass(frozen=True)
 class Star(Regex):
-    inner: Regex
+    __slots__ = ("inner", "_hash")
+    tag = _TAG_STAR
+    nullable = True
+    _fields = ("inner",)
+
+    def __init__(self, inner: Regex):
+        self.inner = inner
+        self._hash = hash((_TAG_STAR, inner._hash))
 
 
-def _key(r: Regex) -> tuple:
-    """Total order on trees, used to sort union parts deterministically."""
-    if isinstance(r, Empty):
-        return (0,)
-    if isinstance(r, Epsilon):
-        return (1,)
-    if isinstance(r, Literal):
-        return (2, r.symbol)
-    if isinstance(r, Star):
-        return (3, _key(r.inner))
-    if isinstance(r, Concat):
-        return (4, _key(r.left), _key(r.right))
-    if isinstance(r, Union):
-        return (5, _key(r.left), _key(r.right))
-    raise TypeError(f"not a Regex: {r!r}")
+class Concat(Regex):
+    __slots__ = ("left", "right", "_hash", "nullable")
+    tag = _TAG_CONCAT
+    _fields = ("left", "right")
+
+    def __init__(self, left: Regex, right: Regex):
+        self.left = left
+        self.right = right
+        self._hash = hash((_TAG_CONCAT, left._hash, right._hash))
+        self.nullable = left.nullable and right.nullable
 
 
-def _union_parts(r: Regex) -> Iterator[Regex]:
-    if isinstance(r, Union):
-        yield from _union_parts(r.left)
-        yield from _union_parts(r.right)
-    else:
-        yield r
+class Union(Regex):
+    __slots__ = ("left", "right", "_hash", "nullable")
+    tag = _TAG_UNION
+    _fields = ("left", "right")
+
+    def __init__(self, left: Regex, right: Regex):
+        self.left = left
+        self.right = right
+        self._hash = hash((_TAG_UNION, left._hash, right._hash))
+        self.nullable = left.nullable or right.nullable
+
+
+_EMPTY = Empty()
+_EPSILON = Epsilon()
+
+
+def _compare(x: Regex, y: Regex) -> int:
+    """-1, 0 or 1 as the sort key of x is below, equal to or above that of y.
+
+    Keys compare lexicographically: tag, then symbol, or the inner key, or
+    the left and then the right key.  Pairs are taken from an explicit stack,
+    and a pair of identical subtrees is skipped unread.
+    """
+    pairs = [(x, y)]
+    while pairs:
+        x, y = pairs.pop()
+        if x is y:
+            continue
+        tag = x.tag
+        if tag != y.tag:
+            return -1 if tag < y.tag else 1
+        if tag == _TAG_LITERAL:
+            if x.symbol != y.symbol:
+                return -1 if x.symbol < y.symbol else 1
+        elif tag == _TAG_STAR:
+            pairs.append((x.inner, y.inner))
+        elif tag > _TAG_STAR:
+            pairs.append((x.right, y.right))
+            pairs.append((x.left, y.left))
+    return 0
+
+
+_sort_key = cmp_to_key(_compare)
+
+
+def _spine(r: Regex, tag: int) -> list[Regex]:
+    """The maximal subtrees of r whose root is not a `tag` node, left to
+    right: the parts of a union, or the factors of a concatenation."""
+    if r.tag != tag:
+        return [r]
+    out = []
+    stack = [r]
+    while stack:
+        x = stack.pop()
+        if x.tag == tag:
+            stack.append(x.right)
+            stack.append(x.left)
+        else:
+            out.append(x)
+    return out
+
+
+def _union_parts(r: Regex) -> list[Regex]:
+    return _spine(r, _TAG_UNION)
+
+
+def _chain(node: type, items: list[Regex]) -> Regex:
+    """items joined by a binary node class, nested to the right."""
+    out = items[-1]
+    for item in reversed(items[:-1]):
+        out = node(item, out)
+    return out
 
 
 def make_union(parts: Iterable[Regex]) -> Regex:
     """Union normalized to a sorted, duplicate-free, right-nested chain."""
-    flat: list[Regex] = []
+    flat: dict[Regex, None] = {}
     for p in parts:
-        flat.extend(_union_parts(p))
-    flat = [p for p in flat if not isinstance(p, Empty)]
-    dedup: dict[tuple, Regex] = {_key(p): p for p in flat}
-    ordered = [dedup[k] for k in sorted(dedup)]
-    if not ordered:
-        return Empty()
-    out = ordered[-1]
-    for p in reversed(ordered[:-1]):
-        out = Union(p, out)
-    return out
+        for q in _union_parts(p):
+            if q.tag != _TAG_EMPTY:
+                flat[q] = None
+    if not flat:
+        return _EMPTY
+    if len(flat) == 1:
+        return next(iter(flat))
+    if len(flat) == 2:
+        x, y = flat
+        return Union(x, y) if _compare(x, y) < 0 else Union(y, x)
+    return _chain(Union, sorted(flat, key=_sort_key))
 
 
 def make_concat(left: Regex, right: Regex) -> Regex:
-    if isinstance(left, Empty) or isinstance(right, Empty):
-        return Empty()
-    if isinstance(left, Epsilon):
+    if left.tag == _TAG_EMPTY or right.tag == _TAG_EMPTY:
+        return _EMPTY
+    if left.tag == _TAG_EPSILON:
         return right
-    if isinstance(right, Epsilon):
+    if right.tag == _TAG_EPSILON:
         return left
     return Concat(left, right)
 
 
 def make_star(r: Regex) -> Regex:
-    if isinstance(r, (Empty, Epsilon)):
-        return Epsilon()
-    if isinstance(r, Star):
+    if r.tag < _TAG_LITERAL:
+        return _EPSILON
+    if r.tag == _TAG_STAR:
         return r
     return Star(r)
 
 
 def normalize(r: Regex) -> Regex:
-    """Rebuild a tree bottom-up through the normalizing constructors."""
-    if isinstance(r, (Empty, Epsilon, Literal)):
-        return r
-    if isinstance(r, Union):
-        return make_union([normalize(r.left), normalize(r.right)])
-    if isinstance(r, Concat):
-        return make_concat(normalize(r.left), normalize(r.right))
-    if isinstance(r, Star):
-        return make_star(normalize(r.inner))
-    raise TypeError(f"not a Regex: {r!r}")
+    """Rebuild a tree bottom-up through the normalizing constructors.
 
-
-def nullable(r: Regex) -> bool:
-    if isinstance(r, (Empty, Literal)):
-        return False
-    if isinstance(r, (Epsilon, Star)):
-        return True
-    if isinstance(r, Union):
-        return nullable(r.left) or nullable(r.right)
-    if isinstance(r, Concat):
-        return nullable(r.left) and nullable(r.right)
-    raise TypeError(f"not a Regex: {r!r}")
+    A union is rebuilt from all its parts in one make_union, which gives the
+    tree that rebuilding it pair by pair would: make_union flattens its
+    arguments, so its result depends only on the set of their parts.  Equal
+    subtrees of the result are one object, so comparing them later costs one
+    identity test; the table that makes them so lives for this call only.
+    """
+    done: dict[int, Regex] = {}
+    shared: dict[Regex, Regex] = {}
+    stack = [r]
+    while stack:
+        x = stack.pop()
+        key = id(x)
+        if key in done:
+            continue
+        tag = x.tag
+        if tag < _TAG_STAR:
+            out = x
+        elif tag == _TAG_STAR:
+            inner = done.get(id(x.inner))
+            if inner is None:
+                stack += (x, x.inner)
+                continue
+            out = make_star(inner)
+        elif tag == _TAG_CONCAT:
+            left, right = done.get(id(x.left)), done.get(id(x.right))
+            if left is None or right is None:
+                stack += (x, x.left, x.right)
+                continue
+            out = make_concat(left, right)
+        else:
+            parts = _union_parts(x)
+            todo = [p for p in parts if id(p) not in done]
+            if todo:
+                stack.append(x)
+                stack += todo
+                continue
+            out = make_union([done[id(p)] for p in parts])
+        done[key] = shared.setdefault(out, out)
+    return done[id(r)]
 
 
 def derivative(r: Regex, a: str) -> Regex:
     """Brzozowski derivative: the normalized tree for a^-1 L(r)."""
-    if isinstance(r, (Empty, Epsilon)):
-        return Empty()
-    if isinstance(r, Literal):
-        return Epsilon() if r.symbol == a else Empty()
-    if isinstance(r, Union):
-        return make_union([derivative(r.left, a), derivative(r.right, a)])
-    if isinstance(r, Concat):
-        head = make_concat(derivative(r.left, a), r.right)
-        if nullable(r.left):
-            return make_union([head, derivative(r.right, a)])
-        return head
-    if isinstance(r, Star):
-        return make_concat(derivative(r.inner, a), r)
-    raise TypeError(f"not a Regex: {r!r}")
+    return _derive(r, a, {})
+
+
+def _derive(r: Regex, a: str, done: dict[int, Regex]) -> Regex:
+    """derivative(r, a), reading and filling done: the id of a node -> its
+    derivative by a.  Entries stay valid while their nodes are alive, so a
+    caller may share done between calls on trees it keeps.
+
+    The derivative of a union is the union of its parts' derivatives, taken
+    over all parts at once as in normalize.
+    """
+    stack = [r]
+    while stack:
+        x = stack.pop()
+        key = id(x)
+        if key in done:
+            continue
+        tag = x.tag
+        if tag < _TAG_LITERAL:
+            done[key] = _EMPTY
+        elif tag == _TAG_LITERAL:
+            done[key] = _EPSILON if x.symbol == a else _EMPTY
+        elif tag == _TAG_STAR:
+            inner = done.get(id(x.inner))
+            if inner is None:
+                stack += (x, x.inner)
+            else:
+                done[key] = make_concat(inner, x)
+        elif tag == _TAG_CONCAT:
+            head = done.get(id(x.left))
+            if x.left.nullable:
+                tail = done.get(id(x.right))
+                if head is None or tail is None:
+                    stack += (x, x.left, x.right)
+                else:
+                    done[key] = make_union([make_concat(head, x.right), tail])
+            elif head is None:
+                stack += (x, x.left)
+            else:
+                done[key] = make_concat(head, x.right)
+        else:
+            parts = _union_parts(x)
+            todo = [p for p in parts if id(p) not in done]
+            if todo:
+                stack.append(x)
+                stack += todo
+            else:
+                done[key] = make_union([done[id(p)] for p in parts])
+    return done[id(r)]
 
 
 # ---------------------------------------------------------------------------
@@ -180,71 +338,62 @@ def check_alphabet(alphabet: Sequence[str]) -> tuple[str, ...]:
     return symbols
 
 
-class _Parser:
-    def __init__(self, text: str, alphabet: frozenset[str]):
-        self.text = text
-        self.alphabet = alphabet
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def union(self) -> Regex:
-        out = self.concatenation()
-        if self.peek() == "|":
-            self.pos += 1
-            return Union(out, self.union())
-        return out
-
-    def concatenation(self) -> Regex:
-        factors = [self.postfix()]
-        while self.peek() is not None and self.peek() not in "|)":
-            factors.append(self.postfix())
-        out = factors[-1]
-        for f in reversed(factors[:-1]):
-            out = Concat(f, out)
-        return out
-
-    def postfix(self) -> Regex:
-        out = self.base()
-        while self.peek() == "*":
-            self.pos += 1
-            out = Star(out)
-        return out
-
-    def base(self) -> Regex:
-        c = self.peek()
-        if c is None:
-            raise RegexSyntaxError("unexpected end of input", self.pos)
-        if c == "#":
-            self.pos += 1
-            return Empty()
-        if c == "@":
-            self.pos += 1
-            return Epsilon()
-        if c == "(":
-            self.pos += 1
-            inner = self.union()
-            if self.peek() != ")":
-                raise RegexSyntaxError("expected ')'", self.pos)
-            self.pos += 1
-            return inner
-        if c in "|*)":
-            raise RegexSyntaxError(f"unexpected {c!r}", self.pos)
-        if c not in self.alphabet:
-            raise UnknownSymbolError(c)
-        self.pos += 1
-        return Literal(c)
-
-
 def parse_regex(text: str, alphabet: Sequence[str]) -> Regex:
-    """Parse the ASCII grammar: # empty, @ epsilon, | * and grouping."""
-    symbols = check_alphabet(alphabet)
-    parser = _Parser(text, frozenset(symbols))
-    out = parser.union()
-    if parser.pos != len(text):
-        raise RegexSyntaxError("trailing input", parser.pos)
-    return out
+    """Parse the ASCII grammar: # empty, @ epsilon, | * and grouping.
+
+    Star binds tighter than concatenation, which binds tighter than union;
+    both binary operators nest to the right.  Each open parenthesis saves
+    the enclosing group's alternatives and factors on an explicit stack.
+    """
+    symbols = frozenset(check_alphabet(alphabet))
+    n = len(text)
+    pos = 0
+    groups: list[tuple[list[Regex], list[Regex]]] = []
+    alternatives: list[Regex] = []
+    factors: list[Regex] = []
+    while True:
+        c = text[pos] if pos < n else None
+        if c is None:
+            raise RegexSyntaxError("unexpected end of input", pos)
+        if c == "(":
+            pos += 1
+            groups.append((alternatives, factors))
+            alternatives, factors = [], []
+            continue
+        if c == "#":
+            node: Regex = _EMPTY
+        elif c == "@":
+            node = _EPSILON
+        elif c in "|*)":
+            raise RegexSyntaxError(f"unexpected {c!r}", pos)
+        elif c not in symbols:
+            raise UnknownSymbolError(c)
+        else:
+            node = Literal(c)
+        pos += 1
+        # node is a complete factor base; close every group that ends here
+        while True:
+            while pos < n and text[pos] == "*":
+                pos += 1
+                node = Star(node)
+            factors.append(node)
+            c = text[pos] if pos < n else None
+            if c is not None and c not in "|)":
+                break
+            alternatives.append(_chain(Concat, factors))
+            factors = []
+            if c == "|":
+                pos += 1
+                break
+            node = _chain(Union, alternatives)
+            if not groups:
+                if pos != n:
+                    raise RegexSyntaxError("trailing input", pos)
+                return node
+            if c != ")":
+                raise RegexSyntaxError("expected ')'", pos)
+            pos += 1
+            alternatives, factors = groups.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -465,30 +614,41 @@ def state_languages(d: Dfa) -> Callable[[int], LanguageId]:
 
 
 def _check_symbols(r: Regex, symbols: frozenset[str]) -> None:
-    if isinstance(r, Literal):
-        if r.symbol not in symbols:
-            raise UnknownSymbolError(r.symbol)
-    elif isinstance(r, (Union, Concat)):
-        _check_symbols(r.left, symbols)
-        _check_symbols(r.right, symbols)
-    elif isinstance(r, Star):
-        _check_symbols(r.inner, symbols)
+    """UnknownSymbolError for the first literal, left to right, outside
+    symbols."""
+    stack = [r]
+    seen: set[int] = set()
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if x.tag == _TAG_LITERAL:
+            if x.symbol not in symbols:
+                raise UnknownSymbolError(x.symbol)
+        elif x.tag == _TAG_STAR:
+            stack.append(x.inner)
+        elif x.tag > _TAG_STAR:
+            stack.append(x.right)
+            stack.append(x.left)
 
 
-def brzozowski_dfa(r: Regex, alphabet: Sequence[str], limits: Limits = DEFAULT_LIMITS) -> Dfa:
-    """Raw derivative automaton, before any minimization."""
-    symbols = check_alphabet(alphabet)
-    _check_symbols(r, frozenset(symbols))
+def _derivative_closure(
+    r: Regex, symbols: tuple[str, ...], limits: Limits
+) -> tuple[list[Regex], list[tuple[int, ...]]]:
+    """The normalized derivatives of r in breadth-first order from r, and
+    the transition rows between them."""
     start = normalize(r)
     index = {start: 0}
     states = [start]
     rows: list[tuple[int, ...]] = []
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
+    # every tree _derive walks is a state or part of one, and states stay in
+    # the list until the return, so the memos' ids stay valid
+    memos: list[dict[int, Regex]] = [{} for _ in symbols]
+    for state in states:
         row = []
-        for a in symbols:
-            nxt = derivative(state, a)
+        for a, memo in zip(symbols, memos):
+            nxt = _derive(state, a, memo)
             if nxt not in index:
                 if len(index) >= limits.max_states:
                     raise ResourceExceededError(
@@ -496,14 +656,21 @@ def brzozowski_dfa(r: Regex, alphabet: Sequence[str], limits: Limits = DEFAULT_L
                     )
                 index[nxt] = len(states)
                 states.append(nxt)
-                queue.append(nxt)
             row.append(index[nxt])
         rows.append(tuple(row))
+    return states, rows
+
+
+def brzozowski_dfa(r: Regex, alphabet: Sequence[str], limits: Limits = DEFAULT_LIMITS) -> Dfa:
+    """Raw derivative automaton, before any minimization."""
+    symbols = check_alphabet(alphabet)
+    _check_symbols(r, frozenset(symbols))
+    states, rows = _derivative_closure(r, symbols, limits)
     return Dfa(
         alphabet=symbols,
         n_states=len(states),
         initial=0,
-        finals=frozenset(i for i, s in enumerate(states) if nullable(s)),
+        finals=frozenset(i for i, s in enumerate(states) if s.nullable),
         delta=tuple(rows),
     )
 
@@ -599,65 +766,6 @@ def dfa_equivalent(d1: Dfa, d2: Dfa) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# boolean combinations (library internals for closure constructions)
-
-
-def _combine(l1: LanguageId, l2: LanguageId, keep) -> LanguageId:
-    if l1.alphabet != l2.alphabet:
-        raise ValueError("languages over different alphabets")
-    d1, d2 = l1.dfa, l2.dfa
-    k = len(d1.alphabet)
-    index = {(d1.initial, d2.initial): 0}
-    order = [(d1.initial, d2.initial)]
-    rows = []
-    queue = deque(order)
-    while queue:
-        q1, q2 = queue.popleft()
-        row = []
-        for ai in range(k):
-            t = (d1.delta[q1][ai], d2.delta[q2][ai])
-            if t not in index:
-                index[t] = len(order)
-                order.append(t)
-                queue.append(t)
-            row.append(index[t])
-        rows.append(tuple(row))
-    finals = frozenset(
-        i for i, (q1, q2) in enumerate(order) if keep(q1 in d1.finals, q2 in d2.finals)
-    )
-    return canonical_language(Dfa(d1.alphabet, len(order), 0, finals, tuple(rows)))
-
-
-def lang_union(l1: LanguageId, l2: LanguageId) -> LanguageId:
-    return _combine(l1, l2, lambda a, b: a or b)
-
-
-def lang_intersect(l1: LanguageId, l2: LanguageId) -> LanguageId:
-    return _combine(l1, l2, lambda a, b: a and b)
-
-
-def lang_symdiff(l1: LanguageId, l2: LanguageId) -> LanguageId:
-    return _combine(l1, l2, lambda a, b: a != b)
-
-
-def lang_complement(lang: LanguageId) -> LanguageId:
-    d = lang.dfa
-    return canonical_language(
-        Dfa(d.alphabet, d.n_states, d.initial, frozenset(range(d.n_states)) - d.finals, d.delta)
-    )
-
-
-def empty_language(alphabet: Sequence[str]) -> LanguageId:
-    symbols = check_alphabet(alphabet)
-    return canonical_language(Dfa(symbols, 1, 0, frozenset(), ((0,) * len(symbols),)))
-
-
-def full_language(alphabet: Sequence[str]) -> LanguageId:
-    symbols = check_alphabet(alphabet)
-    return canonical_language(Dfa(symbols, 1, 0, frozenset({0}), ((0,) * len(symbols),)))
-
-
-# ---------------------------------------------------------------------------
 # regex synthesis (state elimination), for reports and labels
 
 
@@ -668,17 +776,17 @@ def language_to_regex(lang: LanguageId) -> str:
     table: dict[tuple[int, int], Regex] = {}
 
     def get(i, j):
-        return table.get((i, j), Empty())
+        return table.get((i, j), _EMPTY)
 
     def put(i, j, r):
-        if isinstance(r, Empty):
+        if r.tag == _TAG_EMPTY:
             table.pop((i, j), None)
         else:
             table[(i, j)] = r
 
-    put(start, d.initial, Epsilon())
+    put(start, d.initial, _EPSILON)
     for q in d.finals:
-        put(q, accept, Epsilon())
+        put(q, accept, _EPSILON)
     for q in range(n):
         for ai, a in enumerate(d.alphabet):
             t = d.delta[q][ai]
@@ -688,8 +796,8 @@ def language_to_regex(lang: LanguageId) -> str:
     for s in range(n):
         nodes.remove(s)
         loop = make_star(get(s, s))
-        ins = [(p, get(p, s)) for p in nodes if not isinstance(get(p, s), Empty)]
-        outs = [(q, get(s, q)) for q in nodes if not isinstance(get(s, q), Empty)]
+        ins = [(p, get(p, s)) for p in nodes if get(p, s).tag != _TAG_EMPTY]
+        outs = [(q, get(s, q)) for q in nodes if get(s, q).tag != _TAG_EMPTY]
         for p, rin in ins:
             for q, rout in outs:
                 bridge = make_concat(make_concat(rin, loop), rout)
@@ -701,42 +809,99 @@ def language_to_regex(lang: LanguageId) -> str:
 
 
 def render_regex(r: Regex) -> str:
-    """Render with precedence star > concat > union; @ is epsilon, # empty."""
+    """Render with precedence star > concat > union; @ is epsilon, # empty.
 
-    def go(x: Regex, context: int) -> str:
-        if isinstance(x, Empty):
-            return "#"
-        if isinstance(x, Epsilon):
-            return "@"
-        if isinstance(x, Literal):
-            return x.symbol
-        if isinstance(x, Star):
-            return go(x.inner, 3) + "*"
-        if isinstance(x, Concat):
-            s = go(x.left, 2) + go(x.right, 2)
-            return f"({s})" if context > 2 else s
-        if isinstance(x, Union):
-            s = go(x.left, 1) + "|" + go(x.right, 1)
-            return f"({s})" if context > 1 else s
-        raise TypeError(f"not a Regex: {x!r}")
+    A node's text depends on the node and on the context it sits in (1
+    under a union or at the top, 2 in a concatenation, 3 under a star), so
+    texts are memoized on that pair.  A chain of unions, or of
+    concatenations, is rendered from its list of parts in one join, and only
+    the heads of chains are memoized.  Each memoized text is built once, so
+    a subtree shared by many parents costs its length once, not once per
+    occurrence in the output.
+    """
+    memo: dict[tuple[int, int], str] = {}
+    parts: dict[tuple[int, int], list[tuple[Regex, int]]] = {}
+    stack = [(r, 1)]
+    while stack:
+        x, context = stack[-1]
+        key = (id(x), context)
+        if key in memo:
+            stack.pop()
+            continue
+        tag = x.tag
+        if tag <= _TAG_LITERAL:
+            memo[key] = x.symbol if tag == _TAG_LITERAL else "#@"[tag]
+            stack.pop()
+            continue
+        if key not in parts:
+            if tag == _TAG_STAR:
+                parts[key] = [(x.inner, 3)]
+            elif tag == _TAG_CONCAT:
+                parts[key] = [(f, 2) for f in _spine(x, tag)]
+            else:
+                parts[key] = [(p, 1) for p in _spine(x, tag)]
+        todo = [item for item in parts[key] if (id(item[0]), item[1]) not in memo]
+        if todo:
+            stack.extend(reversed(todo))
+            continue
+        stack.pop()
+        texts = [memo[id(p), c] for p, c in parts.pop(key)]
+        if tag == _TAG_STAR:
+            memo[key] = texts[0] + "*"
+        elif tag == _TAG_CONCAT:
+            text = "".join(texts)
+            memo[key] = f"({text})" if context > 2 else text
+        else:
+            text = "|".join(texts)
+            memo[key] = f"({text})" if context > 1 else text
+    return memo[id(r), 1]
 
-    return go(r, 1)
+
+# Python's json module nests one level of its own stack per level of a
+# document, both to write a report and to read it back; the interpreter's
+# default limit of 1000 frames leaves room for this many levels of tree
+# below a report's top-level object.
+MAX_JSON_DEPTH = 900
 
 
 def regex_to_json(r: Regex) -> object:
-    if isinstance(r, Empty):
-        return {"kind": "empty"}
-    if isinstance(r, Epsilon):
-        return {"kind": "epsilon"}
-    if isinstance(r, Literal):
-        return {"kind": "literal", "symbol": r.symbol}
-    if isinstance(r, Union):
-        return {"kind": "union", "left": regex_to_json(r.left), "right": regex_to_json(r.right)}
-    if isinstance(r, Concat):
-        return {"kind": "concat", "left": regex_to_json(r.left), "right": regex_to_json(r.right)}
-    if isinstance(r, Star):
-        return {"kind": "star", "inner": regex_to_json(r.inner)}
-    raise TypeError(f"not a Regex: {r!r}")
+    """The tree as nested JSON objects.
+
+    Raises LangdualError when the tree has more than MAX_JSON_DEPTH levels.
+    """
+    done: dict[int, tuple[dict, int]] = {}
+    stack = [r]
+    while stack:
+        x = stack[-1]
+        if id(x) in done:
+            stack.pop()
+            continue
+        tag = x.tag
+        kids = () if tag < _TAG_STAR else (x.inner,) if tag == _TAG_STAR else (x.left, x.right)
+        todo = [k for k in kids if id(k) not in done]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        built = [done[id(k)] for k in kids]
+        if tag == _TAG_EMPTY:
+            obj: dict = {"kind": "empty"}
+        elif tag == _TAG_EPSILON:
+            obj = {"kind": "epsilon"}
+        elif tag == _TAG_LITERAL:
+            obj = {"kind": "literal", "symbol": x.symbol}
+        elif tag == _TAG_STAR:
+            obj = {"kind": "star", "inner": built[0][0]}
+        else:
+            kind = "concat" if tag == _TAG_CONCAT else "union"
+            obj = {"kind": kind, "left": built[0][0], "right": built[1][0]}
+        done[id(x)] = (obj, 1 + max((levels for _, levels in built), default=0))
+    obj, levels = done[id(r)]
+    if levels > MAX_JSON_DEPTH:
+        raise LangdualError(
+            f"regex tree has {levels} levels; a JSON report carries at most {MAX_JSON_DEPTH}"
+        )
+    return obj
 
 
 def dfa_to_dot(d: Dfa, labels: Sequence[str] | None = None) -> str:

@@ -6,18 +6,35 @@ monoid, join-semilattice, closure, minimization, labelling and DL01 oracles
 are the exhaustive algorithms that the library's faster ones replaced; they
 share only carrier primitives such as validate_morphism, present_subset,
 gaussian_basis and the breadth-first renumbering of a DFA with the code they
-check.
+check.  The regex oracles are the recursive dataclass trees and walks that
+the library's pre-keyed, iterative trees replaced; they share nothing with
+them.  The boolean combinations of languages (product automata) serve the
+tests only.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from itertools import product
 
 from langdual.automata import DAlgebra, carrier_map_monoid, label_set, reachable_part
 from langdual.config import DEFAULT_LIMITS
-from langdual.errors import NotReachableError, ResourceExceededError, TagMismatchError
-from langdual.languages import Dfa, LanguageId, _restrict_reachable, right_derivative
+from langdual.errors import (
+    NotReachableError,
+    RegexSyntaxError,
+    ResourceExceededError,
+    TagMismatchError,
+    UnknownSymbolError,
+)
+from langdual.languages import (
+    Dfa,
+    LanguageId,
+    _restrict_reachable,
+    canonical_language,
+    check_alphabet,
+    right_derivative,
+)
 from langdual.monoids import LINEARISH, SigmaMonoid, carrier_add, carrier_zero
 from langdual.varieties import (
     BoolAlg,
@@ -725,3 +742,380 @@ def covers_lattice_presentation(masks):
     if len(downsets) != len(family):
         raise ValueError("family is not a distributive lattice of sets")
     return sub, tuple(_expand(ji, int.__or__)[d] for d in downsets)
+
+
+# ---------------------------------------------------------------------------
+# regex trees as recursive frozen dataclasses
+#
+# The regex layer that the pre-keyed nodes of langdual.languages replaced:
+# every walk recurses, `recursive_key` rebuilds a tree's sort key on each
+# call and the dataclasses hash whole trees.  `as_tree` copies a
+# langdual.languages tree into these classes; the differential tests compare
+# renders, derivative states and synthesized regex text byte for byte.
+
+
+class Tree:
+    __slots__ = ()
+
+
+@dataclass(frozen=True)
+class TreeEmpty(Tree):
+    pass
+
+
+@dataclass(frozen=True)
+class TreeEpsilon(Tree):
+    pass
+
+
+@dataclass(frozen=True)
+class TreeLiteral(Tree):
+    symbol: str
+
+
+@dataclass(frozen=True)
+class TreeUnion(Tree):
+    left: Tree
+    right: Tree
+
+
+@dataclass(frozen=True)
+class TreeConcat(Tree):
+    left: Tree
+    right: Tree
+
+
+@dataclass(frozen=True)
+class TreeStar(Tree):
+    inner: Tree
+
+
+def as_tree(r):
+    """The dataclass copy of a langdual.languages regex tree."""
+    kind = type(r).__name__
+    if kind == "Empty":
+        return TreeEmpty()
+    if kind == "Epsilon":
+        return TreeEpsilon()
+    if kind == "Literal":
+        return TreeLiteral(r.symbol)
+    if kind == "Star":
+        return TreeStar(as_tree(r.inner))
+    node = TreeUnion if kind == "Union" else TreeConcat
+    return node(as_tree(r.left), as_tree(r.right))
+
+
+class RecursiveParser:
+    """The recursive-descent parser over the dataclass trees."""
+
+    def __init__(self, text, alphabet):
+        self.text = text
+        self.alphabet = frozenset(check_alphabet(alphabet))
+        self.pos = 0
+
+    def parse(self):
+        out = self.union()
+        if self.pos != len(self.text):
+            raise RegexSyntaxError("trailing input", self.pos)
+        return out
+
+    def peek(self):
+        return self.text[self.pos] if self.pos < len(self.text) else None
+
+    def union(self):
+        out = self.concatenation()
+        if self.peek() == "|":
+            self.pos += 1
+            return TreeUnion(out, self.union())
+        return out
+
+    def concatenation(self):
+        factors = [self.postfix()]
+        while self.peek() is not None and self.peek() not in "|)":
+            factors.append(self.postfix())
+        out = factors[-1]
+        for f in reversed(factors[:-1]):
+            out = TreeConcat(f, out)
+        return out
+
+    def postfix(self):
+        out = self.base()
+        while self.peek() == "*":
+            self.pos += 1
+            out = TreeStar(out)
+        return out
+
+    def base(self):
+        c = self.peek()
+        if c is None:
+            raise RegexSyntaxError("unexpected end of input", self.pos)
+        if c == "#":
+            self.pos += 1
+            return TreeEmpty()
+        if c == "@":
+            self.pos += 1
+            return TreeEpsilon()
+        if c == "(":
+            self.pos += 1
+            inner = self.union()
+            if self.peek() != ")":
+                raise RegexSyntaxError("expected ')'", self.pos)
+            self.pos += 1
+            return inner
+        if c in "|*)":
+            raise RegexSyntaxError(f"unexpected {c!r}", self.pos)
+        if c not in self.alphabet:
+            raise UnknownSymbolError(c)
+        self.pos += 1
+        return TreeLiteral(c)
+
+
+def recursive_check_symbols(r, symbols):
+    if isinstance(r, TreeLiteral):
+        if r.symbol not in symbols:
+            raise UnknownSymbolError(r.symbol)
+    elif isinstance(r, (TreeUnion, TreeConcat)):
+        recursive_check_symbols(r.left, symbols)
+        recursive_check_symbols(r.right, symbols)
+    elif isinstance(r, TreeStar):
+        recursive_check_symbols(r.inner, symbols)
+
+
+def recursive_key(r):
+    """Total order on trees, used to sort union parts deterministically."""
+    if isinstance(r, TreeEmpty):
+        return (0,)
+    if isinstance(r, TreeEpsilon):
+        return (1,)
+    if isinstance(r, TreeLiteral):
+        return (2, r.symbol)
+    if isinstance(r, TreeStar):
+        return (3, recursive_key(r.inner))
+    if isinstance(r, TreeConcat):
+        return (4, recursive_key(r.left), recursive_key(r.right))
+    if isinstance(r, TreeUnion):
+        return (5, recursive_key(r.left), recursive_key(r.right))
+    raise TypeError(f"not a Tree: {r!r}")
+
+
+def recursive_union_parts(r):
+    if isinstance(r, TreeUnion):
+        yield from recursive_union_parts(r.left)
+        yield from recursive_union_parts(r.right)
+    else:
+        yield r
+
+
+def recursive_make_union(parts):
+    """Union normalized to a sorted, duplicate-free, right-nested chain."""
+    flat = []
+    for p in parts:
+        flat.extend(recursive_union_parts(p))
+    flat = [p for p in flat if not isinstance(p, TreeEmpty)]
+    dedup = {recursive_key(p): p for p in flat}
+    ordered = [dedup[k] for k in sorted(dedup)]
+    if not ordered:
+        return TreeEmpty()
+    out = ordered[-1]
+    for p in reversed(ordered[:-1]):
+        out = TreeUnion(p, out)
+    return out
+
+
+def recursive_make_concat(left, right):
+    if isinstance(left, TreeEmpty) or isinstance(right, TreeEmpty):
+        return TreeEmpty()
+    if isinstance(left, TreeEpsilon):
+        return right
+    if isinstance(right, TreeEpsilon):
+        return left
+    return TreeConcat(left, right)
+
+
+def recursive_make_star(r):
+    if isinstance(r, (TreeEmpty, TreeEpsilon)):
+        return TreeEpsilon()
+    if isinstance(r, TreeStar):
+        return r
+    return TreeStar(r)
+
+
+def recursive_normalize(r):
+    if isinstance(r, (TreeEmpty, TreeEpsilon, TreeLiteral)):
+        return r
+    if isinstance(r, TreeUnion):
+        return recursive_make_union([recursive_normalize(r.left), recursive_normalize(r.right)])
+    if isinstance(r, TreeConcat):
+        return recursive_make_concat(recursive_normalize(r.left), recursive_normalize(r.right))
+    if isinstance(r, TreeStar):
+        return recursive_make_star(recursive_normalize(r.inner))
+    raise TypeError(f"not a Tree: {r!r}")
+
+
+def recursive_nullable(r):
+    if isinstance(r, (TreeEmpty, TreeLiteral)):
+        return False
+    if isinstance(r, (TreeEpsilon, TreeStar)):
+        return True
+    if isinstance(r, TreeUnion):
+        return recursive_nullable(r.left) or recursive_nullable(r.right)
+    return recursive_nullable(r.left) and recursive_nullable(r.right)
+
+
+def recursive_derivative(r, a):
+    """Brzozowski derivative: the normalized tree for a^-1 L(r)."""
+    if isinstance(r, (TreeEmpty, TreeEpsilon)):
+        return TreeEmpty()
+    if isinstance(r, TreeLiteral):
+        return TreeEpsilon() if r.symbol == a else TreeEmpty()
+    if isinstance(r, TreeUnion):
+        return recursive_make_union([recursive_derivative(r.left, a), recursive_derivative(r.right, a)])
+    if isinstance(r, TreeConcat):
+        head = recursive_make_concat(recursive_derivative(r.left, a), r.right)
+        if recursive_nullable(r.left):
+            return recursive_make_union([head, recursive_derivative(r.right, a)])
+        return head
+    if isinstance(r, TreeStar):
+        return recursive_make_concat(recursive_derivative(r.inner, a), r)
+    raise TypeError(f"not a Tree: {r!r}")
+
+
+def recursive_derivative_closure(r, symbols):
+    """The states of the raw derivative automaton, in breadth-first order,
+    and its transition rows."""
+    start = recursive_normalize(r)
+    index = {start: 0}
+    states = [start]
+    rows = []
+    for state in states:
+        row = []
+        for a in symbols:
+            nxt = recursive_derivative(state, a)
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+            row.append(index[nxt])
+        rows.append(tuple(row))
+    return states, rows
+
+
+def recursive_render(r):
+    """Render with precedence star > concat > union; @ is epsilon, # empty."""
+
+    def go(x, context):
+        if isinstance(x, TreeEmpty):
+            return "#"
+        if isinstance(x, TreeEpsilon):
+            return "@"
+        if isinstance(x, TreeLiteral):
+            return x.symbol
+        if isinstance(x, TreeStar):
+            return go(x.inner, 3) + "*"
+        if isinstance(x, TreeConcat):
+            s = go(x.left, 2) + go(x.right, 2)
+            return f"({s})" if context > 2 else s
+        if isinstance(x, TreeUnion):
+            s = go(x.left, 1) + "|" + go(x.right, 1)
+            return f"({s})" if context > 1 else s
+        raise TypeError(f"not a Tree: {x!r}")
+
+    return go(r, 1)
+
+
+def recursive_language_to_regex(lang):
+    """State elimination over the recursive trees."""
+    d = lang.dfa
+    n = d.n_states
+    start, accept = n, n + 1
+    table = {}
+
+    def get(i, j):
+        return table.get((i, j), TreeEmpty())
+
+    def put(i, j, r):
+        if isinstance(r, TreeEmpty):
+            table.pop((i, j), None)
+        else:
+            table[(i, j)] = r
+
+    put(start, d.initial, TreeEpsilon())
+    for q in d.finals:
+        put(q, accept, TreeEpsilon())
+    for q in range(n):
+        for ai, a in enumerate(d.alphabet):
+            t = d.delta[q][ai]
+            put(q, t, recursive_make_union([get(q, t), TreeLiteral(a)]))
+
+    nodes = [start, accept] + list(range(n))
+    for s in range(n):
+        nodes.remove(s)
+        loop = recursive_make_star(get(s, s))
+        ins = [(p, get(p, s)) for p in nodes if not isinstance(get(p, s), TreeEmpty)]
+        outs = [(q, get(s, q)) for q in nodes if not isinstance(get(s, q), TreeEmpty)]
+        for p, rin in ins:
+            for q, rout in outs:
+                bridge = recursive_make_concat(recursive_make_concat(rin, loop), rout)
+                put(p, q, recursive_make_union([get(p, q), bridge]))
+        for p in list(table):
+            if s in p:
+                del table[p]
+    return recursive_render(get(start, accept))
+
+
+# ---------------------------------------------------------------------------
+# boolean combinations of languages, by the product automaton
+
+
+def _combine(l1, l2, keep):
+    if l1.alphabet != l2.alphabet:
+        raise ValueError("languages over different alphabets")
+    d1, d2 = l1.dfa, l2.dfa
+    k = len(d1.alphabet)
+    index = {(d1.initial, d2.initial): 0}
+    order = [(d1.initial, d2.initial)]
+    rows = []
+    queue = deque(order)
+    while queue:
+        q1, q2 = queue.popleft()
+        row = []
+        for ai in range(k):
+            t = (d1.delta[q1][ai], d2.delta[q2][ai])
+            if t not in index:
+                index[t] = len(order)
+                order.append(t)
+                queue.append(t)
+            row.append(index[t])
+        rows.append(tuple(row))
+    finals = frozenset(
+        i for i, (q1, q2) in enumerate(order) if keep(q1 in d1.finals, q2 in d2.finals)
+    )
+    return canonical_language(Dfa(d1.alphabet, len(order), 0, finals, tuple(rows)))
+
+
+def lang_union(l1, l2):
+    return _combine(l1, l2, lambda a, b: a or b)
+
+
+def lang_intersect(l1, l2):
+    return _combine(l1, l2, lambda a, b: a and b)
+
+
+def lang_symdiff(l1, l2):
+    return _combine(l1, l2, lambda a, b: a != b)
+
+
+def lang_complement(lang):
+    d = lang.dfa
+    return canonical_language(
+        Dfa(d.alphabet, d.n_states, d.initial, frozenset(range(d.n_states)) - d.finals, d.delta)
+    )
+
+
+def empty_language(alphabet):
+    symbols = check_alphabet(alphabet)
+    return canonical_language(Dfa(symbols, 1, 0, frozenset(), ((0,) * len(symbols),)))
+
+
+def full_language(alphabet):
+    symbols = check_alphabet(alphabet)
+    return canonical_language(Dfa(symbols, 1, 0, frozenset({0}), ((0,) * len(symbols),)))

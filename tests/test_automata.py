@@ -14,18 +14,16 @@ from langdual.automata import (
     validate_coalgebra,
 )
 from langdual.duality import DualityTag
-from langdual.languages import (
-    compile_text,
+from langdual.languages import compile_text, left_derivative, right_derivative
+from langdual.varieties import FinSet, VarietyTag, validate_morphism
+from oracles import (
     empty_language,
     full_language,
     lang_complement,
     lang_intersect,
     lang_symdiff,
     lang_union,
-    left_derivative,
-    right_derivative,
 )
-from langdual.varieties import FinSet, VarietyTag, validate_morphism
 
 AB = ("a", "b")
 

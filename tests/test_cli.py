@@ -1,5 +1,10 @@
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
+
+import pytest
 
 from langdual.cli import main
 
@@ -148,3 +153,52 @@ def test_dl_closure_of_a_long_chain_is_fast(capsys):
     elapsed = time.perf_counter() - started
     assert code == 0 and report["size"] == 23 and report["rqc_closed"]
     assert elapsed < 2.0, elapsed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["min-dfa", "--regex", "a", "--max-states", "-3"],
+        ["min-dfa", "--regex", "a", "--max-states", "0"],
+        ["closure", "--regex", "a", "--max-carrier", "-1"],
+        ["monoid", "--regex", "a", "--max-carrier", "0"],
+        ["verify-eilenberg", "--random", "-1"],
+        ["min-dfa", "--regex", "a", "--max-states", "x"],
+    ],
+)
+def test_out_of_range_caps_and_counts_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "Traceback" not in err
+
+
+def test_a_closed_pipe_exits_141_without_a_traceback():
+    # the report is far larger than a pipe's buffer, so the write fails
+    # once the reader has gone
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    cmd = [sys.executable, "-m", "langdual", "derive", "--word", "ab", "--regex", "(a|b)*a" + "(a|b)" * 4]
+    proc = subprocess.Popen(
+        cmd,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode(errors="replace")
+    assert proc.wait(timeout=60) == 141, stderr
+    assert stderr == ""
+
+
+def test_left_derivative_report_of_a_32_state_language_is_fast(capsys):
+    # state elimination writes 3.6 MB of regex text here; rendering memoized
+    # per node and context keeps that linear in the output
+    started = time.perf_counter()
+    code, report = run_json(
+        capsys, "derive", "--word", "ab", "--side", "left", "--regex", "(a|b)*a" + "(a|b)" * 4
+    )
+    elapsed = time.perf_counter() - started
+    assert code == 0 and len(report["result"]) > 3_000_000
+    assert elapsed < 3.0, elapsed

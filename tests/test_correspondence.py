@@ -14,7 +14,7 @@ from langdual.correspondence import (
 )
 from langdual.duality import DualityTag
 from langdual.errors import NotRqcClosedError
-from langdual.languages import compile_text, empty_language, full_language
+from langdual.languages import compile_text
 from langdual.monoids import (
     sigma_monoid_iso,
     subdirect_product,
@@ -24,7 +24,7 @@ from langdual.monoids import (
 )
 from langdual.automata import language_dalgebra
 from langdual.varieties import VarietyTag
-from oracles import brute_syntactic_monoid
+from oracles import brute_syntactic_monoid, empty_language, full_language
 
 AB = ("a", "b")
 PAIRS = [

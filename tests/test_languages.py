@@ -15,13 +15,7 @@ from langdual.languages import (
     compile_regex,
     compile_text,
     dfa_equivalent,
-    empty_language,
     equivalent,
-    full_language,
-    lang_complement,
-    lang_intersect,
-    lang_symdiff,
-    lang_union,
     language_to_regex,
     left_derivative,
     parse_regex,
@@ -29,7 +23,18 @@ from langdual.languages import (
     right_derivative,
     two_sided_residuals,
 )
-from oracles import derivative_oracle, member_agree, nerode_class_count, words_up_to
+from oracles import (
+    derivative_oracle,
+    empty_language,
+    full_language,
+    lang_complement,
+    lang_intersect,
+    lang_symdiff,
+    lang_union,
+    member_agree,
+    nerode_class_count,
+    words_up_to,
+)
 
 AB = ("a", "b")
 
