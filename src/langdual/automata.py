@@ -15,19 +15,17 @@ with a letter map, and the variety operations become bitwise operations.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .duality import DualityTag, c_tag, d_tag, dual_morphism, dual_object
-from .errors import ResourceExceededError, TagMismatchError
+from .errors import TagMismatchError
 from .languages import (
     Dfa,
     LanguageId,
     language_to_regex,
-    left_derivative,
     refine_partition,
     state_languages,
 )
@@ -46,14 +44,11 @@ from .varieties import (
     identity,
     jsl_from_masks,
     mask_lattice_presentation,
+    orbit,
     present_subset,
     subalgebra_elements,
     two_element_algebra,
-    validate_morphism,
 )
-
-C_OPERATION_TAGS = (VarietyTag.BA, VarietyTag.DL01, VarietyTag.JSL0, VarietyTag.Z2VECT)
-
 
 @dataclass(frozen=True)
 class CCoalgebra:
@@ -94,30 +89,6 @@ def label_set(q: CCoalgebra) -> frozenset[LanguageId]:
     if q.labels is None:
         raise ValueError("coalgebra carries no labels")
     return frozenset(q.labels)
-
-
-def validate_coalgebra(q: CCoalgebra) -> bool:
-    if q.carrier.tag not in C_OPERATION_TAGS:
-        raise TagMismatchError(f"{q.carrier.tag} is not an output-side variety")
-    two = two_element_algebra(q.carrier.tag)
-    if q.out.cod != two:
-        return False
-    if not all(validate_morphism(g) for g in q.gamma):
-        return False
-    return validate_morphism(q.out)
-
-
-def check_labels(q: CCoalgebra) -> bool:
-    """Labels must be a coalgebra homomorphism into the language automaton."""
-    if q.labels is None:
-        return False
-    for state in range(q.size):
-        if (q.out.graph[state] == 1) != q.labels[state].dfa.accepts_word(""):
-            return False
-        for ai, a in enumerate(q.alphabet):
-            if q.labels[q.gamma[ai].graph[state]] != left_derivative(q.labels[state], a):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -176,66 +147,52 @@ class ClassAutomaton:
         return sum(1 << j for j in range(self.n_maps) if mask >> self.post[ai][j] & 1)
 
 
-def _joint_dfa(gens: Sequence[LanguageId]) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...], list[frozenset[int]]]:
-    """Reachable product of the generators' DFAs; finals kept per generator."""
+def _joint_dfa(
+    gens: Sequence[LanguageId], cap: int
+) -> tuple[tuple[str, ...], list[list[int]], list[frozenset[int]]]:
+    """Reachable product of the generators' DFAs; finals kept per generator.
+
+    The product state reached by a word w is gamma_w applied to the start,
+    so distinct states have distinct transition maps, and past cap states
+    the map closure would refuse too: this refuses with it, before building
+    the rest of the product.
+    """
     alphabet = gens[0].alphabet
     if any(g.alphabet != alphabet for g in gens):
         raise ValueError("generators must share one alphabet")
-    k = len(alphabet)
+    deltas = [g.dfa.delta for g in gens]
+    steps = [
+        lambda state, ai=ai: tuple(delta[s][ai] for delta, s in zip(deltas, state))
+        for ai in range(len(alphabet))
+    ]
     start = tuple(g.dfa.initial for g in gens)
-    index = {start: 0}
-    order = [start]
-    rows = []
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        row = []
-        for ai in range(k):
-            nxt = tuple(g.dfa.delta[s][ai] for g, s in zip(gens, state))
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            row.append(index[nxt])
-        rows.append(tuple(row))
+    order, rows, _ = orbit([start], steps, cap, "transition-map closure")
     finals = [
         frozenset(i for i, st in enumerate(order) if st[gi] in g.dfa.finals)
         for gi, g in enumerate(gens)
     ]
-    return alphabet, tuple(rows), finals
+    return alphabet, rows, finals
 
 
 def class_automaton(gens: Sequence[LanguageId], limits: Limits = DEFAULT_LIMITS) -> tuple[ClassAutomaton, list[int]]:
-    """Build the map automaton and the generator languages as masks."""
-    alphabet, delta, finals = _joint_dfa(gens)
-    n = len(delta)
-    k = len(alphabet)
-    ident = tuple(range(n))
-    index = {ident: 0}
-    maps = [ident]
-    post_rows: list[list[int]] = [[]]
-    queue = deque([0])
-    while queue:
-        j = queue.popleft()
-        m = maps[j]
-        row = []
-        for ai in range(k):
-            nxt = tuple(delta[m[q]][ai] for q in range(n))
-            if nxt not in index:
-                if len(maps) >= limits.max_carrier:
-                    raise ResourceExceededError("transition-map closure exceeded the carrier cap")
-                index[nxt] = len(maps)
-                maps.append(nxt)
-                post_rows.append([])
-                queue.append(len(maps) - 1)
-            row.append(index[nxt])
-        post_rows[j] = row
-    pre = tuple(
-        tuple(index[tuple(maps[j][delta[q][ai]] for q in range(n))] for j in range(len(maps)))
-        for ai in range(k)
-    )
-    post = tuple(tuple(post_rows[j][ai] for j in range(len(maps))) for ai in range(k))
-    caut = ClassAutomaton(alphabet, tuple(maps), 0, post, pre)
+    """Build the map automaton and the generator languages as masks.
+
+    The maps are the orbit of the identity under "then a letter"; the map
+    of a·u·l is post[l] of the map of a·u, so each column of pre follows the
+    orbit's tree from the map of a.
+    """
+    alphabet, delta, finals = _joint_dfa(gens, limits.max_carrier)
+    letters = list(zip(*delta))  # letters[ai][q] = delta[q][ai]
+    steps = [lambda m, col=col: tuple(map(col.__getitem__, m)) for col in letters]
+    maps, post_rows, tree = orbit([tuple(range(len(delta)))], steps, limits.max_carrier, "transition-map closure")
+    post = tuple(zip(*post_rows))
+    pre = []
+    for first in post_rows[0]:
+        col = [first]
+        for parent, ai in tree[1:]:
+            col.append(post[ai][col[parent]])
+        pre.append(tuple(col))
+    caut = ClassAutomaton(alphabet, tuple(maps), 0, post, tuple(pre))
     gen_masks = [
         sum(1 << j for j in range(len(maps)) if maps[j][0] in fin) for fin in finals
     ]
@@ -305,24 +262,6 @@ def rqc_closure(
 ) -> CCoalgebra:
     """Like generate_subcoalgebra, but also closed under right derivatives."""
     return _closed_piece(tag, gens, True, limits)
-
-
-def carrier_map_monoid(q: CCoalgebra, limits: Limits = DEFAULT_LIMITS) -> list[tuple[str, FinMorphism]]:
-    """Representative words for the distinct composites gamma_w."""
-    seen = {identity(q.carrier).graph: ""}
-    order = [("", identity(q.carrier))]
-    queue = deque(order)
-    while queue:
-        word, m = queue.popleft()
-        for ai, a in enumerate(q.alphabet):
-            nxt = m.then(q.gamma[ai])
-            if nxt.graph not in seen:
-                if len(seen) >= limits.max_carrier:
-                    raise ResourceExceededError("carrier map monoid exceeded the carrier cap")
-                seen[nxt.graph] = word + a
-                order.append((word + a, nxt))
-                queue.append((word + a, nxt))
-    return order
 
 
 def is_rqc_closed(q: CCoalgebra) -> bool:
@@ -468,20 +407,6 @@ def reachable_part(a: DAlgebra, limits: Limits = DEFAULT_LIMITS) -> DAlgebra:
 
 # ---------------------------------------------------------------------------
 # JSON and DOT
-
-
-def ccoalgebra_to_json(q: CCoalgebra) -> dict:
-    from .varieties import algebra_to_json
-
-    data = {
-        "carrier": algebra_to_json(q.carrier),
-        "alphabet": list(q.alphabet),
-        "gamma": {a: list(q.gamma[ai].graph) for ai, a in enumerate(q.alphabet)},
-        "out": list(q.out.graph),
-    }
-    if q.labels is not None:
-        data["labels"] = [language_to_regex(lang) for lang in q.labels]
-    return data
 
 
 def dalgebra_to_json(a: DAlgebra) -> dict:

@@ -32,6 +32,13 @@ from .correspondence import (
 from .duality import DualityTag, c_tag, parse_variety_flag
 from .errors import CorrespondenceError, LangdualError
 from .languages import (
+    Concat,
+    Empty,
+    Epsilon,
+    Literal,
+    Regex,
+    Star,
+    Union,
     check_alphabet,
     compile_regex,
     dfa_to_dot,
@@ -45,7 +52,6 @@ from .languages import (
     right_derivative,
 )
 from .monoids import monoid_to_dot, monoid_to_json, quotient_leq, subdirect_product
-from .randgen import random_regex
 
 
 def _int_at_least(low: int):
@@ -257,6 +263,27 @@ def _run(args) -> tuple[int, object]:
         return 0, monoid_to_dot(piece_to_monoid(dtag, piece, limits))
 
     raise LangdualError(f"unknown verb {verb!r}")
+
+
+def random_regex(rng: random.Random, alphabet, max_depth: int = 4) -> Regex:
+    """A seeded random regex tree, so identical seeds give identical runs."""
+    if max_depth <= 0:
+        roll = rng.random()
+        if roll < 0.75:
+            return Literal(rng.choice(alphabet))
+        if roll < 0.95:
+            return Epsilon()
+        return Empty()
+    roll = rng.random()
+    if roll < 0.35:
+        return Literal(rng.choice(alphabet))
+    if roll < 0.55:
+        return Union(random_regex(rng, alphabet, max_depth - 1), random_regex(rng, alphabet, max_depth - 1))
+    if roll < 0.80:
+        return Concat(random_regex(rng, alphabet, max_depth - 1), random_regex(rng, alphabet, max_depth - 1))
+    if roll < 0.95:
+        return Star(random_regex(rng, alphabet, max_depth - 1))
+    return Epsilon()
 
 
 def _verify_random(args, dtag: DualityTag, limits: Limits) -> tuple[int, object]:

@@ -269,15 +269,11 @@ def normalize(r: Regex) -> Regex:
     return done[id(r)]
 
 
-def derivative(r: Regex, a: str) -> Regex:
-    """Brzozowski derivative: the normalized tree for a^-1 L(r)."""
-    return _derive(r, a, {})
-
-
 def _derive(r: Regex, a: str, done: dict[int, Regex]) -> Regex:
-    """derivative(r, a), reading and filling done: the id of a node -> its
-    derivative by a.  Entries stay valid while their nodes are alive, so a
-    caller may share done between calls on trees it keeps.
+    """The Brzozowski derivative a^-1 r as a normalized tree, reading and
+    filling done: the id of a node -> its derivative by a.  Entries stay
+    valid while their nodes are alive, so a caller may share done between
+    calls on trees it keeps.
 
     The derivative of a union is the union of its parts' derivatives, taken
     over all parts at once as in normalize.

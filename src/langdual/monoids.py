@@ -38,6 +38,7 @@ from .varieties import (
     is_order_reflecting,
     jsl_irreducibles,
     leq,
+    orbit,
     subset_sums,
     validate_morphism,
 )
@@ -233,32 +234,29 @@ def transition_monoid(
         seeds.add(zero_map)
     # the seeds never count against the cap, only what grows past them
     cap = max(limits.max_carrier, len(seeds))
+    if reverse_composition:
+        steps = [lambda f, g=g: tuple(map(f.__getitem__, g)) for g in letters]
+    else:
+        steps = [lambda f, g=g: tuple(map(g.__getitem__, f)) for g in letters]
 
-    def admit(keys: list) -> int:
-        if len(keys) >= cap:
+    def grow(start: list, moves: list) -> tuple[list, list[list[int]], list]:
+        try:
+            return orbit(start, moves, cap, "transition monoid")
+        except ResourceExceededError:
             require_generated()
-            raise ResourceExceededError("transition monoid exceeded the carrier cap")
-        return len(keys)
+            raise
 
-    # word images by BFS over the right Cayley graph; tree[c] = (parent, letter)
-    keys: list = [ident]
-    word_id = {ident: 0}
-    tree = [(0, -1)]
-    right: list[list[int]] = [[] for _ in letters]  # right[ai][x] = x·a
-    for p, f in enumerate(keys):
-        for ai, g in enumerate(letters):
-            h = tuple(map(f.__getitem__, g)) if reverse_composition else tuple(map(g.__getitem__, f))
-            c = word_id.get(h)
-            if c is None:
-                c = word_id[h] = admit(keys)
-                keys.append(h)
-                tree.append((p, ai))
-            right[ai].append(c)
+    # word images: the orbit of the identity over the right Cayley graph,
+    # each one its tree parent times a letter
+    keys, word_edges, tree = grow([ident], steps)
     n_words = len(keys)
+    right = [list(col) for col in zip(*word_edges)]  # right[ai][x] = x·a
     at_init = [f[a.init] for f in keys]
 
     # sums, each an earlier element plus a word image: ids after the words
-    # are the zero (unless it is a word image) and then the sums, in order
+    # are the zero (unless it is a word image: the empty sum, reached from
+    # the unit by a constant step and counted like any sum) and then the
+    # sums, in order
     zero = 0
     sums: list[tuple[int, int]] = []
     add_cols: list[list[int]] = []  # add_cols[y][x] = x + y
@@ -273,24 +271,15 @@ def transition_monoid(
             rows = carrier.join
             zero_key = zero_map
 
-            def plus(f, g):
-                return tuple(map(operator.getitem, map(rows.__getitem__, f), g))
+            def plus(w, f):
+                """f + w, as the join table's rows f and columns w."""
+                return tuple(map(operator.getitem, map(rows.__getitem__, f), w))
 
-        index = {k: i for i, k in enumerate(keys)}
-        zero = index.get(zero_key, -1)
-        if zero < 0:
-            zero = index[zero_key] = admit(keys)
-            keys.append(zero_key)
-        add_cols = [[] for _ in range(n_words)]
-        for x, f in enumerate(keys):
-            for w in range(n_words):
-                s = plus(f, keys[w])
-                j = index.get(s)
-                if j is None:
-                    j = index[s] = admit(keys)
-                    keys.append(s)
-                    sums.append((x, w))
-                add_cols[w].append(j)
+        keys, add_rows, add_tree = grow(keys, [lambda f: zero_key] + [partial(plus, w) for w in keys])
+        zero = add_rows[0][0]
+        sums = [(x, s - 1) for x, s in add_tree[n_words:] if s]
+        add_cols = [list(col) for col in zip(*add_rows)][1:]
+        del add_rows  # the columns hold the table now; free the rows before the products
         if zero >= n_words:
             add_cols.append(list(range(len(keys))))
             at_init.append(carrier_zero(carrier))
@@ -340,7 +329,7 @@ def transition_monoid(
             monoid_carrier = JoinSemilattice(renumber(add_cols), pos[zero])
         case _:
             monoid_carrier = VectZ2((size - 1).bit_length())
-    gens = tuple(pos[word_id[g]] for g in letters)
+    gens = tuple(pos[c] for c in word_edges[0])
     return SigmaMonoid(monoid_carrier, a.alphabet, pos[0], renumber(cols), gens)
 
 

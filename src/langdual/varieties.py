@@ -38,10 +38,6 @@ class VarietyTag(str, Enum):
     POS = "POS"
 
 
-C_SIDE = frozenset({VarietyTag.BA, VarietyTag.DL01, VarietyTag.JSL0, VarietyTag.Z2VECT})
-D_SIDE = frozenset({VarietyTag.SET, VarietyTag.POS, VarietyTag.JSL0, VarietyTag.Z2VECT})
-
-
 @dataclass(frozen=True)
 class BoolAlg:
     """Finite boolean algebra presented by its atom count."""
@@ -148,14 +144,6 @@ def identity(alg: FinAlgebra) -> FinMorphism:
     return FinMorphism(alg, alg, tuple(range(alg.size)))
 
 
-def is_surjective(m: FinMorphism) -> bool:
-    return len(set(m.graph)) == m.cod.size
-
-
-def is_injective(m: FinMorphism) -> bool:
-    return len(set(m.graph)) == len(m.graph)
-
-
 # ---------------------------------------------------------------------------
 # closures
 
@@ -183,6 +171,37 @@ def close(seeds: Iterable[T], steps: Sequence[Callable[[T], T]], cap: int, what:
     return closed
 
 
+def orbit(
+    seeds: Iterable[T], steps: Sequence[Callable[[T], T]], cap: int, what: str
+) -> tuple[list[T], list[list[int]], list[tuple[int, int] | None]]:
+    """close(seeds, steps, cap, what) with the graph it walked: returns
+    (elements, edges, tree), where edges[i][s] is the index of
+    steps[s](elements[i]) and tree[i] is the first (element index, step)
+    that reached element i, None for a seed.
+
+    Same order and refusals as close; callers that read no table use close,
+    which keeps no table.
+    """
+    elements = list(dict.fromkeys(seeds))
+    index = {x: i for i, x in enumerate(elements)}
+    tree: list[tuple[int, int] | None] = [None] * len(elements)
+    edges = []
+    for i, x in enumerate(elements):
+        row: list[int] = []
+        for step in steps:
+            v = step(x)
+            j = index.get(v)
+            if j is None:
+                if len(elements) >= cap:
+                    raise ResourceExceededError(f"{what} exceeded the carrier cap")
+                j = index[v] = len(elements)
+                elements.append(v)
+                tree.append((i, len(row)))
+            row.append(j)
+        edges.append(row)
+    return elements, edges, tree
+
+
 def subset_sums(gens: Sequence[int], op: Callable[[int, int], int]) -> list[int]:
     """Index i holds the op-sum of the gens picked by the bits of i, index 0
     the empty sum 0: the span of atoms under | or of a basis under ^."""
@@ -194,26 +213,6 @@ def subset_sums(gens: Sequence[int], op: Callable[[int, int], int]) -> list[int]
 
 # ---------------------------------------------------------------------------
 # presentations: validation and derived structure
-
-
-def make_poset(leq: Matrix) -> FinPoset:
-    n = len(leq)
-    for i in range(n):
-        if not leq[i][i]:
-            raise ValueError("order not reflexive")
-        for j in range(n):
-            if leq[i][j] and leq[j][i] and i != j:
-                raise ValueError("order not antisymmetric")
-            for k in range(n):
-                if leq[i][j] and leq[j][k] and not leq[i][k]:
-                    raise ValueError("order not transitive")
-    return FinPoset(leq)
-
-
-def make_jsl(join: Sequence[Sequence[int]], zero: int) -> JoinSemilattice:
-    alg = JoinSemilattice(tuple(tuple(row) for row in join), zero)
-    jsl_irreducibles(alg)
-    return alg
 
 
 def jsl_irreducibles(alg: JoinSemilattice) -> list[int]:
@@ -251,11 +250,6 @@ def jsl_irreducibles(alg: JoinSemilattice) -> list[int]:
             if list(map(join[x].__getitem__, join[j])) != list(join[join[x][j]]):
                 raise ValueError("join not associative")
     return irreducibles
-
-
-def make_distlat(ji_leq: Matrix) -> DistLat:
-    make_poset(ji_leq)
-    return DistLat(ji_leq)
 
 
 def _principal_downsets(alg: DistLat) -> list[int]:
@@ -722,12 +716,6 @@ def product_algebra(a: FinAlgebra, b: FinAlgebra) -> tuple[FinAlgebra, FinMorphi
     raise TagMismatchError(f"product of {a.tag} and {b.tag}")
 
 
-def pairing(f: FinMorphism, g: FinMorphism, prod: FinAlgebra, p1: FinMorphism, p2: FinMorphism) -> FinMorphism:
-    """The morphism <f, g> into a product built by product_algebra."""
-    lookup = {(p1.graph[x], p2.graph[x]): x for x in range(prod.size)}
-    return FinMorphism(f.dom, prod, tuple(lookup[(f.graph[x], g.graph[x])] for x in range(f.dom.size)))
-
-
 # ---------------------------------------------------------------------------
 # JSON shapes
 
@@ -752,21 +740,3 @@ def algebra_to_json(alg: FinAlgebra) -> dict:
         case FinPoset():
             return {"tag": "POS", "order": [list(row) for row in alg.leq]}
     raise TypeError(f"not a FinAlgebra: {alg!r}")
-
-
-def algebra_from_json(data: dict) -> FinAlgebra:
-    tag = VarietyTag(data["tag"])
-    match tag:
-        case VarietyTag.BA:
-            return BoolAlg(int(data["atoms"]))
-        case VarietyTag.DL01:
-            return make_distlat(tuple(tuple(bool(v) for v in row) for row in data["ji_order"]))
-        case VarietyTag.JSL0:
-            return make_jsl(data["join"], int(data["zero"]))
-        case VarietyTag.Z2VECT:
-            return VectZ2(int(data["dim"]))
-        case VarietyTag.SET:
-            return FinSet(int(data["size"]))
-        case VarietyTag.POS:
-            return make_poset(tuple(tuple(bool(v) for v in row) for row in data["order"]))
-    raise ValueError(f"unknown tag {data['tag']!r}")

@@ -1,15 +1,19 @@
-"""Seeded random instances: regexes, algebras, and valid morphisms.
+"""Test-only helpers: seeded random algebras and morphisms, validating
+constructors, JSON readers and checks on coalgebras.
 
-Used by the property-test corpus and by the CLI's randomized verification
-runs, so identical seeds reproduce identical instances.
+The library itself never calls these; the tests use them to build instances
+and to state properties.  Identical seeds reproduce identical instances.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
-from .languages import Concat, Empty, Epsilon, Literal, Regex, Star, Union
-from .varieties import (
+from langdual.automata import CCoalgebra
+from langdual.errors import TagMismatchError
+from langdual.languages import Regex, _derive, language_to_regex, left_derivative
+from langdual.varieties import (
     BoolAlg,
     DistLat,
     FinAlgebra,
@@ -17,34 +21,132 @@ from .varieties import (
     FinPoset,
     FinSet,
     JoinSemilattice,
+    Matrix,
     VarietyTag,
     VectZ2,
+    algebra_to_json,
     downset_masks,
     jsl_from_masks,
+    jsl_irreducibles,
     jsl_leq,
-    make_poset,
+    two_element_algebra,
     validate_morphism,
 )
 
+C_OPERATION_TAGS = (VarietyTag.BA, VarietyTag.DL01, VarietyTag.JSL0, VarietyTag.Z2VECT)
 
-def random_regex(rng: random.Random, alphabet, max_depth: int = 4) -> Regex:
-    if max_depth <= 0:
-        roll = rng.random()
-        if roll < 0.75:
-            return Literal(rng.choice(alphabet))
-        if roll < 0.95:
-            return Epsilon()
-        return Empty()
-    roll = rng.random()
-    if roll < 0.35:
-        return Literal(rng.choice(alphabet))
-    if roll < 0.55:
-        return Union(random_regex(rng, alphabet, max_depth - 1), random_regex(rng, alphabet, max_depth - 1))
-    if roll < 0.80:
-        return Concat(random_regex(rng, alphabet, max_depth - 1), random_regex(rng, alphabet, max_depth - 1))
-    if roll < 0.95:
-        return Star(random_regex(rng, alphabet, max_depth - 1))
-    return Epsilon()
+# ---------------------------------------------------------------------------
+# regexes and morphisms
+
+
+def derivative(r: Regex, a: str) -> Regex:
+    """Brzozowski derivative: the normalized tree for a^-1 L(r)."""
+    return _derive(r, a, {})
+
+
+def is_surjective(m: FinMorphism) -> bool:
+    return len(set(m.graph)) == m.cod.size
+
+
+def is_injective(m: FinMorphism) -> bool:
+    return len(set(m.graph)) == len(m.graph)
+
+
+def pairing(f: FinMorphism, g: FinMorphism, prod: FinAlgebra, p1: FinMorphism, p2: FinMorphism) -> FinMorphism:
+    """The morphism <f, g> into a product built by product_algebra."""
+    lookup = {(p1.graph[x], p2.graph[x]): x for x in range(prod.size)}
+    return FinMorphism(f.dom, prod, tuple(lookup[(f.graph[x], g.graph[x])] for x in range(f.dom.size)))
+
+
+# ---------------------------------------------------------------------------
+# validating constructors and JSON
+
+
+def make_poset(leq: Matrix) -> FinPoset:
+    n = len(leq)
+    for i in range(n):
+        if not leq[i][i]:
+            raise ValueError("order not reflexive")
+        for j in range(n):
+            if leq[i][j] and leq[j][i] and i != j:
+                raise ValueError("order not antisymmetric")
+            for k in range(n):
+                if leq[i][j] and leq[j][k] and not leq[i][k]:
+                    raise ValueError("order not transitive")
+    return FinPoset(leq)
+
+
+def make_jsl(join: Sequence[Sequence[int]], zero: int) -> JoinSemilattice:
+    alg = JoinSemilattice(tuple(tuple(row) for row in join), zero)
+    jsl_irreducibles(alg)
+    return alg
+
+
+def make_distlat(ji_leq: Matrix) -> DistLat:
+    make_poset(ji_leq)
+    return DistLat(ji_leq)
+
+
+def algebra_from_json(data: dict) -> FinAlgebra:
+    tag = VarietyTag(data["tag"])
+    match tag:
+        case VarietyTag.BA:
+            return BoolAlg(int(data["atoms"]))
+        case VarietyTag.DL01:
+            return make_distlat(tuple(tuple(bool(v) for v in row) for row in data["ji_order"]))
+        case VarietyTag.JSL0:
+            return make_jsl(data["join"], int(data["zero"]))
+        case VarietyTag.Z2VECT:
+            return VectZ2(int(data["dim"]))
+        case VarietyTag.SET:
+            return FinSet(int(data["size"]))
+        case VarietyTag.POS:
+            return make_poset(tuple(tuple(bool(v) for v in row) for row in data["order"]))
+    raise ValueError(f"unknown tag {data['tag']!r}")
+
+
+# ---------------------------------------------------------------------------
+# coalgebras
+
+
+def validate_coalgebra(q: CCoalgebra) -> bool:
+    if q.carrier.tag not in C_OPERATION_TAGS:
+        raise TagMismatchError(f"{q.carrier.tag} is not an output-side variety")
+    two = two_element_algebra(q.carrier.tag)
+    if q.out.cod != two:
+        return False
+    if not all(validate_morphism(g) for g in q.gamma):
+        return False
+    return validate_morphism(q.out)
+
+
+def check_labels(q: CCoalgebra) -> bool:
+    """Labels must be a coalgebra homomorphism into the language automaton."""
+    if q.labels is None:
+        return False
+    for state in range(q.size):
+        if (q.out.graph[state] == 1) != q.labels[state].dfa.accepts_word(""):
+            return False
+        for ai, a in enumerate(q.alphabet):
+            if q.labels[q.gamma[ai].graph[state]] != left_derivative(q.labels[state], a):
+                return False
+    return True
+
+
+def ccoalgebra_to_json(q: CCoalgebra) -> dict:
+    data = {
+        "carrier": algebra_to_json(q.carrier),
+        "alphabet": list(q.alphabet),
+        "gamma": {a: list(q.gamma[ai].graph) for ai, a in enumerate(q.alphabet)},
+        "out": list(q.out.graph),
+    }
+    if q.labels is not None:
+        data["labels"] = [language_to_regex(lang) for lang in q.labels]
+    return data
+
+
+# ---------------------------------------------------------------------------
+# seeded random algebras and morphisms
 
 
 def _random_poset_matrix(rng: random.Random, n: int):

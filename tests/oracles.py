@@ -2,8 +2,9 @@
 
 The language oracles work from word membership and plain enumeration, never
 through the minimization/duality code paths they are used to check.  The
-monoid, join-semilattice, closure, minimization, labelling and DL01 oracles
-are the exhaustive algorithms that the library's faster ones replaced; they
+monoid, join-semilattice, closure, class automaton, minimization, labelling
+and DL01 oracles are the exhaustive algorithms that the library's faster or
+shorter ones replaced; they
 share only carrier primitives such as validate_morphism, present_subset,
 gaussian_basis and the breadth-first renumbering of a DFA with the code they
 check.  The regex oracles are the recursive dataclass trees and walks that
@@ -18,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from langdual.automata import DAlgebra, carrier_map_monoid, label_set, reachable_part
+from langdual.automata import ClassAutomaton, DAlgebra, label_set, reachable_part
 from langdual.config import DEFAULT_LIMITS
 from langdual.errors import (
     NotReachableError,
@@ -51,6 +52,7 @@ from langdual.varieties import (
     dl_mask,
     downset_masks,
     gaussian_basis,
+    identity,
     is_order_reflecting,
     present_subset,
     validate_morphism,
@@ -398,6 +400,80 @@ def pairwise_subdirect_size(m1, m2):
 
 
 # ---------------------------------------------------------------------------
+# hand-written orbits
+#
+# The breadth-first worklists that orbit() replaced in the class automaton:
+# the whole reachable product of the generators' DFAs, then the maps with a
+# hashed tuple per map and letter for the left letter table.
+
+
+def queue_joint_dfa(gens):
+    """Reachable product of the generators' DFAs; finals kept per generator."""
+    alphabet = gens[0].alphabet
+    if any(g.alphabet != alphabet for g in gens):
+        raise ValueError("generators must share one alphabet")
+    k = len(alphabet)
+    start = tuple(g.dfa.initial for g in gens)
+    index = {start: 0}
+    order = [start]
+    rows = []
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        row = []
+        for ai in range(k):
+            nxt = tuple(g.dfa.delta[s][ai] for g, s in zip(gens, state))
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+                queue.append(nxt)
+            row.append(index[nxt])
+        rows.append(tuple(row))
+    finals = [
+        frozenset(i for i, st in enumerate(order) if st[gi] in g.dfa.finals)
+        for gi, g in enumerate(gens)
+    ]
+    return alphabet, tuple(rows), finals
+
+
+def queue_class_automaton(gens, limits=DEFAULT_LIMITS):
+    """Build the map automaton and the generator languages as masks."""
+    alphabet, delta, finals = queue_joint_dfa(gens)
+    n = len(delta)
+    k = len(alphabet)
+    ident = tuple(range(n))
+    index = {ident: 0}
+    maps = [ident]
+    post_rows = [[]]
+    queue = deque([0])
+    while queue:
+        j = queue.popleft()
+        m = maps[j]
+        row = []
+        for ai in range(k):
+            nxt = tuple(delta[m[q]][ai] for q in range(n))
+            if nxt not in index:
+                if len(maps) >= limits.max_carrier:
+                    raise ResourceExceededError("transition-map closure exceeded the carrier cap")
+                index[nxt] = len(maps)
+                maps.append(nxt)
+                post_rows.append([])
+                queue.append(len(maps) - 1)
+            row.append(index[nxt])
+        post_rows[j] = row
+    pre = tuple(
+        tuple(index[tuple(maps[j][delta[q][ai]] for q in range(n))] for j in range(len(maps)))
+        for ai in range(k)
+    )
+    post = tuple(tuple(post_rows[j][ai] for j in range(len(maps))) for ai in range(k))
+    caut = ClassAutomaton(alphabet, tuple(maps), 0, post, pre)
+    gen_masks = [
+        sum(1 << j for j in range(len(maps)) if maps[j][0] in fin) for fin in finals
+    ]
+    return caut, gen_masks
+
+
+# ---------------------------------------------------------------------------
 # pairwise closures
 #
 # The worklist fixpoints that close() replaced: each popped element is
@@ -590,6 +666,24 @@ def propagated_sigma_monoid_iso(m1, m2):
             if morphism.graph[m1.mult[x][y]] != m2.mult[morphism.graph[x]][morphism.graph[y]]:
                 return None
     return morphism
+
+
+def carrier_map_monoid(q, limits=DEFAULT_LIMITS):
+    """Representative words for the distinct composites gamma_w."""
+    seen = {identity(q.carrier).graph: ""}
+    order = [("", identity(q.carrier))]
+    queue = deque(order)
+    while queue:
+        word, m = queue.popleft()
+        for ai, a in enumerate(q.alphabet):
+            nxt = m.then(q.gamma[ai])
+            if nxt.graph not in seen:
+                if len(seen) >= limits.max_carrier:
+                    raise ResourceExceededError("carrier map monoid exceeded the carrier cap")
+                seen[nxt.graph] = word + a
+                order.append((word + a, nxt))
+                queue.append((word + a, nxt))
+    return order
 
 
 def word_rqc_closed(q, limits=DEFAULT_LIMITS):

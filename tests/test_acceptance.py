@@ -11,12 +11,12 @@ import random
 import time
 
 from langdual.automata import (
-    carrier_map_monoid,
     class_automaton,
     coalg_shift,
     label_set,
     rqc_closure,
 )
+from langdual.cli import random_regex
 from langdual.correspondence import (
     monoid_roundtrip_check,
     order_check,
@@ -45,16 +45,14 @@ from langdual.monoids import (
     subdirect_product,
     validate_monoid,
 )
-from langdual.randgen import random_algebra, random_morphism, random_regex
 from langdual.varieties import (
     FinPoset,
     FinSet,
     VarietyTag,
-    is_injective,
     is_order_reflecting,
-    is_surjective,
 )
-from oracles import brute_syntactic_monoid, nerode_class_count, odd_factorization_product
+from helpers import is_injective, is_surjective, random_algebra, random_morphism
+from oracles import brute_syntactic_monoid, carrier_map_monoid, nerode_class_count, odd_factorization_product
 
 AB = ("a", "b")
 PAIRS = [

@@ -2,7 +2,6 @@ from collections import deque
 
 from langdual.automata import (
     alg_shift,
-    check_labels,
     coalg_shift,
     coalgebra_to_dalgebra,
     dalgebra_to_coalgebra,
@@ -11,11 +10,11 @@ from langdual.automata import (
     label_set,
     rqc_closure,
     state_language,
-    validate_coalgebra,
 )
 from langdual.duality import DualityTag
 from langdual.languages import compile_text, left_derivative, right_derivative
 from langdual.varieties import FinSet, VarietyTag, validate_morphism
+from helpers import check_labels, validate_coalgebra
 from oracles import (
     empty_language,
     full_language,

@@ -17,12 +17,12 @@ from langdual.automata import (
     reachable_part,
     rqc_closure,
 )
+from langdual.cli import random_regex
 from langdual.config import Limits
 from langdual.duality import DualityTag, c_tag
 from langdual.errors import LangdualError, ResourceExceededError
 from langdual.languages import compile_regex
 from langdual.monoids import SigmaMonoid, sigma_monoid_iso, transition_monoid
-from langdual.randgen import random_algebra, random_regex
 from langdual.varieties import (
     FinPoset,
     JoinSemilattice,
@@ -30,6 +30,7 @@ from langdual.varieties import (
     VectZ2,
     generate_subalgebra,
 )
+from helpers import random_algebra
 from oracles import (
     derivative_mask_closure,
     mask_language,

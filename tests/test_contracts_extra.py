@@ -8,9 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from langdual.cli import main
+from langdual.cli import main, random_regex
 from langdual.languages import check_alphabet, compile_regex, parse_regex
-from langdual.randgen import random_regex
 from oracles import words_up_to
 
 AB = ("a", "b")

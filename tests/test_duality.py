@@ -11,7 +11,6 @@ from langdual.duality import (
     dual_object,
 )
 from langdual.errors import TagMismatchError
-from langdual.randgen import random_algebra, random_morphism
 from langdual.varieties import (
     BoolAlg,
     DistLat,
@@ -20,12 +19,10 @@ from langdual.varieties import (
     FinSet,
     VectZ2,
     identity,
-    is_injective,
     is_order_reflecting,
-    is_surjective,
-    make_jsl,
     validate_morphism,
 )
+from helpers import is_injective, is_surjective, make_jsl, random_algebra, random_morphism
 
 ALL_TAGS = list(DualityTag)
 

@@ -4,8 +4,6 @@ import random
 
 from langdual.automata import (
     alg_shift,
-    carrier_map_monoid,
-    ccoalgebra_to_json,
     coalg_shift,
     coalgebra_to_dalgebra,
     dalgebra_to_json,
@@ -26,6 +24,8 @@ from langdual.monoids import (
     trivial_monoid,
 )
 from langdual.varieties import VarietyTag
+from helpers import ccoalgebra_to_json
+from oracles import carrier_map_monoid
 
 AB = ("a", "b")
 PAIRS = [

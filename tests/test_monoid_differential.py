@@ -12,6 +12,7 @@ import random
 import pytest
 
 from langdual.automata import DAlgebra, coalgebra_to_dalgebra, language_dalgebra, reachable_part, rqc_closure
+from langdual.cli import random_regex
 from langdual.config import Limits
 from langdual.duality import DualityTag, c_tag
 from langdual.errors import LangdualError, NotReachableError, ResourceExceededError
@@ -24,7 +25,6 @@ from langdual.monoids import (
     transition_monoid,
     validate_monoid,
 )
-from langdual.randgen import random_algebra, random_morphism, random_regex
 from langdual.varieties import (
     FinMorphism,
     JoinSemilattice,
@@ -33,8 +33,8 @@ from langdual.varieties import (
     jsl_from_masks,
     jsl_irreducibles,
     jsl_meet_table,
-    make_jsl,
 )
+from helpers import make_jsl, random_algebra, random_morphism
 from oracles import (
     cubic_jsl_laws,
     cubic_meet_table,

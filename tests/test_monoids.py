@@ -268,7 +268,7 @@ def test_pseudovariety_member_examples():
 
 
 def test_syntactic_monoid_against_brute_force_on_random_regexes():
-    from langdual.randgen import random_regex
+    from langdual.cli import random_regex
     from langdual.languages import compile_regex
 
     rng = random.Random(13)

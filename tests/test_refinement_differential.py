@@ -11,12 +11,12 @@ downset enumeration and irreducibility test against the exhaustive scans.
 import random
 
 from langdual.automata import coalg_shift, generate_subcoalgebra, is_rqc_closed, rqc_closure, state_language
+from langdual.cli import random_regex
 from langdual.config import Limits
 from langdual.correspondence import monoid_to_piece, piece_to_monoid
 from langdual.duality import DualityTag, c_tag
 from langdual.errors import LangdualError
 from langdual.languages import Dfa, _restrict_reachable, canonical_language, compile_regex, minimize_dfa
-from langdual.randgen import random_algebra, random_morphism, random_regex
 from langdual.varieties import (
     FinMorphism,
     VarietyTag,
@@ -25,6 +25,7 @@ from langdual.varieties import (
     mask_lattice_presentation,
     validate_morphism,
 )
+from helpers import random_algebra, random_morphism
 from oracles import (
     covers_lattice_presentation,
     letterwise_rqc_closed,

@@ -42,7 +42,6 @@ from langdual.languages import (
     brzozowski_dfa,
     compile_regex,
     compile_text,
-    derivative,
     language_to_regex,
     left_derivative,
     make_union,
@@ -51,6 +50,7 @@ from langdual.languages import (
     render_regex,
     residuals,
 )
+from helpers import derivative
 from oracles import (
     RecursiveParser,
     as_tree,

@@ -9,7 +9,6 @@ from langdual.varieties import (
     JoinSemilattice,
     VarietyTag,
     VectZ2,
-    algebra_from_json,
     algebra_to_json,
     dl_index,
     dl_mask,
@@ -18,18 +17,14 @@ from langdual.varieties import (
     generate_subalgebra,
     identity,
     image_factorize,
-    is_injective,
     is_order_reflecting,
-    is_surjective,
     jsl_meet_table,
     leq,
-    make_jsl,
-    make_poset,
-    pairing,
     product_algebra,
     two_element_algebra,
     validate_morphism,
 )
+from helpers import algebra_from_json, is_injective, is_surjective, make_jsl, make_poset, pairing
 
 CHAIN3 = make_jsl(((0, 1, 2), (1, 1, 2), (2, 2, 2)), 0)
 
@@ -183,7 +178,7 @@ def test_image_factorize_z2_rank():
 def test_image_factorize_random_properties():
     import random
 
-    from langdual.randgen import random_algebra, random_morphism
+    from helpers import random_algebra, random_morphism
 
     rng = random.Random(11)
     for tag in VarietyTag:
