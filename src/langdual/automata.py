@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
@@ -120,7 +121,7 @@ def alg_shift(a: DAlgebra, word: str) -> DAlgebra:
 
 @dataclass(frozen=True)
 class ClassAutomaton:
-    """Distinct transition maps of the generators' joint DFA.
+    """Distinct transition maps of the generators' DFAs, side by side.
 
     Reading a word u from the identity ends in the map gamma_u, so the
     languages over this automaton are exactly the unions of map-classes.
@@ -147,44 +148,32 @@ class ClassAutomaton:
         return sum(1 << j for j in range(self.n_maps) if mask >> self.post[ai][j] & 1)
 
 
-def _joint_dfa(
-    gens: Sequence[LanguageId], cap: int
-) -> tuple[tuple[str, ...], list[list[int]], list[frozenset[int]]]:
-    """Reachable product of the generators' DFAs; finals kept per generator.
-
-    The product state reached by a word w is gamma_w applied to the start,
-    so distinct states have distinct transition maps, and past cap states
-    the map closure would refuse too: this refuses with it, before building
-    the rest of the product.
-    """
-    alphabet = gens[0].alphabet
-    if any(g.alphabet != alphabet for g in gens):
-        raise ValueError("generators must share one alphabet")
-    deltas = [g.dfa.delta for g in gens]
-    steps = [
-        lambda state, ai=ai: tuple(delta[s][ai] for delta, s in zip(deltas, state))
-        for ai in range(len(alphabet))
-    ]
-    start = tuple(g.dfa.initial for g in gens)
-    order, rows, _ = orbit([start], steps, cap, "transition-map closure")
-    finals = [
-        frozenset(i for i, st in enumerate(order) if st[gi] in g.dfa.finals)
-        for gi, g in enumerate(gens)
-    ]
-    return alphabet, rows, finals
-
-
 def class_automaton(gens: Sequence[LanguageId], limits: Limits = DEFAULT_LIMITS) -> tuple[ClassAutomaton, list[int]]:
     """Build the map automaton and the generator languages as masks.
+
+    The maps act on the generators' DFAs side by side: one table in which
+    generator i's state q is offset_i + q, so no product of the DFAs is
+    built.  Every state of a LanguageId's DFA is reachable, so each is a
+    component of some reachable product state; two words therefore act
+    alike side by side exactly when they act alike on the reachable product,
+    and the maps are the product's classes, found in the same order.
+    Generator i accepts the words whose map sends offset_i + initial_i into
+    its finals.
 
     The maps are the orbit of the identity under "then a letter"; the map
     of a·u·l is post[l] of the map of a·u, so each column of pre follows the
     orbit's tree from the map of a.
     """
-    alphabet, delta, finals = _joint_dfa(gens, limits.max_carrier)
-    letters = list(zip(*delta))  # letters[ai][q] = delta[q][ai]
+    alphabet = gens[0].alphabet
+    if any(g.alphabet != alphabet for g in gens):
+        raise ValueError("generators must share one alphabet")
+    offsets = list(accumulate((g.n_states for g in gens), initial=0))
+    letters = [
+        tuple(off + row[ai] for g, off in zip(gens, offsets) for row in g.dfa.delta)
+        for ai in range(len(alphabet))
+    ]
     steps = [lambda m, col=col: tuple(map(col.__getitem__, m)) for col in letters]
-    maps, post_rows, tree = orbit([tuple(range(len(delta)))], steps, limits.max_carrier, "transition-map closure")
+    maps, post_rows, tree = orbit([tuple(range(offsets[-1]))], steps, limits.max_carrier, "transition-map closure")
     post = tuple(zip(*post_rows))
     pre = []
     for first in post_rows[0]:
@@ -193,9 +182,10 @@ def class_automaton(gens: Sequence[LanguageId], limits: Limits = DEFAULT_LIMITS)
             col.append(post[ai][col[parent]])
         pre.append(tuple(col))
     caut = ClassAutomaton(alphabet, tuple(maps), 0, post, tuple(pre))
-    gen_masks = [
-        sum(1 << j for j in range(len(maps)) if maps[j][0] in fin) for fin in finals
-    ]
+    gen_masks = []
+    for g, off in zip(gens, offsets):
+        start, finals = off + g.dfa.initial, {off + q for q in g.dfa.finals}
+        gen_masks.append(sum(1 << j for j, m in enumerate(maps) if m[start] in finals))
     return caut, gen_masks
 
 
@@ -268,26 +258,23 @@ def is_rqc_closed(q: CCoalgebra) -> bool:
     """All right derivatives of the labels stay inside the label set.
 
     Single letters suffice: L(wa)^-1 = (La^-1)w^-1.  A state s with the
-    output out . gamma_a accepts L(s)a^-1, so for each letter a this refines
-    the disjoint union of the states with outputs out and the states with
-    outputs out . gamma_a, and asks that every shifted state share a block
-    with an unshifted one.  That is exact when the labels are the state
-    languages, which holds for every piece the library labels
-    (generate_subcoalgebra, rqc_closure, dalgebra_to_coalgebra); the labels
-    themselves are not read.
+    output out . gamma_a accepts L(s)a^-1, so this refines one table of k+1
+    copies of the states, copy 0 with outputs out and the copy for letter a
+    with outputs out . gamma_a, and asks that every block holding a shifted
+    state hold an unshifted one.  Blocks are language classes whatever else
+    is in the table.  That is exact when the labels are the state languages,
+    which holds for every piece the library labels (generate_subcoalgebra,
+    rqc_closure, dalgebra_to_coalgebra); the labels themselves are not read.
     """
     label_set(q)  # refuses an unlabelled coalgebra
     n = q.size
     rows = _delta_rows(q)
-    union = rows + [tuple(t + n for t in row) for row in rows]
     out = q.out.graph
-    finals = [s for s in range(n) if out[s] == 1]
-    for g in q.gamma:
-        shifted = [s + n for s in range(n) if out[g.graph[s]] == 1]
-        block = refine_partition(2 * n, len(q.alphabet), finals + shifted, union)
-        if not set(block[n:]) <= set(block[:n]):
-            return False
-    return True
+    outputs = [out, *([out[t] for t in g.graph] for g in q.gamma)]
+    table = [tuple(t + c * n for t in row) for c in range(len(outputs)) for row in rows]
+    finals = [c * n + s for c, o in enumerate(outputs) for s in range(n) if o[s] == 1]
+    block = refine_partition(len(table), len(q.alphabet), finals, table)
+    return set(block[n:]) <= set(block[:n])
 
 
 # ---------------------------------------------------------------------------

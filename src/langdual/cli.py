@@ -1,9 +1,10 @@
 """Command-line front end: one verb per construction, JSON reports on stdout.
 
 Exit codes: 0 success, 1 verification failure (a counterexample is part of
-the report), 2 usage or resource errors, 141 (128 + SIGPIPE) when the reader
-of stdout closed it before the report was written, as `langdual ... | head`
-does; the rest of the report is then discarded without a traceback.
+the report), 2 usage or resource errors or an --out path that cannot be
+written, 141 (128 + SIGPIPE) when the reader of stdout closed it before the
+report was written, as `langdual ... | head` does; the rest of the report is
+then discarded without a traceback.
 """
 
 from __future__ import annotations
@@ -332,8 +333,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     text = report if isinstance(report, str) else json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text if text.endswith("\n") else text + "\n")
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
     else:
         try:
             print(text)

@@ -10,13 +10,13 @@ closure finite.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 from typing import Callable, Iterable, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import LangdualError, RegexSyntaxError, ResourceExceededError, UnknownSymbolError
+from .varieties import close
 
 RESERVED_TOKENS = "#@|*()"
 
@@ -711,18 +711,12 @@ def two_sided_residuals(lang: LanguageId, limits: Limits = DEFAULT_LIMITS) -> fr
     derivatives only depend on the finals-shift, of which there are at most
     as many as transition maps.
     """
-    seen = {lang}
-    queue = deque([lang])
-    while queue:
-        cur = queue.popleft()
-        for a in cur.alphabet:
-            for nxt in (left_derivative(cur, a), right_derivative(cur, a)):
-                if nxt not in seen:
-                    if len(seen) >= limits.max_carrier:
-                        raise ResourceExceededError("two-sided residual closure too large")
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return frozenset(seen)
+    steps = [
+        partial(derive, word=a)
+        for a in lang.alphabet
+        for derive in (left_derivative, right_derivative)
+    ]
+    return frozenset(close([lang], steps, limits.max_carrier, "two-sided residual closure"))
 
 
 def equivalent(lang1: LanguageId, lang2: LanguageId) -> bool:
@@ -731,34 +725,9 @@ def equivalent(lang1: LanguageId, lang2: LanguageId) -> bool:
 
 
 def dfa_equivalent(d1: Dfa, d2: Dfa) -> bool:
-    """Bisimulation check for not-necessarily-canonical DFAs."""
-    if d1.alphabet != d2.alphabet:
-        return False
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    stack = [((0, d1.initial), (1, d2.initial))]
-    while stack:
-        x, y = stack.pop()
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            continue
-        (sx, qx), (sy, qy) = x, y
-        in1 = qx in d1.finals if sx == 0 else qx in d2.finals
-        in2 = qy in d1.finals if sy == 0 else qy in d2.finals
-        if in1 != in2:
-            return False
-        parent[rx] = ry
-        for ai in range(len(d1.alphabet)):
-            tx = d1.delta[qx][ai] if sx == 0 else d2.delta[qx][ai]
-            ty = d1.delta[qy][ai] if sy == 0 else d2.delta[qy][ai]
-            stack.append(((sx, tx), (sy, ty)))
-    return True
+    """Language equality for not-necessarily-canonical DFAs; DFAs over
+    different alphabets are never equivalent."""
+    return canonical_language(d1) == canonical_language(d2)
 
 
 # ---------------------------------------------------------------------------
@@ -900,12 +869,11 @@ def regex_to_json(r: Regex) -> object:
     return obj
 
 
-def dfa_to_dot(d: Dfa, labels: Sequence[str] | None = None) -> str:
+def dfa_to_dot(d: Dfa) -> str:
     lines = ["digraph dfa {", "  rankdir=LR;", '  start [shape=point, label=""];']
     for q in range(d.n_states):
         shape = "doublecircle" if q in d.finals else "circle"
-        name = labels[q] if labels is not None else str(q)
-        lines.append(f'  q{q} [shape={shape}, label="{name}"];')
+        lines.append(f'  q{q} [shape={shape}, label="{q}"];')
     lines.append(f"  start -> q{d.initial};")
     for q in range(d.n_states):
         by_target: dict[int, list[str]] = {}

@@ -2,9 +2,9 @@
 
 The language oracles work from word membership and plain enumeration, never
 through the minimization/duality code paths they are used to check.  The
-monoid, join-semilattice, closure, class automaton, minimization, labelling
-and DL01 oracles are the exhaustive algorithms that the library's faster or
-shorter ones replaced; they
+monoid, join-semilattice, closure, class automaton, residual closure, DFA
+equivalence, minimization, labelling and DL01 oracles are the exhaustive
+algorithms that the library's faster or shorter ones replaced; they
 share only carrier primitives such as validate_morphism, present_subset,
 gaussian_basis and the breadth-first renumbering of a DFA with the code they
 check.  The regex oracles are the recursive dataclass trees and walks that
@@ -34,6 +34,7 @@ from langdual.languages import (
     _restrict_reachable,
     canonical_language,
     check_alphabet,
+    left_derivative,
     right_derivative,
 )
 from langdual.monoids import LINEARISH, SigmaMonoid, carrier_add, carrier_zero
@@ -404,11 +405,16 @@ def pairwise_subdirect_size(m1, m2):
 #
 # The breadth-first worklists that orbit() replaced in the class automaton:
 # the whole reachable product of the generators' DFAs, then the maps with a
-# hashed tuple per map and letter for the left letter table.
+# hashed tuple per map and letter for the left letter table.  The library
+# now acts on the generators' DFAs side by side and builds no product.
+# The deque closure of two_sided_residuals, with its own refusal message,
+# and the union-find bisimulation that dfa_equivalent replaced by canonical
+# forms.
 
 
 def queue_joint_dfa(gens):
-    """Reachable product of the generators' DFAs; finals kept per generator."""
+    """Reachable product of the generators' DFAs; finals kept per generator,
+    and the product's state tuples in the order of their indices."""
     alphabet = gens[0].alphabet
     if any(g.alphabet != alphabet for g in gens):
         raise ValueError("generators must share one alphabet")
@@ -433,12 +439,12 @@ def queue_joint_dfa(gens):
         frozenset(i for i, st in enumerate(order) if st[gi] in g.dfa.finals)
         for gi, g in enumerate(gens)
     ]
-    return alphabet, tuple(rows), finals
+    return alphabet, tuple(rows), finals, order
 
 
 def queue_class_automaton(gens, limits=DEFAULT_LIMITS):
     """Build the map automaton and the generator languages as masks."""
-    alphabet, delta, finals = queue_joint_dfa(gens)
+    alphabet, delta, finals, _ = queue_joint_dfa(gens)
     n = len(delta)
     k = len(alphabet)
     ident = tuple(range(n))
@@ -471,6 +477,53 @@ def queue_class_automaton(gens, limits=DEFAULT_LIMITS):
         sum(1 << j for j in range(len(maps)) if maps[j][0] in fin) for fin in finals
     ]
     return caut, gen_masks
+
+
+def queue_two_sided_residuals(lang, limits=DEFAULT_LIMITS):
+    """Closure of {L} under single-letter left and right derivatives."""
+    seen = {lang}
+    queue = deque([lang])
+    while queue:
+        cur = queue.popleft()
+        for a in cur.alphabet:
+            for nxt in (left_derivative(cur, a), right_derivative(cur, a)):
+                if nxt not in seen:
+                    if len(seen) >= limits.max_carrier:
+                        raise ResourceExceededError("two-sided residual closure too large")
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return frozenset(seen)
+
+
+def bisimulation_equivalent(d1, d2):
+    """Union-find bisimulation for not-necessarily-canonical DFAs."""
+    if d1.alphabet != d2.alphabet:
+        return False
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            parent[x] = parent.get(parent[x], parent[x])
+            x = parent[x]
+        return x
+
+    stack = [((0, d1.initial), (1, d2.initial))]
+    while stack:
+        x, y = stack.pop()
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            continue
+        (sx, qx), (sy, qy) = x, y
+        in1 = qx in d1.finals if sx == 0 else qx in d2.finals
+        in2 = qy in d1.finals if sy == 0 else qy in d2.finals
+        if in1 != in2:
+            return False
+        parent[rx] = ry
+        for ai in range(len(d1.alphabet)):
+            tx = d1.delta[qx][ai] if sx == 0 else d2.delta[qx][ai]
+            ty = d1.delta[qy][ai] if sy == 0 else d2.delta[qy][ai]
+            stack.append(((sx, tx), (sy, ty)))
+    return True
 
 
 # ---------------------------------------------------------------------------

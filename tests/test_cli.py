@@ -145,6 +145,16 @@ def test_out_flag(tmp_path, capsys):
     assert json.loads(target.read_text())["states"] == 2
 
 
+@pytest.mark.parametrize("where", ["missing/dir/report.json", "."])
+def test_an_unwritable_out_path_exits_2_without_a_traceback(where, tmp_path, capsys):
+    # a missing directory, then a directory where the file should be
+    code = main(["min-dfa", "--regex", "ab", "--out", str(tmp_path / where)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+
+
 def test_dl_closure_of_a_long_chain_is_fast(capsys):
     # (a|b)^21 (a|b)*: the languages "length at least i" for i <= 21 and the
     # empty one, a chain of 23; its JI poset has 2^22 subsets but 23 downsets

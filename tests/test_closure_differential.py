@@ -2,7 +2,8 @@
 
 Seeded corpora over all four dualities and all six carriers.  Every check
 compares outcomes: the closed family, algebra or map, or else the refusal
-message, so the caps must trip on the same inputs with the same words.
+message, so the caps must trip on the same inputs with the same words.  The
+two-sided residual closure alone changed its message, to the shared one.
 """
 
 import random
@@ -18,10 +19,10 @@ from langdual.automata import (
     rqc_closure,
 )
 from langdual.cli import random_regex
-from langdual.config import Limits
+from langdual.config import DEFAULT_LIMITS, Limits
 from langdual.duality import DualityTag, c_tag
 from langdual.errors import LangdualError, ResourceExceededError
-from langdual.languages import compile_regex
+from langdual.languages import compile_regex, two_sided_residuals
 from langdual.monoids import SigmaMonoid, sigma_monoid_iso, transition_monoid
 from langdual.varieties import (
     FinPoset,
@@ -38,6 +39,7 @@ from oracles import (
     pairwise_generate_subalgebra,
     pairwise_reachable_part,
     propagated_sigma_monoid_iso,
+    queue_two_sided_residuals,
     word_rqc_closed,
 )
 
@@ -220,3 +222,22 @@ def test_is_rqc_closed_matches_word_enumeration():
                 assert verdict == word_rqc_closed(piece)
                 verdicts.append(verdict)
     assert verdicts.count(False) >= 30 and verdicts.count(True) >= 200
+
+
+def test_two_sided_residuals_match_the_queue_closure():
+    """Same closure and the same caps refused; only the message changed, to
+    the one every closure shares."""
+    refused = compared = 0
+    for gens in _generator_sets(seed=19, count=60):
+        for cap in (*range(1, 9), DEFAULT_LIMITS.max_carrier):
+            limits = Limits(max_carrier=cap)
+            new = _outcome(lambda: two_sided_residuals(gens[0], limits))
+            old = _outcome(lambda: queue_two_sided_residuals(gens[0], limits))
+            if isinstance(old, str):
+                assert old == "refused: two-sided residual closure too large"
+                assert new == "refused: two-sided residual closure exceeded the carrier cap", cap
+                refused += 1
+            else:
+                assert new == old, cap
+            compared += 1
+    assert 100 <= refused <= compared - 100

@@ -60,6 +60,18 @@ def test_cli_determinism_across_processes():
     assert runs[0].stdout == runs[1].stdout
 
 
+def test_the_eilenberg_tour_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    r = subprocess.run(
+        [sys.executable, str(root / "scripts" / "eilenberg_tour.py"), "(ab)*"],
+        capture_output=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(root / "src")},
+        timeout=120,
+    )
+    assert r.returncode == 0, r.stderr.decode(errors="replace")
+    assert "two-sided       5 residuals\n" in r.stdout.decode()
+
+
 def test_verification_failure_exits_1(monkeypatch, capsys):
     import langdual.cli as cli
 

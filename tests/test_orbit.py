@@ -2,12 +2,14 @@
 
 orbit is checked against close on the same input.  The class automaton is
 checked against the breadth-first worklists it replaced
-(oracles.queue_class_automaton) on seeded corpora of one to three
-generators, at every cap from 1 to 64 and at the default cap.
+(oracles.queue_class_automaton, which acts on the generators' product) on
+seeded corpora of one to three generators, at every cap from 1 to 64 and at
+the default cap.
 """
 
 import random
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 
@@ -18,7 +20,7 @@ from langdual.errors import ResourceExceededError
 from langdual.languages import compile_regex, compile_text
 from langdual.monoids import transition_monoid
 from langdual.varieties import FinMorphism, JoinSemilattice, close, orbit
-from oracles import cubic_transition_monoid, queue_class_automaton
+from oracles import cubic_transition_monoid, queue_class_automaton, queue_joint_dfa
 
 AB = ("a", "b")
 
@@ -90,11 +92,32 @@ def test_orbit_seeds_above_the_cap_do_not_count():
 
 
 def _class_automaton_outcome(build, gens, limits):
+    """Everything but the maps, whose states differ: the library's act on
+    the generators' DFAs side by side, the oracle's on their product."""
     try:
         caut, masks = build(gens, limits)
     except (ResourceExceededError, ValueError) as err:
         return type(err).__name__, str(err)
-    return caut.alphabet, caut.maps, caut.identity_index, caut.post, caut.pre, masks
+    return caut.alphabet, caut.identity_index, caut.post, caut.pre, masks
+
+
+def _side_by_side(gens, product_maps):
+    """The oracle's maps read on the generators' DFAs side by side: map j
+    sends generator i's state q, at offset_i + q, to the i-th component of
+    where the oracle's map j sends a product state with q as its i-th
+    component; every state is such a component."""
+    _, _, _, states = queue_joint_dfa(gens)
+    offsets = list(accumulate((g.n_states for g in gens), initial=0))
+    maps = []
+    for product_map in product_maps:
+        image = {}
+        for p, state in enumerate(states):
+            for i, q in enumerate(state):
+                target = offsets[i] + states[product_map[p]][i]
+                assert image.setdefault(offsets[i] + q, target) == target
+        assert sorted(image) == list(range(offsets[-1]))
+        maps.append(tuple(image[s] for s in range(offsets[-1])))
+    return tuple(maps)
 
 
 def _generator_sets(seed, count):
@@ -115,7 +138,9 @@ def test_class_automaton_matches_the_worklist_oracle_at_every_cap():
                 assert new[1] == "transition-map closure exceeded the carrier cap"
                 refused += 1
             else:
-                largest = max(largest, len(new[1]))
+                maps = class_automaton(gens, limits)[0].maps
+                assert maps == _side_by_side(gens, queue_class_automaton(gens, limits)[0].maps), cap
+                largest = max(largest, len(maps))
     assert refused >= 100 and largest >= 20
 
 
@@ -131,8 +156,8 @@ PRIME_CYCLES = ["(" + "a" * p + ")*" for p in (2, 3, 5, 7, 11, 13, 17)]
 
 def test_the_generators_product_refuses_at_the_carrier_cap_before_it_is_built():
     """The product of these cycles has 2·3·5·7·11·13·17 = 510,510 states, so
-    the map closure passes any cap below that; the product refuses with it
-    instead of being built first."""
+    the map closure passes any cap below that; the maps act on the 58 states
+    side by side, so it refuses with no product built."""
     gens = [compile_text(text, "a") for text in PRIME_CYCLES]
     tracemalloc.start()
     try:
@@ -142,6 +167,21 @@ def test_the_generators_product_refuses_at_the_carrier_cap_before_it_is_built():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+def test_maps_on_coprime_cycles_take_no_product():
+    """The product of these cycles has 2·3·5·7·11 = 2,310 states and as many
+    maps; side by side the maps act on 28 states."""
+    gens = [compile_text(text, "a") for text in PRIME_CYCLES[:5]]
+    tracemalloc.start()
+    try:
+        caut, masks = class_automaton(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert caut.n_maps == 2310 and len(caut.maps[0]) == 28
+    assert [bin(m).count("1") for m in masks] == [2310 // p for p in (2, 3, 5, 7, 11)]
+    assert peak < 8 * 2**20
 
 
 def test_the_product_refusal_reaches_the_command_line(capsys):

@@ -2,13 +2,15 @@
 
 Seeded corpora over all four dualities: state labels from one refinement of
 the whole coalgebra against one minimization per state, the right-derivative
-check on the 2n-state union against one right derivative per label and
-letter, minimize_dfa against the scanning refinement it replaced, the DL01
+check on k+1 copies of the piece against one right derivative per label and
+letter, minimize_dfa against the scanning refinement it replaced,
+dfa_equivalent against the union-find bisimulation it replaced, the DL01
 morphism check on join-irreducibles against the pairwise one, and the direct
 downset enumeration and irreducibility test against the exhaustive scans.
 """
 
 import random
+from dataclasses import replace
 
 from langdual.automata import coalg_shift, generate_subcoalgebra, is_rqc_closed, rqc_closure, state_language
 from langdual.cli import random_regex
@@ -16,7 +18,14 @@ from langdual.config import Limits
 from langdual.correspondence import monoid_to_piece, piece_to_monoid
 from langdual.duality import DualityTag, c_tag
 from langdual.errors import LangdualError
-from langdual.languages import Dfa, _restrict_reachable, canonical_language, compile_regex, minimize_dfa
+from langdual.languages import (
+    Dfa,
+    _restrict_reachable,
+    canonical_language,
+    compile_regex,
+    dfa_equivalent,
+    minimize_dfa,
+)
 from langdual.varieties import (
     FinMorphism,
     VarietyTag,
@@ -27,6 +36,7 @@ from langdual.varieties import (
 )
 from helpers import random_algebra, random_morphism
 from oracles import (
+    bisimulation_equivalent,
     covers_lattice_presentation,
     letterwise_rqc_closed,
     pairwise_dl_morphism,
@@ -121,6 +131,28 @@ def test_minimize_dfa_is_identical_to_the_scanning_refinement():
         merged += m.n_states < reachable
         dropped += reachable < d.n_states
     assert merged >= 300 and dropped >= 300
+
+
+def test_dfa_equivalent_matches_the_bisimulation():
+    """Pairs of a random DFA with another random one, with itself from
+    another initial state, with its scanned minimal form, and with itself
+    over another alphabet."""
+    rng = random.Random(41)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        d1 = _random_dfa(rng)
+        others = [
+            _random_dfa(rng),
+            replace(d1, initial=rng.randrange(d1.n_states)),
+            scanning_language(d1).dfa,
+            replace(d1, alphabet=tuple("xyz"[: len(d1.alphabet)])),
+        ]
+        for d2 in others:
+            verdict = dfa_equivalent(d1, d2)
+            assert verdict == bisimulation_equivalent(d1, d2) == dfa_equivalent(d2, d1)
+            verdicts[verdict] += 1
+        assert not dfa_equivalent(d1, others[3])
+    assert verdicts[True] >= 500 and verdicts[False] >= 600
 
 
 def _join_morphisms(rng, dom, cod):
