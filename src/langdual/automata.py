@@ -31,7 +31,6 @@ from .languages import (
     state_languages,
 )
 from .varieties import (
-    BoolAlg,
     FinAlgebra,
     FinMorphism,
     FinSet,
@@ -43,11 +42,8 @@ from .varieties import (
     free_on_one,
     generate_family,
     identity,
-    jsl_from_masks,
-    mask_lattice_presentation,
     orbit,
-    present_subset,
-    subalgebra_elements,
+    present_closure,
     two_element_algebra,
 )
 
@@ -197,18 +193,6 @@ def _derivative_mask_closure(
     return close(seeds, steps, limits.max_carrier, "derivative closure")
 
 
-def _present_family(tag: VarietyTag, family: list[int], n_maps: int) -> tuple[FinAlgebra, tuple[int, ...]]:
-    """Carrier presentation of a closed family plus the element -> mask table."""
-    match tag:
-        case VarietyTag.DL01:
-            return mask_lattice_presentation(family)
-        case VarietyTag.JSL0:
-            return jsl_from_masks(family)
-    amb = BoolAlg(n_maps) if tag is VarietyTag.BA else VectZ2(n_maps)
-    carrier, incl, _ = present_subset(amb, family)
-    return carrier, incl.graph
-
-
 def _closed_piece(tag: VarietyTag, gens: Iterable[LanguageId], include_right: bool, limits: Limits) -> CCoalgebra:
     """The labeled piece generated by gens under left derivatives, right
     derivatives if asked, and the variety operations."""
@@ -218,8 +202,7 @@ def _closed_piece(tag: VarietyTag, gens: Iterable[LanguageId], include_right: bo
     caut, gen_masks = class_automaton(gens, limits)
     seeds = _derivative_mask_closure(caut, gen_masks, include_right, limits)
     what = {VarietyTag.BA: "boolean closure", VarietyTag.Z2VECT: "linear closure"}.get(tag, "operation closure")
-    family = generate_family(tag, seeds, caut.full_mask, limits.max_carrier, what)
-    carrier, element_masks = _present_family(tag, family, caut.n_maps)
+    carrier, element_masks = generate_family(tag, seeds, caut.full_mask, limits.max_carrier, what)
     mask_index = {m: i for i, m in enumerate(element_masks)}
     k = len(caut.alphabet)
     gamma = tuple(
@@ -381,10 +364,9 @@ def reachable_part(a: DAlgebra, limits: Limits = DEFAULT_LIMITS) -> DAlgebra:
     letters = [m.graph.__getitem__ for m in a.alpha]
     # the letters fix the constants; seeding them keeps them off the cap
     orbit = close([a.init, *constants(a.carrier)], letters, cap, "reachable closure")
-    closed = subalgebra_elements(a.carrier, orbit, cap, "reachable closure")
-    if len(closed) == a.size:
+    sub, incl, to_sub = present_closure(a.carrier, orbit, cap, "reachable closure")
+    if sub.size == a.size:
         return a
-    sub, incl, to_sub = present_subset(a.carrier, closed)
     alpha = tuple(
         FinMorphism(sub, sub, tuple(to_sub[m.graph[incl.graph[i]]] for i in range(sub.size)))
         for m in a.alpha

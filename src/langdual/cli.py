@@ -36,6 +36,7 @@ from .languages import (
     Concat,
     Empty,
     Epsilon,
+    LanguageId,
     Literal,
     Regex,
     Star,
@@ -185,7 +186,8 @@ def _run(args) -> tuple[int, object]:
 
     if verb == "residuals":
         _, language = _one_language(args, limits)
-        names = sorted(language_to_regex(r) for r in residuals(language))
+        # in a fixed order, so that a refused text is the same one in every run
+        names = sorted(language_to_regex(r) for r in sorted(residuals(language), key=LanguageId.sort_key))
         return 0, {"residuals": names, "count": len(names)}
 
     if verb == "closure":

@@ -30,13 +30,8 @@ from .varieties import (
     JoinSemilattice,
     VarietyTag,
     VectZ2,
-    dl_index,
-    dl_mask,
-    downset_masks,
     identity,
     jsl_leq,
-    jsl_meet_table,
-    jsl_top,
 )
 
 
@@ -102,7 +97,7 @@ def dual_object(d: DualityTag, alg: FinAlgebra) -> FinAlgebra:
         case (DualityTag.DL01_POS, FinPoset()):
             return DistLat(alg.leq)
         case (DualityTag.JSL_SELF, JoinSemilattice()):
-            return JoinSemilattice(jsl_meet_table(alg), jsl_top(alg))
+            return JoinSemilattice(alg.meet_table, alg.top)
         case (DualityTag.Z2_SELF, VectZ2()):
             return VectZ2(alg.dim)
     raise TagMismatchError(f"{alg.tag} does not match the pairing {d}")
@@ -136,12 +131,13 @@ def dual_morphism(d: DualityTag, h: FinMorphism) -> FinMorphism:
         case (DualityTag.DL01_POS, DistLat()):
             assert isinstance(cod, DistLat)
             graph = []
+            dom_masks, cod_masks = dom.downset_masks, cod.downset_masks
             for j in range(cod.n_ji):
                 meet = (1 << dom.n_ji) - 1
                 found = False
                 for x in range(dom.size):
-                    if dl_mask(cod, g[x]) >> j & 1:
-                        meet &= dl_mask(dom, x)
+                    if cod_masks[g[x]] >> j & 1:
+                        meet &= dom_masks[x]
                         found = True
                 if not found:
                     raise NonFunctionalError("no element maps above a join-irreducible")
@@ -161,9 +157,9 @@ def dual_morphism(d: DualityTag, h: FinMorphism) -> FinMorphism:
             # a monotone map dualizes to preimage between downset lattices
             assert isinstance(new_dom, DistLat) and isinstance(new_cod, DistLat)
             graph = []
-            for mask in downset_masks(new_dom):
+            for mask in new_dom.downset_masks:
                 pre = sum(1 << x for x in range(dom.size) if mask >> g[x] & 1)
-                graph.append(dl_index(new_cod, pre))
+                graph.append(new_cod.downset_index[pre])
             return FinMorphism(new_dom, new_cod, tuple(graph))
         case (DualityTag.JSL_SELF, JoinSemilattice()):
             # upper adjoint: largest element mapping below the argument

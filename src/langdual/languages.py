@@ -773,6 +773,38 @@ def language_to_regex(lang: LanguageId) -> str:
     return render_regex(get(start, accept))
 
 
+def _render_order(r: Regex) -> dict[tuple[int, int], tuple[Regex, int, list[tuple[int, int]]]]:
+    """The (node, context) pairs that render_regex writes for r, each once
+    and after the pairs it is written from, keyed by (id(node), context):
+    (node, context, keys of its parts)."""
+    order: dict[tuple[int, int], tuple[Regex, int, list[tuple[int, int]]]] = {}
+    parts: dict[tuple[int, int], list[tuple[Regex, int]]] = {}
+    stack = [(r, 1)]
+    while stack:
+        x, context = stack[-1]
+        key = (id(x), context)
+        if key in order:
+            stack.pop()
+            continue
+        tag = x.tag
+        if key not in parts:
+            if tag <= _TAG_LITERAL:
+                parts[key] = []
+            elif tag == _TAG_STAR:
+                parts[key] = [(x.inner, 3)]
+            elif tag == _TAG_CONCAT:
+                parts[key] = [(f, 2) for f in _spine(x, tag)]
+            else:
+                parts[key] = [(p, 1) for p in _spine(x, tag)]
+        todo = [item for item in parts[key] if (id(item[0]), item[1]) not in order]
+        if todo:
+            stack.extend(reversed(todo))
+            continue
+        stack.pop()
+        order[key] = (x, context, [(id(p), c) for p, c in parts.pop(key)])
+    return order
+
+
 def render_regex(r: Regex) -> str:
     """Render with precedence star > concat > union; @ is epsilon, # empty.
 
@@ -783,44 +815,47 @@ def render_regex(r: Regex) -> str:
     the heads of chains are memoized.  Each memoized text is built once, so
     a subtree shared by many parents costs its length once, not once per
     occurrence in the output.
+
+    The lengths are summed on the same pairs before any text is built, and
+    a text longer than MAX_REGEX_TEXT characters raises LangdualError: a
+    small shared tree can stand for billions of characters.
     """
-    memo: dict[tuple[int, int], str] = {}
-    parts: dict[tuple[int, int], list[tuple[Regex, int]]] = {}
-    stack = [(r, 1)]
-    while stack:
-        x, context = stack[-1]
-        key = (id(x), context)
-        if key in memo:
-            stack.pop()
-            continue
+    order = _render_order(r)
+    width: dict[tuple[int, int], int] = {}
+    for key, (x, context, parts) in order.items():
         tag = x.tag
-        if tag <= _TAG_LITERAL:
-            memo[key] = x.symbol if tag == _TAG_LITERAL else "#@"[tag]
-            stack.pop()
-            continue
-        if key not in parts:
-            if tag == _TAG_STAR:
-                parts[key] = [(x.inner, 3)]
-            elif tag == _TAG_CONCAT:
-                parts[key] = [(f, 2) for f in _spine(x, tag)]
-            else:
-                parts[key] = [(p, 1) for p in _spine(x, tag)]
-        todo = [item for item in parts[key] if (id(item[0]), item[1]) not in memo]
-        if todo:
-            stack.extend(reversed(todo))
-            continue
-        stack.pop()
-        texts = [memo[id(p), c] for p, c in parts.pop(key)]
+        n = sum(map(width.__getitem__, parts))
         if tag == _TAG_STAR:
-            memo[key] = texts[0] + "*"
+            n += 1
+        elif tag == _TAG_CONCAT:
+            n += 2 if context > 2 else 0
+        elif tag == _TAG_UNION:
+            n += len(parts) - 1 + (2 if context > 1 else 0)
+        else:
+            n = len(x.symbol) if tag == _TAG_LITERAL else 1
+        width[key] = n
+    if n > MAX_REGEX_TEXT:  # the last pair is r at the top
+        raise LangdualError(f"regex text would have {n} characters; a report carries at most {MAX_REGEX_TEXT}")
+    memo: dict[tuple[int, int], str] = {}
+    for key, (x, context, parts) in order.items():
+        tag = x.tag
+        texts = [memo[key] for key in parts]
+        if tag == _TAG_STAR:
+            text = texts[0] + "*"
         elif tag == _TAG_CONCAT:
             text = "".join(texts)
-            memo[key] = f"({text})" if context > 2 else text
-        else:
+            text = f"({text})" if context > 2 else text
+        elif tag == _TAG_UNION:
             text = "|".join(texts)
-            memo[key] = f"({text})" if context > 1 else text
-    return memo[id(r), 1]
+            text = f"({text})" if context > 1 else text
+        else:
+            text = x.symbol if tag == _TAG_LITERAL else "#@"[tag]
+        memo[key] = text
+    return text
 
+
+# The longest regex text a report carries.
+MAX_REGEX_TEXT = 1 << 26
 
 # Python's json module nests one level of its own stack per level of a
 # document, both to write a report and to read it back; the interpreter's

@@ -4,7 +4,8 @@ Every algebra carries an explicit element enumeration, so elements are plain
 indices 0..size-1 and morphisms are index arrays; this keeps every law
 exhaustively checkable.  Boolean algebras and bounded distributive lattices
 are stored by their dual presentations (atom count, join-irreducible poset)
-and expand elements on demand:
+and expand elements on demand.  Tables derived from a presentation (downset
+masks, top, meets) are computed once per object and live on it:
 
   BA      index = bitmask of atoms
   DL01    index = position in the sorted list of downset masks of the JI poset
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import cached_property, partial, reduce
 from operator import and_, or_, xor
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
@@ -57,7 +58,8 @@ class BoolAlg:
 
 @dataclass(frozen=True)
 class DistLat:
-    """Bounded distributive lattice presented by its join-irreducible poset."""
+    """Bounded distributive lattice presented by its join-irreducible poset;
+    element i is the i-th downset mask in ascending order."""
 
     ji_leq: Matrix
 
@@ -69,7 +71,28 @@ class DistLat:
 
     @property
     def size(self) -> int:
-        return len(downset_masks(self))
+        return len(self.downset_masks)
+
+    @cached_property
+    def downset_masks(self) -> tuple[int, ...]:
+        """All downset masks of the JI poset, ascending.
+
+        The JIs are taken in a linear extension (fewer elements below first),
+        so a downset of the JIs seen so far extends by j exactly when it holds
+        everything strictly below j: the work is the number of downsets times
+        the number of JIs.
+        """
+        below = _principal_downsets(self)
+        masks = [0]
+        for j in sorted(range(self.n_ji), key=lambda j: below[j].bit_count()):
+            strict = below[j] ^ 1 << j
+            masks += [m | 1 << j for m in masks if m & strict == strict]
+        return tuple(sorted(masks))
+
+    @cached_property
+    def downset_index(self) -> dict[int, int]:
+        """The element index of each downset mask."""
+        return {m: i for i, m in enumerate(self.downset_masks)}
 
 
 @dataclass(frozen=True)
@@ -84,6 +107,24 @@ class JoinSemilattice:
     @property
     def size(self) -> int:
         return len(self.join)
+
+    @cached_property
+    def top(self) -> int:
+        return reduce(lambda t, x: self.join[t][x], range(self.size), self.zero)
+
+    @cached_property
+    def meet_table(self) -> tuple[tuple[int, ...], ...]:
+        """Binary meets; they exist in any finite join-semilattice with zero.
+
+        The meet of x and y is the element whose down-set is the intersection
+        of theirs, looked up by down-set mask.
+        """
+        down = [sum(1 << z for z, v in enumerate(row) if v == x) for x, row in enumerate(self.join)]
+        by_down = {mask: x for x, mask in enumerate(down)}
+        try:
+            return tuple(tuple(by_down[dx & dy] for dy in down) for dx in down)
+        except KeyError:
+            raise ValueError("join table does not admit meets") from None
 
 
 @dataclass(frozen=True)
@@ -267,61 +308,8 @@ def _union_of(masks: Sequence[int], picked: int) -> int:
     return union
 
 
-@lru_cache(maxsize=None)
-def downset_masks(alg: DistLat) -> tuple[int, ...]:
-    """All downset masks of the JI poset, ascending.
-
-    The JIs are taken in a linear extension (fewer elements below first), so
-    a downset of the JIs seen so far extends by j exactly when it holds
-    everything strictly below j: the work is the number of downsets times
-    the number of JIs.
-    """
-    below = _principal_downsets(alg)
-    masks = [0]
-    for j in sorted(range(alg.n_ji), key=lambda j: below[j].bit_count()):
-        strict = below[j] ^ 1 << j
-        masks += [m | 1 << j for m in masks if m & strict == strict]
-    return tuple(sorted(masks))
-
-
-@lru_cache(maxsize=None)
-def _downset_index(alg: DistLat) -> dict[int, int]:
-    return {m: i for i, m in enumerate(downset_masks(alg))}
-
-
-def dl_mask(alg: DistLat, index: int) -> int:
-    return downset_masks(alg)[index]
-
-
-def dl_index(alg: DistLat, mask: int) -> int:
-    return _downset_index(alg)[mask]
-
-
 def jsl_leq(alg: JoinSemilattice, x: int, y: int) -> bool:
     return alg.join[x][y] == y
-
-
-@lru_cache(maxsize=None)
-def jsl_top(alg: JoinSemilattice) -> int:
-    t = alg.zero
-    for x in range(alg.size):
-        t = alg.join[t][x]
-    return t
-
-
-@lru_cache(maxsize=None)
-def jsl_meet_table(alg: JoinSemilattice) -> tuple[tuple[int, ...], ...]:
-    """Binary meets; they exist in any finite join-semilattice with zero.
-
-    The meet of x and y is the element whose down-set is the intersection of
-    theirs, looked up by down-set mask.
-    """
-    down = [sum(1 << z for z, v in enumerate(row) if v == x) for x, row in enumerate(alg.join)]
-    by_down = {mask: x for x, mask in enumerate(down)}
-    try:
-        return tuple(tuple(by_down[dx & dy] for dy in down) for dx in down)
-    except KeyError:
-        raise ValueError("join table does not admit meets") from None
 
 
 def jsl_from_masks(family: Iterable[int]) -> tuple[JoinSemilattice, tuple[int, ...]]:
@@ -343,7 +331,8 @@ def leq(alg: FinAlgebra, x: int, y: int) -> bool:
         case BoolAlg():
             return x & y == x
         case DistLat():
-            return dl_mask(alg, x) & dl_mask(alg, y) == dl_mask(alg, x)
+            masks = alg.downset_masks
+            return masks[x] & masks[y] == masks[x]
         case JoinSemilattice():
             return jsl_leq(alg, x, y)
         case FinPoset():
@@ -393,7 +382,7 @@ def constants(alg: FinAlgebra) -> list[int]:
         case BoolAlg():
             return [0, alg.top]
         case DistLat():
-            return [dl_index(alg, 0), dl_index(alg, (1 << alg.n_ji) - 1)]
+            return [0, alg.size - 1]  # the empty and the full downset
         case JoinSemilattice():
             return [alg.zero]
         case VectZ2():
@@ -429,16 +418,13 @@ def validate_morphism(m: FinMorphism) -> bool:
             # join of those images; x & y is the join of the meets of two
             # principal downsets, so meets then follow from the pairs of JIs
             assert isinstance(cod, DistLat)
-            index = _downset_index(dom)
-            cod_index = _downset_index(cod)
-            cod_masks = downset_masks(cod)
-            if g[index[0]] != cod_index[0]:
-                return False
-            if g[index[(1 << dom.n_ji) - 1]] != cod_index[(1 << cod.n_ji) - 1]:
+            index = dom.downset_index
+            cod_masks = cod.downset_masks
+            if g[0] != 0 or g[dom.size - 1] != cod.size - 1:
                 return False
             below = _principal_downsets(dom)
             image = [cod_masks[g[index[b]]] for b in below]
-            for x, mask in enumerate(downset_masks(dom)):
+            for x, mask in enumerate(dom.downset_masks):
                 if cod_masks[g[x]] != _union_of(image, mask):
                     return False
             for i, bi in enumerate(below):
@@ -488,105 +474,58 @@ def is_order_reflecting(m: FinMorphism) -> bool:
 
 
 def gaussian_basis(vectors: Iterable[int]) -> list[int]:
+    """The reduced echelon basis of the span, ascending: no basis vector
+    holds another's leading bit.  A span has one such basis, so it does not
+    depend on the vectors' order or on which of them span."""
     basis: list[int] = []
-    for v in sorted(set(vectors)):
+    for v in vectors:
         for b in basis:
             v = min(v, v ^ b)
         if v:
+            basis = [min(b, b ^ v) for b in basis]
             basis.append(v)
-            basis.sort(reverse=True)
-    basis.sort()
-    return basis
-
-
-def present_subset(
-    amb: FinAlgebra, subset: Sequence[int]
-) -> tuple[FinAlgebra, FinMorphism, dict[int, int]]:
-    """Present a closed subset in its own right.
-
-    Returns (algebra, inclusion into amb, ambient index -> subset index).
-    The subset must be closed under the variety operations and constants.
-    """
-    subset = sorted(set(subset))
-    match amb:
-        case BoolAlg():
-            nonzero = [m for m in subset if m]
-            atoms = [m for m in nonzero if not any(o and o & m == o and o != m for o in nonzero)]
-            k = len(atoms)
-            if 1 << k != len(subset):
-                raise ValueError("subset is not a boolean subalgebra")
-            sub = BoolAlg(k)
-            incl = subset_sums(atoms, or_)
-            return sub, FinMorphism(sub, amb, tuple(incl)), {v: i for i, v in enumerate(incl)}
-        case DistLat():
-            masks = [dl_mask(amb, i) for i in subset]
-            return _present_mask_lattice(masks, lambda m: dl_index(amb, m), amb)
-        case JoinSemilattice():
-            index = {v: i for i, v in enumerate(subset)}
-            join = tuple(tuple(index[amb.join[x][y]] for y in subset) for x in subset)
-            sub = JoinSemilattice(join, index[amb.zero])
-            return sub, FinMorphism(sub, amb, tuple(subset)), index
-        case VectZ2():
-            basis = gaussian_basis(subset)
-            r = len(basis)
-            if 1 << r != len(subset):
-                raise ValueError("subset is not a linear subspace")
-            sub = VectZ2(r)
-            incl = subset_sums(basis, xor)
-            return sub, FinMorphism(sub, amb, tuple(incl)), {v: i for i, v in enumerate(incl)}
-        case FinSet():
-            sub = FinSet(len(subset))
-            return sub, FinMorphism(sub, amb, tuple(subset)), {v: i for i, v in enumerate(subset)}
-        case FinPoset():
-            order = tuple(tuple(amb.leq[x][y] for y in subset) for x in subset)
-            sub = FinPoset(order)
-            return sub, FinMorphism(sub, amb, tuple(subset)), {v: i for i, v in enumerate(subset)}
-    raise TypeError(f"not a FinAlgebra: {amb!r}")
+    return sorted(basis)
 
 
 def mask_lattice_presentation(masks: Iterable[int]) -> tuple[DistLat, tuple[int, ...]]:
     """Present a 01-sublattice of sets (given as masks) by its JI poset.
 
     Returns the lattice together with, per element index, the original mask.
+    The join-irreducibles are the least members holding each point, each
+    the first member holding it in ascending order, since no superset of a
+    mask is smaller: such a member is join-prime, and every member is the
+    union of those below it.  Raises ValueError unless the unions of the JI
+    poset's downsets are the family, one member each.
     """
-    family = sorted(set(masks))
-    # in a union-closed family, s is join-irreducible exactly when the
-    # members strictly below it do not join up to it (for 0 they join to 0)
-    ji = []
-    for s in family:
-        joined = 0
-        for t in family:
-            if t & s == t != s:
-                joined |= t
-        if joined != s:
+    family = set(masks)
+    ji, unseen = [], reduce(or_, family, 0)
+    for s in sorted(family):
+        if s & unseen:
             ji.append(s)
-    ji_leq = tuple(tuple(ji[i] & ji[j] == ji[i] for j in range(len(ji))) for i in range(len(ji)))
-    sub = DistLat(ji_leq)
-    if sub.size != len(family):
-        raise ValueError("family is not a distributive lattice of sets")
-    return sub, tuple(_union_of(ji, dmask) for dmask in downset_masks(sub))
+            unseen &= ~s
+    sub = DistLat(tuple(tuple(a & b == a for b in ji) for a in ji))
+    if sub.size == len(family):
+        element_masks = tuple(_union_of(ji, dmask) for dmask in sub.downset_masks)
+        if set(element_masks) == family:
+            return sub, element_masks
+    raise ValueError("family is not a distributive lattice of sets")
 
 
-def _present_mask_lattice(masks: Sequence[int], to_amb_index, amb):
-    sub, element_masks = mask_lattice_presentation(masks)
-    incl = []
-    to_sub = {}
-    for idx, v in enumerate(element_masks):
-        incl.append(to_amb_index(v))
-        to_sub[to_amb_index(v)] = idx
-    return sub, FinMorphism(sub, amb, tuple(incl)), to_sub
+def generate_family(
+    tag: VarietyTag, seeds: Iterable[int], full: int, cap: int, what: str
+) -> tuple[FinAlgebra, tuple[int, ...]]:
+    """The algebra of masks generated by seeds under the set operations of
+    an output-side variety, with the mask of each of its elements: union,
+    intersection and complement in full for BA; union, intersection, 0 and
+    full for DL01; union and 0 for JSL0; symmetric difference and 0 for
+    Z2VECT.
 
-
-def generate_family(tag: VarietyTag, seeds: Iterable[int], full: int, cap: int, what: str) -> list[int]:
-    """The masks generated by seeds under the set operations of an
-    output-side variety, ascending: union, intersection and complement in
-    full for BA; union, intersection, 0 and full for DL01; union and 0 for
-    JSL0; symmetric difference and 0 for Z2VECT.
-
-    BA takes the atoms from the seeds' membership signatures and Z2VECT a
-    Gaussian basis; both refuse when their span would pass cap.  DL01 closes
-    under meets with the seeds, then under joins with those meets; JSL0
-    closes under joins with the seeds.
+    The carrier comes from the generators the closure finds.  BA takes its
+    atoms from the seeds' membership signatures and Z2VECT the reduced
+    echelon basis of the seeds; both refuse when their span would pass cap.
+    DL01 closes under meets with the seeds, then under joins with those
+    meets, and is presented by mask_lattice_presentation; JSL0 closes under
+    joins with the seeds and is presented by jsl_from_masks.
     """
     seeds = set(seeds)
     match tag:
@@ -596,38 +535,73 @@ def generate_family(tag: VarietyTag, seeds: Iterable[int], full: int, cap: int, 
             for j in range(full.bit_length()):
                 sig = tuple(s >> j & 1 for s in ordered)
                 groups[sig] = groups.get(sig, 0) | 1 << j
-            gens, op = sorted(groups.values()), or_
+            gens, op, algebra = sorted(groups.values()), or_, BoolAlg
         case VarietyTag.DL01:
             seeds |= {0, full}
             meets = close(seeds, [partial(and_, s) for s in seeds], cap, what)
-            return sorted(close(meets, [partial(or_, m) for m in meets], cap, what))
+            return mask_lattice_presentation(close(meets, [partial(or_, m) for m in meets], cap, what))
         case VarietyTag.JSL0:
-            return sorted(close(seeds | {0}, [partial(or_, s) for s in seeds], cap, what))
+            return jsl_from_masks(close(seeds | {0}, [partial(or_, s) for s in seeds], cap, what))
         case VarietyTag.Z2VECT:
-            gens, op = gaussian_basis(seeds), xor
+            gens, op, algebra = gaussian_basis(seeds), xor, VectZ2
         case _:
             raise TagMismatchError(f"{tag} is not an output-side variety")
     if 1 << len(gens) > cap:
         raise ResourceExceededError(f"{what} exceeded the carrier cap")
-    return sorted(subset_sums(gens, op))
+    return algebra(len(gens)), tuple(subset_sums(gens, op))
 
 
-def subalgebra_elements(amb: FinAlgebra, gens: Iterable[int], cap: int, what: str) -> list[int]:
-    """The elements of the subalgebra generated by gens and the constants,
-    ascending; refuses when they would pass cap, which the generators and
+def present_closure(
+    amb: FinAlgebra, gens: Iterable[int], cap: int, what: str
+) -> tuple[FinAlgebra, FinMorphism, dict[int, int]]:
+    """The subalgebra generated by gens and the constants, presented in its
+    own right: (algebra, inclusion into amb, ambient index -> subalgebra
+    index).  Refuses when it would pass cap, which the generators and
     constants never count against."""
     seeds = set(gens) | set(constants(amb))
     cap = max(cap, len(seeds))
     match amb:
         case BoolAlg() | VectZ2():
-            return generate_family(amb.tag, seeds, amb.size - 1, cap, what)
+            sub, incl = generate_family(amb.tag, seeds, amb.size - 1, cap, what)
         case DistLat():
-            masks = (dl_mask(amb, x) for x in seeds)
-            family = generate_family(amb.tag, masks, (1 << amb.n_ji) - 1, cap, what)
-            return sorted(dl_index(amb, m) for m in family)
+            masks = amb.downset_masks
+            sub, family = generate_family(amb.tag, (masks[x] for x in seeds), masks[-1], cap, what)
+            incl = tuple(map(amb.downset_index.__getitem__, family))
         case JoinSemilattice():
-            return sorted(close(seeds, [amb.join[g].__getitem__ for g in seeds], cap, what))
-    return sorted(seeds)  # SET and POS have no operations
+            incl = tuple(sorted(close(seeds, [amb.join[g].__getitem__ for g in seeds], cap, what)))
+            index = {v: i for i, v in enumerate(incl)}
+            join = tuple(tuple(index[amb.join[x][y]] for y in incl) for x in incl)
+            sub = JoinSemilattice(join, index[amb.zero])
+        case FinSet():  # SET and POS have no operations
+            incl = tuple(sorted(seeds))
+            sub = FinSet(len(incl))
+        case FinPoset():
+            incl = tuple(sorted(seeds))
+            sub = FinPoset(tuple(tuple(amb.leq[x][y] for y in incl) for x in incl))
+        case _:
+            raise TypeError(f"not a FinAlgebra: {amb!r}")
+    return sub, FinMorphism(sub, amb, incl), {v: i for i, v in enumerate(incl)}
+
+
+def present_subset(
+    amb: FinAlgebra, subset: Iterable[int]
+) -> tuple[FinAlgebra, FinMorphism, dict[int, int]]:
+    """Present a subalgebra, given as its elements, in its own right.
+
+    Returns (algebra, inclusion into amb, ambient index -> subset index).
+    Raises ValueError unless the subset holds the constants and is closed
+    under the variety operations.
+    """
+    subset = set(subset)
+    if all(0 <= x < amb.size for x in subset):
+        try:
+            presented = present_closure(amb, subset, len(subset), "subset closure")
+        except ResourceExceededError:
+            pass
+        else:
+            if len(presented[2]) == len(subset):
+                return presented
+    raise ValueError("subset is not a subalgebra")
 
 
 def generate_subalgebra(
@@ -636,8 +610,7 @@ def generate_subalgebra(
     limits: Limits = DEFAULT_LIMITS,
 ) -> tuple[FinAlgebra, FinMorphism]:
     """Smallest subalgebra containing gens, presented in its own right."""
-    closed = subalgebra_elements(amb, gens, limits.max_carrier, "subalgebra closure")
-    sub, incl, _ = present_subset(amb, closed)
+    sub, incl, _ = present_closure(amb, gens, limits.max_carrier, "subalgebra closure")
     return sub, incl
 
 
@@ -645,8 +618,7 @@ def image_factorize(m: FinMorphism) -> tuple[FinMorphism, FinMorphism]:
     """Factor m as a surjection onto its image followed by an inclusion."""
     if m.dom.tag != m.cod.tag:
         raise TagMismatchError("cannot factorize a cross-variety map")
-    image = sorted(set(m.graph))
-    mid, incl, to_sub = present_subset(m.cod, image)
+    mid, incl, to_sub = present_subset(m.cod, m.graph)
     epi = FinMorphism(m.dom, mid, tuple(to_sub[v] for v in m.graph))
     return epi, incl
 
@@ -677,8 +649,8 @@ def product_algebra(a: FinAlgebra, b: FinAlgebra) -> tuple[FinAlgebra, FinMorphi
 
             prod = DistLat(tuple(tuple(block(i, j) for j in range(ka + kb)) for i in range(ka + kb)))
             low = (1 << ka) - 1
-            p1 = tuple(dl_index(a, dl_mask(prod, x) & low) for x in range(prod.size))
-            p2 = tuple(dl_index(b, dl_mask(prod, x) >> ka) for x in range(prod.size))
+            p1 = tuple(a.downset_index[x & low] for x in prod.downset_masks)
+            p2 = tuple(b.downset_index[x >> ka] for x in prod.downset_masks)
             return prod, FinMorphism(prod, a, p1), FinMorphism(prod, b, p2)
         case (JoinSemilattice(), JoinSemilattice()):
             nb = b.size

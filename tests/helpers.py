@@ -25,7 +25,6 @@ from langdual.varieties import (
     VarietyTag,
     VectZ2,
     algebra_to_json,
-    downset_masks,
     jsl_from_masks,
     jsl_irreducibles,
     jsl_leq,
@@ -231,12 +230,12 @@ def random_morphism(rng: random.Random, dom: FinAlgebra, cod: FinAlgebra) -> Fin
                 if f is not None:
                     break
             graph = []
-            for x_mask in downset_masks(dom):
+            for x_mask in dom.downset_masks:
                 image = 0
                 for j in range(cod.n_ji):
                     if x_mask >> f[j] & 1:
                         image |= 1 << j
-                graph.append(downset_masks(cod).index(image))
+                graph.append(cod.downset_masks.index(image))
             return FinMorphism(dom, cod, tuple(graph))
         case (JoinSemilattice(), JoinSemilattice()):
             for _ in range(64):

@@ -5,9 +5,12 @@ through the minimization/duality code paths they are used to check.  The
 monoid, join-semilattice, closure, class automaton, residual closure, DFA
 equivalence, minimization, labelling and DL01 oracles are the exhaustive
 algorithms that the library's faster or shorter ones replaced; they
-share only carrier primitives such as validate_morphism, present_subset,
-gaussian_basis and the breadth-first renumbering of a DFA with the code they
-check.  The regex oracles are the recursive dataclass trees and walks that
+share only carrier primitives such as validate_morphism, close,
+jsl_from_masks, gaussian_basis and the breadth-first renumbering of a DFA
+with the code they check.  The presentations of subalgebras are scanned
+from their element lists here (scanned_present_subset), as before the
+library's closures handed back the atoms, basis or join-irreducibles they
+found.  The regex oracles are the recursive dataclass trees and walks that
 the library's pre-keyed, iterative trees replaced; they share nothing with
 them.  The boolean combinations of languages (product automata) serve the
 tests only.
@@ -47,15 +50,12 @@ from langdual.varieties import (
     JoinSemilattice,
     VarietyTag,
     VectZ2,
+    close,
     constants,
-    _downset_index,
-    dl_index,
-    dl_mask,
-    downset_masks,
     gaussian_basis,
     identity,
     is_order_reflecting,
-    present_subset,
+    jsl_from_masks,
     validate_morphism,
 )
 
@@ -549,8 +549,8 @@ def binary_ops(alg):
             return [lambda x, y: x | y, lambda x, y: x & y]
         case DistLat():
             return [
-                lambda x, y: dl_index(alg, dl_mask(alg, x) | dl_mask(alg, y)),
-                lambda x, y: dl_index(alg, dl_mask(alg, x) & dl_mask(alg, y)),
+                lambda x, y: alg.downset_index[alg.downset_masks[x] | alg.downset_masks[y]],
+                lambda x, y: alg.downset_index[alg.downset_masks[x] & alg.downset_masks[y]],
             ]
         case JoinSemilattice():
             return [lambda x, y: alg.join[x][y]]
@@ -650,7 +650,7 @@ def pairwise_reachable_part(a, limits=DEFAULT_LIMITS):
                 queue.append(v)
     if len(closed) == a.size:
         return a
-    sub, incl, to_sub = present_subset(a.carrier, sorted(closed))
+    sub, incl, to_sub = scanned_present_subset(a.carrier, sorted(closed))
     alpha = tuple(
         FinMorphism(sub, sub, tuple(to_sub[m.graph[incl.graph[i]]] for i in range(sub.size)))
         for m in a.alpha
@@ -676,7 +676,7 @@ def pairwise_generate_subalgebra(amb, gens, limits=DEFAULT_LIMITS):
                     raise ResourceExceededError("subalgebra closure exceeded the carrier cap")
                 closed.add(v)
                 queue.append(v)
-    sub, incl, _ = present_subset(amb, sorted(closed))
+    sub, incl, _ = scanned_present_subset(amb, sorted(closed))
     return sub, incl
 
 
@@ -748,6 +748,112 @@ def word_rqc_closed(q, limits=DEFAULT_LIMITS):
             if right_derivative(lang, word) not in labels:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# generation, then a presentation scanned from the elements
+#
+# The path that generate_family and present_closure replaced: a closure was
+# generated as an ascending element list, and present_subset then found its
+# atoms, a basis or its join-irreducibles again by scanning those elements.
+# The basis is found in sorted order without back-reduction, so it is the
+# reduced echelon basis only when the vectors are a whole span.
+
+
+def sorted_order_basis(vectors):
+    """An echelon basis, reducing each vector in sorted order against the
+    basis so far."""
+    basis = []
+    for v in sorted(set(vectors)):
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    basis.sort()
+    return basis
+
+
+def scanned_mask_lattice(masks):
+    """mask_lattice_presentation with the join-irreducibles found as the
+    members that are not the union of the members strictly below them."""
+    family = sorted(set(masks))
+    ji = []
+    for s in family:
+        joined = 0
+        for t in family:
+            if t & s == t != s:
+                joined |= t
+        if joined != s:
+            ji.append(s)
+    sub = DistLat(tuple(tuple(a & b == a for b in ji) for a in ji))
+    if sub.size != len(family):
+        raise ValueError("family is not a distributive lattice of sets")
+    element_masks = []
+    for d in sub.downset_masks:
+        union = 0
+        for j, m in enumerate(ji):
+            if d >> j & 1:
+                union |= m
+        element_masks.append(union)
+    return sub, tuple(element_masks)
+
+
+def scanned_present_subset(amb, subset):
+    """present_subset as the element scans had it: (algebra, inclusion,
+    ambient index -> subset index).  It trusts the subset to be closed."""
+    subset = sorted(set(subset))
+    match amb:
+        case BoolAlg():
+            nonzero = [m for m in subset if m]
+            atoms = [m for m in nonzero if not any(o and o & m == o and o != m for o in nonzero)]
+            if 1 << len(atoms) != len(subset):
+                raise ValueError("subset is not a boolean subalgebra")
+            sub, incl = BoolAlg(len(atoms)), _expand(atoms, int.__or__)
+        case DistLat():
+            sub, masks = scanned_mask_lattice(amb.downset_masks[i] for i in subset)
+            incl = [amb.downset_index[m] for m in masks]
+        case JoinSemilattice():
+            index = {v: i for i, v in enumerate(subset)}
+            join = tuple(tuple(index[amb.join[x][y]] for y in subset) for x in subset)
+            sub, incl = JoinSemilattice(join, index[amb.zero]), subset
+        case VectZ2():
+            basis = sorted_order_basis(subset)
+            if 1 << len(basis) != len(subset):
+                raise ValueError("subset is not a linear subspace")
+            sub, incl = VectZ2(len(basis)), _expand(basis, int.__xor__)
+        case FinSet():
+            sub, incl = FinSet(len(subset)), subset
+        case FinPoset():
+            sub, incl = FinPoset(tuple(tuple(amb.leq[x][y] for y in subset) for x in subset)), subset
+    return sub, FinMorphism(sub, amb, tuple(incl)), {v: i for i, v in enumerate(incl)}
+
+
+def generated_then_presented(tag, seeds, full, cap, what):
+    """generate_family as an ascending mask list, then the carrier and the
+    element masks scanned from that list."""
+    seeds = set(seeds)
+    match tag:
+        case VarietyTag.BA:
+            ordered = sorted(seeds)
+            groups = {}
+            for j in range(full.bit_length()):
+                sig = tuple(s >> j & 1 for s in ordered)
+                groups[sig] = groups.get(sig, 0) | 1 << j
+            gens, op = sorted(groups.values()), int.__or__
+        case VarietyTag.DL01:
+            seeds |= {0, full}
+            meets = close(seeds, [lambda x, s=s: x & s for s in seeds], cap, what)
+            return scanned_mask_lattice(close(meets, [lambda x, m=m: x | m for m in meets], cap, what))
+        case VarietyTag.JSL0:
+            return jsl_from_masks(close(seeds | {0}, [lambda x, s=s: x | s for s in seeds], cap, what))
+        case VarietyTag.Z2VECT:
+            gens, op = sorted_order_basis(seeds), int.__xor__
+    if 1 << len(gens) > cap:
+        raise ResourceExceededError(f"{what} exceeded the carrier cap")
+    amb = BoolAlg(full.bit_length()) if tag is VarietyTag.BA else VectZ2(full.bit_length())
+    carrier, incl, _ = scanned_present_subset(amb, _expand(gens, op))
+    return carrier, incl.graph
 
 
 # ---------------------------------------------------------------------------
@@ -842,10 +948,10 @@ def pairwise_dl_morphism(m):
     dom, cod, g = m.dom, m.cod, m.graph
     if len(g) != dom.size or any(not 0 <= v < cod.size for v in g):
         return False
-    masks = downset_masks(dom)
-    index = _downset_index(dom)
-    cod_index = _downset_index(cod)
-    cod_masks = downset_masks(cod)
+    masks = dom.downset_masks
+    index = dom.downset_index
+    cod_index = cod.downset_index
+    cod_masks = cod.downset_masks
     if g[index[0]] != cod_index[0]:
         return False
     if g[index[(1 << dom.n_ji) - 1]] != cod_index[(1 << cod.n_ji) - 1]:

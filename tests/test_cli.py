@@ -212,3 +212,33 @@ def test_left_derivative_report_of_a_32_state_language_is_fast(capsys):
     elapsed = time.perf_counter() - started
     assert code == 0 and len(report["result"]) > 3_000_000
     assert elapsed < 3.0, elapsed
+
+
+@pytest.mark.parametrize(
+    "argv, length",
+    [
+        # a 64-state result
+        (["derive", "--word", "ab", "--side", "left", "--regex", "(a|b)*a" + "(a|b)" * 5], 6_484_242_362),
+        # the first residual past the bound, in sort-key order whatever the hash seed
+        (["residuals", "--regex", "(a|b)*a" + "(a|b)" * 4], 488_869_834),
+    ],
+)
+def test_a_regex_text_past_the_bound_exits_2_before_it_is_built(capsys, argv, length):
+    from langdual.languages import MAX_REGEX_TEXT
+
+    start = time.perf_counter()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: regex text would have {length} characters; a report carries at most {MAX_REGEX_TEXT}\n"
+    assert time.perf_counter() - start < 30
+
+
+def test_derive_prints_the_largest_text_in_use_unchanged(capsys):
+    import hashlib
+
+    regex = "(a|b)*a" + "(a|b)" * 4
+    code, out = run(capsys, "derive", "--word", "ab", "--side", "left", "--regex", regex)
+    assert code == 0
+    assert len(json.loads(out)["result"]) == 3_640_021
+    assert hashlib.sha256(out.encode()).hexdigest() == "9486783c310ef023f76872fcaab42bafa155a7869f2cf9e97c986ae66dfe9162"

@@ -9,6 +9,8 @@ two-sided residual closure alone changed its message, to the shared one.
 import random
 from dataclasses import replace
 
+import pytest
+
 from langdual.automata import (
     class_automaton,
     coalgebra_to_dalgebra,
@@ -29,17 +31,23 @@ from langdual.varieties import (
     JoinSemilattice,
     VarietyTag,
     VectZ2,
+    generate_family,
     generate_subalgebra,
+    mask_lattice_presentation,
+    present_subset,
 )
 from helpers import random_algebra
 from oracles import (
     derivative_mask_closure,
+    generated_then_presented,
     mask_language,
     pairwise_family,
     pairwise_generate_subalgebra,
     pairwise_reachable_part,
     propagated_sigma_monoid_iso,
     queue_two_sided_residuals,
+    scanned_mask_lattice,
+    scanned_present_subset,
     word_rqc_closed,
 )
 
@@ -241,3 +249,73 @@ def test_two_sided_residuals_match_the_queue_closure():
                 assert new == old, cap
             compared += 1
     assert 100 <= refused <= compared - 100
+
+
+def test_generate_family_presents_what_the_scanned_element_list_gave():
+    """The carrier and element masks that generate_family hands back are the
+    ones that scanning its ascending element list for atoms, a basis or
+    join-irreducibles gave, and both refuse at the same caps."""
+    rng = random.Random(13)
+    refused = compared = 0
+    for tag in (VarietyTag.BA, VarietyTag.DL01, VarietyTag.JSL0, VarietyTag.Z2VECT):
+        for _ in range(40):
+            full = (1 << rng.randint(1, 7)) - 1
+            seeds = [rng.randrange(full + 1) for _ in range(rng.randint(0, 5))]
+            for cap in (*range(1, 65), DEFAULT_LIMITS.max_carrier):
+                new = _outcome(lambda: generate_family(tag, seeds, full, cap, "family closure"))
+                old = _outcome(lambda: generated_then_presented(tag, seeds, full, cap, "family closure"))
+                assert new == old, (tag, seeds, full, cap)
+                refused += isinstance(new, str)
+                compared += 1
+    assert 500 <= refused <= compared - 1000
+
+
+def test_present_subset_accepts_exactly_the_subalgebras():
+    """Closed subsets, and only those, are presented, as the scans of the
+    element list presented them; every subset the scans refused with
+    ValueError is refused with ValueError."""
+    rng = random.Random(17)
+    accepted = 0
+    for tag in VarietyTag:
+        for _ in range(60):
+            amb = random_algebra(rng, tag, max_size=16)
+            generated = pairwise_generate_subalgebra(amb, rng.sample(range(amb.size), rng.randint(0, min(2, amb.size))))[1].graph
+            drawn = rng.sample(range(amb.size), rng.randint(0, amb.size))
+            for subset in (generated, drawn):
+                closed = sorted(pairwise_generate_subalgebra(amb, subset)[1].graph) == sorted(set(subset))
+                try:
+                    old = scanned_present_subset(amb, subset)
+                except (ValueError, KeyError) as err:
+                    old = type(err)
+                if closed:
+                    assert present_subset(amb, subset) == old
+                    accepted += 1
+                else:
+                    with pytest.raises(ValueError):
+                        present_subset(amb, subset)
+                assert old is not ValueError or not closed
+    assert accepted >= 300
+
+
+def test_mask_lattice_presentation_refuses_all_the_scan_refused():
+    rng = random.Random(19)
+    families = [[], [0], [1], [0, 3, 5, 7]]
+    for _ in range(400):
+        family = {rng.randrange(16) for _ in range(rng.randint(0, 8))}
+        if rng.random() < 0.5:  # close it under unions, so the scan often accepts
+            family = {0} | {x | y for x in family for y in family}
+        families.append(family)
+    accepted = 0
+    for family in families:
+        try:
+            old = scanned_mask_lattice(family)
+        except ValueError:
+            old = None
+        try:
+            new = mask_lattice_presentation(family)
+        except ValueError:
+            new = None
+        assert new is None or new == old, family
+        assert old is not None or new is None, family
+        accepted += new is not None
+    assert accepted >= 100

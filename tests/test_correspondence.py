@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 import langdual.correspondence as correspondence_module
@@ -12,7 +15,7 @@ from langdual.correspondence import (
     piece_to_monoid,
     roundtrip_check,
 )
-from langdual.duality import DualityTag
+from langdual.duality import DualityTag, dual_object
 from langdual.errors import NotRqcClosedError
 from langdual.languages import compile_text
 from langdual.monoids import (
@@ -202,3 +205,19 @@ def test_correspond_builds_the_monoid_once(monkeypatch, tag, dtag):
     report = correspondence_report(dtag, [lang("(ab)*")])
     assert report["roundtrip"] == "ok"
     assert len(calls) == 2
+
+
+def test_lattices_and_their_duals_die_with_their_last_reference():
+    """The tables derived from a DL01 or JSL0 carrier live on it, so a
+    round trip through the correspondence leaves none of them alive."""
+    refs = []
+    for d in (DualityTag.DL01_POS, DualityTag.JSL_SELF):
+        c = correspond(d, [lang("(ab)*|a"), lang("b*a")])
+        carrier = c.piece.carrier
+        dual = dual_object(d, carrier)
+        assert dual_object(d, dual) == carrier and c.monoid.size > 1
+        monoid_roundtrip_check(d, c.monoid)
+        refs += [weakref.ref(carrier), weakref.ref(dual)]
+        del c, carrier, dual
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 4

@@ -4,6 +4,10 @@ Every top-level function and class in src/langdual must be referenced from
 somewhere in src/ outside its own body, or be exported by __init__.py.
 Test-only helpers belong in tests/helpers.py, and slower reference
 algorithms in tests/oracles.py.
+
+No top-level function in src/langdual is memoized by functools.lru_cache or
+functools.cache: such a cache lives as long as the process and keeps every
+argument alive.  Tables derived from an object are cached on the object.
 """
 
 import ast
@@ -42,3 +46,31 @@ def _unreferenced(src: Path) -> list[str]:
 def test_every_top_level_definition_in_src_is_used_in_src_or_exported():
     assert SRC.is_dir()
     assert _unreferenced(SRC) == []
+
+
+def _process_caches(src: Path) -> list[str]:
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in top.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name in ("lru_cache", "cache"):
+                    found.append(f"{path.stem}.{top.name}")
+    return found
+
+
+def test_no_top_level_function_in_src_keeps_a_process_wide_cache(tmp_path):
+    assert _process_caches(SRC) == []
+    (tmp_path / "cached.py").write_text(
+        "import functools\nfrom functools import cache, lru_cache\n\n"
+        "@lru_cache(maxsize=None)\ndef a(x): return x\n\n"
+        "@functools.lru_cache\ndef b(x): return x\n\n"
+        "@cache\ndef c(x): return x\n\n"
+        "@functools.cache\ndef d(x): return x\n\n"
+        "@staticmethod\ndef e(x): return x\n",
+        encoding="utf-8",
+    )
+    assert _process_caches(tmp_path) == ["cached.a", "cached.b", "cached.c", "cached.d"]

@@ -29,7 +29,6 @@ from langdual.languages import (
 from langdual.varieties import (
     FinMorphism,
     VarietyTag,
-    downset_masks,
     generate_family,
     mask_lattice_presentation,
     validate_morphism,
@@ -158,7 +157,7 @@ def test_dfa_equivalent_matches_the_bisimulation():
 def _join_morphisms(rng, dom, cod):
     """Maps that send each element to the join of monotone images of its
     join-irreducibles: they preserve 0 and joins, but meets only sometimes."""
-    cod_masks = downset_masks(cod)
+    cod_masks = cod.downset_masks
     below = [sum(1 << i for i in range(dom.n_ji) if dom.ji_leq[i][j]) for j in range(dom.n_ji)]
     image = [0] * dom.n_ji
     for j in sorted(range(dom.n_ji), key=lambda j: below[j].bit_count()):
@@ -168,7 +167,7 @@ def _join_morphisms(rng, dom, cod):
                 floor |= image[i]
         image[j] = rng.choice([m for m in cod_masks if m & floor == floor])
     graph = []
-    for mask in downset_masks(dom):
+    for mask in dom.downset_masks:
         joined = 0
         for j in range(dom.n_ji):
             if mask >> j & 1:
@@ -206,8 +205,9 @@ def test_downsets_and_irreducibles_match_the_exhaustive_scans():
     rng = random.Random(37)
     for _ in range(200):
         lattice = random_algebra(rng, VarietyTag.DL01, max_size=64)
-        assert downset_masks(lattice) == subset_downset_masks(lattice)
+        assert lattice.downset_masks == subset_downset_masks(lattice)
     for _ in range(200):
         seeds = [rng.randrange(256) for _ in range(rng.randint(1, 5))]
-        family = generate_family(VarietyTag.DL01, seeds, 255, 4096, "lattice")
-        assert mask_lattice_presentation(family) == covers_lattice_presentation(family)
+        presented = generate_family(VarietyTag.DL01, seeds, 255, 4096, "lattice")
+        family = presented[1]
+        assert mask_lattice_presentation(family) == covers_lattice_presentation(family) == presented

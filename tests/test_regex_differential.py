@@ -171,6 +171,22 @@ def test_state_elimination_text(r):
         assert language_to_regex(res) == recursive_language_to_regex(res)
 
 
+@seed(6107)
+@settings(max_examples=200, deadline=None)
+@given(regexes(max_leaves=12))
+def test_the_regex_text_bound_counts_every_character(r):
+    """A bound of exactly the text's length lets the text through; one less
+    refuses it, naming the length."""
+    for render, tree in ((render_regex, r), (render_regex, normalize(r)), (language_to_regex, compile_regex(r, ABC))):
+        text = render(tree)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(languages, "MAX_REGEX_TEXT", len(text))
+            assert render(tree) == text
+            patch.setattr(languages, "MAX_REGEX_TEXT", len(text) - 1)
+            with pytest.raises(LangdualError, match=f"would have {len(text)} characters"):
+                render(tree)
+
+
 @pytest.mark.parametrize(
     "text, word",
     [("(a|b)*a" + "(a|b)" * 3, "ab"), ("(aab)*", "a"), ("(ab|ba)*a", "b"), ("a(a|b)*b(ab)*", "ab")],

@@ -1,4 +1,8 @@
+from operator import xor
+
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from langdual.errors import TagMismatchError
 from langdual.varieties import (
@@ -10,21 +14,23 @@ from langdual.varieties import (
     VarietyTag,
     VectZ2,
     algebra_to_json,
-    dl_index,
-    dl_mask,
-    downset_masks,
     free_on_one,
+    gaussian_basis,
     generate_subalgebra,
     identity,
     image_factorize,
     is_order_reflecting,
-    jsl_meet_table,
+    jsl_from_masks,
     leq,
+    mask_lattice_presentation,
+    present_subset,
     product_algebra,
+    subset_sums,
     two_element_algebra,
     validate_morphism,
 )
 from helpers import algebra_from_json, is_injective, is_surjective, make_jsl, make_poset, pairing
+from oracles import sorted_order_basis
 
 CHAIN3 = make_jsl(((0, 1, 2), (1, 1, 2), (2, 2, 2)), 0)
 
@@ -206,16 +212,16 @@ def test_pos_quotients_need_not_reflect_order():
 
 
 def test_jsl_meets_exist():
-    meets = jsl_meet_table(CHAIN3)
+    meets = CHAIN3.meet_table
     assert meets[1][2] == 1 and meets[0][2] == 0
 
 
 def test_downsets_of_vee():
     # vee poset a < c, b < c: downsets are {}, {a}, {b}, {a,b}, {a,b,c}
     vee = DistLat(((True, False, True), (False, True, True), (False, False, True)))
-    masks = downset_masks(vee)
+    masks = vee.downset_masks
     assert masks == (0b000, 0b001, 0b010, 0b011, 0b111)
-    assert dl_mask(vee, dl_index(vee, 0b011)) == 0b011
+    assert vee.downset_masks[vee.downset_index[0b011]] == 0b011
 
 
 def test_algebra_json_round_trip():
@@ -235,3 +241,39 @@ def test_leq_per_tag():
     assert not leq(BoolAlg(2), 0b10, 0b01)
     assert leq(CHAIN3, 0, 2)
     assert leq(VectZ2(2), 1, 1) and not leq(VectZ2(2), 1, 3)
+
+
+def test_present_subset_refuses_sets_that_are_not_subalgebras():
+    square, _ = jsl_from_masks(range(4))
+    not_closed = [
+        (BoolAlg(3), [0, 1, 2, 7]),  # 1 | 2 = 3 is missing
+        (BoolAlg(2), [0, 1]),  # the top is missing
+        (BoolAlg(2), [0, 3, 4]),  # 4 is not an element
+        (square, [0, 1, 2]),  # 1 | 2 = 3 is missing
+        (square, [1, 3]),  # the zero is missing
+        (VectZ2(2), [0, 1, 2]),
+        (DistLat(((True, False), (False, True))), [0, 1]),  # the top is missing
+    ]
+    for amb, subset in not_closed:
+        with pytest.raises(ValueError):
+            present_subset(amb, subset)
+    with pytest.raises(ValueError):
+        image_factorize(FinMorphism(BoolAlg(2), BoolAlg(3), (0, 1, 2, 7)))
+    with pytest.raises(ValueError):
+        mask_lattice_presentation([])
+    sub, incl, to_sub = present_subset(square, [0, 1])
+    assert sub.size == 2 and incl.graph == (0, 1) and to_sub == {0: 0, 1: 1}
+
+
+@seed(901)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 1023), max_size=8), st.randoms(use_true_random=False))
+def test_the_basis_is_the_reduced_echelon_basis_of_the_span(vectors, rnd):
+    span = set(subset_sums(vectors, xor))
+    basis = gaussian_basis(vectors)
+    assert set(subset_sums(basis, xor)) == span and 1 << len(basis) == len(span)
+    assert gaussian_basis(sorted(span)) == basis == sorted_order_basis(span)
+    rnd.shuffle(vectors)
+    assert gaussian_basis(vectors) == basis
+    leading = [1 << b.bit_length() - 1 for b in basis]
+    assert all(not b & lead for b in basis for lead in leading if lead != 1 << b.bit_length() - 1)
