@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .automata import DAlgebra, reachable_part
 from .config import DEFAULT_LIMITS, Limits
@@ -36,6 +36,7 @@ from .varieties import (
     constants,
     gaussian_basis,
     is_order_reflecting,
+    join_irreducibles,
     jsl_irreducibles,
     leq,
     orbit,
@@ -123,6 +124,16 @@ def carrier_zero(carrier: FinAlgebra) -> int:
         case VectZ2():
             return 0
     raise TagMismatchError(f"{carrier.tag} has no additive structure")
+
+
+def _map_adder(carrier: FinAlgebra) -> Callable[[Sequence[int], Sequence[int]], tuple[int, ...]]:
+    """The pointwise sum f + g of two maps into a JSL0 or Z2VECT carrier,
+    given and returned as graphs."""
+    if isinstance(carrier, VectZ2):
+        return lambda f, g: tuple(map(operator.xor, f, g))
+    assert isinstance(carrier, JoinSemilattice)
+    rows = carrier.join
+    return lambda f, g: tuple(map(operator.getitem, map(rows.__getitem__, f), g))
 
 
 @dataclass(frozen=True)
@@ -261,20 +272,17 @@ def transition_monoid(
     sums: list[tuple[int, int]] = []
     add_cols: list[list[int]] = []  # add_cols[y][x] = x + y
     if linear:
+        # carrier morphisms, keyed by what fixes them: Z2VECT maps by their basis
+        # images (_encode_linear codes), JSL0 maps by their join-irreducibles' images
         if isinstance(carrier, VectZ2):
-            # linear maps as _encode_linear codes, added by XOR
             keys = [_encode_linear(f, carrier.dim) for f in keys]
             zero_key: object = 0
             plus = operator.xor
         else:
-            assert isinstance(carrier, JoinSemilattice)
-            rows = carrier.join
-            zero_key = zero_map
-
-            def plus(w, f):
-                """f + w, as the join table's rows f and columns w."""
-                return tuple(map(operator.getitem, map(rows.__getitem__, f), w))
-
+            irreducibles = join_irreducibles(carrier)
+            graphs, keys = keys, [tuple(map(f.__getitem__, irreducibles)) for f in keys]
+            zero_key = (carrier.zero,) * len(irreducibles)
+            plus = _map_adder(carrier)
         keys, add_rows, add_tree = grow(keys, [lambda f: zero_key] + [partial(plus, w) for w in keys])
         zero = add_rows[0][0]
         sums = [(x, s - 1) for x, s in add_tree[n_words:] if s]
@@ -287,6 +295,10 @@ def transition_monoid(
             # x + (left + w) = (x + left) + w
             add_cols.append(list(map(add_cols[w].__getitem__, add_cols[left])))
             at_init.append(carrier_add(carrier, at_init[left], at_init[w]))
+        if isinstance(carrier, JoinSemilattice):  # full graphs, joined once along the sum tree
+            graphs += [zero_map] * (zero >= n_words)
+            for left, w in sums:
+                graphs.append(plus(graphs[left], graphs[w]))
         for r in right:
             if zero >= n_words:
                 r.append(zero)
@@ -305,7 +317,7 @@ def transition_monoid(
             cols.append([zero] * size)
         for left, w in sums:
             cols.append(list(map(operator.getitem, map(add_cols.__getitem__, cols[w]), cols[left])))
-    pos = _present_map_family(carrier, keys)
+    pos = _present_map_family(carrier, graphs if isinstance(carrier, JoinSemilattice) else keys)
     order = sorted(range(size), key=pos.__getitem__)  # order[pos[x]] = x
 
     def renumber(table: list[list[int]]) -> tuple[tuple[int, ...], ...]:
@@ -356,27 +368,34 @@ def _present_map_family(carrier: FinAlgebra, keys: list) -> list[int]:
 
 
 def validate_monoid(m: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> bool:
-    """Monoid axioms, bilinearity and alphabet-generation, without a triple scan.
+    """Monoid axioms, bilinearity and alphabet-generation, through the
+    generating structure.
 
-    Checked in turn: table shapes and index ranges; the unit; for JSL0, that
-    the carrier's join table is a semilattice; that every left and right
-    translation is a carrier morphism; that the unit reaches every element
-    under right letter actions and, for JSL0/Z2VECT, sums with word images;
-    and Light's associativity test on the letters only, x(ay) = (xa)y.
+    Checked in turn: table shapes and index ranges; the unit; for JSL0, the
+    join table's laws (jsl_irreducibles); that the constants absorb,
+    x0 = 0 = 0x; that the translations x -> xa and y -> ay by each letter
+    are carrier morphisms; Light's associativity test on the letters,
+    x(ay) = (xa)y; and that the unit reaches every element under right
+    letters and, for JSL0/Z2VECT, then under sums with word images, in an
+    orbit whose tree makes each sum s = l + w, with row s = row l + row w.
 
-    Light's test is exact here.  The elements b with x(by) = (xb)y for all
-    x, y contain the unit and are closed under products (if a and b qualify,
-    so does ab).  With bilinear translations they also contain the zero and
-    are closed under sums, so once the letters qualify, every element of a
-    generated monoid does.  The same argument checks the join table on its
-    join-irreducibles (jsl_irreducibles), and a translation f of a
+    This is exact.  Light's test gives x(wy) = (xw)y for each word image
+    w = pa, by induction: x(p(ay)) = (xp)(ay) = ((xp)a)y.  So w's
+    translations are composites of letter ones, xw = (xp)a and wy = p(ay),
+    hence additive, like the zero's constant ones.  By the row checks each
+    left translation is a sum of additive ones, and as each y is a sum of
+    word images v, x -> xy is the sum of the additive x -> xv: the columns
+    need no check.  With every translation additive, the elements b with
+    x(by) = (xb)y for all x, y, the word images and the zero among them, are
+    closed under sums, as x((b + c)y) = x(by) + x(cy) = (x(b + c))y, so they
+    are all elements.  POS has no sums, so its letters are enough.
+    A lawful monoid passes every check.  A letter translation f of a
     semilattice is a join-morphism exactly when f(0) = 0 and
-    f(x + j) = f(x) + f(j) for every x and join-irreducible j.  All checks
-    are quadratic in the size, times the letters or the join-irreducibles,
-    except POS, whose translations keep the pairwise order check.
+    f(x + j) = f(x) + f(j) for every x and join-irreducible j.  Every check
+    is quadratic in the size, times the letters or the join-irreducibles.
     """
     n = m.size
-    mult = m.mult
+    mult = list(map(tuple, m.mult))
     if len(mult) != n or any(len(row) != n for row in mult):
         return False
     if not 0 <= m.unit < n or len(m.gen) != len(m.alphabet):
@@ -388,46 +407,36 @@ def validate_monoid(m: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> bool:
     carrier = m.carrier
     if carrier.tag not in D_TAGS:
         raise TagMismatchError(f"{carrier.tag} is not an algebra-side variety")
-    translations = [tuple(row) for row in mult] + list(zip(*mult))
     if isinstance(carrier, JoinSemilattice):
         try:
             irreducibles = jsl_irreducibles(carrier)
         except ValueError:
             return False
-        join, zero = carrier.join, carrier.zero
-        for f in translations:
-            if f[zero] != zero:
-                return False
-            for j in irreducibles:
-                if list(map(f.__getitem__, join[j])) != list(map(join[f[j]].__getitem__, f)):
-                    return False
-    elif not all(validate_morphism(FinMorphism(carrier, carrier, f)) for f in translations):
+
+    def is_morphism(f: tuple[int, ...]) -> bool:
+        if not isinstance(carrier, JoinSemilattice):
+            return validate_morphism(FinMorphism(carrier, carrier, f))
+        join = carrier.join
+        return f[carrier.zero] == carrier.zero and all(
+            tuple(map(f.__getitem__, join[j])) == tuple(map(join[f[j]].__getitem__, f)) for j in irreducibles
+        )
+
+    zeros = constants(carrier)
+    if any(mult[z] != (z,) * n or any(row[z] != z for row in mult) for z in zeros):
         return False
-    if _generated_closure(m, limits) != n:
+    columns = [tuple(row[g] for row in mult) for g in m.gen]  # x -> xa per letter
+    if not all(map(is_morphism, [*columns, *map(mult.__getitem__, m.gen)])):
         return False
-    for g in set(m.gen):
-        after_g = mult[g]
-        for x in range(n):
-            if list(map(mult[x].__getitem__, after_g)) != list(mult[mult[x][g]]):
-                return False
-    return True
-
-
-def _generated_closure(m: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> int:
-    """Size of the closure of the unit under right letter actions and, for
-    JSL0/Z2VECT, sums with word images.
-
-    The letters and the constants are seeds, so they never count against the
-    cap; the constants are fixed by the right letter actions, whose
-    translations validate_monoid has checked before.
-    """
+    if not all(tuple(map(row.__getitem__, mult[g])) == mult[row[g]] for g in set(m.gen) for row in mult):
+        return False
     cap = limits.max_carrier
-    steps = [lambda x, g=g: m.mult[x][g] for g in m.gen]
-    words = close([m.unit, *m.gen, *constants(m.carrier)], steps, cap, "generation closure")
-    if m.carrier.tag in LINEARISH:
-        sums = [partial(carrier_add, m.carrier, w) for w in words]
-        return len(close(words, sums, cap, "generation closure"))
-    return len(words)
+    elements = words = close([m.unit, *m.gen, *zeros], [c.__getitem__ for c in columns], cap, "generation closure")
+    if carrier.tag in LINEARISH:
+        elements, _, tree = orbit(words, [partial(carrier_add, carrier, w) for w in words], cap, "generation closure")
+        add, sums = _map_adder(carrier), zip(elements[len(words):], tree[len(words):])
+        if any(add(mult[elements[left]], mult[words[w]]) != mult[s] for s, (left, w) in sums):
+            return False
+    return len(elements) == n
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial, reduce
-from operator import and_, or_, xor
+from itertools import compress
+from operator import and_, eq, ne, or_, xor
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 from .config import DEFAULT_LIMITS, Limits
@@ -75,19 +76,8 @@ class DistLat:
 
     @cached_property
     def downset_masks(self) -> tuple[int, ...]:
-        """All downset masks of the JI poset, ascending.
-
-        The JIs are taken in a linear extension (fewer elements below first),
-        so a downset of the JIs seen so far extends by j exactly when it holds
-        everything strictly below j: the work is the number of downsets times
-        the number of JIs.
-        """
-        below = _principal_downsets(self)
-        masks = [0]
-        for j in sorted(range(self.n_ji), key=lambda j: below[j].bit_count()):
-            strict = below[j] ^ 1 << j
-            masks += [m | 1 << j for m in masks if m & strict == strict]
-        return tuple(sorted(masks))
+        """All downset masks of the JI poset, ascending."""
+        return tuple(sorted(_downsets(_principal_downsets(self), 1 << self.n_ji)))
 
     @cached_property
     def downset_index(self) -> dict[int, int]:
@@ -261,11 +251,12 @@ def jsl_irreducibles(alg: JoinSemilattice) -> list[int]:
     semilattice with least element zero.
 
     Raises ValueError unless the table is idempotent and commutative, has the
-    zero as its unit, is generated from the zero by the join-irreducibles, and
-    passes Light's associativity test on them: (x + j) + y = x + (j + y) for
-    every irreducible j.  The elements passing that test are closed under
-    joins, so with generation it is exact, at n^2 times the number of
-    irreducibles instead of n^3.
+    zero as its unit, and gives each x + y the up-set U(x + y) = U(x) & U(y),
+    where U(x) is the bit mask of the y with x + y = y.  U is one-to-one, as
+    x in U(y) and y in U(x) say y + x = x and x + y = y, and (x + y) + z and
+    x + (y + z) have the same up-set U(x) & U(y) & U(z), so the check is
+    exact, with n^2 mask operations instead of n^3 lookups.  A semilattice
+    is generated by its join-irreducibles.
     """
     join, zero, n = alg.join, alg.zero, alg.size
     if not 0 <= zero < n or any(len(row) != n or min(row) < 0 or max(row) >= n for row in join):
@@ -274,29 +265,46 @@ def jsl_irreducibles(alg: JoinSemilattice) -> list[int]:
         raise ValueError("join not idempotent")
     if list(join[zero]) != list(range(n)):
         raise ValueError("zero is not a unit for join")
-    if list(map(tuple, join)) != list(zip(*join)):
+    rows = list(map(tuple, join))
+    if rows != list(zip(*join)):
         raise ValueError("join not commutative")
-    reducible = [False] * n
-    reducible[zero] = True
-    for y, row in enumerate(join):
-        for z in range(y + 1, n):
-            v = row[z]
-            if v != y and v != z:
-                reducible[v] = True
-    irreducibles = [x for x in range(n) if not reducible[x]]
-    if len(close([zero], [join[j].__getitem__ for j in irreducibles], n, "join table")) != n:
-        raise ValueError("join table is not generated by its join-irreducibles")
-    for j in irreducibles:
-        for x in range(n):
-            if list(map(join[x].__getitem__, join[j])) != list(join[join[x][j]]):
-                raise ValueError("join not associative")
-    return irreducibles
+    bits = bytes.maketrans(b"\0\1", b"01")
+    up = [int(bytes(map(eq, row, range(n))).translate(bits), 2) for row in rows]
+    if any(list(map(ux.__and__, up)) != list(map(up.__getitem__, row)) for row, ux in zip(rows, up)):
+        raise ValueError("join not associative")
+    return join_irreducibles(alg)
+
+
+def join_irreducibles(alg: JoinSemilattice) -> list[int]:
+    """The join-irreducibles of a lawful join table (jsl_irreducibles checks
+    the laws): all but the zero and the joins y + z other than y and z."""
+    ids = range(alg.size)
+    reducible = {alg.zero}
+    for y, row in enumerate(alg.join):
+        joins = set(compress(row, map(ne, row, ids)))  # y + z for the z not above y
+        joins.discard(y)
+        reducible |= joins
+    return [x for x in ids if x not in reducible]
 
 
 def _principal_downsets(alg: DistLat) -> list[int]:
     """Per join-irreducible j, the mask of the JIs below it (j included)."""
     k = alg.n_ji
     return [sum(1 << i for i in range(k) if alg.ji_leq[i][j]) for j in range(k)]
+
+
+def _downsets(below: Sequence[int], most: int) -> list[int] | None:
+    """The downset masks of a JI poset given by its principal downsets, or None
+    past most of them.  The JIs come in a linear extension, so a downset of
+    those seen extends by j exactly when it holds all below j: the count only
+    grows, and the work is the count times the number of JIs."""
+    masks = [0]
+    for j in sorted(range(len(below)), key=lambda j: below[j].bit_count()):
+        strict = below[j] ^ 1 << j
+        masks += [m | 1 << j for m in masks if m & strict == strict]
+        if len(masks) > most:
+            return None
+    return masks
 
 
 def _union_of(masks: Sequence[int], picked: int) -> int:
@@ -504,7 +512,8 @@ def mask_lattice_presentation(masks: Iterable[int]) -> tuple[DistLat, tuple[int,
             ji.append(s)
             unseen &= ~s
     sub = DistLat(tuple(tuple(a & b == a for b in ji) for a in ji))
-    if sub.size == len(family):
+    # a wide antichain has exponentially many downsets: count to the family's size
+    if _downsets(_principal_downsets(sub), len(family)) is not None and sub.size == len(family):
         element_masks = tuple(_union_of(ji, dmask) for dmask in sub.downset_masks)
         if set(element_masks) == family:
             return sub, element_masks

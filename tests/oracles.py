@@ -56,6 +56,7 @@ from langdual.varieties import (
     identity,
     is_order_reflecting,
     jsl_from_masks,
+    jsl_irreducibles,
     validate_morphism,
 )
 
@@ -339,6 +340,54 @@ def cubic_validate_monoid(m, limits=DEFAULT_LIMITS):
         if not (validate_morphism(left) and validate_morphism(right)):
             return False
     return cubic_generated_closure(m, limits) == set(range(n))
+
+
+def translation_validate_monoid(m, limits=DEFAULT_LIMITS):
+    """validate_monoid before it checked through the generators: every one
+    of the 2n left and right translations is a carrier morphism, generation
+    by closing the unit under right letter actions and then under sums with
+    word images, and Light's test on the letters.  Tables must be in
+    range."""
+    n = m.size
+    mult = m.mult
+    if len(mult) != n or any(len(row) != n for row in mult):
+        return False
+    if not 0 <= m.unit < n or len(m.gen) != len(m.alphabet):
+        return False
+    if any(not 0 <= g < n for g in m.gen) or any(min(row) < 0 or max(row) >= n for row in mult):
+        return False
+    if any(mult[m.unit][x] != x or mult[x][m.unit] != x for x in range(n)):
+        return False
+    carrier = m.carrier
+    translations = [tuple(row) for row in mult] + list(zip(*mult))
+    if isinstance(carrier, JoinSemilattice):
+        try:
+            irreducibles = jsl_irreducibles(carrier)
+        except ValueError:
+            return False
+        join, zero = carrier.join, carrier.zero
+        for f in translations:
+            if f[zero] != zero:
+                return False
+            for j in irreducibles:
+                if list(map(f.__getitem__, join[j])) != list(map(join[f[j]].__getitem__, f)):
+                    return False
+    elif not all(validate_morphism(FinMorphism(carrier, carrier, f)) for f in translations):
+        return False
+    cap = limits.max_carrier
+    steps = [lambda x, g=g: mult[x][g] for g in m.gen]
+    words = close([m.unit, *m.gen, *constants(carrier)], steps, cap, "generation closure")
+    if carrier.tag in LINEARISH:
+        sums = [lambda x, w=w: carrier_add(carrier, w, x) for w in words]
+        words = close(words, sums, cap, "generation closure")
+    if len(words) != n:
+        return False
+    for g in set(m.gen):
+        after_g = mult[g]
+        for x in range(n):
+            if list(map(mult[x].__getitem__, after_g)) != list(mult[mult[x][g]]):
+                return False
+    return True
 
 
 def cubic_jsl_laws(join, zero):

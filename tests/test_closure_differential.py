@@ -319,3 +319,13 @@ def test_mask_lattice_presentation_refuses_all_the_scan_refused():
         assert old is not None or new is None, family
         accepted += new is not None
     assert accepted >= 100
+
+
+def test_mask_lattice_presentation_refuses_a_wide_antichain_before_listing_its_downsets():
+    # the 60 singletons are all join-irreducible candidates, with 2^60
+    # downsets; the family has 61 members, so the count stops past 61
+    with pytest.raises(ValueError, match="not a distributive lattice of sets"):
+        mask_lattice_presentation([0] + [1 << i for i in range(60)])
+    # a chain of 61 has as many downsets as members and is accepted
+    lattice, masks = mask_lattice_presentation([(1 << i) - 1 for i in range(61)])
+    assert lattice.size == 61 and masks == tuple((1 << i) - 1 for i in range(61))

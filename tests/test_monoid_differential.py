@@ -19,6 +19,7 @@ from langdual.errors import LangdualError, NotReachableError, ResourceExceededEr
 from langdual.languages import compile_regex, compile_text
 from langdual.monoids import (
     SigmaMonoid,
+    carrier_zero,
     monoid_to_json,
     quotient_leq,
     subdirect_product,
@@ -30,6 +31,7 @@ from langdual.varieties import (
     JoinSemilattice,
     VarietyTag,
     VectZ2,
+    close,
     jsl_from_masks,
     jsl_irreducibles,
 )
@@ -40,6 +42,7 @@ from oracles import (
     cubic_transition_monoid,
     cubic_validate_monoid,
     pairwise_subdirect_size,
+    translation_validate_monoid,
 )
 
 AB = ("a", "b")
@@ -50,6 +53,22 @@ LARGE_FAMILIES = [
     (DualityTag.JSL_SELF, "(aa|b)*ab"),
     (DualityTag.BA_SET, "(a|b)*abb"),
     (DualityTag.DL01_POS, "(a|b)*abb"),
+]
+
+
+# the JSL and Z2 families of the linear-monoids benchmark workload, 8 to 128
+# elements, whose monoids are as large as their pieces
+LINEAR_FAMILIES = [
+    (DualityTag.JSL_SELF, "(aa|b)*ab"),
+    (DualityTag.JSL_SELF, "(a|b)*abb"),
+    (DualityTag.JSL_SELF, "(a|b)*aba"),
+    (DualityTag.JSL_SELF, "(aa)*b"),
+    (DualityTag.JSL_SELF, "(ab)*"),
+    (DualityTag.JSL_SELF, "(a|b)*ab"),
+    (DualityTag.Z2_SELF, "(a|b)*abb"),
+    (DualityTag.Z2_SELF, "(aa)*b"),
+    (DualityTag.Z2_SELF, "(ab)*"),
+    (DualityTag.Z2_SELF, "a*b"),
 ]
 
 
@@ -149,6 +168,31 @@ def test_transition_monoid_on_free_algebras_and_cap_refusals_match_the_oracle():
     assert refused >= 20
 
 
+def test_transition_monoid_keyed_by_join_irreducibles_matches_the_oracle():
+    """The dual algebras of the JSL linear-monoids families (12 to 80
+    elements), whose sums are keyed by their values on the join-irreducibles:
+    the same monoid text in both composition orders, and the same refusals at
+    every cap up to 64 and at the default cap.  Below an algebra's size both
+    refuse in its reachable closure; the free algebras above reach the
+    keyed closure's own refusals."""
+    for d, text in LINEAR_FAMILIES:
+        if d is not DualityTag.JSL_SELF:
+            continue
+        _, alg = _dual_algebra(d, [compile_text(text, AB)], 4096)
+        assert 4 <= len(jsl_irreducibles(alg.carrier)) <= 8
+        for reverse in (True, False):
+            built, expected = _same(alg, reverse)
+            assert built == expected and len(json.loads(built)["mult"]) == alg.size, (text, reverse)
+            for cap in range(1, 65):
+                limits = Limits(max_carrier=cap)
+                if cap < alg.size:
+                    built, refused = _same(alg, reverse, limits)
+                    assert built == refused and built.startswith("refused"), (text, reverse, cap)
+                else:  # the oracle's closure never reaches a cap past its size
+                    built = json.dumps(monoid_to_json(transition_monoid(alg, reverse, limits)))
+                    assert built == expected, (text, reverse, cap)
+
+
 def _corrupt(rng, m):
     """Monoids with one multiplication entry changed or the generators swapped."""
     n = m.size
@@ -177,6 +221,67 @@ def test_validate_monoid_agrees_with_the_oracle_on_real_and_corrupted_tables():
             assert verdict == cubic_validate_monoid(bad)
             rejected += not verdict
     assert rejected >= 50
+
+
+def _aimed_corruptions(rng, m):
+    """Monoids with one entry changed where few checks read it: in the row
+    of a sum that is no word image and no x·a, at a column y that is no a·y,
+    no letter, unit or zero (and the same for columns, mirrored), which
+    Light's test on the letters never reads; and the product of the zero
+    with itself when the zero is no word image."""
+    n = m.size
+    mult = m.mult
+    zero = carrier_zero(m.carrier)
+    words = close([m.unit], [lambda x, g=g: mult[x][g] for g in m.gen], n, "word images")
+    sums = sorted(set(range(n)) - set(words) - {zero})
+    right_images = {mult[x][g] for x in range(n) for g in m.gen}
+    left_images = {mult[g][y] for y in range(n) for g in m.gen}
+    plain = set(range(n)) - {m.unit, zero, *m.gen}
+    rows = [(s, y) for s in sums if s not in right_images for y in sorted(plain - left_images)]
+    cols = [(x, s) for s in sums if s not in left_images for x in sorted(plain - right_images)]
+    anywhere = [(s, y) for s in sums for y in range(n)] + [(x, s) for s in sums for x in range(n)]
+    picks = [rng.choice(entries) for entries in (rows, rows, cols, cols, anywhere, anywhere) if entries]
+    if zero not in words:
+        picks.append((zero, zero))
+    for x, y in picks:
+        table = [list(row) for row in mult]
+        table[x][y] = (table[x][y] + rng.randrange(1, n)) % n
+        yield SigmaMonoid(m.carrier, m.alphabet, m.unit, tuple(map(tuple, table)), m.gen)
+
+
+def test_validate_monoid_at_workload_size_agrees_with_the_oracles():
+    """The JSL and Z2 monoids of the linear-monoids families and seeded
+    corruptions of them: the verdict through the generators matches the
+    per-translation check everywhere and the triple scan up to 48 elements,
+    and on the real monoids both refuse at the same caps."""
+    rng = random.Random(47)
+    rejected = aimed = 0
+    for d, text in LINEAR_FAMILIES:
+        _, alg = _dual_algebra(d, [compile_text(text, AB)], 4096)
+        m = transition_monoid(alg, reverse_composition=True)
+        assert m.size == alg.size
+        assert validate_monoid(m) and translation_validate_monoid(m)
+        for cap in sorted({1, 2, 4, 8, 16, 64, m.size - 1, m.size}):
+            limits = Limits(max_carrier=cap)
+            outcomes = []
+            for check in (validate_monoid, translation_validate_monoid):
+                try:
+                    outcomes.append(check(m, limits))
+                except ResourceExceededError as err:
+                    outcomes.append(str(err))
+            assert outcomes[0] == outcomes[1], (d, text, cap)
+            assert outcomes[0] is True or outcomes[0] == "generation closure exceeded the carrier cap"
+        corrupted = list(_corrupt(rng, m))
+        targeted = list(_aimed_corruptions(rng, m))
+        aimed += len(targeted)
+        for bad in corrupted + targeted:
+            verdict = validate_monoid(bad)
+            assert verdict == translation_validate_monoid(bad), (d, text)
+            if m.size <= 48:
+                assert verdict == cubic_validate_monoid(bad), (d, text)
+            rejected += not verdict
+        assert not any(map(validate_monoid, targeted)), (d, text)
+    assert aimed >= 60 and rejected >= 100
 
 
 def _lattice_on(rng, n, zero):
