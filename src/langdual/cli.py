@@ -14,7 +14,8 @@ import json
 import os
 import random
 import sys
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .automata import (
     coalgebra_to_dalgebra,
@@ -323,6 +324,15 @@ def _verify_random(args, dtag: DualityTag, limits: Limits) -> tuple[int, object]
     }
 
 
+def _report_text(report: object) -> Iterator[str]:
+    """The text of a report: DOT as it is, JSON in batches of encoder chunks,
+    so that a large report is never held as one string."""
+    if isinstance(report, str):
+        return iter([report])
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+    return iter(lambda: "".join(islice(chunks, 1 << 16)), "")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -333,17 +343,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    text = report if isinstance(report, str) else json.dumps(report, indent=2, sort_keys=True)
+    pieces = _report_text(report)
     if args.out:
         try:
             with open(args.out, "w") as handle:
-                handle.write(text if text.endswith("\n") else text + "\n")
+                handle.writelines(pieces)
+                if not (isinstance(report, str) and report.endswith("\n")):
+                    handle.write("\n")
         except OSError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
     else:
         try:
-            print(text)
+            sys.stdout.writelines(pieces)
+            print()
             sys.stdout.flush()
         except BrokenPipeError:
             # the interpreter flushes stdout again at exit; point it at

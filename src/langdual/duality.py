@@ -6,8 +6,10 @@ Objects and morphisms dualize contravariantly:
   DL01_POS  bounded distributive lattices <-> posets (join-irreducibles /
             downset lattices)
   JSL_SELF  join-semilattices with zero, self-dual by order reversal; a
-            morphism dualizes to its upper adjoint read in reversed orders
-  Z2_SELF   Z2 vector spaces, self-dual by transposition in coordinate bases
+            morphism dualizes to its upper adjoint read in reversed orders,
+            which is read off the domain's join-irreducibles
+  Z2_SELF   Z2 vector spaces, self-dual by transposition in coordinate bases:
+            the dual map is spanned by the transposed basis columns
 
 Because boolean algebras and distributive lattices are stored by their dual
 presentations, dualizing twice lands on a presentation-equal object and the
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import and_, or_, xor
 
 from .errors import NonFunctionalError, TagMismatchError
 from .varieties import (
@@ -30,8 +34,9 @@ from .varieties import (
     JoinSemilattice,
     VarietyTag,
     VectZ2,
+    _principal_downsets,
     identity,
-    jsl_leq,
+    subset_sums,
 )
 
 
@@ -123,35 +128,25 @@ def dual_morphism(d: DualityTag, h: FinMorphism) -> FinMorphism:
                 graph.append(hits[0])
             return FinMorphism(new_dom, new_cod, tuple(graph))
         case (DualityTag.BA_SET, FinSet()):
-            # a function dualizes to preimage between powersets
-            graph = []
-            for mask in range(1 << cod.size):
-                graph.append(sum(1 << y for y in range(dom.size) if mask >> g[y] & 1))
-            return FinMorphism(new_dom, new_cod, tuple(graph))
+            # a function dualizes to preimage between powersets, spanned by
+            # the preimages of the points
+            preimages = [sum(1 << y for y in range(dom.size) if g[y] == x) for x in range(cod.size)]
+            return FinMorphism(new_dom, new_cod, tuple(subset_sums(preimages, or_)))
         case (DualityTag.DL01_POS, DistLat()):
+            # each codomain join-irreducible has a least preimage, the meet of
+            # the elements mapping above it, and that is a principal downset
             assert isinstance(cod, DistLat)
             graph = []
             dom_masks, cod_masks = dom.downset_masks, cod.downset_masks
+            principal = _principal_downsets(dom)
             for j in range(cod.n_ji):
-                meet = (1 << dom.n_ji) - 1
-                found = False
-                for x in range(dom.size):
-                    if cod_masks[g[x]] >> j & 1:
-                        meet &= dom_masks[x]
-                        found = True
-                if not found:
+                above = [dom_masks[x] for x in range(dom.size) if cod_masks[g[x]] >> j & 1]
+                if not above:
                     raise NonFunctionalError("no element maps above a join-irreducible")
-                maximal = [
-                    i
-                    for i in range(dom.n_ji)
-                    if meet >> i & 1
-                    and not any(
-                        meet >> i2 & 1 and dom.ji_leq[i][i2] and i2 != i for i2 in range(dom.n_ji)
-                    )
-                ]
-                if len(maximal) != 1:
+                meet = reduce(and_, above)
+                if meet not in principal:
                     raise NonFunctionalError("least preimage is not join-irreducible")
-                graph.append(maximal[0])
+                graph.append(principal.index(meet))
             return FinMorphism(new_dom, new_cod, tuple(graph))
         case (DualityTag.DL01_POS, FinPoset()):
             # a monotone map dualizes to preimage between downset lattices
@@ -162,26 +157,25 @@ def dual_morphism(d: DualityTag, h: FinMorphism) -> FinMorphism:
                 graph.append(new_cod.downset_index[pre])
             return FinMorphism(new_dom, new_cod, tuple(graph))
         case (DualityTag.JSL_SELF, JoinSemilattice()):
-            # upper adjoint: largest element mapping below the argument
+            # upper adjoint: h*(b) is the join of the irreducibles j_i with
+            # h(j_i) <= b, and those are all the irreducibles below it, so
+            # bit i of below[h*(b)] says whether below[h(j_i)] is inside below[b]
             assert isinstance(cod, JoinSemilattice)
-            graph = []
-            for b in range(cod.size):
-                best = dom.zero
-                for a in range(dom.size):
-                    if jsl_leq(cod, g[a], b):
-                        best = dom.join[best][a]
-                graph.append(best)
-            return FinMorphism(new_dom, new_cod, tuple(graph))
+            element = {mask: a for a, mask in enumerate(dom.below)}
+            images = [cod.below[g[j]] for j in dom.irreducibles]
+            try:
+                graph = tuple(
+                    element[sum(1 << i for i, image in enumerate(images) if image & b == image)]
+                    for b in cod.below
+                )
+            except KeyError:
+                raise NonFunctionalError("no upper adjoint; not a join morphism") from None
+            return FinMorphism(new_dom, new_cod, graph)
         case (DualityTag.Z2_SELF, VectZ2()):
+            # the transpose sends the k-th dual basis vector to the k-th row
             assert isinstance(cod, VectZ2)
-            graph = []
-            for phi in range(1 << cod.dim):
-                image = 0
-                for i in range(dom.dim):
-                    if bin(phi & g[1 << i]).count("1") % 2 == 1:
-                        image |= 1 << i
-                graph.append(image)
-            return FinMorphism(new_dom, new_cod, tuple(graph))
+            rows = [sum(1 << i for i in range(dom.dim) if g[1 << i] >> k & 1) for k in range(cod.dim)]
+            return FinMorphism(new_dom, new_cod, tuple(subset_sums(rows, xor)))
     raise TagMismatchError(f"{dom.tag} does not match the pairing {d}")
 
 

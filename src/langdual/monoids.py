@@ -36,7 +36,6 @@ from .varieties import (
     constants,
     gaussian_basis,
     is_order_reflecting,
-    join_irreducibles,
     jsl_irreducibles,
     leq,
     orbit,
@@ -279,7 +278,7 @@ def transition_monoid(
             zero_key: object = 0
             plus = operator.xor
         else:
-            irreducibles = join_irreducibles(carrier)
+            irreducibles = carrier.irreducibles
             graphs, keys = keys, [tuple(map(f.__getitem__, irreducibles)) for f in keys]
             zero_key = (carrier.zero,) * len(irreducibles)
             plus = _map_adder(carrier)
@@ -389,10 +388,8 @@ def validate_monoid(m: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> bool:
     x(by) = (xb)y for all x, y, the word images and the zero among them, are
     closed under sums, as x((b + c)y) = x(by) + x(cy) = (x(b + c))y, so they
     are all elements.  POS has no sums, so its letters are enough.
-    A lawful monoid passes every check.  A letter translation f of a
-    semilattice is a join-morphism exactly when f(0) = 0 and
-    f(x + j) = f(x) + f(j) for every x and join-irreducible j.  Every check
-    is quadratic in the size, times the letters or the join-irreducibles.
+    A lawful monoid passes every check, each quadratic in the size times the
+    letters or the join-irreducibles (validate_morphism).
     """
     n = m.size
     mult = list(map(tuple, m.mult))
@@ -409,23 +406,15 @@ def validate_monoid(m: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> bool:
         raise TagMismatchError(f"{carrier.tag} is not an algebra-side variety")
     if isinstance(carrier, JoinSemilattice):
         try:
-            irreducibles = jsl_irreducibles(carrier)
+            jsl_irreducibles(carrier)
         except ValueError:
             return False
-
-    def is_morphism(f: tuple[int, ...]) -> bool:
-        if not isinstance(carrier, JoinSemilattice):
-            return validate_morphism(FinMorphism(carrier, carrier, f))
-        join = carrier.join
-        return f[carrier.zero] == carrier.zero and all(
-            tuple(map(f.__getitem__, join[j])) == tuple(map(join[f[j]].__getitem__, f)) for j in irreducibles
-        )
-
     zeros = constants(carrier)
     if any(mult[z] != (z,) * n or any(row[z] != z for row in mult) for z in zeros):
         return False
     columns = [tuple(row[g] for row in mult) for g in m.gen]  # x -> xa per letter
-    if not all(map(is_morphism, [*columns, *map(mult.__getitem__, m.gen)])):
+    translations = [*columns, *map(mult.__getitem__, m.gen)]
+    if not all(validate_morphism(FinMorphism(carrier, carrier, f)) for f in translations):
         return False
     if not all(tuple(map(row.__getitem__, mult[g])) == mult[row[g]] for g in set(m.gen) for row in mult):
         return False

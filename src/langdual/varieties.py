@@ -5,7 +5,8 @@ indices 0..size-1 and morphisms are index arrays; this keeps every law
 exhaustively checkable.  Boolean algebras and bounded distributive lattices
 are stored by their dual presentations (atom count, join-irreducible poset)
 and expand elements on demand.  Tables derived from a presentation (downset
-masks, top, meets) are computed once per object and live on it:
+masks, join-irreducibles and the masks of those below each element, top,
+meets) are computed once per object and live on it:
 
   BA      index = bitmask of atoms
   DL01    index = position in the sorted list of downset masks of the JI poset
@@ -99,20 +100,44 @@ class JoinSemilattice:
         return len(self.join)
 
     @cached_property
+    def irreducibles(self) -> tuple[int, ...]:
+        """The join-irreducibles of a lawful table (jsl_irreducibles checks
+        the laws): all but the zero and the joins y + z other than y and z."""
+        ids = range(self.size)
+        reducible = {self.zero}
+        for y, row in enumerate(self.join):
+            joins = set(compress(row, map(ne, row, ids)))  # y + z for the z not above y
+            joins.discard(y)
+            reducible |= joins
+        return tuple(x for x in ids if x not in reducible)
+
+    @cached_property
+    def below(self) -> tuple[int, ...]:
+        """Per element x, the mask of the irreducibles j_i below it (bit i);
+        in a lawful table x is their join, so the masks tell elements apart."""
+        below = [0] * self.size
+        ids = range(self.size)
+        for i, j in enumerate(self.irreducibles):
+            row = self.join[j]
+            for x in compress(ids, map(eq, row, ids)):  # the x with j + x = x
+                below[x] |= 1 << i
+        return tuple(below)
+
+    @cached_property
     def top(self) -> int:
-        return reduce(lambda t, x: self.join[t][x], range(self.size), self.zero)
+        return self.below.index((1 << len(self.irreducibles)) - 1)
 
     @cached_property
     def meet_table(self) -> tuple[tuple[int, ...], ...]:
         """Binary meets; they exist in any finite join-semilattice with zero.
 
-        The meet of x and y is the element whose down-set is the intersection
-        of theirs, looked up by down-set mask.
+        The irreducibles below x and y are those below their meet, so the
+        meet is the element whose mask is below[x] & below[y].
         """
-        down = [sum(1 << z for z, v in enumerate(row) if v == x) for x, row in enumerate(self.join)]
-        by_down = {mask: x for x, mask in enumerate(down)}
+        below = self.below
+        element = {mask: x for x, mask in enumerate(below)}
         try:
-            return tuple(tuple(by_down[dx & dy] for dy in down) for dx in down)
+            return tuple(tuple(map(element.__getitem__, map(bx.__and__, below))) for bx in below)
         except KeyError:
             raise ValueError("join table does not admit meets") from None
 
@@ -272,19 +297,7 @@ def jsl_irreducibles(alg: JoinSemilattice) -> list[int]:
     up = [int(bytes(map(eq, row, range(n))).translate(bits), 2) for row in rows]
     if any(list(map(ux.__and__, up)) != list(map(up.__getitem__, row)) for row, ux in zip(rows, up)):
         raise ValueError("join not associative")
-    return join_irreducibles(alg)
-
-
-def join_irreducibles(alg: JoinSemilattice) -> list[int]:
-    """The join-irreducibles of a lawful join table (jsl_irreducibles checks
-    the laws): all but the zero and the joins y + z other than y and z."""
-    ids = range(alg.size)
-    reducible = {alg.zero}
-    for y, row in enumerate(alg.join):
-        joins = set(compress(row, map(ne, row, ids)))  # y + z for the z not above y
-        joins.discard(y)
-        reducible |= joins
-    return [x for x in ids if x not in reducible]
+    return list(alg.irreducibles)
 
 
 def _principal_downsets(alg: DistLat) -> list[int]:
@@ -316,10 +329,6 @@ def _union_of(masks: Sequence[int], picked: int) -> int:
     return union
 
 
-def jsl_leq(alg: JoinSemilattice, x: int, y: int) -> bool:
-    return alg.join[x][y] == y
-
-
 def jsl_from_masks(family: Iterable[int]) -> tuple[JoinSemilattice, tuple[int, ...]]:
     """Join-semilattice structure on a union-closed family of masks with 0.
 
@@ -342,7 +351,7 @@ def leq(alg: FinAlgebra, x: int, y: int) -> bool:
             masks = alg.downset_masks
             return masks[x] & masks[y] == masks[x]
         case JoinSemilattice():
-            return jsl_leq(alg, x, y)
+            return alg.join[x][y] == y
         case FinPoset():
             return alg.leq[x][y]
         case _:
@@ -400,7 +409,13 @@ def constants(alg: FinAlgebra) -> list[int]:
 
 
 def validate_morphism(m: FinMorphism) -> bool:
-    """Exhaustively check the preservation laws of the common variety."""
+    """Check the preservation laws of the common variety through the
+    domain's generators: atoms (BA), a basis (Z2VECT), join-irreducibles
+    (DL01, and JSL0 by g(x + j) = g(x) + g(j) for each x and irreducible j,
+    as every y is their join), and every pair for POS.  This is exact for
+    lawful algebras; a JSL0 table from outside is checked by
+    jsl_irreducibles first, as validate_monoid does.
+    """
     if m.dom.tag != m.cod.tag:
         raise TagMismatchError(f"morphism between {m.dom.tag} and {m.cod.tag}")
     if len(m.graph) != m.dom.size or any(not 0 <= v < m.cod.size for v in m.graph):
@@ -409,17 +424,10 @@ def validate_morphism(m: FinMorphism) -> bool:
     dom, cod = m.dom, m.cod
     match dom:
         case BoolAlg():
-            assert isinstance(cod, BoolAlg)
-            if g[0] != 0 or g[dom.top] != cod.top:
-                return False
-            for x in range(dom.size):
-                image = 0
-                for i in range(dom.atoms):
-                    if x >> i & 1:
-                        image |= g[1 << i]
-                if g[x] != image or g[dom.top ^ x] != cod.top ^ g[x]:
-                    return False
-            return True
+            # the subset sums of disjoint atom images that cover the top
+            images = [g[1 << i] for i in range(dom.atoms)]
+            disjoint = sum(map(int.bit_count, images)) == g[dom.top].bit_count()
+            return list(g) == subset_sums(images, or_) and disjoint and g[dom.top] == cod.top
         case DistLat():
             # x is the join of the principal downsets of its JIs, and JIs are
             # join-prime, so g preserves joins once it sends each x to the
@@ -442,18 +450,12 @@ def validate_morphism(m: FinMorphism) -> bool:
             return True
         case JoinSemilattice():
             assert isinstance(cod, JoinSemilattice)
-            if g[dom.zero] != cod.zero:
-                return False
-            n = dom.size
-            for x in range(n):
-                for y in range(x, n):
-                    if g[dom.join[x][y]] != cod.join[g[x]][g[y]]:
-                        return False
-            return True
+            return g[dom.zero] == cod.zero and all(
+                tuple(map(g.__getitem__, dom.join[j])) == tuple(map(cod.join[g[j]].__getitem__, g))
+                for j in dom.irreducibles
+            )
         case VectZ2():
-            # x is x without its lowest bit plus that bit, so by induction on
-            # the bit count this is g[x] = sum of g over the basis bits of x
-            return g[0] == 0 and all(g[x] == g[x & (x - 1)] ^ g[x & -x] for x in range(1, dom.size))
+            return list(g) == subset_sums([g[1 << i] for i in range(dom.dim)], xor)
         case FinSet():
             return True
         case FinPoset():

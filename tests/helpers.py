@@ -27,7 +27,6 @@ from langdual.varieties import (
     algebra_to_json,
     jsl_from_masks,
     jsl_irreducibles,
-    jsl_leq,
     two_element_algebra,
     validate_morphism,
 )
@@ -36,6 +35,10 @@ C_OPERATION_TAGS = (VarietyTag.BA, VarietyTag.DL01, VarietyTag.JSL0, VarietyTag.
 
 # ---------------------------------------------------------------------------
 # regexes and morphisms
+
+
+def jsl_leq(alg: JoinSemilattice, x: int, y: int) -> bool:
+    return alg.join[x][y] == y
 
 
 def derivative(r: Regex, a: str) -> Regex:
@@ -195,6 +198,27 @@ def random_algebra(rng: random.Random, tag: VarietyTag, max_size: int = 16) -> F
         case VarietyTag.POS:
             return make_poset(_random_poset_matrix(rng, rng.randint(1, min(6, max_size))))
     raise ValueError(tag)
+
+
+def scrambled_jsl(rng: random.Random, seeds: Sequence[int] = ()) -> tuple[list[list[int]], int]:
+    """The union-closed family of masks generated by seeds (by default up to
+    six random 7-bit masks, at most 64 members) as a join table, with the
+    elements renumbered at random."""
+    family = {0} | set(seeds or {rng.randrange(1 << 7) for _ in range(rng.randint(1, 6))})
+    while True:
+        extra = {x | y for x in family for y in family} - family
+        if not extra:
+            break
+        family |= extra
+    masks = sorted(family)
+    order = list(range(len(masks)))
+    rng.shuffle(order)
+    index = {masks[i]: k for k, i in enumerate(order)}
+    join = [[0] * len(masks) for _ in masks]
+    for x in masks:
+        for y in masks:
+            join[index[x]][index[y]] = index[x | y]
+    return join, index[0]
 
 
 def _random_monotone(rng: random.Random, dom_leq, cod_leq, n_dom: int, n_cod: int):

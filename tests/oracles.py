@@ -3,11 +3,11 @@
 The language oracles work from word membership and plain enumeration, never
 through the minimization/duality code paths they are used to check.  The
 monoid, join-semilattice, closure, class automaton, residual closure, DFA
-equivalence, minimization, labelling and DL01 oracles are the exhaustive
-algorithms that the library's faster or shorter ones replaced; they
-share only carrier primitives such as validate_morphism, close,
-jsl_from_masks, gaussian_basis and the breadth-first renumbering of a DFA
-with the code they check.  The presentations of subalgebras are scanned
+equivalence, minimization, labelling, DL01, morphism check and dual map
+oracles are the exhaustive algorithms that the library's faster or shorter
+ones replaced; they share only carrier primitives such as validate_morphism,
+close, jsl_from_masks, gaussian_basis and the breadth-first renumbering of a
+DFA with the code they check.  The presentations of subalgebras are scanned
 from their element lists here (scanned_present_subset), as before the
 library's closures handed back the atoms, basis or join-irreducibles they
 found.  The regex oracles are the recursive dataclass trees and walks that
@@ -24,7 +24,9 @@ from itertools import product
 
 from langdual.automata import ClassAutomaton, DAlgebra, label_set, reachable_part
 from langdual.config import DEFAULT_LIMITS
+from langdual.duality import DualityTag, dual_morphism, dual_object
 from langdual.errors import (
+    NonFunctionalError,
     NotReachableError,
     RegexSyntaxError,
     ResourceExceededError,
@@ -1044,6 +1046,125 @@ def covers_lattice_presentation(masks):
     if len(downsets) != len(family):
         raise ValueError("family is not a distributive lattice of sets")
     return sub, tuple(_expand(ji, int.__or__)[d] for d in downsets)
+
+
+
+# ---------------------------------------------------------------------------
+# morphisms element by element: the checks and dual maps that the library
+# now reads off the generators (atoms, bases, join-irreducibles)
+
+
+def jsl_leq(alg, x, y):
+    return alg.join[x][y] == y
+
+
+def pairwise_validate_morphism(m):
+    """validate_morphism with BA maps checked element by element, JSL0 maps
+    pair by pair and Z2VECT maps by the lowest bit; other tags go to the
+    library."""
+    if m.dom.tag != m.cod.tag or m.dom.tag not in (VarietyTag.BA, VarietyTag.JSL0, VarietyTag.Z2VECT):
+        return validate_morphism(m)
+    if len(m.graph) != m.dom.size or any(not 0 <= v < m.cod.size for v in m.graph):
+        return False
+    g = m.graph
+    dom, cod = m.dom, m.cod
+    match dom:
+        case BoolAlg():
+            if g[0] != 0 or g[dom.top] != cod.top:
+                return False
+            for x in range(dom.size):
+                image = 0
+                for i in range(dom.atoms):
+                    if x >> i & 1:
+                        image |= g[1 << i]
+                if g[x] != image or g[dom.top ^ x] != cod.top ^ g[x]:
+                    return False
+            return True
+        case JoinSemilattice():
+            if g[dom.zero] != cod.zero:
+                return False
+            n = dom.size
+            for x in range(n):
+                for y in range(x, n):
+                    if g[dom.join[x][y]] != cod.join[g[x]][g[y]]:
+                        return False
+            return True
+        case VectZ2():
+            # x is x without its lowest bit plus that bit, so by induction on
+            # the bit count this is g[x] = sum of g over the basis bits of x
+            return g[0] == 0 and all(g[x] == g[x & (x - 1)] ^ g[x & -x] for x in range(1, dom.size))
+
+
+def scanning_dual_morphism(d, h):
+    """dual_morphism with the JSL upper adjoint found by comparing every
+    pair, the Z2 transpose by parities, SET preimages mask by mask and DL
+    least preimages by a scan for the maximal join-irreducible."""
+    if h.dom.tag != h.cod.tag:
+        raise TagMismatchError("cannot dualize a cross-variety map")
+    dom, cod, g = h.dom, h.cod, h.graph
+    new_dom = dual_object(d, cod)
+    new_cod = dual_object(d, dom)
+    match (d, dom):
+        case (DualityTag.BA_SET, FinSet()):
+            # a function dualizes to preimage between powersets
+            graph = []
+            for mask in range(1 << cod.size):
+                graph.append(sum(1 << y for y in range(dom.size) if mask >> g[y] & 1))
+            return FinMorphism(new_dom, new_cod, tuple(graph))
+        case (DualityTag.DL01_POS, DistLat()):
+            graph = []
+            dom_masks, cod_masks = dom.downset_masks, cod.downset_masks
+            for j in range(cod.n_ji):
+                meet = (1 << dom.n_ji) - 1
+                found = False
+                for x in range(dom.size):
+                    if cod_masks[g[x]] >> j & 1:
+                        meet &= dom_masks[x]
+                        found = True
+                if not found:
+                    raise NonFunctionalError("no element maps above a join-irreducible")
+                maximal = [
+                    i
+                    for i in range(dom.n_ji)
+                    if meet >> i & 1
+                    and not any(
+                        meet >> i2 & 1 and dom.ji_leq[i][i2] and i2 != i for i2 in range(dom.n_ji)
+                    )
+                ]
+                if len(maximal) != 1:
+                    raise NonFunctionalError("least preimage is not join-irreducible")
+                graph.append(maximal[0])
+            return FinMorphism(new_dom, new_cod, tuple(graph))
+        case (DualityTag.JSL_SELF, JoinSemilattice()):
+            # upper adjoint: largest element mapping below the argument
+            graph = []
+            for b in range(cod.size):
+                best = dom.zero
+                for a in range(dom.size):
+                    if jsl_leq(cod, g[a], b):
+                        best = dom.join[best][a]
+                graph.append(best)
+            return FinMorphism(new_dom, new_cod, tuple(graph))
+        case (DualityTag.Z2_SELF, VectZ2()):
+            graph = []
+            for phi in range(1 << cod.dim):
+                image = 0
+                for i in range(dom.dim):
+                    if bin(phi & g[1 << i]).count("1") % 2 == 1:
+                        image |= 1 << i
+                graph.append(image)
+            return FinMorphism(new_dom, new_cod, tuple(graph))
+    return dual_morphism(d, h)
+
+
+def downset_meet_table(join):
+    """Meets looked up by the intersection of n-bit down-set masks."""
+    down = [sum(1 << z for z, v in enumerate(row) if v == x) for x, row in enumerate(join)]
+    by_down = {mask: x for x, mask in enumerate(down)}
+    try:
+        return tuple(tuple(by_down[dx & dy] for dy in down) for dx in down)
+    except KeyError:
+        raise ValueError("join table does not admit meets") from None
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from langdual.varieties import (
     jsl_from_masks,
     jsl_irreducibles,
 )
-from helpers import make_jsl, random_algebra, random_morphism
+from helpers import make_jsl, random_algebra, random_morphism, scrambled_jsl
 from oracles import (
     cubic_jsl_laws,
     cubic_meet_table,
@@ -380,31 +380,11 @@ def test_subdirect_products_match_the_pairwise_closure(d):
         assert quotient_leq(m1, product) and quotient_leq(m2, product)
 
 
-def _scrambled_jsl(rng):
-    """A union-closed family of at most 64 masks as a join table, with the
-    elements renumbered at random."""
-    family = {0} | {rng.randrange(1 << 7) for _ in range(rng.randint(1, 6))}
-    while True:
-        extra = {x | y for x in family for y in family} - family
-        if not extra:
-            break
-        family |= extra
-    masks = sorted(family)
-    order = list(range(len(masks)))
-    rng.shuffle(order)
-    index = {masks[i]: k for k, i in enumerate(order)}
-    join = [[0] * len(masks) for _ in masks]
-    for x in masks:
-        for y in masks:
-            join[index[x]][index[y]] = index[x | y]
-    return join, index[0]
-
-
 def test_jsl_laws_and_meets_match_the_cubic_scans():
     rng = random.Random(41)
     broken = 0
     for _ in range(120):
-        join, zero = _scrambled_jsl(rng)
+        join, zero = scrambled_jsl(rng)
         alg = make_jsl(join, zero)
         assert cubic_jsl_laws(alg.join, zero)
         assert alg.meet_table == cubic_meet_table(alg.join, zero)
