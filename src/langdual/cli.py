@@ -254,9 +254,9 @@ def _run(args) -> tuple[int, object]:
 
     if verb == "export-dot":
         dtag = parse_variety_flag(args.variety)
-        _, langs = _languages(args, limits)
         if args.object == "min-dfa":
-            return 0, dfa_to_dot(langs[0].dfa)
+            return 0, dfa_to_dot(_one_language(args, limits)[1].dfa)
+        _, langs = _languages(args, limits)
         piece = rqc_closure(c_tag(dtag), langs, limits)
         if args.object == "coalgebra":
             from .automata import coalgebra_to_dot

@@ -102,7 +102,7 @@ def dual_object(d: DualityTag, alg: FinAlgebra) -> FinAlgebra:
         case (DualityTag.DL01_POS, FinPoset()):
             return DistLat(alg.leq)
         case (DualityTag.JSL_SELF, JoinSemilattice()):
-            return JoinSemilattice(alg.meet_table, alg.top)
+            return alg.dual
         case (DualityTag.Z2_SELF, VectZ2()):
             return VectZ2(alg.dim)
     raise TagMismatchError(f"{alg.tag} does not match the pairing {d}")

@@ -36,8 +36,10 @@ from .varieties import (
     constants,
     gaussian_basis,
     is_order_reflecting,
+    is_partial_order,
     jsl_irreducibles,
     leq,
+    op_table,
     orbit,
     subset_sums,
     validate_morphism,
@@ -149,9 +151,6 @@ class SigmaMonoid:
 
     def gen_of(self, a: str) -> int:
         return self.gen[self.alphabet.index(a)]
-
-    def product(self, x: int, y: int) -> int:
-        return self.mult[x][y]
 
 
 def trivial_monoid(tag: VarietyTag, alphabet: Sequence[str]) -> SigmaMonoid:
@@ -371,7 +370,8 @@ def validate_monoid(m: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> bool:
     generating structure.
 
     Checked in turn: table shapes and index ranges; the unit; for JSL0, the
-    join table's laws (jsl_irreducibles); that the constants absorb,
+    join table's laws (jsl_irreducibles), and for POS, that the order is a
+    partial order (is_partial_order); that the constants absorb,
     x0 = 0 = 0x; that the translations x -> xa and y -> ay by each letter
     are carrier morphisms; Light's associativity test on the letters,
     x(ay) = (xa)y; and that the unit reaches every element under right
@@ -409,6 +409,8 @@ def validate_monoid(m: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> bool:
             jsl_irreducibles(carrier)
         except ValueError:
             return False
+    if isinstance(carrier, FinPoset) and not is_partial_order(carrier):
+        return False
     zeros = constants(carrier)
     if any(mult[z] != (z,) * n or any(row[z] != z for row in mult) for z in zeros):
         return False
@@ -460,48 +462,26 @@ def subdirect_product(m1: SigmaMonoid, m2: SigmaMonoid, limits: Limits = DEFAULT
     """The join in the quotient order: the monoid generated by paired letters
     inside the product."""
     pairs = _subdirect_pairs(m1, m2, limits)
-    index = {p: i for i, p in enumerate(pairs)}
-    tag = m1.carrier.tag
+    c1, c2 = m1.carrier, m2.carrier
+    tag = c1.tag
     match tag:
         case VarietyTag.SET:
             carrier: FinAlgebra = FinSet(len(pairs))
         case VarietyTag.POS:
-            carrier = FinPoset(
-                tuple(
-                    tuple(
-                        leq(m1.carrier, p[0], q[0]) and leq(m2.carrier, p[1], q[1])
-                        for q in pairs
-                    )
-                    for p in pairs
-                )
-            )
+            order = [[leq(c1, p[0], q[0]) and leq(c2, p[1], q[1]) for q in pairs] for p in pairs]
+            carrier = FinPoset(tuple(map(tuple, order)))
         case VarietyTag.JSL0:
-            join = tuple(
-                tuple(
-                    index[
-                        (
-                            carrier_add(m1.carrier, p[0], q[0]),
-                            carrier_add(m2.carrier, p[1], q[1]),
-                        )
-                    ]
-                    for q in pairs
-                )
-                for p in pairs
-            )
-            carrier = JoinSemilattice(join, index[(carrier_zero(m1.carrier), carrier_zero(m2.carrier))])
+            join = op_table(pairs, lambda p, q: (c1.join[p[0]][q[0]], c2.join[p[1]][q[1]]))
+            carrier = JoinSemilattice(join, pairs.index((c1.zero, c2.zero)))
         case VarietyTag.Z2VECT:
             r = (len(pairs) - 1).bit_length() if len(pairs) > 1 else 0
             carrier = VectZ2(r)
             pairs = _relabel_pairs_linearly(m1, m2, pairs)
-            index = {p: i for i, p in enumerate(pairs)}
         case _:
             raise TagMismatchError(f"{tag} is not an algebra-side variety")
-    mult = tuple(
-        tuple(index[(m1.mult[p[0]][q[0]], m2.mult[p[1]][q[1]])] for q in pairs) for p in pairs
-    )
-    unit = index[(m1.unit, m2.unit)]
-    gens = tuple(index[(g1, g2)] for g1, g2 in zip(m1.gen, m2.gen))
-    return SigmaMonoid(carrier, m1.alphabet, unit, mult, gens)
+    mult = op_table(pairs, lambda p, q: (m1.mult[p[0]][q[0]], m2.mult[p[1]][q[1]]))
+    gens = tuple(map(pairs.index, zip(m1.gen, m2.gen)))
+    return SigmaMonoid(carrier, m1.alphabet, pairs.index((m1.unit, m2.unit)), mult, gens)
 
 
 def _relabel_pairs_linearly(m1, m2, pairs):

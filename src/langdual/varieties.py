@@ -5,8 +5,8 @@ indices 0..size-1 and morphisms are index arrays; this keeps every law
 exhaustively checkable.  Boolean algebras and bounded distributive lattices
 are stored by their dual presentations (atom count, join-irreducible poset)
 and expand elements on demand.  Tables derived from a presentation (downset
-masks, join-irreducibles and the masks of those below each element, top,
-meets) are computed once per object and live on it:
+masks, join-irreducibles and the masks of those below each element, a
+JSL0's order-reversed dual) are computed once per object and live on it:
 
   BA      index = bitmask of atoms
   DL01    index = position in the sorted list of downset masks of the JI poset
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial, reduce
-from itertools import compress
+from itertools import compress, repeat
 from operator import and_, eq, ne, or_, xor
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
@@ -124,21 +124,15 @@ class JoinSemilattice:
         return tuple(below)
 
     @cached_property
-    def top(self) -> int:
-        return self.below.index((1 << len(self.irreducibles)) - 1)
-
-    @cached_property
-    def meet_table(self) -> tuple[tuple[int, ...], ...]:
-        """Binary meets; they exist in any finite join-semilattice with zero.
-
-        The irreducibles below x and y are those below their meet, so the
-        meet is the element whose mask is below[x] & below[y].
-        """
+    def dual(self) -> "JoinSemilattice":
+        """The order-reversed lattice, meets as its join and the top as its
+        zero.  The irreducibles below x and y are those below their meet, so
+        the meet is the element whose mask is below[x] & below[y].  Raises
+        ValueError on a table without meets."""
         below = self.below
-        element = {mask: x for x, mask in enumerate(below)}
         try:
-            return tuple(tuple(map(element.__getitem__, map(bx.__and__, below))) for bx in below)
-        except KeyError:
+            return JoinSemilattice(op_table(below, and_), below.index((1 << len(self.irreducibles)) - 1))
+        except (KeyError, ValueError):
             raise ValueError("join table does not admit meets") from None
 
 
@@ -258,6 +252,14 @@ def orbit(
     return elements, edges, tree
 
 
+def op_table(elements: Sequence[T], op: Callable[[T, T], T]) -> tuple[tuple[int, ...], ...]:
+    """The table of a family closed under op: entry [x][y] is the index of
+    op(elements[x], elements[y]).  Raises KeyError if the family is not
+    closed."""
+    index = {e: i for i, e in enumerate(elements)}
+    return tuple(tuple(map(index.__getitem__, map(op, repeat(x), elements))) for x in elements)
+
+
 def subset_sums(gens: Sequence[int], op: Callable[[int, int], int]) -> list[int]:
     """Index i holds the op-sum of the gens picked by the bits of i, index 0
     the empty sum 0: the span of atoms under | or of a basis under ^."""
@@ -300,6 +302,18 @@ def jsl_irreducibles(alg: JoinSemilattice) -> list[int]:
     return list(alg.irreducibles)
 
 
+def is_partial_order(alg: FinPoset) -> bool:
+    """Whether a square order matrix is reflexive, transitive and antisymmetric,
+    in n^2 mask operations on the up-sets U(x) of the y with x <= y: x is in
+    U(x), each y in U(x) has U(y) inside it, and no two are equal."""
+    n, ids = alg.size, range(alg.size)
+    up = [sum(1 << y for y in compress(ids, row)) for row in alg.leq]
+    return all(len(row) == n for row in alg.leq) and len(set(up)) == n and all(
+        ux >> x & 1 and not any(up[y] & ~ux for y in compress(ids, row))
+        for x, (ux, row) in enumerate(zip(up, alg.leq))
+    )
+
+
 def _principal_downsets(alg: DistLat) -> list[int]:
     """Per join-irreducible j, the mask of the JIs below it (j included)."""
     k = alg.n_ji
@@ -335,11 +349,9 @@ def jsl_from_masks(family: Iterable[int]) -> tuple[JoinSemilattice, tuple[int, .
     Returns the algebra together with the ascending mask enumeration.
     """
     masks = tuple(sorted(set(family)))
-    index = {m: i for i, m in enumerate(masks)}
-    if 0 not in index:
+    if masks[:1] != (0,):
         raise ValueError("family must contain the empty mask")
-    join = tuple(tuple(index[x | y] for y in masks) for x in masks)
-    return JoinSemilattice(join, index[0]), masks
+    return JoinSemilattice(op_table(masks, or_), 0), masks
 
 
 def leq(alg: FinAlgebra, x: int, y: int) -> bool:
@@ -567,8 +579,9 @@ def present_closure(
 ) -> tuple[FinAlgebra, FinMorphism, dict[int, int]]:
     """The subalgebra generated by gens and the constants, presented in its
     own right: (algebra, inclusion into amb, ambient index -> subalgebra
-    index).  Refuses when it would pass cap, which the generators and
-    constants never count against."""
+    index).  A JSL0 closure that is all of amb is amb itself.  Refuses when
+    it would pass cap, which the generators and constants never count
+    against."""
     seeds = set(gens) | set(constants(amb))
     cap = max(cap, len(seeds))
     match amb:
@@ -580,9 +593,10 @@ def present_closure(
             incl = tuple(map(amb.downset_index.__getitem__, family))
         case JoinSemilattice():
             incl = tuple(sorted(close(seeds, [amb.join[g].__getitem__ for g in seeds], cap, what)))
-            index = {v: i for i, v in enumerate(incl)}
-            join = tuple(tuple(index[amb.join[x][y]] for y in incl) for x in incl)
-            sub = JoinSemilattice(join, index[amb.zero])
+            if len(incl) == amb.size:
+                sub = amb
+            else:
+                sub = JoinSemilattice(op_table(incl, lambda x, y: amb.join[x][y]), incl.index(amb.zero))
         case FinSet():  # SET and POS have no operations
             incl = tuple(sorted(seeds))
             sub = FinSet(len(incl))
@@ -666,10 +680,7 @@ def product_algebra(a: FinAlgebra, b: FinAlgebra) -> tuple[FinAlgebra, FinMorphi
         case (JoinSemilattice(), JoinSemilattice()):
             nb = b.size
             pairs = [(x, y) for x in range(a.size) for y in range(nb)]
-            join = tuple(
-                tuple(a.join[x1][x2] * nb + b.join[y1][y2] for (x2, y2) in pairs)
-                for (x1, y1) in pairs
-            )
+            join = op_table(pairs, lambda p, q: (a.join[p[0]][q[0]], b.join[p[1]][q[1]]))
             prod = JoinSemilattice(join, a.zero * nb + b.zero)
             p1 = tuple(x for (x, _) in pairs)
             p2 = tuple(y for (_, y) in pairs)

@@ -132,6 +132,17 @@ def test_export_dot(capsys):
     assert "cayley" in out
 
 
+def test_export_dot_of_the_min_dfa_takes_exactly_one_regex(capsys):
+    # the default object is the min-dfa, refused on two regexes as min-dfa
+    # refuses them; the other objects take several generators
+    for argv in (["min-dfa"], ["export-dot"], ["export-dot", "--object", "min-dfa"]):
+        assert main([*argv, "--regex", "a", "--regex", "b"]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: this verb takes exactly one --regex\n", argv
+    code, out = run(capsys, "export-dot", "--object", "coalgebra", "--regex", "a", "--regex", "b")
+    assert code == 0 and out.startswith("digraph")
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["derive", "--regex", "(ab", "--word", "a"]) == 2
     assert main(["monoid"]) == 2  # no regex

@@ -26,8 +26,10 @@ from langdual.monoids import (
     transition_monoid,
     validate_monoid,
 )
+from langdual.correspondence import monoid_to_piece
 from langdual.varieties import (
     FinMorphism,
+    FinPoset,
     JoinSemilattice,
     VarietyTag,
     VectZ2,
@@ -35,7 +37,7 @@ from langdual.varieties import (
     jsl_from_masks,
     jsl_irreducibles,
 )
-from helpers import make_jsl, random_algebra, random_morphism, scrambled_jsl
+from helpers import make_jsl, make_poset, random_algebra, random_morphism, scrambled_jsl
 from oracles import (
     cubic_jsl_laws,
     cubic_meet_table,
@@ -340,6 +342,62 @@ def test_validate_monoid_rejects_a_non_semilattice_jsl_carrier():
         jsl_irreducibles(xor)
 
 
+def test_validate_monoid_rejects_pos_carriers_that_are_not_partial_orders():
+    # the two-element group under the total relation, which is not
+    # antisymmetric, yet every translation preserves it; and a one-element
+    # carrier whose only element is not below itself
+    group = SigmaMonoid(FinPoset(((True, True), (True, True))), ("a",), 0, ((0, 1), (1, 0)), (1,))
+    irreflexive = SigmaMonoid(FinPoset(((False,),)), ("a",), 0, ((0,),), (0,))
+    for m in (group, irreflexive):
+        assert translation_validate_monoid(m)
+        assert not validate_monoid(m)
+    with pytest.raises(ValueError, match="not a valid alphabet-generated monoid"):
+        monoid_to_piece(DualityTag.DL01_POS, group)
+
+
+def _relation(rng, n):
+    """A random relation on n elements: mostly its reflexive and transitive
+    closure, a preorder that is often a partial order, else as drawn."""
+    rel = [[rng.random() < 0.3 for _ in range(n)] for _ in range(n)]
+    for x in range(n):
+        rel[x][x] = rng.random() < 0.9
+    if rng.random() < 0.6:
+        for x in range(n):
+            rel[x][x] = True
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    rel[i][j] = rel[i][j] or (rel[i][k] and rel[k][j])
+    return tuple(map(tuple, rel))
+
+
+def test_validate_monoid_on_random_relations_as_pos_carriers():
+    # syntactic monoids of up to 5 elements, read over random relations on
+    # their carriers: a relation that is no partial order is refused, and
+    # on a partial order the verdict is the per-translation check's
+    rng = random.Random(53)
+    monoids = {}
+    while len(monoids) < 12:
+        m = transition_monoid(language_dalgebra(compile_regex(random_regex(rng, AB), AB)))
+        if m.size <= 5:
+            monoids[m.mult, m.gen] = m
+    verdicts = {"not an order": 0, True: 0, False: 0}
+    for m in monoids.values():
+        for _ in range(60):
+            leq = _relation(rng, m.size)
+            over = SigmaMonoid(FinPoset(leq), m.alphabet, m.unit, m.mult, m.gen)
+            verdict = validate_monoid(over)
+            try:
+                make_poset(leq)
+            except ValueError:
+                assert not verdict, leq
+                verdicts["not an order"] += 1
+            else:
+                assert verdict == translation_validate_monoid(over), leq
+                verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 50, verdicts
+
+
 def test_jsl_table_laws_are_checked_through_the_irreducibles():
     # idempotent and commutative with zero as unit, but not associative:
     # 1 + (2 + 3) = 1 + 3 = 4 while (1 + 2) + 3 = 3 + 3 = 3
@@ -387,7 +445,7 @@ def test_jsl_laws_and_meets_match_the_cubic_scans():
         join, zero = scrambled_jsl(rng)
         alg = make_jsl(join, zero)
         assert cubic_jsl_laws(alg.join, zero)
-        assert alg.meet_table == cubic_meet_table(alg.join, zero)
+        assert alg.dual.join == cubic_meet_table(alg.join, zero)
         n = len(join)
         if n < 2:
             continue

@@ -126,8 +126,8 @@ def test_jsl_checks_and_adjoints_match_the_oracles_on_scrambled_tables():
     algebras.append(make_jsl(*scrambled_jsl(rng, [1 << i for i in range(6)])))  # all 64 subsets
     assert max(a.size for a in algebras) == 64
     for alg in algebras:
-        assert alg.meet_table == downset_meet_table(alg.join)
-        assert alg.top == reduce(lambda t, x: alg.join[t][x], range(alg.size), alg.zero)
+        assert alg.dual.join == downset_meet_table(alg.join)
+        assert alg.dual.zero == reduce(lambda t, x: alg.join[t][x], range(alg.size), alg.zero)
     verdicts = []
     for _ in range(300):
         dom, cod = rng.choice(algebras), rng.choice(algebras)

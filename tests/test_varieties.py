@@ -212,8 +212,11 @@ def test_pos_quotients_need_not_reflect_order():
 
 
 def test_jsl_meets_exist():
-    meets = CHAIN3.meet_table
+    meets = CHAIN3.dual.join
     assert meets[1][2] == 1 and meets[0][2] == 0
+    # XOR posing as a join has no top: its one irreducible lies below no element
+    with pytest.raises(ValueError, match="does not admit meets"):
+        JoinSemilattice(((0, 1), (1, 0)), 0).dual
 
 
 def test_downsets_of_vee():
