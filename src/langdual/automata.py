@@ -247,7 +247,7 @@ def is_rqc_closed(q: CCoalgebra) -> bool:
     state hold an unshifted one.  Blocks are language classes whatever else
     is in the table.  That is exact when the labels are the state languages,
     which holds for every piece the library labels (generate_subcoalgebra,
-    rqc_closure, dalgebra_to_coalgebra); the labels themselves are not read.
+    rqc_closure, dalgebra_to_coalgebra, monoid_to_piece); labels are not read.
     """
     label_set(q)  # refuses an unlabelled coalgebra
     n = q.size
@@ -308,13 +308,32 @@ def _two_relabel(d: DualityTag) -> FinMorphism:
 
 
 def dalgebra_to_coalgebra(d: DualityTag, a: DAlgebra) -> CCoalgebra:
-    """Inverse dualization; recomputes labels from scratch."""
+    """Inverse dualization, every state labelled by its language."""
+    return _labelled(dual_coalgebra(d, a))
+
+
+def dual_coalgebra(d: DualityTag, a: DAlgebra) -> CCoalgebra:
+    """Inverse dualization without labels."""
     if a.carrier.tag != d_tag(d):
         raise TagMismatchError(f"algebra carrier {a.carrier.tag} does not match {d}")
     gamma = tuple(dual_morphism(d, al) for al in a.alpha)
     out = dual_morphism(d, _initial_state_morphism(d, a)).then(_two_relabel(d))
-    carrier = dual_object(d, a.carrier)
-    return _labelled(CCoalgebra(carrier, a.alphabet, gamma, out))
+    return CCoalgebra(dual_object(d, a.carrier), a.alphabet, gamma, out)
+
+
+def match_states(p: CCoalgebra, q: CCoalgebra) -> tuple[int, ...] | None:
+    """Each state of p to the state of q with its language, by one refinement
+    of the two side by side; None unless each class holds one state of each."""
+    n = p.size
+    if p.alphabet != q.alphabet or q.size != n:
+        return None
+    table = _delta_rows(p) + [tuple(t + n for t in row) for row in _delta_rows(q)]
+    finals = [s for s, o in enumerate(p.out.graph + q.out.graph) if o == 1]
+    block = refine_partition(2 * n, len(p.alphabet), finals, table)
+    mate = {b: t for t, b in enumerate(block[n:])}
+    if len(mate) != n or mate.keys() != set(block[:n]):
+        return None
+    return tuple(map(mate.__getitem__, block[:n]))
 
 
 def state_language(q: CCoalgebra, state: int) -> LanguageId:

@@ -12,21 +12,24 @@ mutually inverse:
   monoid ->  left-multiplication algebra  ->  dual coalgebra with labels
 
 Label-set inclusion of pieces then coincides with the quotient order of the
-monoids, and joins of pieces with subdirect products.
+monoids, and joins of pieces with subdirect products.  A round trip is matched
+state by state to its piece, whose labels are read as its state languages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .automata import (
     CCoalgebra,
     DAlgebra,
     coalgebra_to_dalgebra,
     dalgebra_to_coalgebra,
+    dual_coalgebra,
     is_rqc_closed,
     label_set,
+    match_states,
     rqc_closure,
     reachable_part,
 )
@@ -49,7 +52,9 @@ def piece_to_monoid(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_L
     """Dualize and read off the transition monoid in word order."""
     if piece.carrier.tag != c_tag(d):
         raise TagMismatchError(f"piece carrier {piece.carrier.tag} does not match {d}")
-    if piece.labels is None or not is_rqc_closed(piece):
+    if piece.labels is None:
+        raise NotRqcClosedError("piece carries no labels")
+    if not is_rqc_closed(piece):
         raise NotRqcClosedError("piece is not closed under right derivatives")
     algebra = reachable_part(coalgebra_to_dalgebra(d, piece), limits)
     return transition_monoid(algebra, reverse_composition=True, limits=limits)
@@ -57,29 +62,29 @@ def piece_to_monoid(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_L
 
 def monoid_to_piece(d: DualityTag, m: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> CCoalgebra:
     """Dualize the left-multiplication algebra of the monoid and label it."""
-    if m.carrier.tag != d_tag(d):
-        raise TagMismatchError(f"monoid carrier {m.carrier.tag} does not match {d}")
-    if not validate_monoid(m, limits):
-        raise ValueError("input is not a valid alphabet-generated monoid")
-    left_actions = tuple(
-        FinMorphism(m.carrier, m.carrier, tuple(m.mult[m.gen[ai]][x] for x in range(m.size)))
-        for ai in range(len(m.alphabet))
-    )
-    algebra = DAlgebra(m.carrier, m.alphabet, left_actions, m.unit)
-    piece = dalgebra_to_coalgebra(d, algebra)
+    piece = dalgebra_to_coalgebra(d, _left_algebra(d, m, limits))
     assert piece.labels is not None
     if len(set(piece.labels)) != len(piece.labels):
         raise CorrespondenceError("duplicate state languages; monoid is not generated")
     return piece
 
 
-def _structure_iso(p1: CCoalgebra, p2: CCoalgebra) -> IsoWitness:
-    """The label-matching bijection, checked to commute with the structure."""
-    assert p1.labels is not None and p2.labels is not None
-    position = {lang: i for i, lang in enumerate(p2.labels)}
-    forward = FinMorphism(p1.carrier, p2.carrier, tuple(position[lang] for lang in p1.labels))
-    back_position = {lang: i for i, lang in enumerate(p1.labels)}
-    backward = FinMorphism(p2.carrier, p1.carrier, tuple(back_position[lang] for lang in p2.labels))
+def _left_algebra(d: DualityTag, m: SigmaMonoid, limits: Limits) -> DAlgebra:
+    """The left-multiplication algebra of a valid monoid."""
+    if m.carrier.tag != d_tag(d):
+        raise TagMismatchError(f"monoid carrier {m.carrier.tag} does not match {d}")
+    if not validate_monoid(m, limits):
+        raise ValueError("input is not a valid alphabet-generated monoid")
+    left_actions = tuple(FinMorphism(m.carrier, m.carrier, tuple(m.mult[g])) for g in m.gen)
+    return DAlgebra(m.carrier, m.alphabet, left_actions, m.unit)
+
+
+def _structure_iso(p1: CCoalgebra, p2: CCoalgebra, keys1: Sequence, keys2: Sequence) -> IsoWitness:
+    """The bijection matching equal keys, checked to commute with the structure."""
+    position = {key: i for i, key in enumerate(keys2)}
+    forward = FinMorphism(p1.carrier, p2.carrier, tuple(position[key] for key in keys1))
+    back_position = {key: i for i, key in enumerate(keys1)}
+    backward = FinMorphism(p2.carrier, p1.carrier, tuple(back_position[key] for key in keys2))
     if not (validate_morphism(forward) and validate_morphism(backward)):
         raise CorrespondenceError("label bijection is not an isomorphism of carriers")
     for ai in range(len(p1.alphabet)):
@@ -102,13 +107,16 @@ class Correspondence:
 
 
 def roundtrip_check(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_LIMITS) -> IsoWitness:
-    """piece -> monoid -> piece must reproduce the same language set."""
+    """piece -> monoid -> piece must give back the piece's states, isomorphically."""
     return _roundtrip_witness(d, piece, piece_to_monoid(d, piece, limits), limits)
 
 
 def _roundtrip_witness(d: DualityTag, piece: CCoalgebra, monoid: SigmaMonoid, limits: Limits) -> IsoWitness:
-    """roundtrip_check on the monoid already built from the piece."""
-    back = monoid_to_piece(d, monoid, limits)
+    """roundtrip_check on the piece's monoid; labels only name a refusal."""
+    back = dual_coalgebra(d, _left_algebra(d, monoid, limits))
+    if (forward := match_states(piece, back)) is not None:
+        return _structure_iso(piece, back, forward, range(back.size))
+    back = monoid_to_piece(d, monoid, limits)  # no bijection: label, to name the refusal
     ours, theirs = label_set(piece), label_set(back)
     if ours != theirs:
         extra = sorted(ours.symmetric_difference(theirs), key=lambda l: l.sort_key())
@@ -116,7 +124,8 @@ def _roundtrip_witness(d: DualityTag, piece: CCoalgebra, monoid: SigmaMonoid, li
             "round trip changed the language set",
             counterexample=language_to_regex(extra[0]),
         )
-    return _structure_iso(piece, back)
+    assert piece.labels is not None and back.labels is not None
+    return _structure_iso(piece, back, piece.labels, back.labels)
 
 
 def correspond(

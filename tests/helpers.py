@@ -11,8 +11,9 @@ import random
 from typing import Sequence
 
 from langdual.automata import CCoalgebra
+from langdual.cli import random_regex
 from langdual.errors import TagMismatchError
-from langdual.languages import Regex, _derive, language_to_regex, left_derivative
+from langdual.languages import LanguageId, Regex, _derive, compile_regex, language_to_regex, left_derivative
 from langdual.varieties import (
     BoolAlg,
     DistLat,
@@ -35,6 +36,18 @@ C_OPERATION_TAGS = (VarietyTag.BA, VarietyTag.DL01, VarietyTag.JSL0, VarietyTag.
 
 # ---------------------------------------------------------------------------
 # regexes and morphisms
+
+
+def random_generators(rng: random.Random, alphabet: Sequence[str], max_states: int = 5) -> list[LanguageId]:
+    """One or two languages of seeded random regexes, each with at most
+    max_states states in its minimal DFA."""
+    count = rng.randint(1, 2)
+    out: list[LanguageId] = []
+    while len(out) < count:
+        lang = compile_regex(random_regex(rng, alphabet), tuple(alphabet))
+        if lang.n_states <= max_states:
+            out.append(lang)
+    return out
 
 
 def jsl_leq(alg: JoinSemilattice, x: int, y: int) -> bool:

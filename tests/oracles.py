@@ -3,11 +3,12 @@
 The language oracles work from word membership and plain enumeration, never
 through the minimization/duality code paths they are used to check.  The
 monoid, join-semilattice, closure, class automaton, residual closure, DFA
-equivalence, minimization, labelling, DL01, morphism check and dual map
-oracles are the exhaustive algorithms that the library's faster or shorter
-ones replaced; they share only carrier primitives such as validate_morphism,
-close, jsl_from_masks, gaussian_basis and the breadth-first renumbering of a
-DFA with the code they check.  The presentations of subalgebras are scanned
+equivalence, minimization, labelling, DL01, morphism check, dual map and
+labelled round-trip oracles are the exhaustive algorithms that the library's
+faster or shorter ones replaced; they share only carrier primitives such as
+validate_morphism, close, jsl_from_masks, gaussian_basis and the
+breadth-first renumbering of a DFA with the code they check (the labelled
+round trip also shares monoid_to_piece, the dualization it labels).  The presentations of subalgebras are scanned
 from their element lists here (scanned_present_subset), as before the
 library's closures handed back the atoms, basis or join-irreducibles they
 found.  The regex oracles are the recursive dataclass trees and walks that
@@ -24,8 +25,10 @@ from itertools import product
 
 from langdual.automata import ClassAutomaton, DAlgebra, label_set, reachable_part
 from langdual.config import DEFAULT_LIMITS
-from langdual.duality import DualityTag, dual_morphism, dual_object
+from langdual.correspondence import monoid_to_piece
+from langdual.duality import DualityTag, IsoWitness, dual_morphism, dual_object
 from langdual.errors import (
+    CorrespondenceError,
     NonFunctionalError,
     NotReachableError,
     RegexSyntaxError,
@@ -39,6 +42,7 @@ from langdual.languages import (
     _restrict_reachable,
     canonical_language,
     check_alphabet,
+    language_to_regex,
     left_derivative,
     right_derivative,
 )
@@ -1165,6 +1169,40 @@ def downset_meet_table(join):
         return tuple(tuple(by_down[dx & dy] for dy in down) for dx in down)
     except KeyError:
         raise ValueError("join table does not admit meets") from None
+
+
+def labelled_roundtrip_witness(d, piece, monoid, limits=DEFAULT_LIMITS):
+    """The round trip certified through labels: every returned state
+    labelled by monoid_to_piece, the two label sets compared, and the
+    label-matching bijection checked to commute with the structure."""
+    back = monoid_to_piece(d, monoid, limits)
+    ours, theirs = label_set(piece), label_set(back)
+    if ours != theirs:
+        extra = sorted(ours.symmetric_difference(theirs), key=lambda l: l.sort_key())
+        raise CorrespondenceError(
+            "round trip changed the language set",
+            counterexample=language_to_regex(extra[0]),
+        )
+    return labelled_structure_iso(piece, back)
+
+
+def labelled_structure_iso(p1, p2):
+    """The label-matching bijection, checked to commute with the structure."""
+    assert p1.labels is not None and p2.labels is not None
+    position = {lang: i for i, lang in enumerate(p2.labels)}
+    forward = FinMorphism(p1.carrier, p2.carrier, tuple(position[lang] for lang in p1.labels))
+    back_position = {lang: i for i, lang in enumerate(p1.labels)}
+    backward = FinMorphism(p2.carrier, p1.carrier, tuple(back_position[lang] for lang in p2.labels))
+    if not (validate_morphism(forward) and validate_morphism(backward)):
+        raise CorrespondenceError("label bijection is not an isomorphism of carriers")
+    for ai in range(len(p1.alphabet)):
+        lhs = forward.then(p2.gamma[ai])
+        rhs = p1.gamma[ai].then(forward)
+        if lhs.graph != rhs.graph:
+            raise CorrespondenceError("label bijection does not commute with transitions")
+    if forward.then(p2.out).graph != p1.out.graph:
+        raise CorrespondenceError("label bijection does not preserve outputs")
+    return IsoWitness(forward, backward)
 
 
 # ---------------------------------------------------------------------------

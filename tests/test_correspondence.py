@@ -4,7 +4,7 @@ import weakref
 import pytest
 
 import langdual.correspondence as correspondence_module
-from langdual.automata import generate_subcoalgebra, is_rqc_closed, label_set, rqc_closure
+from langdual.automata import coalg_shift, generate_subcoalgebra, is_rqc_closed, label_set, rqc_closure
 from langdual.correspondence import (
     correspond,
     correspondence_report,
@@ -68,6 +68,17 @@ def test_piece_to_monoid_rejects_left_only_closures():
     piece = generate_subcoalgebra(VarietyTag.BA, [lang("(ab)*")])
     with pytest.raises(NotRqcClosedError):
         piece_to_monoid(DualityTag.BA_SET, piece)
+
+
+def test_piece_to_monoid_says_why_it_refuses_a_piece():
+    piece = rqc_closure(VarietyTag.BA, [lang("(ab)*")])
+    unlabelled = coalg_shift(piece, "")
+    assert is_rqc_closed(piece) and unlabelled.labels is None
+    with pytest.raises(NotRqcClosedError, match=r"^piece carries no labels$"):
+        piece_to_monoid(DualityTag.BA_SET, unlabelled)
+    left_only = generate_subcoalgebra(VarietyTag.BA, [lang("(ab)*")])
+    with pytest.raises(NotRqcClosedError, match=r"^piece is not closed under right derivatives$"):
+        piece_to_monoid(DualityTag.BA_SET, left_only)
 
 
 def test_monoid_to_piece_of_trivial_monoid():
