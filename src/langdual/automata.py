@@ -16,8 +16,8 @@ with a letter map, and the variety operations become bitwise operations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
-from itertools import accumulate
+from functools import cached_property, partial
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
@@ -49,13 +49,21 @@ from .varieties import (
 
 @dataclass(frozen=True)
 class CCoalgebra:
-    """States with output-side algebra structure, letter actions and outputs."""
+    """States with output-side algebra structure, letter actions and outputs.
+
+    A labelled coalgebra's states are languages; its labels follow from the
+    transitions and outputs, so they are computed on first read and cached."""
 
     carrier: FinAlgebra
     alphabet: tuple[str, ...]
     gamma: tuple[FinMorphism, ...]
     out: FinMorphism
-    labels: tuple[LanguageId, ...] | None = None
+    labelled: bool = False
+
+    @cached_property
+    def labels(self) -> tuple[LanguageId, ...] | None:
+        """Every state's language, or None for an unlabelled coalgebra."""
+        return tuple(map(state_languages(_as_dfa(self)), range(self.size))) if self.labelled else None
 
     def gamma_of(self, a: str) -> FinMorphism:
         return self.gamma[self.alphabet.index(a)]
@@ -103,7 +111,7 @@ def word_action(maps: Sequence[FinMorphism], alphabet: Sequence[str], word: str,
 def coalg_shift(q: CCoalgebra, word: str) -> CCoalgebra:
     """Replace the output by out after gamma_w; labels no longer apply."""
     gw = word_action(q.gamma, q.alphabet, word, q.carrier)
-    return replace(q, out=gw.then(q.out), labels=None)
+    return replace(q, out=gw.then(q.out), labelled=False)
 
 
 def alg_shift(a: DAlgebra, word: str) -> DAlgebra:
@@ -185,14 +193,6 @@ def class_automaton(gens: Sequence[LanguageId], limits: Limits = DEFAULT_LIMITS)
     return caut, gen_masks
 
 
-def _derivative_mask_closure(
-    caut: ClassAutomaton, seeds: Iterable[int], include_right: bool, limits: Limits
-) -> list[int]:
-    sides = (caut.left_preimage, caut.right_preimage) if include_right else (caut.left_preimage,)
-    steps = [partial(side, ai=ai) for ai in range(len(caut.alphabet)) for side in sides]
-    return close(seeds, steps, limits.max_carrier, "derivative closure")
-
-
 def _closed_piece(tag: VarietyTag, gens: Iterable[LanguageId], include_right: bool, limits: Limits) -> CCoalgebra:
     """The labeled piece generated by gens under left derivatives, right
     derivatives if asked, and the variety operations."""
@@ -200,26 +200,19 @@ def _closed_piece(tag: VarietyTag, gens: Iterable[LanguageId], include_right: bo
     if not gens:
         raise ValueError("at least one generator language is required")
     caut, gen_masks = class_automaton(gens, limits)
-    seeds = _derivative_mask_closure(caut, gen_masks, include_right, limits)
+    sides = (caut.left_preimage, caut.right_preimage) if include_right else (caut.left_preimage,)
+    steps = [partial(side, ai=ai) for ai in range(len(caut.alphabet)) for side in sides]
+    seeds = close(gen_masks, steps, limits.max_carrier, "derivative closure")
     what = {VarietyTag.BA: "boolean closure", VarietyTag.Z2VECT: "linear closure"}.get(tag, "operation closure")
     carrier, element_masks = generate_family(tag, seeds, caut.full_mask, limits.max_carrier, what)
     mask_index = {m: i for i, m in enumerate(element_masks)}
-    k = len(caut.alphabet)
     gamma = tuple(
-        FinMorphism(
-            carrier,
-            carrier,
-            tuple(mask_index[caut.left_preimage(m, ai)] for m in element_masks),
-        )
-        for ai in range(k)
+        FinMorphism(carrier, carrier, tuple(mask_index[caut.left_preimage(m, ai)] for m in element_masks))
+        for ai in range(len(caut.alphabet))
     )
-    two = two_element_algebra(tag)
-    out = FinMorphism(
-        carrier,
-        two,
-        tuple(1 if m >> caut.identity_index & 1 else 0 for m in element_masks),
-    )
-    return _labelled(CCoalgebra(carrier, caut.alphabet, gamma, out))
+    out_graph = tuple(m >> caut.identity_index & 1 for m in element_masks)
+    out = FinMorphism(carrier, two_element_algebra(tag), out_graph)
+    return CCoalgebra(carrier, caut.alphabet, gamma, out, labelled=True)
 
 
 def generate_subcoalgebra(
@@ -240,48 +233,35 @@ def rqc_closure(
 def is_rqc_closed(q: CCoalgebra) -> bool:
     """All right derivatives of the labels stay inside the label set.
 
-    Single letters suffice: L(wa)^-1 = (La^-1)w^-1.  A state s with the
-    output out . gamma_a accepts L(s)a^-1, so this refines one table of k+1
-    copies of the states, copy 0 with outputs out and the copy for letter a
-    with outputs out . gamma_a, and asks that every block holding a shifted
-    state hold an unshifted one.  Blocks are language classes whatever else
-    is in the table.  That is exact when the labels are the state languages,
-    which holds for every piece the library labels (generate_subcoalgebra,
-    rqc_closure, dalgebra_to_coalgebra, monoid_to_piece); labels are not read.
+    Single letters suffice: L(wa)^-1 = (La^-1)w^-1.  State s of
+    coalg_shift(q, a) accepts L(s)a^-1, so this refines q beside its k
+    shifts and asks that every block holding a shifted state hold a state
+    of q.  That is exact when the labels are the state languages, which holds
+    for every labelled coalgebra; no label is computed.
     """
-    label_set(q)  # refuses an unlabelled coalgebra
-    n = q.size
-    rows = _delta_rows(q)
-    out = q.out.graph
-    outputs = [out, *([out[t] for t in g.graph] for g in q.gamma)]
-    table = [tuple(t + c * n for t in row) for c in range(len(outputs)) for row in rows]
-    finals = [c * n + s for c, o in enumerate(outputs) for s in range(n) if o[s] == 1]
-    block = refine_partition(len(table), len(q.alphabet), finals, table)
-    return set(block[n:]) <= set(block[:n])
+    if not q.labelled:
+        raise ValueError("coalgebra carries no labels")
+    block = language_blocks(q, *(coalg_shift(q, a) for a in q.alphabet))
+    return set(block[q.size :]) <= set(block[: q.size])
 
 
 # ---------------------------------------------------------------------------
 # duality between coalgebras and algebras
 
 
-def _generator_index_in_dual_two(d: DualityTag) -> int:
-    """Where the free generator of the one-generated algebra lands inside the
-    dual of the two-element algebra.
-
-    For the JSL self-duality the identification is the order-reversing swap,
-    so the generator sits on the old bottom element.
-    """
-    return 1 if d is DualityTag.Z2_SELF else 0
-
-
 def coalgebra_to_dalgebra(d: DualityTag, q: CCoalgebra) -> DAlgebra:
     """Dualize carrier, letter actions, and output; the initial state is the
-    image of the free generator under the dual of the output morphism."""
+    image of the free generator under the dual of the output morphism.
+
+    The free generator of the one-generated algebra sits at index 1 of the
+    dual of the two-element algebra for Z2, at index 0 otherwise; for the
+    JSL self-duality that is the old bottom, as the identification there is
+    the order-reversing swap.
+    """
     if q.carrier.tag != c_tag(d):
         raise TagMismatchError(f"coalgebra carrier {q.carrier.tag} does not match {d}")
     alpha = tuple(dual_morphism(d, g) for g in q.gamma)
-    init_morphism = dual_morphism(d, q.out)
-    init = init_morphism.graph[_generator_index_in_dual_two(d)]
+    init = dual_morphism(d, q.out).graph[1 if d is DualityTag.Z2_SELF else 0]
     return DAlgebra(dual_object(d, q.carrier), q.alphabet, alpha, init)
 
 
@@ -309,7 +289,7 @@ def _two_relabel(d: DualityTag) -> FinMorphism:
 
 def dalgebra_to_coalgebra(d: DualityTag, a: DAlgebra) -> CCoalgebra:
     """Inverse dualization, every state labelled by its language."""
-    return _labelled(dual_coalgebra(d, a))
+    return replace(dual_coalgebra(d, a), labelled=True)
 
 
 def dual_coalgebra(d: DualityTag, a: DAlgebra) -> CCoalgebra:
@@ -327,13 +307,20 @@ def match_states(p: CCoalgebra, q: CCoalgebra) -> tuple[int, ...] | None:
     n = p.size
     if p.alphabet != q.alphabet or q.size != n:
         return None
-    table = _delta_rows(p) + [tuple(t + n for t in row) for row in _delta_rows(q)]
-    finals = [s for s, o in enumerate(p.out.graph + q.out.graph) if o == 1]
-    block = refine_partition(2 * n, len(p.alphabet), finals, table)
+    block = language_blocks(p, q)
     mate = {b: t for t, b in enumerate(block[n:])}
     if len(mate) != n or mate.keys() != set(block[:n]):
         return None
     return tuple(map(mate.__getitem__, block[:n]))
+
+
+def language_blocks(*qs: CCoalgebra) -> list[int]:
+    """The block of every state of qs, side by side and in order, from one
+    refinement: two states share a block when they accept one language."""
+    offsets = accumulate((q.size for q in qs), initial=0)
+    table = [tuple(t + off for t in row) for q, off in zip(qs, offsets) for row in _delta_rows(q)]
+    finals = [s for s, o in enumerate(chain.from_iterable(q.out.graph for q in qs)) if o == 1]
+    return refine_partition(len(table), len(qs[0].alphabet), finals, table)
 
 
 def state_language(q: CCoalgebra, state: int) -> LanguageId:
@@ -351,12 +338,6 @@ def _as_dfa(q: CCoalgebra) -> Dfa:
     is a placeholder."""
     finals = frozenset(s for s in range(q.size) if q.out.graph[s] == 1)
     return Dfa(q.alphabet, q.size, 0, finals, tuple(_delta_rows(q)))
-
-
-def _labelled(q: CCoalgebra) -> CCoalgebra:
-    """The coalgebra with every state labelled by its language, all from one
-    partition refinement."""
-    return replace(q, labels=tuple(map(state_languages(_as_dfa(q)), range(q.size))))
 
 
 def language_dalgebra(lang: LanguageId) -> DAlgebra:

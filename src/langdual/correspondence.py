@@ -12,8 +12,10 @@ mutually inverse:
   monoid ->  left-multiplication algebra  ->  dual coalgebra with labels
 
 Label-set inclusion of pieces then coincides with the quotient order of the
-monoids, and joins of pieces with subdirect products.  A round trip is matched
-state by state to its piece, whose labels are read as its state languages.
+monoids, and joins of pieces with subdirect products.  A piece's labels, its
+state languages, are computed on first read.  A round trip is matched state by
+state to its piece without them, so only label inclusion, joins, reports and a
+refusal's counterexample compute labels.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .automata import (
     dual_coalgebra,
     is_rqc_closed,
     label_set,
+    language_blocks,
     match_states,
     rqc_closure,
     reachable_part,
@@ -52,7 +55,7 @@ def piece_to_monoid(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_L
     """Dualize and read off the transition monoid in word order."""
     if piece.carrier.tag != c_tag(d):
         raise TagMismatchError(f"piece carrier {piece.carrier.tag} does not match {d}")
-    if piece.labels is None:
+    if not piece.labelled:
         raise NotRqcClosedError("piece carries no labels")
     if not is_rqc_closed(piece):
         raise NotRqcClosedError("piece is not closed under right derivatives")
@@ -63,8 +66,7 @@ def piece_to_monoid(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_L
 def monoid_to_piece(d: DualityTag, m: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> CCoalgebra:
     """Dualize the left-multiplication algebra of the monoid and label it."""
     piece = dalgebra_to_coalgebra(d, _left_algebra(d, m, limits))
-    assert piece.labels is not None
-    if len(set(piece.labels)) != len(piece.labels):
+    if len(set(language_blocks(piece))) != piece.size:
         raise CorrespondenceError("duplicate state languages; monoid is not generated")
     return piece
 

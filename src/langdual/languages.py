@@ -10,8 +10,8 @@ closure finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cmp_to_key, partial
+from dataclasses import dataclass
+from functools import cached_property, cmp_to_key, partial
 from typing import Callable, Iterable, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
@@ -458,17 +458,18 @@ def validate_dfa(d: Dfa) -> None:
         raise ValueError("transition target out of range")
 
 
-def _restrict_reachable(d: Dfa) -> Dfa:
-    """The part reachable from the initial state, numbered in breadth-first
-    order from it."""
-    renum = {d.initial: 0}
-    order = [d.initial]
+def _restrict_reachable(d: Dfa, start: int | None = None) -> Dfa:
+    """The part reachable from start (by default the initial state), numbered
+    in breadth-first order from it; start becomes the initial state."""
+    start = d.initial if start is None else start
+    renum = {start: 0}
+    order = [start]
     for q in order:
         for t in d.delta[q]:
             if t not in renum:
                 renum[t] = len(order)
                 order.append(t)
-    if len(order) == d.n_states and order == list(range(d.n_states)):
+    if d.initial == start and len(order) == d.n_states and order == list(range(d.n_states)):
         return d
     return Dfa(
         alphabet=d.alphabet,
@@ -559,9 +560,19 @@ def minimize_dfa(d: Dfa) -> Dfa:
 
 @dataclass(frozen=True)
 class LanguageId:
-    """A regular language, as its minimal DFA with BFS-canonical numbering."""
+    """A regular language, as its minimal DFA with BFS-canonical numbering.
+
+    The hash reads the whole DFA, so it is computed once per object.
+    """
 
     dfa: Dfa
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.dfa)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -599,7 +610,7 @@ def state_languages(d: Dfa) -> Callable[[int], LanguageId]:
     def language(state: int) -> LanguageId:
         b = block_of[state]
         if b not in memo:
-            memo[b] = LanguageId(_restrict_reachable(replace(quotient, initial=b)))
+            memo[b] = LanguageId(_restrict_reachable(quotient, b))
         return memo[b]
 
     return language

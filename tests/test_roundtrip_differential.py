@@ -102,7 +102,7 @@ def _permuted(piece, perm):
         FinMorphism(piece.carrier, piece.carrier, tuple(perm[g.graph[s]] for s in inverse)) for g in piece.gamma
     )
     out = FinMorphism(piece.carrier, piece.out.cod, tuple(piece.out.graph[s] for s in inverse))
-    return replace(piece, gamma=gamma, out=out, labels=None)
+    return replace(piece, gamma=gamma, out=out, labelled=False)
 
 
 def test_match_states_pairs_the_states_of_equal_languages(corpus, language_set_ids):
