@@ -37,6 +37,7 @@ from .varieties import (
     JoinSemilattice,
     VarietyTag,
     VectZ2,
+    algebra_to_json,
     close,
     constants,
     free_on_one,
@@ -51,19 +52,18 @@ from .varieties import (
 class CCoalgebra:
     """States with output-side algebra structure, letter actions and outputs.
 
-    A labelled coalgebra's states are languages; its labels follow from the
-    transitions and outputs, so they are computed on first read and cached."""
+    Each state accepts a language, read from the transitions and outputs; its
+    labels are those state languages, computed on first read and cached."""
 
     carrier: FinAlgebra
     alphabet: tuple[str, ...]
     gamma: tuple[FinMorphism, ...]
     out: FinMorphism
-    labelled: bool = False
 
     @cached_property
-    def labels(self) -> tuple[LanguageId, ...] | None:
-        """Every state's language, or None for an unlabelled coalgebra."""
-        return tuple(map(state_languages(_as_dfa(self)), range(self.size))) if self.labelled else None
+    def labels(self) -> tuple[LanguageId, ...]:
+        """Every state's language."""
+        return tuple(map(state_languages(_as_dfa(self)), range(self.size)))
 
     def gamma_of(self, a: str) -> FinMorphism:
         return self.gamma[self.alphabet.index(a)]
@@ -91,8 +91,6 @@ class DAlgebra:
 
 
 def label_set(q: CCoalgebra) -> frozenset[LanguageId]:
-    if q.labels is None:
-        raise ValueError("coalgebra carries no labels")
     return frozenset(q.labels)
 
 
@@ -109,9 +107,9 @@ def word_action(maps: Sequence[FinMorphism], alphabet: Sequence[str], word: str,
 
 
 def coalg_shift(q: CCoalgebra, word: str) -> CCoalgebra:
-    """Replace the output by out after gamma_w; labels no longer apply."""
+    """Replace the output by out after gamma_w: state s then accepts L(s)w^-1."""
     gw = word_action(q.gamma, q.alphabet, word, q.carrier)
-    return replace(q, out=gw.then(q.out), labelled=False)
+    return replace(q, out=gw.then(q.out))
 
 
 def alg_shift(a: DAlgebra, word: str) -> DAlgebra:
@@ -212,7 +210,7 @@ def _closed_piece(tag: VarietyTag, gens: Iterable[LanguageId], include_right: bo
     )
     out_graph = tuple(m >> caut.identity_index & 1 for m in element_masks)
     out = FinMorphism(carrier, two_element_algebra(tag), out_graph)
-    return CCoalgebra(carrier, caut.alphabet, gamma, out, labelled=True)
+    return CCoalgebra(carrier, caut.alphabet, gamma, out)
 
 
 def generate_subcoalgebra(
@@ -236,11 +234,9 @@ def is_rqc_closed(q: CCoalgebra) -> bool:
     Single letters suffice: L(wa)^-1 = (La^-1)w^-1.  State s of
     coalg_shift(q, a) accepts L(s)a^-1, so this refines q beside its k
     shifts and asks that every block holding a shifted state hold a state
-    of q.  That is exact when the labels are the state languages, which holds
-    for every labelled coalgebra; no label is computed.
+    of q.  The labels are the state languages, so that is exact; no label is
+    computed.
     """
-    if not q.labelled:
-        raise ValueError("coalgebra carries no labels")
     block = language_blocks(q, *(coalg_shift(q, a) for a in q.alphabet))
     return set(block[q.size :]) <= set(block[: q.size])
 
@@ -288,12 +284,7 @@ def _two_relabel(d: DualityTag) -> FinMorphism:
 
 
 def dalgebra_to_coalgebra(d: DualityTag, a: DAlgebra) -> CCoalgebra:
-    """Inverse dualization, every state labelled by its language."""
-    return replace(dual_coalgebra(d, a), labelled=True)
-
-
-def dual_coalgebra(d: DualityTag, a: DAlgebra) -> CCoalgebra:
-    """Inverse dualization without labels."""
+    """Inverse dualization; the output reads the initial state."""
     if a.carrier.tag != d_tag(d):
         raise TagMismatchError(f"algebra carrier {a.carrier.tag} does not match {d}")
     gamma = tuple(dual_morphism(d, al) for al in a.alpha)
@@ -379,8 +370,6 @@ def reachable_part(a: DAlgebra, limits: Limits = DEFAULT_LIMITS) -> DAlgebra:
 
 
 def dalgebra_to_json(a: DAlgebra) -> dict:
-    from .varieties import algebra_to_json
-
     return {
         "carrier": algebra_to_json(a.carrier),
         "alphabet": list(a.alphabet),
@@ -393,7 +382,7 @@ def coalgebra_to_dot(q: CCoalgebra) -> str:
     lines = ["digraph coalgebra {", "  rankdir=LR;"]
     for s in range(q.size):
         shape = "doublecircle" if q.out.graph[s] == 1 else "circle"
-        name = language_to_regex(q.labels[s]) if q.labels is not None else str(s)
+        name = language_to_regex(q.labels[s])
         lines.append(f'  q{s} [shape={shape}, label="{name}"];')
     for s in range(q.size):
         for ai, a in enumerate(q.alphabet):

@@ -19,6 +19,7 @@ from typing import Iterator, Sequence
 
 from .automata import (
     coalgebra_to_dalgebra,
+    coalgebra_to_dot,
     dalgebra_to_dot,
     dalgebra_to_json,
     generate_subcoalgebra,
@@ -259,8 +260,6 @@ def _run(args) -> tuple[int, object]:
         _, langs = _languages(args, limits)
         piece = rqc_closure(c_tag(dtag), langs, limits)
         if args.object == "coalgebra":
-            from .automata import coalgebra_to_dot
-
             return 0, coalgebra_to_dot(piece)
         if args.object == "dalgebra":
             return 0, dalgebra_to_dot(coalgebra_to_dalgebra(dtag, piece))

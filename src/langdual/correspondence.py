@@ -9,13 +9,13 @@ That single reversal, applied once in each direction, makes the two maps
 mutually inverse:
 
   piece  ->  dual algebra  ->  transition monoid (reversed composition)
-  monoid ->  left-multiplication algebra  ->  dual coalgebra with labels
+  monoid ->  left-multiplication algebra  ->  dual coalgebra
 
 Label-set inclusion of pieces then coincides with the quotient order of the
-monoids, and joins of pieces with subdirect products.  A piece's labels, its
-state languages, are computed on first read.  A round trip is matched state by
-state to its piece without them, so only label inclusion, joins, reports and a
-refusal's counterexample compute labels.
+monoids, and joins of pieces with subdirect products.  A coalgebra's labels,
+its state languages, are computed on first read.  A round trip dualizes the
+monoid once and matches its states to the piece's without them, so only label
+inclusion, joins, reports and a refusal's counterexample compute labels.
 """
 
 from __future__ import annotations
@@ -28,10 +28,8 @@ from .automata import (
     DAlgebra,
     coalgebra_to_dalgebra,
     dalgebra_to_coalgebra,
-    dual_coalgebra,
     is_rqc_closed,
     label_set,
-    language_blocks,
     match_states,
     rqc_closure,
     reachable_part,
@@ -55,8 +53,6 @@ def piece_to_monoid(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_L
     """Dualize and read off the transition monoid in word order."""
     if piece.carrier.tag != c_tag(d):
         raise TagMismatchError(f"piece carrier {piece.carrier.tag} does not match {d}")
-    if not piece.labelled:
-        raise NotRqcClosedError("piece carries no labels")
     if not is_rqc_closed(piece):
         raise NotRqcClosedError("piece is not closed under right derivatives")
     algebra = reachable_part(coalgebra_to_dalgebra(d, piece), limits)
@@ -64,11 +60,8 @@ def piece_to_monoid(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_L
 
 
 def monoid_to_piece(d: DualityTag, m: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> CCoalgebra:
-    """Dualize the left-multiplication algebra of the monoid and label it."""
-    piece = dalgebra_to_coalgebra(d, _left_algebra(d, m, limits))
-    if len(set(language_blocks(piece))) != piece.size:
-        raise CorrespondenceError("duplicate state languages; monoid is not generated")
-    return piece
+    """Dualize the left-multiplication algebra of the monoid."""
+    return dalgebra_to_coalgebra(d, _left_algebra(d, m, limits))
 
 
 def _left_algebra(d: DualityTag, m: SigmaMonoid, limits: Limits) -> DAlgebra:
@@ -81,12 +74,11 @@ def _left_algebra(d: DualityTag, m: SigmaMonoid, limits: Limits) -> DAlgebra:
     return DAlgebra(m.carrier, m.alphabet, left_actions, m.unit)
 
 
-def _structure_iso(p1: CCoalgebra, p2: CCoalgebra, keys1: Sequence, keys2: Sequence) -> IsoWitness:
-    """The bijection matching equal keys, checked to commute with the structure."""
-    position = {key: i for i, key in enumerate(keys2)}
-    forward = FinMorphism(p1.carrier, p2.carrier, tuple(position[key] for key in keys1))
-    back_position = {key: i for i, key in enumerate(keys1)}
-    backward = FinMorphism(p2.carrier, p1.carrier, tuple(back_position[key] for key in keys2))
+def _structure_iso(p1: CCoalgebra, p2: CCoalgebra, graph: Sequence[int]) -> IsoWitness:
+    """The bijection graph from p1 to p2, checked to commute with the structure."""
+    inverse = sorted(range(len(graph)), key=graph.__getitem__)
+    forward = FinMorphism(p1.carrier, p2.carrier, tuple(graph))
+    backward = FinMorphism(p2.carrier, p1.carrier, tuple(inverse))
     if not (validate_morphism(forward) and validate_morphism(backward)):
         raise CorrespondenceError("label bijection is not an isomorphism of carriers")
     for ai in range(len(p1.alphabet)):
@@ -114,11 +106,13 @@ def roundtrip_check(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_L
 
 
 def _roundtrip_witness(d: DualityTag, piece: CCoalgebra, monoid: SigmaMonoid, limits: Limits) -> IsoWitness:
-    """roundtrip_check on the piece's monoid; labels only name a refusal."""
-    back = dual_coalgebra(d, _left_algebra(d, monoid, limits))
+    """roundtrip_check on the piece's monoid; labels only name a refusal.  The
+    dual of a generated algebra is observable: its states are distinct
+    languages, so equal label sets without a bijection mean the piece repeats
+    one."""
+    back = monoid_to_piece(d, monoid, limits)
     if (forward := match_states(piece, back)) is not None:
-        return _structure_iso(piece, back, forward, range(back.size))
-    back = monoid_to_piece(d, monoid, limits)  # no bijection: label, to name the refusal
+        return _structure_iso(piece, back, forward)
     ours, theirs = label_set(piece), label_set(back)
     if ours != theirs:
         extra = sorted(ours.symmetric_difference(theirs), key=lambda l: l.sort_key())
@@ -126,8 +120,7 @@ def _roundtrip_witness(d: DualityTag, piece: CCoalgebra, monoid: SigmaMonoid, li
             "round trip changed the language set",
             counterexample=language_to_regex(extra[0]),
         )
-    assert piece.labels is not None and back.labels is not None
-    return _structure_iso(piece, back, piece.labels, back.labels)
+    raise CorrespondenceError("round trip merged two states of one language")
 
 
 def correspond(
@@ -175,7 +168,6 @@ def correspondence_report(
         verdict: object = "ok"
     except CorrespondenceError as err:
         verdict = {"counterexample": err.counterexample}
-    assert piece.labels is not None
     return {
         "piece": {"languages": sorted(language_to_regex(lang) for lang in piece.labels)},
         "monoid": monoid_to_json(monoid),

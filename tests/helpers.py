@@ -137,8 +137,6 @@ def validate_coalgebra(q: CCoalgebra) -> bool:
 
 def check_labels(q: CCoalgebra) -> bool:
     """Labels must be a coalgebra homomorphism into the language automaton."""
-    if q.labels is None:
-        return False
     for state in range(q.size):
         if (q.out.graph[state] == 1) != q.labels[state].dfa.accepts_word(""):
             return False
@@ -149,15 +147,13 @@ def check_labels(q: CCoalgebra) -> bool:
 
 
 def ccoalgebra_to_json(q: CCoalgebra) -> dict:
-    data = {
+    return {
         "carrier": algebra_to_json(q.carrier),
         "alphabet": list(q.alphabet),
         "gamma": {a: list(q.gamma[ai].graph) for ai, a in enumerate(q.alphabet)},
         "out": list(q.out.graph),
+        "labels": [language_to_regex(lang) for lang in q.labels],
     }
-    if q.labels is not None:
-        data["labels"] = [language_to_regex(lang) for lang in q.labels]
-    return data
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import weakref
 import pytest
 
 import langdual.correspondence as correspondence_module
-from langdual.automata import coalg_shift, generate_subcoalgebra, is_rqc_closed, label_set, rqc_closure
+from langdual.automata import CCoalgebra, generate_subcoalgebra, is_rqc_closed, label_set, rqc_closure
 from langdual.correspondence import (
     correspond,
     correspondence_report,
@@ -16,7 +16,7 @@ from langdual.correspondence import (
     roundtrip_check,
 )
 from langdual.duality import DualityTag, dual_object
-from langdual.errors import NotRqcClosedError
+from langdual.errors import CorrespondenceError, NotRqcClosedError
 from langdual.languages import compile_text
 from langdual.monoids import (
     sigma_monoid_iso,
@@ -26,7 +26,7 @@ from langdual.monoids import (
     validate_monoid,
 )
 from langdual.automata import language_dalgebra
-from langdual.varieties import VarietyTag
+from langdual.varieties import BoolAlg, FinMorphism, VarietyTag, identity, two_element_algebra
 from oracles import brute_syntactic_monoid, empty_language, full_language
 
 AB = ("a", "b")
@@ -71,14 +71,27 @@ def test_piece_to_monoid_rejects_left_only_closures():
 
 
 def test_piece_to_monoid_says_why_it_refuses_a_piece():
-    piece = rqc_closure(VarietyTag.BA, [lang("(ab)*")])
-    unlabelled = coalg_shift(piece, "")
-    assert is_rqc_closed(piece) and unlabelled.labels is None
-    with pytest.raises(NotRqcClosedError, match=r"^piece carries no labels$"):
-        piece_to_monoid(DualityTag.BA_SET, unlabelled)
     left_only = generate_subcoalgebra(VarietyTag.BA, [lang("(ab)*")])
     with pytest.raises(NotRqcClosedError, match=r"^piece is not closed under right derivatives$"):
         piece_to_monoid(DualityTag.BA_SET, left_only)
+
+
+def test_a_piece_that_repeats_a_language_is_refused_by_name():
+    """Four states that accept the empty language, the full one, the empty one
+    and the full one again.  The piece dualizes to the monoid of its label set,
+    whose dual has one state per language, so the round trip merges states."""
+    carrier = BoolAlg(2)
+    stay = identity(carrier)
+    out = FinMorphism(carrier, two_element_algebra(VarietyTag.BA), (0, 1, 0, 1))
+    piece = CCoalgebra(carrier, AB, (stay, stay), out)
+    nothing, everything = empty_language(AB), full_language(AB)
+    assert piece.labels == (nothing, everything, nothing, everything)
+    m = piece_to_monoid(DualityTag.BA_SET, piece)
+    closed = rqc_closure(VarietyTag.BA, label_set(piece))
+    assert sigma_monoid_iso(m, piece_to_monoid(DualityTag.BA_SET, closed)) is not None
+    with pytest.raises(CorrespondenceError, match=r"^round trip merged two states of one language$") as err:
+        roundtrip_check(DualityTag.BA_SET, piece)
+    assert err.value.counterexample is None
 
 
 def test_monoid_to_piece_of_trivial_monoid():

@@ -1,27 +1,22 @@
 """Labels computed on first read.
 
-A piece's labels are its state languages, so they follow from its transitions
-and outputs: a labelled coalgebra carries only a flag, and `labels` refines
-the states once when it is first read.  The round trip, the monoid paths and
-the right-derivative check never read them.  Seeded pieces over all four
-dualities check that nothing on those paths computes a label, that a rebuilt
-piece labels its own structure, that shifts and plain dualizations stay
-unlabelled, that `language_blocks` groups states as the labels do, and that
-the duplicate-language refusal of `monoid_to_piece`, now read from one
-refinement, keeps its message.
+A coalgebra's labels are its state languages, so they follow from its
+transitions and outputs: `labels` refines the states once when it is first
+read.  The round trip, the monoid paths and the right-derivative check never
+read them.  Seeded pieces over all four dualities check that nothing on those
+paths computes a label, that a rebuilt piece, a shift and a dualization each
+label their own structure, and that `language_blocks` groups states as the
+labels do.
 """
 
 import random
 from dataclasses import replace
 
-import pytest
-
 import langdual.automata
-import langdual.correspondence
 from langdual.automata import (
     coalg_shift,
     coalgebra_to_dalgebra,
-    dual_coalgebra,
+    dalgebra_to_coalgebra,
     is_rqc_closed,
     language_blocks,
     rqc_closure,
@@ -35,7 +30,7 @@ from langdual.correspondence import (
     roundtrip_check,
 )
 from langdual.duality import DualityTag, c_tag
-from langdual.errors import CorrespondenceError, ResourceExceededError
+from langdual.errors import ResourceExceededError
 from helpers import random_generators
 from oracles import per_state_labels
 
@@ -79,7 +74,7 @@ def test_round_trip_and_monoid_paths_compute_no_label(monkeypatch):
             monoid_roundtrip_check(d, m, SMALL)
             back = monoid_to_piece(d, m, SMALL)
             for piece in (c.piece, back):
-                assert piece.labelled and "labels" not in piece.__dict__
+                assert "labels" not in piece.__dict__
             runs.add(d)
     assert runs == set(DualityTag)
 
@@ -91,18 +86,18 @@ def test_a_rebuilt_piece_labels_its_own_structure():
         swapped = replace(piece, gamma=piece.gamma[::-1])  # a reads as b and b as a
         shifted = replace(piece, out=coalg_shift(piece, "a").out)
         for rebuilt in (swapped, shifted):
-            assert rebuilt.labelled and "labels" not in rebuilt.__dict__
+            assert "labels" not in rebuilt.__dict__
             assert rebuilt.labels == per_state_labels(rebuilt)
             changed += rebuilt.labels != piece.labels
     assert changed >= 100
 
 
-def test_shifts_and_plain_dualizations_are_unlabelled():
+def test_shifts_and_dualizations_label_their_own_states():
     for d, piece in _pieces(seed=41, count=10):
-        assert coalg_shift(piece, "").labels is None
-        assert coalg_shift(piece, "ab").labels is None
-        back = dual_coalgebra(d, coalgebra_to_dalgebra(d, piece))
-        assert not back.labelled and back.labels is None
+        back = dalgebra_to_coalgebra(d, coalgebra_to_dalgebra(d, piece))
+        for q in (coalg_shift(piece, ""), coalg_shift(piece, "ab"), back):
+            assert "labels" not in q.__dict__
+            assert q.labels == per_state_labels(q)
 
 
 def test_language_blocks_agree_with_the_labels():
@@ -115,19 +110,3 @@ def test_language_blocks_agree_with_the_labels():
             merged += len(set(blocks)) < q.size
     assert merged >= 20
 
-
-def test_monoid_to_piece_refuses_two_states_of_one_language(monkeypatch):
-    """An algebra the monoid does not generate dualizes to a coalgebra with
-    two states of one language: the dual of a shift that merges states."""
-    refused = set()
-    for d, piece in _pieces(seed=47, count=25):
-        shifted = coalg_shift(piece, "ab")
-        if len(set(per_state_labels(shifted))) == shifted.size:
-            continue
-        m = piece_to_monoid(d, piece, SMALL)
-        algebra = coalgebra_to_dalgebra(d, shifted)
-        monkeypatch.setattr(langdual.correspondence, "_left_algebra", lambda *_: algebra)
-        with pytest.raises(CorrespondenceError, match=r"^duplicate state languages; monoid is not generated$"):
-            monoid_to_piece(d, m, SMALL)
-        refused.add(d)
-    assert refused == set(DualityTag)

@@ -1,12 +1,15 @@
 """The round trip matched by one refinement against the label-based oracle.
 
-`_roundtrip_witness` dualizes the monoid without labels and matches the
-returned states to the piece's by one partition refinement of the two side
-by side; it labels them only when no bijection matches, to name the refusal.
+`_roundtrip_witness` dualizes the monoid once and matches the returned
+states to the piece's by one partition refinement of the two side by side;
+it labels them only when no bijection matches, to name the refusal.
 `labelled_roundtrip_witness` labels every returned state and matches by
 labels, as the library did before.  Both must return the same forward and
 backward graphs, or raise the same class with the same message and
-counterexample.
+counterexample.  A refusal validates and dualizes the monoid once.
+
+The dual of a generated algebra is observable, so `monoid_to_piece` returns
+pairwise distinct state languages; the corpus and the families check that.
 
 The corpus: 200 seeded generator sets of one or two regexes of at most 5 DFA
 states, closed at a 64-element cap under all four dualities, and the four BA
@@ -22,11 +25,12 @@ from dataclasses import replace
 
 import pytest
 
-from langdual.automata import label_set, match_states, rqc_closure
+import langdual.correspondence
+from langdual.automata import label_set, language_blocks, match_states, rqc_closure
 from langdual.config import Limits
-from langdual.correspondence import _roundtrip_witness, piece_to_monoid
+from langdual.correspondence import _roundtrip_witness, monoid_to_piece, piece_to_monoid
 from langdual.duality import DualityTag, c_tag
-from langdual.errors import ResourceExceededError
+from langdual.errors import CorrespondenceError, ResourceExceededError
 from langdual.languages import compile_text
 from langdual.varieties import FinMorphism
 from helpers import random_generators
@@ -102,7 +106,7 @@ def _permuted(piece, perm):
         FinMorphism(piece.carrier, piece.carrier, tuple(perm[g.graph[s]] for s in inverse)) for g in piece.gamma
     )
     out = FinMorphism(piece.carrier, piece.out.cod, tuple(piece.out.graph[s] for s in inverse))
-    return replace(piece, gamma=gamma, out=out, labelled=False)
+    return replace(piece, gamma=gamma, out=out)
 
 
 def test_match_states_pairs_the_states_of_equal_languages(corpus, language_set_ids):
@@ -157,3 +161,47 @@ def test_refusals_equal_the_labelled_ones(corpus, language_set_ids):
             assert outcome[:3] == ("raise", ValueError, "input is not a valid alphabet-generated monoid")
             kinds["corrupted"] += 1
     assert min(kinds.values()) >= REFUSAL_SAMPLE // 2, kinds
+
+
+def _distinct_state_languages(d, monoid, limits):
+    blocks = language_blocks(monoid_to_piece(d, monoid, limits))
+    return len(set(blocks)) == len(blocks)
+
+
+def test_the_dual_of_a_generated_monoid_has_distinct_state_languages(corpus):
+    for d, _, monoid in corpus:
+        assert _distinct_state_languages(d, monoid, SMALL)
+
+
+@pytest.mark.parametrize("d, text, size", FAMILIES, ids=[f"{d.name}-{text}" for d, text, _ in FAMILIES])
+def test_the_duals_of_the_family_monoids_have_distinct_state_languages(d, text, size):
+    piece = rqc_closure(c_tag(d), [compile_text(text, AB)])
+    assert piece.size == size
+    assert _distinct_state_languages(d, piece_to_monoid(d, piece), Limits())
+
+
+def test_a_refused_round_trip_validates_and_dualizes_the_monoid_once(corpus, language_set_ids, monkeypatch):
+    calls = {"validate_monoid": 0, "dalgebra_to_coalgebra": 0}
+    for name in calls:
+        original = getattr(langdual.correspondence, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(langdual.correspondence, name, counted)
+    refused = 0
+    for i, (d, piece, _) in enumerate(corpus[:200]):
+        same = [
+            m
+            for j, (e, p, m) in enumerate(corpus)
+            if e is d and p.size == piece.size and language_set_ids[j] != language_set_ids[i]
+        ]
+        if not same:
+            continue
+        calls.update(dict.fromkeys(calls, 0))
+        with pytest.raises(CorrespondenceError, match=r"^round trip changed the language set$"):
+            _roundtrip_witness(d, piece, same[0], SMALL)
+        assert calls == {"validate_monoid": 1, "dalgebra_to_coalgebra": 1}
+        refused += 1
+    assert refused >= 50
