@@ -13,14 +13,22 @@ mutually inverse:
 
 Label-set inclusion of pieces then coincides with the quotient order of the
 monoids, and joins of pieces with subdirect products.  A coalgebra's labels,
-its state languages, are computed on first read.  A round trip dualizes the
-monoid once and matches its states to the piece's without them, so only label
-inclusion, joins, reports and a refusal's counterexample compute labels.
+its state languages, are computed on first read.
+
+Neither direction refines an automaton unless it refuses.  A piece is closed
+under right derivatives exactly when evaluation at the initial state is an
+isomorphism from its transition monoid onto its dual algebra, so
+piece_to_monoid reads closure off the monoid it builds.  A round trip
+dualizes the monoid once and pairs the returned states with the piece's by
+the representative words of the monoid's word images that they accept, a
+pairing that an isomorphism must follow; the structure check then certifies
+it.  Only label inclusion, joins, reports and a refusal's counterexample
+compute labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .automata import (
@@ -36,7 +44,7 @@ from .automata import (
 )
 from .config import DEFAULT_LIMITS, Limits
 from .duality import DualityTag, IsoWitness, c_tag, d_tag
-from .errors import CorrespondenceError, NotRqcClosedError, TagMismatchError
+from .errors import CorrespondenceError, NotRqcClosedError, ResourceExceededError, TagMismatchError
 from .languages import LanguageId, language_to_regex
 from .monoids import (
     SigmaMonoid,
@@ -46,17 +54,67 @@ from .monoids import (
     transition_monoid,
     validate_monoid,
 )
-from .varieties import FinMorphism, validate_morphism
+from .varieties import FinMorphism, FinPoset, orbit, validate_morphism
 
 
 def piece_to_monoid(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_LIMITS) -> SigmaMonoid:
-    """Dualize and read off the transition monoid in word order."""
+    """Dualize and read off the transition monoid T in word order, refusing a
+    piece that is not closed under right derivatives.
+
+    Closure is read off T: the piece is closed exactly when evaluation at the
+    initial state, e(f) = f(init), is an isomorphism T -> A onto the dual
+    algebra A in the variety.  e preserves the pointwise operations, and it
+    is onto because A is generated (reachable_part): every element is a term
+    in the images init·w = e(w).  So e is an isomorphism exactly when
+    |T| = |A| and, for POS, e reflects the order.
+
+    This is exact.  The labels are closed under a^-1 exactly when some
+    carrier endomorphism r of the piece commutes with the letter actions and
+    has out·r = out·gamma_a, as then state r(s) accepts L(s)a^-1; dually,
+    when some endomorphism rho of A commutes with the letter actions and has
+    rho(init) = alpha_a(init).  If e is an isomorphism, rho is right
+    multiplication by a carried over by e: a carrier morphism, monotone for
+    POS as T's order is pointwise, commuting with left multiplications.
+    Conversely, given each rho_a, each element of A is rho(init) for a
+    composite or sum rho of them, as rho_a(init) = alpha_a(init) and they
+    commute with the letters; so f(init) = g(init) gives f(x) = rho(f(init))
+    = rho(g(init)) = g(x), and for POS f(init) <= g(init) gives f <= g
+    likewise.
+
+    A closed piece has |T| = |A|, so the closure of T stops at |A|.  When a
+    cap refuses on the way, is_rqc_closed decides which error wins: a piece
+    that is not closed is refused as such, as when closure was checked
+    before anything was built.  So only a refusal refines the piece beside
+    its shifts.
+    """
     if piece.carrier.tag != c_tag(d):
         raise TagMismatchError(f"piece carrier {piece.carrier.tag} does not match {d}")
-    if not is_rqc_closed(piece):
+    try:
+        algebra = reachable_part(coalgebra_to_dalgebra(d, piece), limits)
+        capped = replace(limits, max_carrier=min(algebra.size, limits.max_carrier))
+        monoid = transition_monoid(algebra, reverse_composition=True, limits=capped)
+    except ResourceExceededError:
+        if not is_rqc_closed(piece):
+            raise NotRqcClosedError("piece is not closed under right derivatives") from None
+        raise
+    if monoid.size != algebra.size or not _evaluation_reflects_order(monoid, algebra):
         raise NotRqcClosedError("piece is not closed under right derivatives")
-    algebra = reachable_part(coalgebra_to_dalgebra(d, piece), limits)
-    return transition_monoid(algebra, reverse_composition=True, limits=limits)
+    return monoid
+
+
+def _evaluation_reflects_order(monoid: SigmaMonoid, algebra: DAlgebra) -> bool:
+    """For a POS carrier, whether the bijection e(f) = f(init) reflects the
+    order; e is read off a search over left multiplication, e(unit) = init
+    and e(g·x) = alpha_g(e(x))."""
+    if not isinstance(algebra.carrier, FinPoset):
+        return True
+    steps = [monoid.mult[g].__getitem__ for g in monoid.gen]
+    elements, _, tree = orbit([monoid.unit], steps, monoid.size, "evaluation")
+    at = [algebra.init] * monoid.size
+    for x, (parent, ai) in zip(elements[1:], tree[1:]):
+        at[x] = algebra.alpha[ai].graph[at[elements[parent]]]
+    leq = algebra.carrier.leq
+    return all(tuple(row) == tuple(map(leq[at[x]].__getitem__, at)) for x, row in enumerate(monoid.carrier.leq))
 
 
 def monoid_to_piece(d: DualityTag, m: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> CCoalgebra:
@@ -106,11 +164,25 @@ def roundtrip_check(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_L
 
 
 def _roundtrip_witness(d: DualityTag, piece: CCoalgebra, monoid: SigmaMonoid, limits: Limits) -> IsoWitness:
-    """roundtrip_check on the piece's monoid; labels only name a refusal.  The
-    dual of a generated algebra is observable: its states are distinct
-    languages, so equal label sets without a bijection mean the piece repeats
-    one."""
+    """roundtrip_check on the piece's monoid.
+
+    The returned states are paired with the piece's by their signatures:
+    which representative words of the monoid's word images each accepts.
+    Every state language of the returned automaton is recognized by the
+    monoid, so its signature fixes it, and its states are distinct
+    languages, as the dual of a generated algebra is observable; so their
+    signatures are distinct.  An isomorphism keeps languages, so it pairs
+    equal signatures and is unique; _structure_iso certifies the pairing.
+    With no such bijection, or one that is not an isomorphism, the refusal
+    is classified by one refinement of the two side by side, then by their
+    labels: equal label sets without a matching mean the piece repeats a
+    language."""
     back = monoid_to_piece(d, monoid, limits)
+    if (forward := _signature_pairing(piece, back, monoid)) is not None:
+        try:
+            return _structure_iso(piece, back, forward)
+        except CorrespondenceError:
+            pass
     if (forward := match_states(piece, back)) is not None:
         return _structure_iso(piece, back, forward)
     ours, theirs = label_set(piece), label_set(back)
@@ -121,6 +193,31 @@ def _roundtrip_witness(d: DualityTag, piece: CCoalgebra, monoid: SigmaMonoid, li
             counterexample=language_to_regex(extra[0]),
         )
     raise CorrespondenceError("round trip merged two states of one language")
+
+
+def _signature_pairing(piece: CCoalgebra, back: CCoalgebra, monoid: SigmaMonoid) -> tuple[int, ...] | None:
+    """Each state of piece to the state of back that accepts the same
+    representative words, one per word image of the monoid (its tree
+    parent's word plus a letter); None unless that is a bijection.  A column
+    holds the state each state reaches by one word, so each costs n lookups
+    in its parent's."""
+    n = back.size
+    if piece.alphabet != back.alphabet or piece.size != n:
+        return None
+    steps = [lambda x, g=g: monoid.mult[x][g] for g in monoid.gen]
+    _, _, tree = orbit([monoid.unit], steps, monoid.size, "word images")
+
+    def signatures(q: CCoalgebra) -> Iterable[tuple[int, ...]]:
+        cols: list[Sequence[int]] = [range(n)]
+        for parent, ai in tree[1:]:
+            cols.append(list(map(q.gamma[ai].graph.__getitem__, cols[parent])))
+        return zip(*(map(q.out.graph.__getitem__, col) for col in cols))
+
+    mate = {sig: t for t, sig in enumerate(signatures(back))}
+    forward = tuple(map(mate.get, signatures(piece)))
+    if len(mate) != n or None in forward or len(set(forward)) != n:
+        return None
+    return forward
 
 
 def correspond(

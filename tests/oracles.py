@@ -3,18 +3,20 @@
 The language oracles work from word membership and plain enumeration, never
 through the minimization/duality code paths they are used to check.  The
 monoid, join-semilattice, closure, class automaton, residual closure, DFA
-equivalence, minimization, labelling, DL01, morphism check, dual map and
-labelled round-trip oracles are the exhaustive algorithms that the library's
-faster or shorter ones replaced; they share only carrier primitives such as
-validate_morphism, close, jsl_from_masks, gaussian_basis and the
-breadth-first renumbering of a DFA with the code they check (the labelled
-round trip also shares monoid_to_piece, the dualization it labels).  The presentations of subalgebras are scanned
-from their element lists here (scanned_present_subset), as before the
-library's closures handed back the atoms, basis or join-irreducibles they
-found.  The regex oracles are the recursive dataclass trees and walks that
-the library's pre-keyed, iterative trees replaced; they share nothing with
-them.  The boolean combinations of languages (product automata) serve the
-tests only.
+equivalence, minimization, labelling, DL01, morphism check, dual map,
+labelled round-trip and checked piece-to-monoid oracles are the exhaustive
+algorithms that the library's faster or shorter ones replaced; they share
+only carrier primitives such as validate_morphism, close, jsl_from_masks,
+gaussian_basis and the breadth-first renumbering of a DFA with the code they
+check (the labelled round trip also shares monoid_to_piece, the dualization
+it labels, and the checked piece-to-monoid shares the dualization, reachable
+part and transition monoid, as it pins only where the closure verdict comes
+from).  The presentations of subalgebras are scanned from their element lists
+here (scanned_present_subset), as before the library's closures handed back
+the atoms, basis or join-irreducibles they found.  The regex oracles are the
+recursive dataclass trees and walks that the library's pre-keyed, iterative
+trees replaced; they share nothing with them.  The boolean combinations of
+languages (product automata) serve the tests only.
 """
 
 from __future__ import annotations
@@ -23,13 +25,21 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from langdual.automata import ClassAutomaton, DAlgebra, label_set, reachable_part
+from langdual.automata import (
+    ClassAutomaton,
+    DAlgebra,
+    coalgebra_to_dalgebra,
+    is_rqc_closed,
+    label_set,
+    reachable_part,
+)
 from langdual.config import DEFAULT_LIMITS
 from langdual.correspondence import monoid_to_piece
 from langdual.duality import DualityTag, IsoWitness, dual_morphism, dual_object
 from langdual.errors import (
     CorrespondenceError,
     NonFunctionalError,
+    NotRqcClosedError,
     NotReachableError,
     RegexSyntaxError,
     ResourceExceededError,
@@ -46,7 +56,7 @@ from langdual.languages import (
     left_derivative,
     right_derivative,
 )
-from langdual.monoids import LINEARISH, SigmaMonoid, carrier_add, carrier_zero
+from langdual.monoids import LINEARISH, SigmaMonoid, carrier_add, carrier_zero, transition_monoid
 from langdual.varieties import (
     BoolAlg,
     DistLat,
@@ -804,6 +814,15 @@ def word_rqc_closed(q, limits=DEFAULT_LIMITS):
                 return False
     return True
 
+
+
+def checked_piece_to_monoid(d, piece, limits=DEFAULT_LIMITS):
+    """piece_to_monoid with closure checked first, by refining the piece
+    beside its shifts, and the monoid closed at the caller's cap."""
+    if not is_rqc_closed(piece):
+        raise NotRqcClosedError("piece is not closed under right derivatives")
+    algebra = reachable_part(coalgebra_to_dalgebra(d, piece), limits)
+    return transition_monoid(algebra, reverse_composition=True, limits=limits)
 
 # ---------------------------------------------------------------------------
 # generation, then a presentation scanned from the elements

@@ -1,0 +1,75 @@
+"""Piece and monoid sizes against `perfbench/reference.py`, an implementation
+that never imports langdual: it parses the regex text itself, builds
+automata by subset construction, minimizes them by Moore refinement, and
+counts a piece as a family of bit masks over the syntactic monoid.
+
+The families: the nine cap-size families, whose sizes the two cap-size
+tiers pin from langdual's own runs, and the families of the benchmark's
+boolean-labels and linear-monoids workloads, whose sizes are computed here.
+Two boolean-labels families lie past the default cap, and both sides must
+refuse them.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from langdual.automata import rqc_closure
+from langdual.correspondence import piece_to_monoid
+from langdual.duality import DualityTag, c_tag
+from langdual.errors import ResourceExceededError
+from langdual.languages import compile_text
+import test_cap_size_ba_dl_z2
+import test_cap_size_jsl
+
+_spec = importlib.util.spec_from_file_location(
+    "reference", Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+)
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
+
+VARIETY = {DualityTag.BA_SET: "BA", DualityTag.DL01_POS: "DL", DualityTag.JSL_SELF: "JSL", DualityTag.Z2_SELF: "Z2"}
+
+CAP_SIZE = [(d, text, piece, monoid) for d, text, piece, monoid, _ in test_cap_size_ba_dl_z2.FAMILIES] + [
+    (DualityTag.JSL_SELF, text, size, size) for text, size, _ in test_cap_size_jsl.FAMILIES
+]
+
+# (duality, regex) of the boolean-labels and linear-monoids workloads
+WORKLOAD_FAMILIES = [
+    (DualityTag.BA_SET, "(aaaa)*b"),
+    (DualityTag.BA_SET, "(ab)*b"),
+    (DualityTag.DL01_POS, "(aa|b)*ab"),
+    (DualityTag.DL01_POS, "(aaaa)*b"),
+    (DualityTag.JSL_SELF, "(aa|b)*ab"),
+    (DualityTag.JSL_SELF, "(a|b)*abb"),
+    (DualityTag.JSL_SELF, "(a|b)*aba"),
+    (DualityTag.JSL_SELF, "(aa)*b"),
+    (DualityTag.JSL_SELF, "(ab)*"),
+    (DualityTag.JSL_SELF, "(a|b)*ab"),
+    (DualityTag.Z2_SELF, "(a|b)*abb"),
+    (DualityTag.Z2_SELF, "(aa)*b"),
+    (DualityTag.Z2_SELF, "(ab)*"),
+    (DualityTag.Z2_SELF, "a*b"),
+]
+PAST_THE_CAP = [(DualityTag.BA_SET, "(ab|ba)*"), (DualityTag.BA_SET, "a(ab)*b")]
+
+
+@pytest.mark.parametrize("d, text, piece, monoid", CAP_SIZE, ids=[f"{row[0].name}-{row[1]}" for row in CAP_SIZE])
+def test_cap_size_families_have_the_reference_sizes(d, text, piece, monoid):
+    assert reference.piece_and_monoid_size(VARIETY[d], [text], "ab") == (piece, monoid)
+
+
+@pytest.mark.parametrize("d, text", WORKLOAD_FAMILIES, ids=[f"{d.name}-{text}" for d, text in WORKLOAD_FAMILIES])
+def test_workload_families_have_the_reference_sizes(d, text):
+    piece = rqc_closure(c_tag(d), [compile_text(text, ("a", "b"))])
+    sizes = (piece.size, piece_to_monoid(d, piece).size)
+    assert reference.piece_and_monoid_size(VARIETY[d], [text], "ab") == sizes
+
+
+@pytest.mark.parametrize("d, text", PAST_THE_CAP, ids=[f"{d.name}-{text}" for d, text in PAST_THE_CAP])
+def test_families_past_the_cap_are_refused_by_both(d, text):
+    with pytest.raises(ResourceExceededError):
+        rqc_closure(c_tag(d), [compile_text(text, ("a", "b"))])
+    with pytest.raises(reference.TooLarge):
+        reference.piece_and_monoid_size(VARIETY[d], [text], "ab")
