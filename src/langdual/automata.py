@@ -292,19 +292,6 @@ def dalgebra_to_coalgebra(d: DualityTag, a: DAlgebra) -> CCoalgebra:
     return CCoalgebra(dual_object(d, a.carrier), a.alphabet, gamma, out)
 
 
-def match_states(p: CCoalgebra, q: CCoalgebra) -> tuple[int, ...] | None:
-    """Each state of p to the state of q with its language, by one refinement
-    of the two side by side; None unless each class holds one state of each."""
-    n = p.size
-    if p.alphabet != q.alphabet or q.size != n:
-        return None
-    block = language_blocks(p, q)
-    mate = {b: t for t, b in enumerate(block[n:])}
-    if len(mate) != n or mate.keys() != set(block[:n]):
-        return None
-    return tuple(map(mate.__getitem__, block[:n]))
-
-
 def language_blocks(*qs: CCoalgebra) -> list[int]:
     """The block of every state of qs, side by side and in order, from one
     refinement: two states share a block when they accept one language."""

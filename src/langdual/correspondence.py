@@ -22,8 +22,8 @@ piece_to_monoid reads closure off the monoid it builds.  A round trip
 dualizes the monoid once and pairs the returned states with the piece's by
 the representative words of the monoid's word images that they accept, a
 pairing that an isomorphism must follow; the structure check then certifies
-it.  Only label inclusion, joins, reports and a refusal's counterexample
-compute labels.
+it.  Only label inclusion, joins, reports and the classification of a
+refused round trip compute labels.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .automata import (
     dalgebra_to_coalgebra,
     is_rqc_closed,
     label_set,
-    match_states,
     rqc_closure,
     reachable_part,
 )
@@ -173,18 +172,20 @@ def _roundtrip_witness(d: DualityTag, piece: CCoalgebra, monoid: SigmaMonoid, li
     languages, as the dual of a generated algebra is observable; so their
     signatures are distinct.  An isomorphism keeps languages, so it pairs
     equal signatures and is unique; _structure_iso certifies the pairing.
-    With no such bijection, or one that is not an isomorphism, the refusal
-    is classified by one refinement of the two side by side, then by their
-    labels: equal label sets without a matching mean the piece repeats a
-    language."""
+
+    A signature depends only on the language, so any pairing of equal
+    languages is this one.  A refusal is therefore classified by the label
+    sets alone: if they agree, the signature pairing was the language
+    matching and its structure error stands; if they differ, the languages
+    changed; with no signature bijection and equal sets, the piece repeats a
+    language (its n states carry fewer than n languages)."""
     back = monoid_to_piece(d, monoid, limits)
     if (forward := _signature_pairing(piece, back, monoid)) is not None:
         try:
             return _structure_iso(piece, back, forward)
         except CorrespondenceError:
-            pass
-    if (forward := match_states(piece, back)) is not None:
-        return _structure_iso(piece, back, forward)
+            if label_set(piece) == label_set(back):
+                raise
     ours, theirs = label_set(piece), label_set(back)
     if ours != theirs:
         extra = sorted(ours.symmetric_difference(theirs), key=lambda l: l.sort_key())

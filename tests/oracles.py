@@ -4,14 +4,16 @@ The language oracles work from word membership and plain enumeration, never
 through the minimization/duality code paths they are used to check.  The
 monoid, join-semilattice, closure, class automaton, residual closure, DFA
 equivalence, minimization, labelling, DL01, morphism check, dual map,
-labelled round-trip and checked piece-to-monoid oracles are the exhaustive
-algorithms that the library's faster or shorter ones replaced; they share
-only carrier primitives such as validate_morphism, close, jsl_from_masks,
-gaussian_basis and the breadth-first renumbering of a DFA with the code they
-check (the labelled round trip also shares monoid_to_piece, the dualization
-it labels, and the checked piece-to-monoid shares the dualization, reachable
-part and transition monoid, as it pins only where the closure verdict comes
-from).  The presentations of subalgebras are scanned from their element lists
+labelled round-trip, checked piece-to-monoid and state-matching oracles are
+the exhaustive algorithms that the library's faster or shorter ones
+replaced; they share only carrier primitives such as validate_morphism,
+close, jsl_from_masks, gaussian_basis and the breadth-first renumbering of a
+DFA with the code they check (the labelled round trip also shares
+monoid_to_piece, the dualization it labels, the checked piece-to-monoid
+shares the dualization, reachable part and transition monoid, as it pins
+only where the closure verdict comes from, and the state matching shares
+language_blocks, the refinement that the round trip's signature pairing
+replaced).  The presentations of subalgebras are scanned from their element lists
 here (scanned_present_subset), as before the library's closures handed back
 the atoms, basis or join-irreducibles they found.  The regex oracles are the
 recursive dataclass trees and walks that the library's pre-keyed, iterative
@@ -31,6 +33,7 @@ from langdual.automata import (
     coalgebra_to_dalgebra,
     is_rqc_closed,
     label_set,
+    language_blocks,
     reachable_part,
 )
 from langdual.config import DEFAULT_LIMITS
@@ -823,6 +826,19 @@ def checked_piece_to_monoid(d, piece, limits=DEFAULT_LIMITS):
         raise NotRqcClosedError("piece is not closed under right derivatives")
     algebra = reachable_part(coalgebra_to_dalgebra(d, piece), limits)
     return transition_monoid(algebra, reverse_composition=True, limits=limits)
+
+
+def match_states(p, q):
+    """Each state of p to the state of q with its language, by one refinement
+    of the two side by side; None unless each class holds one state of each."""
+    n = p.size
+    if p.alphabet != q.alphabet or q.size != n:
+        return None
+    block = language_blocks(p, q)
+    mate = {b: t for t, b in enumerate(block[n:])}
+    if len(mate) != n or mate.keys() != set(block[:n]):
+        return None
+    return tuple(map(mate.__getitem__, block[:n]))
 
 # ---------------------------------------------------------------------------
 # generation, then a presentation scanned from the elements

@@ -26,12 +26,12 @@ import random
 
 import pytest
 
+import langdual.automata
 import langdual.correspondence
 from langdual.automata import (
     coalgebra_to_dalgebra,
     generate_subcoalgebra,
     is_rqc_closed,
-    match_states,
     reachable_part,
     rqc_closure,
 )
@@ -42,7 +42,7 @@ from langdual.errors import LangdualError, NotRqcClosedError, ResourceExceededEr
 from langdual.languages import compile_text
 from langdual.monoids import transition_monoid
 from helpers import random_generators
-from oracles import checked_piece_to_monoid, word_rqc_closed
+from oracles import checked_piece_to_monoid, match_states, word_rqc_closed
 
 AB = ("a", "b")
 BUILD_CAP = Limits(max_carrier=512)
@@ -155,15 +155,18 @@ def test_signature_pairing_is_the_refined_matching_on_the_families(d, text, retu
 
 
 def test_a_successful_correspond_runs_no_refinement(corpus, monkeypatch):
-    calls = {"is_rqc_closed": 0, "match_states": 0}
-    for name in calls:
-        original = getattr(langdual.correspondence, name)
+    """`language_blocks` is the refinement under `is_rqc_closed` and the
+    `match_states` oracle."""
+    unclosed = next((d, p) for d, p in corpus if p.size > 8 and not is_rqc_closed(p))
+    calls = {"is_rqc_closed": 0, "language_blocks": 0}
+    for module, name in ((langdual.correspondence, "is_rqc_closed"), (langdual.automata, "language_blocks")):
+        original = getattr(module, name)
 
         def counted(*args, name=name, original=original):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(langdual.correspondence, name, counted)
+        monkeypatch.setattr(module, name, counted)
     rng = random.Random(11)
     for _ in range(20):
         gens = random_generators(rng, AB, max_states=5)
@@ -174,10 +177,9 @@ def test_a_successful_correspond_runs_no_refinement(corpus, monkeypatch):
                 continue
     for d, text in FAMILIES[:4]:
         correspond(d, [compile_text(text, AB)])
-    assert calls == {"is_rqc_closed": 0, "match_states": 0}
+    assert calls == {"is_rqc_closed": 0, "language_blocks": 0}
 
     # the counters see a refusal's refinement
-    d, piece = next((d, p) for d, p in corpus if p.size > 8 and not is_rqc_closed(p))
     with pytest.raises(NotRqcClosedError):
-        piece_to_monoid(d, piece, Limits(max_carrier=8))
-    assert calls == {"is_rqc_closed": 1, "match_states": 0}
+        piece_to_monoid(*unclosed, Limits(max_carrier=8))
+    assert calls == {"is_rqc_closed": 1, "language_blocks": 1}

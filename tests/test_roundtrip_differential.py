@@ -26,7 +26,7 @@ from dataclasses import replace
 import pytest
 
 import langdual.correspondence
-from langdual.automata import label_set, language_blocks, match_states, rqc_closure
+from langdual.automata import label_set, language_blocks, rqc_closure
 from langdual.config import Limits
 from langdual.correspondence import _roundtrip_witness, monoid_to_piece, piece_to_monoid
 from langdual.duality import DualityTag, c_tag
@@ -34,7 +34,7 @@ from langdual.errors import CorrespondenceError, ResourceExceededError
 from langdual.languages import compile_text
 from langdual.varieties import FinMorphism
 from helpers import random_generators
-from oracles import labelled_roundtrip_witness
+from oracles import labelled_roundtrip_witness, match_states
 
 AB = ("a", "b")
 SMALL = Limits(max_carrier=64)
