@@ -11,14 +11,12 @@ and verifies the correspondence between the two sides on concrete instances.
 from .automata import (
     CCoalgebra,
     DAlgebra,
-    alg_shift,
     coalg_shift,
     coalgebra_to_dalgebra,
     dalgebra_to_coalgebra,
     generate_subcoalgebra,
     is_rqc_closed,
     label_set,
-    language_dalgebra,
     reachable_part,
     rqc_closure,
     state_language,
@@ -51,11 +49,8 @@ from .languages import (
     Dfa,
     LanguageId,
     Regex,
-    accepts,
     compile_regex,
     compile_text,
-    dfa_equivalent,
-    equivalent,
     language_to_regex,
     left_derivative,
     parse_regex,
@@ -66,17 +61,14 @@ from .languages import (
 from .monoids import (
     FreeElement,
     SigmaMonoid,
-    eval_word,
     free_language,
     free_mult,
     free_unit,
     free_word,
-    pseudovariety_member,
     quotient_leq,
     sigma_monoid_iso,
     subdirect_product,
     transition_monoid,
-    trivial_monoid,
     validate_monoid,
 )
 from .varieties import (
@@ -90,9 +82,7 @@ from .varieties import (
     VarietyTag,
     VectZ2,
     free_on_one,
-    generate_subalgebra,
-    image_factorize,
-    product_algebra,
+    present_subset,
     two_element_algebra,
     validate_morphism,
 )

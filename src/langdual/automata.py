@@ -33,7 +33,6 @@ from .languages import (
 from .varieties import (
     FinAlgebra,
     FinMorphism,
-    FinSet,
     JoinSemilattice,
     VarietyTag,
     VectZ2,
@@ -42,7 +41,6 @@ from .varieties import (
     constants,
     free_on_one,
     generate_family,
-    identity,
     orbit,
     present_closure,
     two_element_algebra,
@@ -65,9 +63,6 @@ class CCoalgebra:
         """Every state's language."""
         return tuple(map(state_languages(_as_dfa(self)), range(self.size)))
 
-    def gamma_of(self, a: str) -> FinMorphism:
-        return self.gamma[self.alphabet.index(a)]
-
     @property
     def size(self) -> int:
         return self.carrier.size
@@ -82,9 +77,6 @@ class DAlgebra:
     alpha: tuple[FinMorphism, ...]
     init: int
 
-    def alpha_of(self, a: str) -> FinMorphism:
-        return self.alpha[self.alphabet.index(a)]
-
     @property
     def size(self) -> int:
         return self.carrier.size
@@ -95,26 +87,16 @@ def label_set(q: CCoalgebra) -> frozenset[LanguageId]:
 
 
 # ---------------------------------------------------------------------------
-# the finals-shift and the initial-shift
-
-
-def word_action(maps: Sequence[FinMorphism], alphabet: Sequence[str], word: str, carrier: FinAlgebra) -> FinMorphism:
-    """gamma_w (resp. alpha_w): the letter actions composed in reading order."""
-    out = identity(carrier)
-    for a in word:
-        out = out.then(maps[alphabet.index(a)])
-    return out
+# the finals-shift
 
 
 def coalg_shift(q: CCoalgebra, word: str) -> CCoalgebra:
-    """Replace the output by out after gamma_w: state s then accepts L(s)w^-1."""
-    gw = word_action(q.gamma, q.alphabet, word, q.carrier)
-    return replace(q, out=gw.then(q.out))
-
-
-def alg_shift(a: DAlgebra, word: str) -> DAlgebra:
-    aw = word_action(a.alpha, a.alphabet, word, a.carrier)
-    return replace(a, init=aw.graph[a.init])
+    """Replace the output by out after gamma_w, the letter actions composed
+    in reading order: state s then accepts L(s)w^-1."""
+    out = q.out
+    for a in reversed(word):
+        out = q.gamma[q.alphabet.index(a)].then(out)
+    return replace(q, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -316,17 +298,6 @@ def _as_dfa(q: CCoalgebra) -> Dfa:
     is a placeholder."""
     finals = frozenset(s for s in range(q.size) if q.out.graph[s] == 1)
     return Dfa(q.alphabet, q.size, 0, finals, tuple(_delta_rows(q)))
-
-
-def language_dalgebra(lang: LanguageId) -> DAlgebra:
-    """The canonical DFA of a language as a plain initialized automaton."""
-    d = lang.dfa
-    carrier = FinSet(d.n_states)
-    alpha = tuple(
-        FinMorphism(carrier, carrier, tuple(d.delta[q][ai] for q in range(d.n_states)))
-        for ai in range(len(d.alphabet))
-    )
-    return DAlgebra(carrier, d.alphabet, alpha, d.initial)
 
 
 def reachable_part(a: DAlgebra, limits: Limits = DEFAULT_LIMITS) -> DAlgebra:

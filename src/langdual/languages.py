@@ -433,30 +433,6 @@ class Dfa:
             "delta": [list(row) for row in self.delta],
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "Dfa":
-        dfa = Dfa(
-            alphabet=tuple(data["alphabet"]),
-            n_states=int(data["states"]),
-            initial=int(data["initial"]),
-            finals=frozenset(int(q) for q in data["finals"]),
-            delta=tuple(tuple(int(t) for t in row) for row in data["delta"]),
-        )
-        validate_dfa(dfa)
-        return dfa
-
-
-def validate_dfa(d: Dfa) -> None:
-    check_alphabet(d.alphabet)
-    if not (0 <= d.initial < d.n_states):
-        raise ValueError("initial state out of range")
-    if not all(0 <= q < d.n_states for q in d.finals):
-        raise ValueError("final state out of range")
-    if len(d.delta) != d.n_states or any(len(row) != len(d.alphabet) for row in d.delta):
-        raise ValueError("transition table has wrong shape")
-    if not all(0 <= t < d.n_states for row in d.delta for t in row):
-        raise ValueError("transition target out of range")
-
 
 def _restrict_reachable(d: Dfa, start: int | None = None) -> Dfa:
     """The part reachable from start (by default the initial state), numbered
@@ -690,10 +666,6 @@ def compile_text(text: str, alphabet: Sequence[str], limits: Limits = DEFAULT_LI
     return compile_regex(parse_regex(text, alphabet), alphabet, limits)
 
 
-def accepts(lang: LanguageId, word: str) -> bool:
-    return lang.dfa.accepts_word(word)
-
-
 def left_derivative(lang: LanguageId, word: str) -> LanguageId:
     """The language {u : word u is in L}, canonical."""
     d = lang.dfa
@@ -728,17 +700,6 @@ def two_sided_residuals(lang: LanguageId, limits: Limits = DEFAULT_LIMITS) -> fr
         for derive in (left_derivative, right_derivative)
     ]
     return frozenset(close([lang], steps, limits.max_carrier, "two-sided residual closure"))
-
-
-def equivalent(lang1: LanguageId, lang2: LanguageId) -> bool:
-    """Canonical forms make language equality a componentwise equality."""
-    return lang1 == lang2
-
-
-def dfa_equivalent(d1: Dfa, d2: Dfa) -> bool:
-    """Language equality for not-necessarily-canonical DFAs; DFAs over
-    different alphabets are never equivalent."""
-    return canonical_language(d1) == canonical_language(d2)
 
 
 # ---------------------------------------------------------------------------

@@ -149,41 +149,6 @@ class SigmaMonoid:
     def size(self) -> int:
         return self.carrier.size
 
-    def gen_of(self, a: str) -> int:
-        return self.gen[self.alphabet.index(a)]
-
-
-def trivial_monoid(tag: VarietyTag, alphabet: Sequence[str]) -> SigmaMonoid:
-    match tag:
-        case VarietyTag.SET:
-            carrier: FinAlgebra = FinSet(1)
-        case VarietyTag.POS:
-            carrier = FinPoset(((True,),))
-        case VarietyTag.JSL0:
-            carrier = JoinSemilattice(((0,),), 0)
-        case VarietyTag.Z2VECT:
-            carrier = VectZ2(0)
-        case _:
-            raise TagMismatchError(f"{tag} is not an algebra-side variety")
-    return SigmaMonoid(carrier, tuple(alphabet), 0, ((0,),), (0,) * len(alphabet))
-
-
-def eval_word(m: SigmaMonoid, x: FreeElement | str) -> int:
-    """The unique monoid morphism from free normal forms, letter by letter."""
-    if isinstance(x, str):
-        cur = m.unit
-        for a in x:
-            cur = m.mult[cur][m.gen_of(a)]
-        return cur
-    if x.tag != m.carrier.tag:
-        raise TagMismatchError("free element of the wrong variety")
-    if x.tag in (VarietyTag.SET, VarietyTag.POS):
-        return eval_word(m, x.words[0])
-    total = carrier_zero(m.carrier)
-    for w in x.words:
-        total = carrier_add(m.carrier, total, eval_word(m, w))
-    return total
-
 
 # ---------------------------------------------------------------------------
 # transition monoids
@@ -511,21 +476,6 @@ def quotient_leq(m1: SigmaMonoid, m2: SigmaMonoid, limits: Limits = DEFAULT_LIMI
                 if leq(m2.carrier, p[0], q[0]) and not leq(m1.carrier, p[1], q[1]):
                     return False
     return True
-
-
-def pseudovariety_member(
-    m: SigmaMonoid, gens: Sequence[SigmaMonoid], limits: Limits = DEFAULT_LIMITS
-) -> bool:
-    """Membership in the pseudovariety generated by finitely many monoids.
-
-    Finitely generated ideals in the join-semilattice of monoids are
-    principal, so this is a single quotient test against the iterated
-    subdirect product.
-    """
-    top = trivial_monoid(m.carrier.tag, m.alphabet)
-    for g in gens:
-        top = subdirect_product(top, g, limits)
-    return quotient_leq(m, top, limits)
 
 
 def sigma_monoid_iso(m1: SigmaMonoid, m2: SigmaMonoid) -> FinMorphism | None:

@@ -25,7 +25,6 @@ from itertools import compress, repeat
 from operator import and_, eq, ne, or_, xor
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
-from .config import DEFAULT_LIMITS, Limits
 from .errors import ResourceExceededError, TagMismatchError
 
 Matrix = tuple[tuple[bool, ...], ...]
@@ -627,87 +626,6 @@ def present_subset(
             if len(presented[2]) == len(subset):
                 return presented
     raise ValueError("subset is not a subalgebra")
-
-
-def generate_subalgebra(
-    amb: FinAlgebra,
-    gens: Iterable[int],
-    limits: Limits = DEFAULT_LIMITS,
-) -> tuple[FinAlgebra, FinMorphism]:
-    """Smallest subalgebra containing gens, presented in its own right."""
-    sub, incl, _ = present_closure(amb, gens, limits.max_carrier, "subalgebra closure")
-    return sub, incl
-
-
-def image_factorize(m: FinMorphism) -> tuple[FinMorphism, FinMorphism]:
-    """Factor m as a surjection onto its image followed by an inclusion."""
-    if m.dom.tag != m.cod.tag:
-        raise TagMismatchError("cannot factorize a cross-variety map")
-    mid, incl, to_sub = present_subset(m.cod, m.graph)
-    epi = FinMorphism(m.dom, mid, tuple(to_sub[v] for v in m.graph))
-    return epi, incl
-
-
-# ---------------------------------------------------------------------------
-# products
-
-
-def product_algebra(a: FinAlgebra, b: FinAlgebra) -> tuple[FinAlgebra, FinMorphism, FinMorphism]:
-    if a.tag != b.tag:
-        raise TagMismatchError(f"product of {a.tag} and {b.tag}")
-    match (a, b):
-        case (BoolAlg(), BoolAlg()):
-            prod = BoolAlg(a.atoms + b.atoms)
-            low = (1 << a.atoms) - 1
-            p1 = tuple(x & low for x in range(prod.size))
-            p2 = tuple(x >> a.atoms for x in range(prod.size))
-            return prod, FinMorphism(prod, a, p1), FinMorphism(prod, b, p2)
-        case (DistLat(), DistLat()):
-            ka, kb = a.n_ji, b.n_ji
-
-            def block(i: int, j: int) -> bool:
-                if i < ka and j < ka:
-                    return a.ji_leq[i][j]
-                if i >= ka and j >= ka:
-                    return b.ji_leq[i - ka][j - ka]
-                return False
-
-            prod = DistLat(tuple(tuple(block(i, j) for j in range(ka + kb)) for i in range(ka + kb)))
-            low = (1 << ka) - 1
-            p1 = tuple(a.downset_index[x & low] for x in prod.downset_masks)
-            p2 = tuple(b.downset_index[x >> ka] for x in prod.downset_masks)
-            return prod, FinMorphism(prod, a, p1), FinMorphism(prod, b, p2)
-        case (JoinSemilattice(), JoinSemilattice()):
-            nb = b.size
-            pairs = [(x, y) for x in range(a.size) for y in range(nb)]
-            join = op_table(pairs, lambda p, q: (a.join[p[0]][q[0]], b.join[p[1]][q[1]]))
-            prod = JoinSemilattice(join, a.zero * nb + b.zero)
-            p1 = tuple(x for (x, _) in pairs)
-            p2 = tuple(y for (_, y) in pairs)
-            return prod, FinMorphism(prod, a, p1), FinMorphism(prod, b, p2)
-        case (VectZ2(), VectZ2()):
-            prod = VectZ2(a.dim + b.dim)
-            low = (1 << a.dim) - 1
-            p1 = tuple(x & low for x in range(prod.size))
-            p2 = tuple(x >> a.dim for x in range(prod.size))
-            return prod, FinMorphism(prod, a, p1), FinMorphism(prod, b, p2)
-        case (FinSet(), FinSet()):
-            prod = FinSet(a.size * b.size)
-            p1 = tuple(x // b.size for x in range(prod.size))
-            p2 = tuple(x % b.size for x in range(prod.size))
-            return prod, FinMorphism(prod, a, p1), FinMorphism(prod, b, p2)
-        case (FinPoset(), FinPoset()):
-            nb = b.size
-            pairs = [(x, y) for x in range(a.size) for y in range(nb)]
-            order = tuple(
-                tuple(a.leq[x1][x2] and b.leq[y1][y2] for (x2, y2) in pairs)
-                for (x1, y1) in pairs
-            )
-            prod = FinPoset(order)
-            p1 = tuple(x for (x, _) in pairs)
-            p2 = tuple(y for (_, y) in pairs)
-            return prod, FinMorphism(prod, a, p1), FinMorphism(prod, b, p2)
-    raise TagMismatchError(f"product of {a.tag} and {b.tag}")
 
 
 # ---------------------------------------------------------------------------

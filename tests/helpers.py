@@ -1,5 +1,6 @@
 """Test-only helpers: seeded random algebras and morphisms, validating
-constructors, JSON readers and checks on coalgebras.
+constructors, JSON readers, checks on coalgebras, and small fixtures: the
+plain automaton of a language, the trivial monoid and word evaluation.
 
 The library itself never calls these; the tests use them to build instances
 and to state properties.  Identical seeds reproduce identical instances.
@@ -10,10 +11,11 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from langdual.automata import CCoalgebra
+from langdual.automata import CCoalgebra, DAlgebra
 from langdual.cli import random_regex
 from langdual.errors import TagMismatchError
 from langdual.languages import LanguageId, Regex, _derive, compile_regex, language_to_regex, left_derivative
+from langdual.monoids import FreeElement, SigmaMonoid, carrier_add, carrier_zero
 from langdual.varieties import (
     BoolAlg,
     DistLat,
@@ -71,6 +73,45 @@ def pairing(f: FinMorphism, g: FinMorphism, prod: FinAlgebra, p1: FinMorphism, p
     """The morphism <f, g> into a product built by product_algebra."""
     lookup = {(p1.graph[x], p2.graph[x]): x for x in range(prod.size)}
     return FinMorphism(f.dom, prod, tuple(lookup[(f.graph[x], g.graph[x])] for x in range(f.dom.size)))
+
+
+# ---------------------------------------------------------------------------
+# fixtures: the automaton of a language, the trivial monoid, word evaluation
+
+
+def language_dalgebra(lang: LanguageId) -> DAlgebra:
+    """The canonical DFA of a language as a plain initialized automaton."""
+    d = lang.dfa
+    carrier = FinSet(d.n_states)
+    alpha = tuple(FinMorphism(carrier, carrier, column) for column in zip(*d.delta))
+    return DAlgebra(carrier, d.alphabet, alpha, d.initial)
+
+
+def trivial_monoid(tag: VarietyTag, alphabet: Sequence[str]) -> SigmaMonoid:
+    carrier = {
+        VarietyTag.SET: FinSet(1),
+        VarietyTag.POS: FinPoset(((True,),)),
+        VarietyTag.JSL0: JoinSemilattice(((0,),), 0),
+        VarietyTag.Z2VECT: VectZ2(0),
+    }[tag]
+    return SigmaMonoid(carrier, tuple(alphabet), 0, ((0,),), (0,) * len(alphabet))
+
+
+def eval_word(m: SigmaMonoid, x: FreeElement | str) -> int:
+    """The unique monoid morphism from free normal forms, letter by letter."""
+    if isinstance(x, str):
+        cur = m.unit
+        for a in x:
+            cur = m.mult[cur][m.gen[m.alphabet.index(a)]]
+        return cur
+    if x.tag != m.carrier.tag:
+        raise TagMismatchError("free element of the wrong variety")
+    if x.tag in (VarietyTag.SET, VarietyTag.POS):
+        return eval_word(m, x.words[0])
+    total = carrier_zero(m.carrier)
+    for w in x.words:
+        total = carrier_add(m.carrier, total, eval_word(m, w))
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ here (scanned_present_subset), as before the library's closures handed back
 the atoms, basis or join-irreducibles they found.  The regex oracles are the
 recursive dataclass trees and walks that the library's pre-keyed, iterative
 trees replaced; they share nothing with them.  The boolean combinations of
-languages (product automata) serve the tests only.
+languages (product automata), and the product algebras with image
+factorization (the textbook subdirect product), serve the tests only.
 """
 
 from __future__ import annotations
@@ -76,6 +77,8 @@ from langdual.varieties import (
     is_order_reflecting,
     jsl_from_masks,
     jsl_irreducibles,
+    op_table,
+    present_subset,
     validate_morphism,
 )
 
@@ -476,8 +479,7 @@ def pairwise_subdirect_size(m1, m2):
 # hashed tuple per map and letter for the left letter table.  The library
 # now acts on the generators' DFAs side by side and builds no product.
 # The deque closure of two_sided_residuals, with its own refusal message,
-# and the union-find bisimulation that dfa_equivalent replaced by canonical
-# forms.
+# and the union-find bisimulation that equality of canonical forms replaced.
 
 
 def queue_joint_dfa(gens):
@@ -839,6 +841,67 @@ def match_states(p, q):
     if len(mate) != n or mate.keys() != set(block[:n]):
         return None
     return tuple(map(mate.__getitem__, block[:n]))
+
+# ---------------------------------------------------------------------------
+# products and images
+#
+# The textbook subdirect product: the product algebra with its projections,
+# then the image of a map into it, presented in its own right.
+# subdirect_product builds the generated pairs directly instead.
+
+
+def product_algebra(a, b):
+    """(a x b, first projection, second projection)."""
+    if a.tag != b.tag:
+        raise TagMismatchError(f"product of {a.tag} and {b.tag}")
+    match (a, b):
+        case (BoolAlg(), BoolAlg()):
+            prod = BoolAlg(a.atoms + b.atoms)
+            low = (1 << a.atoms) - 1
+            p1 = tuple(x & low for x in range(prod.size))
+            p2 = tuple(x >> a.atoms for x in range(prod.size))
+        case (DistLat(), DistLat()):
+            ka, kb = a.n_ji, b.n_ji
+
+            def block(i, j):
+                if i < ka and j < ka:
+                    return a.ji_leq[i][j]
+                if i >= ka and j >= ka:
+                    return b.ji_leq[i - ka][j - ka]
+                return False
+
+            prod = DistLat(tuple(tuple(block(i, j) for j in range(ka + kb)) for i in range(ka + kb)))
+            low = (1 << ka) - 1
+            p1 = tuple(a.downset_index[x & low] for x in prod.downset_masks)
+            p2 = tuple(b.downset_index[x >> ka] for x in prod.downset_masks)
+        case (VectZ2(), VectZ2()):
+            prod = VectZ2(a.dim + b.dim)
+            low = (1 << a.dim) - 1
+            p1 = tuple(x & low for x in range(prod.size))
+            p2 = tuple(x >> a.dim for x in range(prod.size))
+        case (JoinSemilattice() | FinSet() | FinPoset(), _):
+            pairs = [(x, y) for x in range(a.size) for y in range(b.size)]
+            if isinstance(a, JoinSemilattice):
+                join = op_table(pairs, lambda p, q: (a.join[p[0]][q[0]], b.join[p[1]][q[1]]))
+                prod = JoinSemilattice(join, a.zero * b.size + b.zero)
+            elif isinstance(a, FinSet):
+                prod = FinSet(len(pairs))
+            else:
+                prod = FinPoset(tuple(tuple(a.leq[x1][x2] and b.leq[y1][y2] for x2, y2 in pairs) for x1, y1 in pairs))
+            p1 = tuple(x for x, _ in pairs)
+            p2 = tuple(y for _, y in pairs)
+        case _:
+            raise TagMismatchError(f"product of {a.tag} and {b.tag}")
+    return prod, FinMorphism(prod, a, p1), FinMorphism(prod, b, p2)
+
+
+def image_factorize(m):
+    """Factor m as a surjection onto its image followed by an inclusion."""
+    if m.dom.tag != m.cod.tag:
+        raise TagMismatchError("cannot factorize a cross-variety map")
+    mid, incl, to_sub = present_subset(m.cod, m.graph)
+    return FinMorphism(m.dom, mid, tuple(to_sub[v] for v in m.graph)), incl
+
 
 # ---------------------------------------------------------------------------
 # generation, then a presentation scanned from the elements

@@ -1,7 +1,6 @@
 from collections import deque
 
 from langdual.automata import (
-    alg_shift,
     coalg_shift,
     coalgebra_to_dalgebra,
     dalgebra_to_coalgebra,
@@ -180,7 +179,7 @@ def test_coalg_shift_epsilon_is_identity():
 def test_coalg_shift_word_composition():
     piece = generate_subcoalgebra(VarietyTag.BA, [lang("(ab)*")])
     via_word = coalg_shift(piece, "ab")
-    via_steps = piece.gamma_of("a").then(piece.gamma_of("b")).then(piece.out)
+    via_steps = piece.gamma[0].then(piece.gamma[1]).then(piece.out)
     assert via_word.out.graph == via_steps.graph
 
 
@@ -190,25 +189,6 @@ def test_coalg_shift_state_accepts_right_derivative():
     shifted = coalg_shift(piece, "b")
     assert state_language(shifted, state) == lang("(ab)*a")
     assert state_language(shifted, state) == right_derivative(lang("(ab)*"), "b")
-
-
-def test_alg_shift():
-    piece = rqc_closure(VarietyTag.BA, [lang("(ab)*")])
-    alg = coalgebra_to_dalgebra(DualityTag.BA_SET, piece)
-    assert alg_shift(alg, "").init == alg.init
-    shifted = alg_shift(alg, "ab")
-    expected = alg.alpha_of("b").graph[alg.alpha_of("a").graph[alg.init]]
-    assert shifted.init == expected
-
-
-def test_finals_shift_dualizes_to_initial_shift_of_reversed_word():
-    piece = rqc_closure(VarietyTag.BA, [lang("(ab)*")])
-    for w in ["", "a", "b", "ab", "ba", "aab"]:
-        left = coalgebra_to_dalgebra(DualityTag.BA_SET, coalg_shift(piece, w))
-        right = alg_shift(coalgebra_to_dalgebra(DualityTag.BA_SET, piece), w[::-1])
-        assert left.carrier == right.carrier
-        assert left.init == right.init
-        assert all(l.graph == r.graph for l, r in zip(left.alpha, right.alpha))
 
 
 # --- dualization ---

@@ -1,6 +1,6 @@
 """The BA, DL and Z2 rows of the cap-size families: correspond on pieces of
-512 to 4,096 states, whose round trip matches the returned states to the
-piece's by one refinement instead of labelling them.
+512 to 4,096 states, whose round trip pairs the returned states with the
+piece's by word signatures instead of labelling them.
 
 Each row runs `correspond` once, checks the piece and monoid sizes, pins the
 sha256 of `monoid_to_json` (sorted keys), and compares the witness graphs

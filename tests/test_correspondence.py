@@ -22,11 +22,10 @@ from langdual.monoids import (
     sigma_monoid_iso,
     subdirect_product,
     transition_monoid,
-    trivial_monoid,
     validate_monoid,
 )
-from langdual.automata import language_dalgebra
 from langdual.varieties import BoolAlg, FinMorphism, VarietyTag, identity, two_element_algebra
+from helpers import language_dalgebra, trivial_monoid
 from oracles import brute_syntactic_monoid, empty_language, full_language
 
 AB = ("a", "b")

@@ -10,12 +10,10 @@ from langdual.languages import (
     Literal,
     Star,
     Union,
-    accepts,
     brzozowski_dfa,
+    canonical_language,
     compile_regex,
     compile_text,
-    dfa_equivalent,
-    equivalent,
     language_to_regex,
     left_derivative,
     parse_regex,
@@ -117,12 +115,12 @@ def test_compile_empty_one_state_no_finals():
 
 def test_accepts():
     k = lang("(ab)*")
-    assert accepts(k, "abab")
-    assert not accepts(k, "aba")
-    assert not accepts(lang("#"), "")
-    assert not accepts(lang("a*"), "b")
+    assert k.dfa.accepts_word("abab")
+    assert not k.dfa.accepts_word("aba")
+    assert not lang("#").dfa.accepts_word("")
+    assert not lang("a*").dfa.accepts_word("b")
     with pytest.raises(UnknownSymbolError):
-        accepts(k, "xyz")
+        k.dfa.accepts_word("xyz")
 
 
 # --- derivatives ---
@@ -164,12 +162,12 @@ def test_residual_count_equals_minimal_state_count():
 
 
 def test_equivalent_examples():
-    assert equivalent(lang("a|b"), lang("b|a"))
+    assert lang("a|b") == lang("b|a")
     k = lang("(ab)*")
     other = lang("@|a(ba)*b")
     assert member_agree(k, other, 10)
-    assert equivalent(k, other)
-    assert not equivalent(lang("a*"), lang("a"))
+    assert k == other
+    assert lang("a*") != lang("a")
 
 
 def test_two_sided_residual_examples():
@@ -248,19 +246,19 @@ def test_boolean_combinations_agree_with_membership(l1, l2):
     s = lang_symdiff(l1, l2)
     c = lang_complement(l1)
     for w in words_up_to(AB, 4):
-        a, b = accepts(l1, w), accepts(l2, w)
-        assert accepts(u, w) == (a or b)
-        assert accepts(i, w) == (a and b)
-        assert accepts(s, w) == (a != b)
-        assert accepts(c, w) == (not a)
+        a, b = l1.dfa.accepts_word(w), l2.dfa.accepts_word(w)
+        assert u.dfa.accepts_word(w) == (a or b)
+        assert i.dfa.accepts_word(w) == (a and b)
+        assert s.dfa.accepts_word(w) == (a != b)
+        assert c.dfa.accepts_word(w) == (not a)
 
 
 def test_dfa_equivalent_on_non_canonical():
     raw1 = brzozowski_dfa(parse_regex("(ab)*", AB), AB)
     raw2 = brzozowski_dfa(parse_regex("@|a(ba)*b", AB), AB)
-    assert dfa_equivalent(raw1, raw2)
+    assert canonical_language(raw1) == canonical_language(raw2)
     raw3 = brzozowski_dfa(parse_regex("a*", AB), AB)
-    assert not dfa_equivalent(raw1, raw3)
+    assert canonical_language(raw1) != canonical_language(raw3)
 
 
 # --- synthesis ---

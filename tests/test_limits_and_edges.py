@@ -14,7 +14,7 @@ from langdual.cli import main
 from langdual.config import Limits
 from langdual.duality import DualityTag, dual_object
 from langdual.errors import ResourceExceededError
-from langdual.languages import Dfa, compile_text, parse_regex, compile_regex
+from langdual.languages import compile_text, parse_regex, compile_regex
 from langdual.monoids import SigmaMonoid
 from langdual.varieties import (
     FinSet,
@@ -99,11 +99,3 @@ def test_one_state_dalgebra_round_trips_to_two_element_coalgebra():
     q = dalgebra_to_coalgebra(DualityTag.BA_SET, alg)
     assert q.carrier == two_element_algebra(VarietyTag.BA)
     assert q.size == 2
-
-
-def test_dfa_json_round_trip():
-    lang = compile_text("(ab)*", AB)
-    data = lang.dfa.to_json()
-    assert Dfa.from_json(data) == lang.dfa
-    with pytest.raises(ValueError):
-        Dfa.from_json({**data, "initial": 99})

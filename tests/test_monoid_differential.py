@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from langdual.automata import DAlgebra, coalgebra_to_dalgebra, language_dalgebra, reachable_part, rqc_closure
+from langdual.automata import DAlgebra, coalgebra_to_dalgebra, reachable_part, rqc_closure
 from langdual.cli import random_regex
 from langdual.config import Limits
 from langdual.duality import DualityTag, c_tag
@@ -37,7 +37,7 @@ from langdual.varieties import (
     jsl_from_masks,
     jsl_irreducibles,
 )
-from helpers import make_jsl, make_poset, random_algebra, random_morphism, scrambled_jsl
+from helpers import language_dalgebra, make_jsl, make_poset, random_algebra, random_morphism, scrambled_jsl
 from oracles import (
     cubic_jsl_laws,
     cubic_meet_table,

@@ -4,25 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langdual.automata import language_dalgebra
 from langdual.errors import NotReachableError
 from langdual.languages import Dfa, LanguageId, compile_text
 from langdual.monoids import (
     SigmaMonoid,
-    eval_word,
     free_language,
     free_mult,
     free_unit,
     free_word,
-    pseudovariety_member,
     quotient_leq,
     sigma_monoid_iso,
     subdirect_product,
     transition_monoid,
-    trivial_monoid,
     validate_monoid,
 )
 from langdual.varieties import FinSet, JoinSemilattice, VarietyTag
+from helpers import eval_word, language_dalgebra, trivial_monoid
 from oracles import brute_syntactic_monoid, odd_factorization_product
 
 AB = ("a", "b")
@@ -256,15 +253,6 @@ def test_subdirect_is_least_upper_bound():
     for upper in [m6, subdirect_product(m6, m2)]:
         assert quotient_leq(m2, upper) and quotient_leq(m3, upper)
         assert quotient_leq(m6, upper)
-
-
-def test_pseudovariety_member_examples():
-    m = transition_monoid(language_dalgebra(lang("(ab)*")))
-    t = trivial_monoid(VarietyTag.SET, AB)
-    assert pseudovariety_member(t, [m])
-    assert pseudovariety_member(m, [m])
-    assert not pseudovariety_member(m, [t])
-    assert pseudovariety_member(t, [])
 
 
 def test_syntactic_monoid_against_brute_force_on_random_regexes():

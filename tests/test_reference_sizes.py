@@ -8,9 +8,15 @@ tiers pin from langdual's own runs, and the families of the benchmark's
 boolean-labels and linear-monoids workloads, whose sizes are computed here.
 Two boolean-labels families lie past the default cap, and both sides must
 refuse them.
+
+On the BA and DL families of both lists, the monoid itself is checked
+against the reference's syntactic monoid (its multiplication table, and for
+DL its order), and so is the membership of every word up to length 6 in the
+generator and in a seeded sample of the piece's label texts.
 """
 
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
@@ -19,7 +25,8 @@ from langdual.automata import rqc_closure
 from langdual.correspondence import piece_to_monoid
 from langdual.duality import DualityTag, c_tag
 from langdual.errors import ResourceExceededError
-from langdual.languages import compile_text
+from langdual.languages import compile_text, language_to_regex
+from langdual.varieties import leq
 import test_cap_size_ba_dl_z2
 import test_cap_size_jsl
 
@@ -53,6 +60,11 @@ WORKLOAD_FAMILIES = [
     (DualityTag.Z2_SELF, "a*b"),
 ]
 PAST_THE_CAP = [(DualityTag.BA_SET, "(ab|ba)*"), (DualityTag.BA_SET, "a(ab)*b")]
+BOOLEAN = [
+    (d, text)
+    for d, text, *_ in CAP_SIZE + WORKLOAD_FAMILIES
+    if d in (DualityTag.BA_SET, DualityTag.DL01_POS)
+]
 
 
 @pytest.mark.parametrize("d, text, piece, monoid", CAP_SIZE, ids=[f"{row[0].name}-{row[1]}" for row in CAP_SIZE])
@@ -73,3 +85,37 @@ def test_families_past_the_cap_are_refused_by_both(d, text):
         rqc_closure(c_tag(d), [compile_text(text, ("a", "b"))])
     with pytest.raises(reference.TooLarge):
         reference.piece_and_monoid_size(VARIETY[d], [text], "ab")
+
+
+@pytest.mark.parametrize("d, text", BOOLEAN, ids=[f"{d.name}-{text}" for d, text in BOOLEAN])
+def test_boolean_families_have_the_reference_monoid_and_members(d, text):
+    """Walking both Cayley graphs from the unit, one letter at a time, pairs
+    each monoid element with one of the reference's maps on states; the
+    pairing must be a bijection under which the products agree.  For DL,
+    x <= y exactly when from every state y's image accepts no word that x's
+    image rejects."""
+    generator = compile_text(text, ("a", "b"))
+    piece = rqc_closure(c_tag(d), [generator])
+    m = piece_to_monoid(d, piece)
+    delta, outputs, elements = reference.syntactic_monoid([text], "ab")
+    pair, order = {m.unit: elements[0]}, [m.unit]
+    for x in order:
+        for ai, g in enumerate(m.gen):
+            y, f = m.mult[x][g], tuple(delta[q][ai] for q in pair[x])
+            if y not in pair:
+                pair[y] = f
+                order.append(y)
+            assert pair[y] == f
+    assert len(order) == len(set(pair.values())) == m.size == len(elements)
+    assert all(pair[m.mult[x][y]] == tuple(pair[y][q] for q in pair[x]) for x in order for y in order)
+    if d is DualityTag.DL01_POS:
+
+        def below(f, g):
+            return all(outputs[h[g[q]]][0] <= outputs[h[f[q]]][0] for q in range(len(delta)) for h in elements)
+
+        assert all(leq(m.carrier, x, y) == below(pair[x], pair[y]) for x in order for y in order)
+
+    words = list(reference.words_up_to("ab", 6))
+    sample = random.Random(text).sample(piece.labels, 6)
+    for label_text, lang in [(text, generator), *((language_to_regex(lang), lang) for lang in sample)]:
+        assert reference.membership(label_text, "ab", words) == list(map(lang.dfa.accepts_word, words))

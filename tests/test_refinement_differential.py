@@ -3,8 +3,8 @@
 Seeded corpora over all four dualities: state labels from one refinement of
 the whole coalgebra against one minimization per state, the right-derivative
 check on k+1 copies of the piece against one right derivative per label and
-letter, minimize_dfa against the scanning refinement it replaced,
-dfa_equivalent against the union-find bisimulation it replaced, the DL01
+letter, minimize_dfa against the scanning refinement it replaced, equality
+of canonical forms against the union-find bisimulation it replaced, the DL01
 morphism check on join-irreducibles against the pairwise one, and the direct
 downset enumeration and irreducibility test against the exhaustive scans.
 """
@@ -23,7 +23,6 @@ from langdual.languages import (
     _restrict_reachable,
     canonical_language,
     compile_regex,
-    dfa_equivalent,
     minimize_dfa,
 )
 from langdual.varieties import (
@@ -147,10 +146,10 @@ def test_dfa_equivalent_matches_the_bisimulation():
             replace(d1, alphabet=tuple("xyz"[: len(d1.alphabet)])),
         ]
         for d2 in others:
-            verdict = dfa_equivalent(d1, d2)
-            assert verdict == bisimulation_equivalent(d1, d2) == dfa_equivalent(d2, d1)
+            verdict = canonical_language(d1) == canonical_language(d2)
+            assert verdict == bisimulation_equivalent(d1, d2)
             verdicts[verdict] += 1
-        assert not dfa_equivalent(d1, others[3])
+        assert canonical_language(d1) != canonical_language(others[3])
     assert verdicts[True] >= 500 and verdicts[False] >= 600
 
 

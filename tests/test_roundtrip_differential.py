@@ -1,12 +1,13 @@
-"""The round trip matched by one refinement against the label-based oracle.
+"""The round trip paired by word signatures against the label-based oracle.
 
-`_roundtrip_witness` dualizes the monoid once and matches the returned
-states to the piece's by one partition refinement of the two side by side;
-it labels them only when no bijection matches, to name the refusal.
-`labelled_roundtrip_witness` labels every returned state and matches by
-labels, as the library did before.  Both must return the same forward and
-backward graphs, or raise the same class with the same message and
-counterexample.  A refusal validates and dualizes the monoid once.
+`_roundtrip_witness` dualizes the monoid once and pairs the returned states
+with the piece's by their signatures: which representative words of the
+monoid's word images each accepts.  Only a refusal compares label sets, to
+name what went wrong.  `labelled_roundtrip_witness` labels every returned
+state and matches by labels, as the library did before.  Both must return
+the same forward and backward graphs, or raise the same class with the same
+message and counterexample.  A refusal validates and dualizes the monoid
+once.
 
 The dual of a generated algebra is observable, so `monoid_to_piece` returns
 pairwise distinct state languages; the corpus and the families check that.

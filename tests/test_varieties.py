@@ -16,21 +16,19 @@ from langdual.varieties import (
     algebra_to_json,
     free_on_one,
     gaussian_basis,
-    generate_subalgebra,
     identity,
-    image_factorize,
     is_order_reflecting,
     jsl_from_masks,
     leq,
     mask_lattice_presentation,
+    present_closure,
     present_subset,
-    product_algebra,
     subset_sums,
     two_element_algebra,
     validate_morphism,
 )
 from helpers import algebra_from_json, is_injective, is_surjective, make_jsl, make_poset, pairing
-from oracles import sorted_order_basis
+from oracles import image_factorize, product_algebra, sorted_order_basis
 
 CHAIN3 = make_jsl(((0, 1, 2), (1, 1, 2), (2, 2, 2)), 0)
 
@@ -107,29 +105,29 @@ def test_validate_agrees_with_brute_force():
 def test_generate_subalgebra_boolean_example():
     # closure of {{1}} inside the powerset of {1,2,3} under union, meet, complement
     amb = BoolAlg(3)
-    sub, incl = generate_subalgebra(amb, [0b001])
+    sub, incl, _ = present_closure(amb, [0b001], 16, "closure")
     assert sub.size == 4
     assert sorted(incl.graph) == [0b000, 0b001, 0b110, 0b111]
     assert validate_morphism(incl)
 
 
 def test_generate_subalgebra_jsl_chain():
-    sub, incl = generate_subalgebra(CHAIN3, [1])
+    sub, incl, _ = present_closure(CHAIN3, [1], 16, "closure")
     assert sub.size == 2
     assert sorted(incl.graph) == [0, 1]
 
 
 def test_generate_subalgebra_z2_span_of_one_vector():
-    sub, incl = generate_subalgebra(VectZ2(2), [0b10])
+    sub, incl, _ = present_closure(VectZ2(2), [0b10], 16, "closure")
     assert sub.size == 2
     assert sorted(incl.graph) == [0, 0b10]
 
 
 def test_generate_subalgebra_idempotent_and_monotone():
     amb = BoolAlg(3)
-    small, _ = generate_subalgebra(amb, [0b001])
-    big, _ = generate_subalgebra(amb, [0b001, 0b010])
-    again, _ = generate_subalgebra(amb, [0b001, 0b110, 0b111, 0b000])
+    small, *_ = present_closure(amb, [0b001], 16, "closure")
+    big, *_ = present_closure(amb, [0b001, 0b010], 16, "closure")
+    again, *_ = present_closure(amb, [0b001, 0b110, 0b111, 0b000], 16, "closure")
     assert again.size == small.size
     assert small.size <= big.size
 
