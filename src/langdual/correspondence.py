@@ -23,7 +23,9 @@ dualizes the monoid once and pairs the returned states with the piece's by
 the representative words of the monoid's word images that they accept, a
 pairing that an isomorphism must follow; the structure check then certifies
 it.  Only label inclusion, joins, reports and the classification of a
-refused round trip compute labels.
+refused round trip compute labels.  The transition monoid of a lawful
+algebra is an alphabet-generated monoid, so piece_to_monoid marks the
+monoids it builds lawful and the round trip does not validate them again.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .monoids import (
     transition_monoid,
     validate_monoid,
 )
-from .varieties import FinMorphism, FinPoset, orbit, validate_morphism
+from .varieties import FinMorphism, FinPoset, JoinSemilattice, is_partial_order, orbit, validate_morphism
 
 
 def piece_to_monoid(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_LIMITS) -> SigmaMonoid:
@@ -85,6 +87,15 @@ def piece_to_monoid(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_L
     that is not closed is refused as such, as when closure was checked
     before anything was built.  So only a refusal refines the piece beside
     its shifts.
+
+    T is marked lawful when A is: its carrier obeys its laws (a JSL0 dual is
+    the meet table of the piece's below masks, lawful when they are
+    distinct; a POS one must be a partial order; SET and Z2VECT ones always
+    are), and its letters are carrier morphisms, as dual maps are by
+    construction and validate_morphism confirms, exactly on a lawful
+    carrier.  Then T's elements are carrier morphisms, closed under
+    composition and the pointwise operations and generated by the letters,
+    so T is an alphabet-generated monoid and validate_monoid accepts it.
     """
     if piece.carrier.tag != c_tag(d):
         raise TagMismatchError(f"piece carrier {piece.carrier.tag} does not match {d}")
@@ -98,6 +109,13 @@ def piece_to_monoid(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_L
         raise
     if monoid.size != algebra.size or not _evaluation_reflects_order(monoid, algebra):
         raise NotRqcClosedError("piece is not closed under right derivatives")
+    carrier = piece.carrier
+    if (
+        (not isinstance(carrier, JoinSemilattice) or len(set(carrier.below)) == carrier.size)
+        and (not isinstance(algebra.carrier, FinPoset) or is_partial_order(algebra.carrier))
+        and all(map(validate_morphism, algebra.alpha))
+    ):
+        object.__setattr__(monoid, "lawful", True)
     return monoid
 
 
@@ -122,10 +140,12 @@ def monoid_to_piece(d: DualityTag, m: SigmaMonoid, limits: Limits = DEFAULT_LIMI
 
 
 def _left_algebra(d: DualityTag, m: SigmaMonoid, limits: Limits) -> DAlgebra:
-    """The left-multiplication algebra of a valid monoid."""
+    """The left-multiplication algebra of a valid monoid.  A monoid that
+    piece_to_monoid marked lawful and that fits the cap is trusted, as
+    validate_monoid would accept it without refusing; any other is checked."""
     if m.carrier.tag != d_tag(d):
         raise TagMismatchError(f"monoid carrier {m.carrier.tag} does not match {d}")
-    if not validate_monoid(m, limits):
+    if not (m.lawful and m.size <= limits.max_carrier) and not validate_monoid(m, limits):
         raise ValueError("input is not a valid alphabet-generated monoid")
     left_actions = tuple(FinMorphism(m.carrier, m.carrier, tuple(m.mult[g])) for g in m.gen)
     return DAlgebra(m.carrier, m.alphabet, left_actions, m.unit)

@@ -16,7 +16,7 @@ word left to right is a monoid homomorphism.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
@@ -144,6 +144,8 @@ class SigmaMonoid:
     unit: int
     mult: tuple[tuple[int, ...], ...]
     gen: tuple[int, ...]
+    # set only by correspondence.piece_to_monoid; constructors and replace leave it False
+    lawful: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:

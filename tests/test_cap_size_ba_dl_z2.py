@@ -2,11 +2,12 @@
 512 to 4,096 states, whose round trip pairs the returned states with the
 piece's by word signatures instead of labelling them.
 
-Each row runs `correspond` once, checks the piece and monoid sizes, pins the
-sha256 of `monoid_to_json` (sorted keys), and compares the witness graphs
-with `labelled_roundtrip_witness`, the label-matching round trip.  The
-digests were recorded with the label-matching round trip, before it was
-replaced.  The five cases take about 7 s together on a 2-core host, most of
+Each row runs `correspond` once, checks the piece and monoid sizes,
+validates the monoid (the round trip trusts the monoids piece_to_monoid
+marks), pins the sha256 of `monoid_to_json` (sorted keys), and compares the
+witness graphs with `labelled_roundtrip_witness`, the label-matching round
+trip.  The digests were recorded with the label-matching round trip, before
+it was replaced.  The five cases take about 7 s together on a 2-core host, most of
 it the Z2 family of 2,048 elements; the budget for the tier is 10 s.
 """
 
@@ -19,7 +20,7 @@ from langdual.config import DEFAULT_LIMITS
 from langdual.correspondence import correspond
 from langdual.duality import DualityTag
 from langdual.languages import compile_text
-from langdual.monoids import monoid_to_json
+from langdual.monoids import monoid_to_json, validate_monoid
 from oracles import labelled_roundtrip_witness
 
 FAMILIES = [
@@ -43,6 +44,7 @@ FAMILIES = [
 def test_round_trip_at_cap_size(d, text, piece_size, monoid_size, digest):
     c = correspond(d, [compile_text(text, ("a", "b"))])
     assert (c.piece.size, c.monoid.size) == (piece_size, monoid_size)
+    assert validate_monoid(c.monoid)
     report = json.dumps(monoid_to_json(c.monoid), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(report.encode()).hexdigest() == digest
 

@@ -1,7 +1,8 @@
 """The JSL rows of the cap-size families: correspond on pieces of 512 to 1,066
 elements, whose carriers go through the operation tables of the JSL round
 trip (the piece's join table, its dual, the reachable part of the dual
-algebra and the monoid's join and multiplication tables).
+algebra and the monoid's join and multiplication tables).  Each monoid is
+validated here, as the round trip trusts the monoids piece_to_monoid marks.
 
 The four cases take about 6 s together on a 2-core host; the budget for the
 tier is 10 s.  The monoid digests were recorded with the pairwise table
@@ -18,7 +19,7 @@ from langdual.automata import coalgebra_to_dalgebra, reachable_part
 from langdual.correspondence import correspond
 from langdual.duality import DualityTag, dual_object
 from langdual.languages import compile_text
-from langdual.monoids import monoid_to_json
+from langdual.monoids import monoid_to_json, validate_monoid
 from langdual.varieties import present_closure
 from oracles import downset_meet_table
 
@@ -36,6 +37,7 @@ FAMILIES = [
 def test_jsl_round_trip_at_cap_size(text, size, digest):
     c = correspond(JSL, [compile_text(text, ("a", "b"))])
     assert c.piece.size == c.monoid.size == size
+    assert validate_monoid(c.monoid)
     report = json.dumps(monoid_to_json(c.monoid), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(report.encode()).hexdigest() == digest
 

@@ -21,17 +21,24 @@ SRC = ROOT / "src" / "langdual"
 
 def _outside_users(root: Path) -> set[str]:
     """The names that scripts/, perfbench/ and the acceptance tests use, and
-    the strings perfbench/ holds."""
+    the strings perfbench/ holds.  A bare name counts only in a file that
+    imports it from langdual, so a local of the same name is no use; an
+    attribute counts wherever it is read."""
     paths = [*sorted((root / "scripts").glob("*.py")), root / "tests" / "test_acceptance.py"]
     names = set()
     for path in [*paths, *sorted((root / "perfbench").glob("*.py"))]:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "langdual"
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id in imported:
+                names.add(imported[node.id])
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) and path not in paths:
                 names.add(node.value)
     return names
@@ -67,6 +74,22 @@ def _unreferenced(src: Path, outside: set[str]) -> list[str]:
 def test_every_top_level_definition_in_src_is_used_in_src_or_from_outside_the_tests():
     assert SRC.is_dir()
     assert _unreferenced(SRC, _outside_users(ROOT)) == []
+
+
+def test_a_local_of_the_same_name_is_no_outside_use(tmp_path):
+    for folder in ("scripts", "tests", "perfbench"):
+        (tmp_path / folder).mkdir()
+    (tmp_path / "scripts" / "tour.py").write_text(
+        "from langdual import correspond as corr\nfrom langdual.languages import accepts\n\n"
+        "def order_check(x): return x\n\nprint(corr, order_check(1))\n",
+        encoding="utf-8",
+    )
+    acceptance = tmp_path / "tests" / "test_acceptance.py"
+    acceptance.write_text("import langdual\n\nlangdual.piece_join\n", encoding="utf-8")
+    (tmp_path / "perfbench" / "workloads.py").write_text(
+        "def accepts(word): return word\n\naccepts(1)\nLAYERS = ['present_subset']\n", encoding="utf-8"
+    )
+    assert _outside_users(tmp_path) == {"correspond", "piece_join", "present_subset"}
 
 
 def _process_caches(src: Path) -> list[str]:

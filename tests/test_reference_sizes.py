@@ -7,7 +7,9 @@ The families: the nine cap-size families, whose sizes the two cap-size
 tiers pin from langdual's own runs, and the families of the benchmark's
 boolean-labels and linear-monoids workloads, whose sizes are computed here.
 Two boolean-labels families lie past the default cap, and both sides must
-refuse them.
+refuse them.  A seeded corpus of 40 generator sets of one or two random
+regexes is closed under each duality at a 64-element cap, and every closure
+that fits must have the reference's sizes.
 
 On the BA and DL families of both lists, the monoid itself is checked
 against the reference's syntactic monoid (its multiplication table, and for
@@ -22,10 +24,12 @@ from pathlib import Path
 import pytest
 
 from langdual.automata import rqc_closure
+from langdual.cli import random_regex
+from langdual.config import Limits
 from langdual.correspondence import piece_to_monoid
 from langdual.duality import DualityTag, c_tag
 from langdual.errors import ResourceExceededError
-from langdual.languages import compile_text, language_to_regex
+from langdual.languages import compile_text, language_to_regex, render_regex
 from langdual.varieties import leq
 import test_cap_size_ba_dl_z2
 import test_cap_size_jsl
@@ -60,6 +64,13 @@ WORKLOAD_FAMILIES = [
     (DualityTag.Z2_SELF, "a*b"),
 ]
 PAST_THE_CAP = [(DualityTag.BA_SET, "(ab|ba)*"), (DualityTag.BA_SET, "a(ab)*b")]
+
+
+def _seeded_sets(rng: random.Random, count: int) -> list[list[str]]:
+    return [[render_regex(random_regex(rng, "ab")) for _ in range(rng.randint(1, 2))] for _ in range(count)]
+
+
+SEEDED = _seeded_sets(random.Random(64), 40)
 BOOLEAN = [
     (d, text)
     for d, text, *_ in CAP_SIZE + WORKLOAD_FAMILIES
@@ -77,6 +88,21 @@ def test_workload_families_have_the_reference_sizes(d, text):
     piece = rqc_closure(c_tag(d), [compile_text(text, ("a", "b"))])
     sizes = (piece.size, piece_to_monoid(d, piece).size)
     assert reference.piece_and_monoid_size(VARIETY[d], [text], "ab") == sizes
+
+
+@pytest.mark.parametrize("d", list(DualityTag), ids=[d.name for d in DualityTag])
+def test_a_seeded_corpus_has_the_reference_sizes(d):
+    cap = Limits(max_carrier=64)
+    fitted = 0
+    for texts in SEEDED:
+        try:
+            piece = rqc_closure(c_tag(d), [compile_text(text, ("a", "b")) for text in texts], cap)
+            sizes = (piece.size, piece_to_monoid(d, piece, cap).size)
+        except ResourceExceededError:
+            continue
+        assert reference.piece_and_monoid_size(VARIETY[d], texts, "ab") == sizes, texts
+        fitted += 1
+    assert fitted >= 20
 
 
 @pytest.mark.parametrize("d, text", PAST_THE_CAP, ids=[f"{d.name}-{text}" for d, text in PAST_THE_CAP])
