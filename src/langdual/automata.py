@@ -9,16 +9,18 @@ Closure constructions work inside the transition-map automaton of the
 generators: the distinct maps gamma_w form a finite deterministic automaton
 whose languages are exactly the unions of map-classes, so every language in a
 derivative- and operation-closed family is a bitmask over maps.  Left and
-right word derivatives become preimages along precomposition/postcomposition
-with a letter map, and the variety operations become bitwise operations.
+right derivatives by a letter are preimages along pre-/postcomposition with
+its map, read as unions of the map's fibres from byte tables built once per
+automaton, and the variety operations become bitwise operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate, chain
-from typing import Iterable, Sequence
+from operator import or_, xor
+from typing import Callable, Iterable, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .duality import DualityTag, c_tag, d_tag, dual_morphism, dual_object
@@ -39,11 +41,14 @@ from .varieties import (
     algebra_to_json,
     close,
     constants,
+    fibres,
     free_on_one,
     generate_family,
     orbit,
     present_closure,
+    subset_sums,
     two_element_algebra,
+    unions,
 )
 
 @dataclass(frozen=True)
@@ -125,11 +130,15 @@ class ClassAutomaton:
     def full_mask(self) -> int:
         return (1 << self.n_maps) - 1
 
-    def left_preimage(self, mask: int, ai: int) -> int:
-        return sum(1 << j for j in range(self.n_maps) if mask >> self.pre[ai][j] & 1)
+    @cached_property
+    def left_preimage(self) -> tuple[Callable[[int], int], ...]:
+        """Per letter a, mask -> the maps whose a·u lies in it: a^-1 L."""
+        return tuple(unions(fibres(col, self.n_maps)) for col in self.pre)
 
-    def right_preimage(self, mask: int, ai: int) -> int:
-        return sum(1 << j for j in range(self.n_maps) if mask >> self.post[ai][j] & 1)
+    @cached_property
+    def right_preimage(self) -> tuple[Callable[[int], int], ...]:
+        """Per letter a, mask -> the maps whose u·a lies in it: L a^-1."""
+        return tuple(unions(fibres(col, self.n_maps)) for col in self.post)
 
 
 def class_automaton(gens: Sequence[LanguageId], limits: Limits = DEFAULT_LIMITS) -> tuple[ClassAutomaton, list[int]]:
@@ -181,17 +190,20 @@ def _closed_piece(tag: VarietyTag, gens: Iterable[LanguageId], include_right: bo
         raise ValueError("at least one generator language is required")
     caut, gen_masks = class_automaton(gens, limits)
     sides = (caut.left_preimage, caut.right_preimage) if include_right else (caut.left_preimage,)
-    steps = [partial(side, ai=ai) for ai in range(len(caut.alphabet)) for side in sides]
+    steps = [side[ai] for ai in range(len(caut.alphabet)) for side in sides]
     seeds = close(gen_masks, steps, limits.max_carrier, "derivative closure")
     what = {VarietyTag.BA: "boolean closure", VarietyTag.Z2VECT: "linear closure"}.get(tag, "operation closure")
     carrier, element_masks = generate_family(tag, seeds, caut.full_mask, limits.max_carrier, what)
     mask_index = {m: i for i, m in enumerate(element_masks)}
+    # a BA or Z2VECT index is the bitmask of atoms or basis vectors it sums,
+    # and the letter actions and output are morphisms: op-sums of their images
+    op = {VarietyTag.BA: or_, VarietyTag.Z2VECT: xor}.get(tag)
+    points = [element_masks[1 << i] for i in range(len(element_masks).bit_length() - 1)] if op else element_masks
+    span = (lambda images: tuple(subset_sums(images, op))) if op else tuple
     gamma = tuple(
-        FinMorphism(carrier, carrier, tuple(mask_index[caut.left_preimage(m, ai)] for m in element_masks))
-        for ai in range(len(caut.alphabet))
+        FinMorphism(carrier, carrier, span(map(mask_index.__getitem__, map(pre, points)))) for pre in caut.left_preimage
     )
-    out_graph = tuple(m >> caut.identity_index & 1 for m in element_masks)
-    out = FinMorphism(carrier, two_element_algebra(tag), out_graph)
+    out = FinMorphism(carrier, two_element_algebra(tag), span(m >> caut.identity_index & 1 for m in points))
     return CCoalgebra(carrier, caut.alphabet, gamma, out)
 
 

@@ -220,21 +220,22 @@ def _signature_pairing(piece: CCoalgebra, back: CCoalgebra, monoid: SigmaMonoid)
     """Each state of piece to the state of back that accepts the same
     representative words, one per word image of the monoid (its tree
     parent's word plus a letter); None unless that is a bijection.  A column
-    holds the state each state reaches by one word, so each costs n lookups
-    in its parent's."""
+    holds the state each state reaches by one word, n lookups in its parent's;
+    a state's signature is its slice of one bytes buffer of their outputs."""
     n = back.size
-    if piece.alphabet != back.alphabet or piece.size != n:
+    if piece.alphabet != back.alphabet or piece.size != n or not {*piece.out.graph} <= {0, 1}:
         return None
     steps = [lambda x, g=g: monoid.mult[x][g] for g in monoid.gen]
     _, _, tree = orbit([monoid.unit], steps, monoid.size, "word images")
 
-    def signatures(q: CCoalgebra) -> Iterable[tuple[int, ...]]:
+    def signatures(q: CCoalgebra) -> list[bytes]:
         cols: list[Sequence[int]] = [range(n)]
         for parent, ai in tree[1:]:
             cols.append(list(map(q.gamma[ai].graph.__getitem__, cols[parent])))
-        return zip(*(map(q.out.graph.__getitem__, col) for col in cols))
+        outs = b"".join(bytes(map(q.out.graph.__getitem__, col)) for col in cols)
+        return [outs[s::n] for s in range(n)]
 
-    mate = {sig: t for t, sig in enumerate(signatures(back))}
+    mate = dict(zip(signatures(back), range(n)))
     forward = tuple(map(mate.get, signatures(piece)))
     if len(mate) != n or None in forward or len(set(forward)) != n:
         return None

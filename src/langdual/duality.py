@@ -35,8 +35,10 @@ from .varieties import (
     VarietyTag,
     VectZ2,
     _principal_downsets,
+    fibres,
     identity,
     subset_sums,
+    unions,
 )
 
 
@@ -130,8 +132,7 @@ def dual_morphism(d: DualityTag, h: FinMorphism) -> FinMorphism:
         case (DualityTag.BA_SET, FinSet()):
             # a function dualizes to preimage between powersets, spanned by
             # the preimages of the points
-            preimages = [sum(1 << y for y in range(dom.size) if g[y] == x) for x in range(cod.size)]
-            return FinMorphism(new_dom, new_cod, tuple(subset_sums(preimages, or_)))
+            return FinMorphism(new_dom, new_cod, tuple(subset_sums(fibres(g, cod.size), or_)))
         case (DualityTag.DL01_POS, DistLat()):
             # each codomain join-irreducible has a least preimage, the meet of
             # the elements mapping above it, and that is a principal downset
@@ -151,11 +152,9 @@ def dual_morphism(d: DualityTag, h: FinMorphism) -> FinMorphism:
         case (DualityTag.DL01_POS, FinPoset()):
             # a monotone map dualizes to preimage between downset lattices
             assert isinstance(new_dom, DistLat) and isinstance(new_cod, DistLat)
-            graph = []
-            for mask in new_dom.downset_masks:
-                pre = sum(1 << x for x in range(dom.size) if mask >> g[x] & 1)
-                graph.append(new_cod.downset_index[pre])
-            return FinMorphism(new_dom, new_cod, tuple(graph))
+            preimage = unions(fibres(g, cod.size))
+            graph = tuple(map(new_cod.downset_index.__getitem__, map(preimage, new_dom.downset_masks)))
+            return FinMorphism(new_dom, new_cod, graph)
         case (DualityTag.JSL_SELF, JoinSemilattice()):
             # upper adjoint: h*(b) is the join of the irreducibles j_i with
             # h(j_i) <= b, and those are all the irreducibles below it, so

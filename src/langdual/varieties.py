@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial, reduce
-from itertools import compress, repeat
+from itertools import combinations, compress, repeat
 from operator import and_, eq, ne, or_, xor
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
@@ -259,13 +259,39 @@ def op_table(elements: Sequence[T], op: Callable[[T, T], T]) -> tuple[tuple[int,
     return tuple(tuple(map(index.__getitem__, map(op, repeat(x), elements))) for x in elements)
 
 
-def subset_sums(gens: Sequence[int], op: Callable[[int, int], int]) -> list[int]:
+def subset_sums(gens: Iterable[int], op: Callable[[int, int], int]) -> list[int]:
     """Index i holds the op-sum of the gens picked by the bits of i, index 0
     the empty sum 0: the span of atoms under | or of a basis under ^."""
     sums = [0]
     for g in gens:
         sums += [op(s, g) for s in sums]
     return sums
+
+
+def unions(masks: Sequence[int]) -> Callable[[int], int]:
+    """picked -> the union of the masks at the bits of picked, read from one
+    256-entry table of subset_sums per byte of picked.  Bits of picked past
+    the masks pick nothing: a table of k < 8 masks repeats its 2^k sums."""
+    chunks = [masks[i : i + 8] for i in range(0, len(masks) or 1, 8)]
+    tables = [subset_sums(chunk, or_) * (256 >> len(chunk)) for chunk in chunks]
+    if len(tables) == 1:
+        table = tables[0]
+        return lambda picked: table[picked & 255]
+    def union(picked: int) -> int:
+        u = 0
+        for table in tables:
+            u |= table[picked & 255]
+            picked >>= 8
+        return u
+    return union
+
+
+def fibres(graph: Sequence[int], n: int) -> list[int]:
+    """Per t < n, the mask of the x with graph[x] = t; their unions are preimages."""
+    masks = [0] * n
+    for x, t in enumerate(graph):
+        masks[t] |= 1 << x
+    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +357,6 @@ def _downsets(below: Sequence[int], most: int) -> list[int] | None:
         if len(masks) > most:
             return None
     return masks
-
-
-def _union_of(masks: Sequence[int], picked: int) -> int:
-    """The union of the masks at the positions of the bits of picked."""
-    union = 0
-    for j, mask in enumerate(masks):
-        if picked >> j & 1:
-            union |= mask
-    return union
 
 
 def jsl_from_masks(family: Iterable[int]) -> tuple[JoinSemilattice, tuple[int, ...]]:
@@ -429,9 +446,9 @@ def validate_morphism(m: FinMorphism) -> bool:
     """
     if m.dom.tag != m.cod.tag:
         raise TagMismatchError(f"morphism between {m.dom.tag} and {m.cod.tag}")
-    if len(m.graph) != m.dom.size or any(not 0 <= v < m.cod.size for v in m.graph):
-        return False
     g = m.graph
+    if len(g) != m.dom.size or g and not (min(g) >= 0 and max(g) < m.cod.size):
+        return False
     dom, cod = m.dom, m.cod
     match dom:
         case BoolAlg():
@@ -451,14 +468,10 @@ def validate_morphism(m: FinMorphism) -> bool:
                 return False
             below = _principal_downsets(dom)
             image = [cod_masks[g[index[b]]] for b in below]
-            for x, mask in enumerate(dom.downset_masks):
-                if cod_masks[g[x]] != _union_of(image, mask):
-                    return False
-            for i, bi in enumerate(below):
-                for j in range(i + 1, dom.n_ji):
-                    if cod_masks[g[index[bi & below[j]]]] != image[i] & image[j]:
-                        return False
-            return True
+            return list(map(cod_masks.__getitem__, g)) == list(map(unions(image), dom.downset_masks)) and all(
+                cod_masks[g[index[below[i] & below[j]]]] == image[i] & image[j]
+                for i, j in combinations(range(dom.n_ji), 2)
+            )
         case JoinSemilattice():
             assert isinstance(cod, JoinSemilattice)
             return g[dom.zero] == cod.zero and all(
@@ -527,7 +540,7 @@ def mask_lattice_presentation(masks: Iterable[int]) -> tuple[DistLat, tuple[int,
     sub = DistLat(tuple(tuple(a & b == a for b in ji) for a in ji))
     # a wide antichain has exponentially many downsets: count to the family's size
     if _downsets(_principal_downsets(sub), len(family)) is not None and sub.size == len(family):
-        element_masks = tuple(_union_of(ji, dmask) for dmask in sub.downset_masks)
+        element_masks = tuple(map(unions(ji), sub.downset_masks))
         if set(element_masks) == family:
             return sub, element_masks
     raise ValueError("family is not a distributive lattice of sets")

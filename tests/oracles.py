@@ -4,16 +4,18 @@ The language oracles work from word membership and plain enumeration, never
 through the minimization/duality code paths they are used to check.  The
 monoid, join-semilattice, closure, class automaton, residual closure, DFA
 equivalence, minimization, labelling, DL01, morphism check, dual map,
-labelled round-trip, checked piece-to-monoid and state-matching oracles are
-the exhaustive algorithms that the library's faster or shorter ones
-replaced; they share only carrier primitives such as validate_morphism,
-close, jsl_from_masks, gaussian_basis and the breadth-first renumbering of a
-DFA with the code they check (the labelled round trip also shares
-monoid_to_piece, the dualization it labels, the checked piece-to-monoid
-shares the dualization, reachable part and transition monoid, as it pins
-only where the closure verdict comes from, and the state matching shares
-language_blocks, the refinement that the round trip's signature pairing
-replaced).  The presentations of subalgebras are scanned from their element lists
+labelled round-trip, checked piece-to-monoid, state-matching, bit-by-bit
+union, map-by-map preimage and per-element piece oracles are the
+exhaustive algorithms that the library's faster or shorter ones replaced;
+they share only carrier primitives such as validate_morphism, close,
+jsl_from_masks, gaussian_basis and the breadth-first renumbering of a DFA
+with the code they check (the per-element piece also shares the class
+automaton and generate_family, as it pins only the letter actions; the
+labelled round trip also shares monoid_to_piece, the dualization it
+labels, the checked piece-to-monoid shares the dualization, reachable part
+and transition monoid, as it pins only where the closure verdict comes
+from, and the state matching shares language_blocks, the refinement that
+the round trip's signature pairing replaced).  The presentations of subalgebras are scanned from their element lists
 here (scanned_present_subset), as before the library's closures handed back
 the atoms, basis or join-irreducibles they found.  The regex oracles are the
 recursive dataclass trees and walks that the library's pre-keyed, iterative
@@ -29,8 +31,10 @@ from dataclasses import dataclass
 from itertools import product
 
 from langdual.automata import (
+    CCoalgebra,
     ClassAutomaton,
     DAlgebra,
+    class_automaton,
     coalgebra_to_dalgebra,
     is_rqc_closed,
     label_set,
@@ -73,12 +77,14 @@ from langdual.varieties import (
     close,
     constants,
     gaussian_basis,
+    generate_family,
     identity,
     is_order_reflecting,
     jsl_from_masks,
     jsl_irreducibles,
     op_table,
     present_subset,
+    two_element_algebra,
     validate_morphism,
 )
 
@@ -656,15 +662,57 @@ def _expand(gens, op):
     return out
 
 
+def scanned_left_preimage(caut, mask, ai):
+    """The maps j whose word u_j has a·u_j in the mask, one map at a time."""
+    return sum(1 << j for j in range(caut.n_maps) if mask >> caut.pre[ai][j] & 1)
+
+
+def scanned_right_preimage(caut, mask, ai):
+    """The maps j whose word u_j has u_j·a in the mask, one map at a time."""
+    return sum(1 << j for j in range(caut.n_maps) if mask >> caut.post[ai][j] & 1)
+
+
+def bitwise_union_of(masks, picked):
+    """The union of the masks at the positions of the bits of picked."""
+    union = 0
+    for j, mask in enumerate(masks):
+        if picked >> j & 1:
+            union |= mask
+    return union
+
+
+def per_element_closed_piece(tag, gens, include_right, limits=DEFAULT_LIMITS):
+    """The piece generated by gens, with every letter action read one
+    element at a time: the index of the left preimage of each element's
+    mask, and the output from each element's mask."""
+    gens = sorted(set(gens), key=lambda g: g.sort_key())
+    if not gens:
+        raise ValueError("at least one generator language is required")
+    caut, gen_masks = class_automaton(gens, limits)
+    sides = (scanned_left_preimage, scanned_right_preimage) if include_right else (scanned_left_preimage,)
+    steps = [lambda m, side=side, ai=ai: side(caut, m, ai) for ai in range(len(caut.alphabet)) for side in sides]
+    seeds = close(gen_masks, steps, limits.max_carrier, "derivative closure")
+    what = {VarietyTag.BA: "boolean closure", VarietyTag.Z2VECT: "linear closure"}.get(tag, "operation closure")
+    carrier, element_masks = generate_family(tag, seeds, caut.full_mask, limits.max_carrier, what)
+    mask_index = {m: i for i, m in enumerate(element_masks)}
+    gamma = tuple(
+        FinMorphism(carrier, carrier, tuple(mask_index[scanned_left_preimage(caut, m, ai)] for m in element_masks))
+        for ai in range(len(caut.alphabet))
+    )
+    out_graph = tuple(m >> caut.identity_index & 1 for m in element_masks)
+    out = FinMorphism(carrier, two_element_algebra(tag), out_graph)
+    return CCoalgebra(carrier, caut.alphabet, gamma, out)
+
+
 def derivative_mask_closure(caut, seeds, include_right, limits=DEFAULT_LIMITS):
     closed = set(seeds)
     queue = deque(sorted(closed))
     while queue:
         mask = queue.popleft()
         for ai in range(len(caut.alphabet)):
-            new = [caut.left_preimage(mask, ai)]
+            new = [scanned_left_preimage(caut, mask, ai)]
             if include_right:
-                new.append(caut.right_preimage(mask, ai))
+                new.append(scanned_right_preimage(caut, mask, ai))
             for nxt in new:
                 if nxt not in closed:
                     if len(closed) >= limits.max_carrier:
@@ -1199,8 +1247,9 @@ def pairwise_validate_morphism(m):
 
 def scanning_dual_morphism(d, h):
     """dual_morphism with the JSL upper adjoint found by comparing every
-    pair, the Z2 transpose by parities, SET preimages mask by mask and DL
-    least preimages by a scan for the maximal join-irreducible."""
+    pair, the Z2 transpose by parities, SET preimages mask by mask, DL
+    least preimages by a scan for the maximal join-irreducible and POS
+    preimages downset by downset."""
     if h.dom.tag != h.cod.tag:
         raise TagMismatchError("cannot dualize a cross-variety map")
     dom, cod, g = h.dom, h.cod, h.graph
@@ -1236,6 +1285,14 @@ def scanning_dual_morphism(d, h):
                 if len(maximal) != 1:
                     raise NonFunctionalError("least preimage is not join-irreducible")
                 graph.append(maximal[0])
+            return FinMorphism(new_dom, new_cod, tuple(graph))
+        case (DualityTag.DL01_POS, FinPoset()):
+            # a monotone map dualizes to preimage between downset lattices,
+            # found one downset and one point at a time
+            graph = []
+            for mask in new_dom.downset_masks:
+                pre = sum(1 << x for x in range(dom.size) if mask >> g[x] & 1)
+                graph.append(new_cod.downset_index[pre])
             return FinMorphism(new_dom, new_cod, tuple(graph))
         case (DualityTag.JSL_SELF, JoinSemilattice()):
             # upper adjoint: largest element mapping below the argument

@@ -6,7 +6,8 @@ that cover the top, Z2VECT maps as the subset sums of their basis images and
 JSL0 maps on the join-irreducibles.  dual_morphism reads a JSL upper adjoint
 off the irreducibles, transposes Z2 basis columns, spans SET preimages from
 the points' preimages and looks a DL least preimage up among the principal
-downsets.  Seeded corpora over all six tags.
+downsets, and pulls a POS map's downsets back through unions of its fibres.
+Seeded corpora over all six tags.
 """
 
 import random
@@ -161,6 +162,30 @@ def test_dual_maps_match_the_oracle_on_every_morphism(tag):
                 dual_morphism(d, m)
         else:
             assert dual_morphism(d, m) == expected
+
+
+def test_poset_maps_dualize_like_the_downset_by_downset_preimage():
+    # a map that is not monotone pulls some downset back to a non-downset,
+    # which both look up in vain
+    rng = random.Random(17)
+    seen = {"same graph": 0, "KeyError": 0}
+    for _ in range(300):
+        dom, cod = random_algebra(rng, VarietyTag.POS), random_algebra(rng, VarietyTag.POS)
+        if rng.random() < 0.5:
+            m = random_morphism(rng, dom, cod)
+        else:
+            m = FinMorphism(dom, cod, tuple(rng.randrange(cod.size) for _ in range(dom.size)))
+        try:
+            expected = scanning_dual_morphism(DualityTag.DL01_POS, m)
+        except Exception as err:  # the refusals are compared, whatever they are
+            with pytest.raises(Exception) as caught:
+                dual_morphism(DualityTag.DL01_POS, m)
+            assert type(caught.value) is type(err)
+            seen[type(err).__name__] += 1
+        else:
+            assert dual_morphism(DualityTag.DL01_POS, m) == expected
+            seen["same graph"] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_a_map_that_keeps_no_joins_has_no_upper_adjoint():
