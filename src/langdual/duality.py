@@ -34,7 +34,6 @@ from .varieties import (
     JoinSemilattice,
     VarietyTag,
     VectZ2,
-    _principal_downsets,
     fibres,
     identity,
     subset_sums,
@@ -102,7 +101,7 @@ def dual_object(d: DualityTag, alg: FinAlgebra) -> FinAlgebra:
         case (DualityTag.DL01_POS, DistLat()):
             return FinPoset(alg.ji_leq)
         case (DualityTag.DL01_POS, FinPoset()):
-            return DistLat(alg.leq)
+            return alg.dual
         case (DualityTag.JSL_SELF, JoinSemilattice()):
             return alg.dual
         case (DualityTag.Z2_SELF, VectZ2()):
@@ -139,7 +138,7 @@ def dual_morphism(d: DualityTag, h: FinMorphism) -> FinMorphism:
             assert isinstance(cod, DistLat)
             graph = []
             dom_masks, cod_masks = dom.downset_masks, cod.downset_masks
-            principal = _principal_downsets(dom)
+            principal = dom.principal
             for j in range(cod.n_ji):
                 above = [dom_masks[x] for x in range(dom.size) if cod_masks[g[x]] >> j & 1]
                 if not above:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import LangdualError, RegexSyntaxError, ResourceExceededError, UnknownSymbolError
-from .varieties import close
+from .varieties import close, orbit
 
 RESERVED_TOKENS = "#@|*()"
 
@@ -621,27 +621,14 @@ def _derivative_closure(
 ) -> tuple[list[Regex], list[tuple[int, ...]]]:
     """The normalized derivatives of r in breadth-first order from r, and
     the transition rows between them."""
-    start = normalize(r)
-    index = {start: 0}
-    states = [start]
-    rows: list[tuple[int, ...]] = []
-    # every tree _derive walks is a state or part of one, and states stay in
-    # the list until the return, so the memos' ids stay valid
-    memos: list[dict[int, Regex]] = [{} for _ in symbols]
-    for state in states:
-        row = []
-        for a, memo in zip(symbols, memos):
-            nxt = _derive(state, a, memo)
-            if nxt not in index:
-                if len(index) >= limits.max_states:
-                    raise ResourceExceededError(
-                        f"derivative closure exceeded {limits.max_states} states"
-                    )
-                index[nxt] = len(states)
-                states.append(nxt)
-            row.append(index[nxt])
-        rows.append(tuple(row))
-    return states, rows
+    # every tree _derive walks is a state or part of one, and orbit keeps the
+    # states until it returns, so the memos' ids stay valid
+    steps = [partial(_derive, a=a, done={}) for a in symbols]
+    try:
+        states, edges, _ = orbit([normalize(r)], steps, limits.max_states, "derivative closure")
+    except ResourceExceededError:
+        raise ResourceExceededError(f"derivative closure exceeded {limits.max_states} states") from None
+    return states, list(map(tuple, edges))
 
 
 def brzozowski_dfa(r: Regex, alphabet: Sequence[str], limits: Limits = DEFAULT_LIMITS) -> Dfa:
@@ -667,12 +654,9 @@ def compile_text(text: str, alphabet: Sequence[str], limits: Limits = DEFAULT_LI
 
 
 def left_derivative(lang: LanguageId, word: str) -> LanguageId:
-    """The language {u : word u is in L}, canonical."""
-    d = lang.dfa
-    start = d.run(word)
-    return canonical_language(
-        Dfa(d.alphabet, d.n_states, start, d.finals, d.delta)
-    )
+    """The language {u : word u is in L}: the minimal DFA restricted to what
+    the state reached by word reaches, which is minimal and canonical."""
+    return LanguageId(_restrict_reachable(lang.dfa, lang.dfa.run(word)))
 
 
 def right_derivative(lang: LanguageId, word: str) -> LanguageId:
@@ -683,8 +667,9 @@ def right_derivative(lang: LanguageId, word: str) -> LanguageId:
 
 
 def residuals(lang: LanguageId) -> frozenset[LanguageId]:
-    """All left derivatives; these are the state languages of the minimal DFA."""
-    return frozenset(map(state_languages(lang.dfa), range(lang.n_states)))
+    """All left derivatives: the minimal DFA restricted from each state."""
+    d = lang.dfa
+    return frozenset(LanguageId(_restrict_reachable(d, q)) for q in range(d.n_states))
 
 
 def two_sided_residuals(lang: LanguageId, limits: Limits = DEFAULT_LIMITS) -> frozenset[LanguageId]:

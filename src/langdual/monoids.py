@@ -295,7 +295,7 @@ def transition_monoid(
         case FinSet():
             monoid_carrier: FinAlgebra = FinSet(size)
         case FinPoset():
-            funcs = sorted(keys)
+            funcs = [keys[i] for i in order]
             monoid_carrier = FinPoset(
                 tuple(
                     tuple(all(carrier.leq[f[q]][g[q]] for q in range(n)) for g in funcs)

@@ -4,9 +4,10 @@ Every algebra carries an explicit element enumeration, so elements are plain
 indices 0..size-1 and morphisms are index arrays; this keeps every law
 exhaustively checkable.  Boolean algebras and bounded distributive lattices
 are stored by their dual presentations (atom count, join-irreducible poset)
-and expand elements on demand.  Tables derived from a presentation (downset
-masks, join-irreducibles and the masks of those below each element, a
-JSL0's order-reversed dual) are computed once per object and live on it:
+and expand elements on demand.  Tables derived from a presentation
+(principal downsets and downset masks, join-irreducibles and the masks of
+those below each element, a JSL0's order-reversed dual, a poset's downset
+lattice) are computed once per object and live on it:
 
   BA      index = bitmask of atoms
   DL01    index = position in the sorted list of downset masks of the JI poset
@@ -75,9 +76,15 @@ class DistLat:
         return len(self.downset_masks)
 
     @cached_property
+    def principal(self) -> tuple[int, ...]:
+        """Per join-irreducible j, the mask of the JIs below it (j included)."""
+        k = self.n_ji
+        return tuple(sum(1 << i for i in range(k) if self.ji_leq[i][j]) for j in range(k))
+
+    @cached_property
     def downset_masks(self) -> tuple[int, ...]:
         """All downset masks of the JI poset, ascending."""
-        return tuple(sorted(_downsets(_principal_downsets(self), 1 << self.n_ji)))
+        return tuple(sorted(_downsets(self.principal, 1 << self.n_ji)))
 
     @cached_property
     def downset_index(self) -> dict[int, int]:
@@ -168,6 +175,11 @@ class FinPoset:
     @property
     def size(self) -> int:
         return len(self.leq)
+
+    @cached_property
+    def dual(self) -> DistLat:
+        """The lattice of downsets, which has this poset as its JIs."""
+        return DistLat(self.leq)
 
 
 FinAlgebra = BoolAlg | DistLat | JoinSemilattice | VectZ2 | FinSet | FinPoset
@@ -339,12 +351,6 @@ def is_partial_order(alg: FinPoset) -> bool:
     )
 
 
-def _principal_downsets(alg: DistLat) -> list[int]:
-    """Per join-irreducible j, the mask of the JIs below it (j included)."""
-    k = alg.n_ji
-    return [sum(1 << i for i in range(k) if alg.ji_leq[i][j]) for j in range(k)]
-
-
 def _downsets(below: Sequence[int], most: int) -> list[int] | None:
     """The downset masks of a JI poset given by its principal downsets, or None
     past most of them.  The JIs come in a linear extension, so a downset of
@@ -466,7 +472,7 @@ def validate_morphism(m: FinMorphism) -> bool:
             cod_masks = cod.downset_masks
             if g[0] != 0 or g[dom.size - 1] != cod.size - 1:
                 return False
-            below = _principal_downsets(dom)
+            below = dom.principal
             image = [cod_masks[g[index[b]]] for b in below]
             return list(map(cod_masks.__getitem__, g)) == list(map(unions(image), dom.downset_masks)) and all(
                 cod_masks[g[index[below[i] & below[j]]]] == image[i] & image[j]
@@ -538,8 +544,11 @@ def mask_lattice_presentation(masks: Iterable[int]) -> tuple[DistLat, tuple[int,
             ji.append(s)
             unseen &= ~s
     sub = DistLat(tuple(tuple(a & b == a for b in ji) for a in ji))
-    # a wide antichain has exponentially many downsets: count to the family's size
-    if _downsets(_principal_downsets(sub), len(family)) is not None and sub.size == len(family):
+    # a wide antichain has exponentially many downsets: count to the family's
+    # size, and keep the count as the lattice's downset_masks
+    downsets = _downsets(sub.principal, len(family))
+    if downsets is not None and len(downsets) == len(family):
+        vars(sub)["downset_masks"] = tuple(sorted(downsets))
         element_masks = tuple(map(unions(ji), sub.downset_masks))
         if set(element_masks) == family:
             return sub, element_masks

@@ -3,9 +3,10 @@
 The language oracles work from word membership and plain enumeration, never
 through the minimization/duality code paths they are used to check.  The
 monoid, join-semilattice, closure, class automaton, residual closure, DFA
-equivalence, minimization, labelling, DL01, morphism check, dual map,
-labelled round-trip, checked piece-to-monoid, state-matching, bit-by-bit
-union, map-by-map preimage and per-element piece oracles are the
+equivalence, minimization, left derivative, residual, labelling, DL01,
+morphism check, dual map, labelled round-trip, checked piece-to-monoid,
+state-matching, bit-by-bit union, map-by-map preimage and per-element
+piece oracles are the
 exhaustive algorithms that the library's faster or shorter ones replaced;
 they share only carrier primitives such as validate_morphism, close,
 jsl_from_masks, gaussian_basis and the breadth-first renumbering of a DFA
@@ -14,8 +15,10 @@ automaton and generate_family, as it pins only the letter actions; the
 labelled round trip also shares monoid_to_piece, the dualization it
 labels, the checked piece-to-monoid shares the dualization, reachable part
 and transition monoid, as it pins only where the closure verdict comes
-from, and the state matching shares language_blocks, the refinement that
-the round trip's signature pairing replaced).  The presentations of subalgebras are scanned from their element lists
+from, the left derivative and residuals share canonical_language and
+state_languages, as they pin only that a minimal DFA needs no second
+minimization, and the state matching shares language_blocks, the
+refinement that the round trip's signature pairing replaced).  The presentations of subalgebras are scanned from their element lists
 here (scanned_present_subset), as before the library's closures handed back
 the atoms, basis or join-irreducibles they found.  The regex oracles are the
 recursive dataclass trees and walks that the library's pre-keyed, iterative
@@ -63,6 +66,7 @@ from langdual.languages import (
     language_to_regex,
     left_derivative,
     right_derivative,
+    state_languages,
 )
 from langdual.monoids import LINEARISH, SigmaMonoid, carrier_add, carrier_zero, transition_monoid
 from langdual.varieties import (
@@ -1061,10 +1065,12 @@ def generated_then_presented(tag, seeds, full, cap, what):
 # one minimization per language
 #
 # The refinement that refine_partition replaced (every splitter scans every
-# block and tests worklist membership), the labelling, right-derivative
-# and DL01 morphism checks built on one minimization per state, per label
-# and letter, or per pair of elements, and the DL01 presentation by every
-# subset of the join-irreducibles and by counting lower covers.
+# block and tests worklist membership), the left derivatives and residuals
+# that minimized a DFA the library already holds minimal, the labelling,
+# right-derivative and DL01 morphism checks built on one minimization per
+# state, per label and letter, or per pair of elements, and the DL01
+# presentation by every subset of the join-irreducibles and by counting
+# lower covers.
 
 
 def scanning_minimize_dfa(d):
@@ -1118,6 +1124,17 @@ def scanning_minimize_dfa(d):
 
 def scanning_language(d):
     return LanguageId(_restrict_reachable(scanning_minimize_dfa(d)))
+
+
+def minimized_left_derivative(lang, word):
+    """word^-1 L: the minimal DFA started where word leads, minimized again."""
+    d = lang.dfa
+    return canonical_language(Dfa(d.alphabet, d.n_states, d.run(word), d.finals, d.delta))
+
+
+def refined_residuals(lang):
+    """Every left derivative, from one refinement of the minimal DFA."""
+    return frozenset(map(state_languages(lang.dfa), range(lang.n_states)))
 
 
 def mask_language(caut, mask):
