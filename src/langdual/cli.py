@@ -28,9 +28,9 @@ from .automata import (
 )
 from .config import DEFAULT_LIMITS, Limits
 from .correspondence import (
-    correspondence_report,
     piece_to_monoid,
     roundtrip_check,
+    verify_correspondence,
 )
 from .duality import DualityTag, c_tag, parse_variety_flag
 from .errors import CorrespondenceError, LangdualError
@@ -244,14 +244,15 @@ def _run(args) -> tuple[int, object]:
         if args.random:
             return _verify_random(args, dtag, limits)
         alphabet, langs = _languages(args, limits)
-        report = correspondence_report(dtag, langs, limits)
+        piece, monoid, verdict = verify_correspondence(dtag, langs, limits)
+        languages = sorted(language_to_regex(lang) for lang in piece.labels)
         summary = {
-            "roundtrip": report["roundtrip"],
-            "piece_size": len(report["piece"]["languages"]),
-            "monoid_size": len(report["monoid"]["mult"]),
-            "languages": report["piece"]["languages"],
+            "roundtrip": verdict,
+            "piece_size": len(languages),
+            "monoid_size": monoid.size,
+            "languages": languages,
         }
-        return (0 if report["roundtrip"] == "ok" else 1), summary
+        return (0 if verdict == "ok" else 1), summary
 
     if verb == "export-dot":
         dtag = parse_variety_flag(args.variety)

@@ -125,7 +125,7 @@ def _evaluation_reflects_order(monoid: SigmaMonoid, algebra: DAlgebra) -> bool:
     and e(g·x) = alpha_g(e(x))."""
     if not isinstance(algebra.carrier, FinPoset):
         return True
-    steps = [monoid.mult[g].__getitem__ for g in monoid.gen]
+    steps = [row.__getitem__ for row in monoid.letter_rows]
     elements, _, tree = orbit([monoid.unit], steps, monoid.size, "evaluation")
     at = [algebra.init] * monoid.size
     for x, (parent, ai) in zip(elements[1:], tree[1:]):
@@ -147,7 +147,7 @@ def _left_algebra(d: DualityTag, m: SigmaMonoid, limits: Limits) -> DAlgebra:
         raise TagMismatchError(f"monoid carrier {m.carrier.tag} does not match {d}")
     if not (m.lawful and m.size <= limits.max_carrier) and not validate_monoid(m, limits):
         raise ValueError("input is not a valid alphabet-generated monoid")
-    left_actions = tuple(FinMorphism(m.carrier, m.carrier, tuple(m.mult[g])) for g in m.gen)
+    left_actions = tuple(FinMorphism(m.carrier, m.carrier, row) for row in m.letter_rows)
     return DAlgebra(m.carrier, m.alphabet, left_actions, m.unit)
 
 
@@ -225,7 +225,7 @@ def _signature_pairing(piece: CCoalgebra, back: CCoalgebra, monoid: SigmaMonoid)
     n = back.size
     if piece.alphabet != back.alphabet or piece.size != n or not {*piece.out.graph} <= {0, 1}:
         return None
-    steps = [lambda x, g=g: monoid.mult[x][g] for g in monoid.gen]
+    steps = [col.__getitem__ for col in monoid.letter_cols]
     _, _, tree = orbit([monoid.unit], steps, monoid.size, "word images")
 
     def signatures(q: CCoalgebra) -> list[bytes]:
@@ -277,9 +277,11 @@ def piece_join(
     return rqc_closure(c_tag(d), label_set(p1) | label_set(p2), limits)
 
 
-def correspondence_report(
+def verify_correspondence(
     d: DualityTag, gens: Iterable[LanguageId], limits: Limits = DEFAULT_LIMITS
-) -> dict:
+) -> tuple[CCoalgebra, SigmaMonoid, object]:
+    """The piece, its monoid and the round trip's verdict: "ok", or the
+    counterexample of a refused round trip."""
     piece = rqc_closure(c_tag(d), gens, limits)
     monoid = piece_to_monoid(d, piece, limits)
     try:
@@ -287,6 +289,13 @@ def correspondence_report(
         verdict: object = "ok"
     except CorrespondenceError as err:
         verdict = {"counterexample": err.counterexample}
+    return piece, monoid, verdict
+
+
+def correspondence_report(
+    d: DualityTag, gens: Iterable[LanguageId], limits: Limits = DEFAULT_LIMITS
+) -> dict:
+    piece, monoid, verdict = verify_correspondence(d, gens, limits)
     return {
         "piece": {"languages": sorted(language_to_regex(lang) for lang in piece.labels)},
         "monoid": monoid_to_json(monoid),

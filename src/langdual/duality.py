@@ -134,13 +134,22 @@ def dual_morphism(d: DualityTag, h: FinMorphism) -> FinMorphism:
             return FinMorphism(new_dom, new_cod, tuple(subset_sums(fibres(g, cod.size), or_)))
         case (DualityTag.DL01_POS, DistLat()):
             # each codomain join-irreducible has a least preimage, the meet of
-            # the elements mapping above it, and that is a principal downset
+            # the elements mapping above it, and that is a principal downset.
+            # When g sends each x to the union of its principal downsets'
+            # images, every x mapping above j holds a principal downset that
+            # does, so the meet is that of those principal downsets
             assert isinstance(cod, DistLat)
             graph = []
             dom_masks, cod_masks = dom.downset_masks, cod.downset_masks
             principal = dom.principal
+            image = [cod_masks[g[dom.downset_index[b]]] for b in principal]
+            masks = list(map(cod_masks.__getitem__, g))
+            if masks == list(map(unions(image), dom_masks)):
+                scanned = list(zip(principal, image))
+            else:
+                scanned = list(zip(dom_masks, masks))
             for j in range(cod.n_ji):
-                above = [dom_masks[x] for x in range(dom.size) if cod_masks[g[x]] >> j & 1]
+                above = [x for x, y in scanned if y >> j & 1]
                 if not above:
                     raise NonFunctionalError("no element maps above a join-irreducible")
                 meet = reduce(and_, above)

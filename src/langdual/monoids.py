@@ -16,9 +16,10 @@ word left to right is a monoid homomorphism.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Iterable, Sequence
+from functools import cached_property, partial, reduce
+from typing import Callable, Iterable
 
 from .automata import DAlgebra, reachable_part
 from .config import DEFAULT_LIMITS, Limits
@@ -42,6 +43,7 @@ from .varieties import (
     op_table,
     orbit,
     subset_sums,
+    up_mask,
     validate_morphism,
 )
 
@@ -131,25 +133,78 @@ def _map_adder(carrier: FinAlgebra) -> Callable[[Sequence[int], Sequence[int]], 
     """The pointwise sum f + g of two maps into a JSL0 or Z2VECT carrier,
     given and returned as graphs."""
     if isinstance(carrier, VectZ2):
-        return lambda f, g: tuple(map(operator.xor, f, g))
+        ids = tuple(range(carrier.size))  # one int object per element, however many sums hold it
+        return lambda f, g: tuple(map(ids.__getitem__, map(operator.xor, f, g)))
     assert isinstance(carrier, JoinSemilattice)
     rows = carrier.join
     return lambda f, g: tuple(map(operator.getitem, map(rows.__getitem__, f), g))
 
 
+class _Table(Sequence):
+    """A multiplication table whose rows are built on first read.  It is
+    equal to, hashes like and prints as the tuple of its rows, so a monoid
+    compares the same before and after its table is read, and the same as
+    one built from that tuple."""
+
+    def __init__(self, build: Callable[[], tuple[tuple[int, ...], ...]]):
+        self._build = build
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        rows = self._build()
+        del self._build  # the tables it reads are no longer needed
+        return rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __eq__(self, other) -> bool:
+        return self.rows == (other.rows if isinstance(other, _Table) else other)
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return repr(self.rows)
+
+
 @dataclass(frozen=True)
 class SigmaMonoid:
+    """An alphabet-generated monoid: mult[x][y] is the product xy of the
+    elements x and y, gen[a] the element of letter a.
+
+    transition_monoid, and subdirect_product of two lawful monoids, hold
+    their table as a _Table, built on first read, and set their letters'
+    rows and columns apart; the round trip, quotient_leq and, on lawful
+    monoids, sigma_monoid_iso read only those.  Any other monoid reads them
+    off its table.  Equality and hashing compare the tables whether or not
+    they have been read."""
+
     carrier: FinAlgebra
     alphabet: tuple[str, ...]
     unit: int
-    mult: tuple[tuple[int, ...], ...]
+    mult: Sequence[Sequence[int]]
     gen: tuple[int, ...]
-    # set only by correspondence.piece_to_monoid; constructors and replace leave it False
+    # set only by correspondence.piece_to_monoid and by subdirect_product of
+    # two lawful monoids; constructors and replace leave it False
     lawful: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return self.carrier.size
+
+    @cached_property
+    def letter_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per letter a, its row: y -> ay."""
+        return tuple(tuple(self.mult[g]) for g in self.gen)
+
+    @cached_property
+    def letter_cols(self) -> tuple[tuple[int, ...], ...]:
+        """Per letter a, its column: x -> xa."""
+        return tuple(tuple(map(operator.itemgetter(g), self.mult)) for g in self.gen)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +233,20 @@ def transition_monoid(
     the closure is the additive span of the word images.  The word images
     come from a breadth-first search of the right Cayley graph (each one is
     a parent times a letter), and for JSL0/Z2VECT every sum is a smaller sum
-    plus a word image.  Each multiplication column then follows from its
-    parent's column by table lookups: x(pa) = (xp)a and x(s + w) = xs + xw.
+    plus a word image.  The sums close over one int per map, so that a sum
+    is one operation: a Z2VECT map's basis images (_encode_linear), added by
+    ^, and a JSL0 map's up-sets U(f(j)) of its join-irreducibles' images side
+    by side, added by &, as U(x + y) = U(x) & U(y).
+
+    Along the same trees each letter's column, x -> xa, and its row, y -> ay,
+    take one lookup or one sum per element: a word image's column entry is
+    an edge of the Cayley graph, and (l + w)a = la + wa; a(pb) = (ap)b and
+    a(l + w) = al + aw.  Z2VECT elements are numbered by their coordinates
+    over a basis, so there a sum is the ^ of the numbers.  The full table
+    (mult, a _Table) is built only when read, row by row along the left
+    Cayley graph, (bx)y = b(xy), and then the sums, (l + w)y = ly + wy.  The
+    round trip reads only the letters, so correspond builds no n x n table
+    but the join table of a JSL0 carrier.
 
     The images of the initial state under the closed family are its
     reachable part (the letter orbit, and its sums for JSL0/Z2VECT), so the
@@ -224,10 +291,10 @@ def transition_monoid(
 
     # word images: the orbit of the identity over the right Cayley graph,
     # each one its tree parent times a letter
-    keys, word_edges, tree = grow([ident], steps)
-    n_words = len(keys)
-    right = [list(col) for col in zip(*word_edges)]  # right[ai][x] = x·a
-    at_init = [f[a.init] for f in keys]
+    graphs, word_edges, tree = grow([ident], steps)
+    n_words = len(graphs)
+    keys = graphs
+    at_init = [f[a.init] for f in graphs]
 
     # sums, each an earlier element plus a word image: ids after the words
     # are the zero (unless it is a word image: the empty sum, reached from
@@ -235,67 +302,44 @@ def transition_monoid(
     # sums, in order
     zero = 0
     sums: list[tuple[int, int]] = []
-    add_cols: list[list[int]] = []  # add_cols[y][x] = x + y
     if linear:
-        # carrier morphisms, keyed by what fixes them: Z2VECT maps by their basis
-        # images (_encode_linear codes), JSL0 maps by their join-irreducibles' images
         if isinstance(carrier, VectZ2):
-            keys = [_encode_linear(f, carrier.dim) for f in keys]
-            zero_key: object = 0
+            key = partial(_encode_linear, dim=carrier.dim)
             plus = operator.xor
         else:
-            irreducibles = carrier.irreducibles
-            graphs, keys = keys, [tuple(map(f.__getitem__, irreducibles)) for f in keys]
-            zero_key = (carrier.zero,) * len(irreducibles)
-            plus = _map_adder(carrier)
+            irreducibles, join = carrier.irreducibles, carrier.join
+            up = {y: up_mask(join[y]) for y in {f[j] for f in (*graphs, zero_map) for j in irreducibles}}
+            plus = operator.and_
+
+            def key(f: tuple[int, ...]) -> int:
+                return reduce(lambda k, j: k << n | up[f[j]], irreducibles, 0)
+
+        keys = list(map(key, graphs))
+        zero_key = key(zero_map)
         keys, add_rows, add_tree = grow(keys, [lambda f: zero_key] + [partial(plus, w) for w in keys])
         zero = add_rows[0][0]
         sums = [(x, s - 1) for x, s in add_tree[n_words:] if s]
-        add_cols = [list(col) for col in zip(*add_rows)][1:]
-        del add_rows  # the columns hold the table now; free the rows before the products
         if zero >= n_words:
-            add_cols.append(list(range(len(keys))))
             at_init.append(carrier_zero(carrier))
         for left, w in sums:
-            # x + (left + w) = (x + left) + w
-            add_cols.append(list(map(add_cols[w].__getitem__, add_cols[left])))
             at_init.append(carrier_add(carrier, at_init[left], at_init[w]))
-        if isinstance(carrier, JoinSemilattice):  # full graphs, joined once along the sum tree
-            graphs += [zero_map] * (zero >= n_words)
-            for left, w in sums:
-                graphs.append(plus(graphs[left], graphs[w]))
-        for r in right:
-            if zero >= n_words:
-                r.append(zero)
-            for left, w in sums:
-                r.append(add_cols[r[w]][r[left]])  # (left + w)a = left·a + w·a
     if len(set(at_init)) != n:
         raise NotReachableError("algebra is not generated by its initial state")
     size = len(keys)
 
-    # multiplication columns, cols[y][x] = x·y: x(pa) = (xp)a, x(l + w) = xl + xw
-    cols = [list(range(size))]
-    for parent, ai in tree[1:]:
-        cols.append(list(map(right[ai].__getitem__, cols[parent])))
-    if linear:
-        if zero >= n_words:
-            cols.append([zero] * size)
+    if isinstance(carrier, JoinSemilattice):  # full graphs, joined once along the sum tree, to number them
+        graphs += [zero_map] * (zero >= n_words)
+        join_maps = _map_adder(carrier)
         for left, w in sums:
-            cols.append(list(map(operator.getitem, map(add_cols.__getitem__, cols[w]), cols[left])))
-    pos = _present_map_family(carrier, graphs if isinstance(carrier, JoinSemilattice) else keys)
+            graphs.append(join_maps(graphs[left], graphs[w]))
+    pos = _present_map_family(carrier, keys if isinstance(carrier, VectZ2) else graphs)
     order = sorted(range(size), key=pos.__getitem__)  # order[pos[x]] = x
-
-    def renumber(table: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-        """Rows in the final enumeration of a table given as columns of ids."""
-        return tuple(
-            zip(*(map(pos.__getitem__, map(col.__getitem__, order)) for col in map(table.__getitem__, order)))
-        )
 
     match carrier:
         case FinSet():
             monoid_carrier: FinAlgebra = FinSet(size)
         case FinPoset():
-            funcs = [keys[i] for i in order]
+            funcs = [graphs[i] for i in order]
             monoid_carrier = FinPoset(
                 tuple(
                     tuple(all(carrier.leq[f[q]][g[q]] for q in range(n)) for g in funcs)
@@ -303,11 +347,57 @@ def transition_monoid(
                 )
             )
         case JoinSemilattice():
-            monoid_carrier = JoinSemilattice(renumber(add_cols), pos[zero])
+            # add_cols[y][x] = x + y: word columns from the closure, then
+            # x + (l + w) = (x + l) + w
+            add_cols = [list(col) for col in zip(*add_rows)][1:]
+            del add_rows
+            if zero >= n_words:
+                add_cols.append(list(range(size)))
+            for left, w in sums:
+                add_cols.append(list(map(add_cols[w].__getitem__, add_cols[left])))
+            joins = (map(pos.__getitem__, map(col.__getitem__, order)) for col in map(add_cols.__getitem__, order))
+            monoid_carrier = JoinSemilattice(tuple(zip(*joins)), pos[zero])
         case _:
             monoid_carrier = VectZ2((size - 1).bit_length())
+
+    def spread(on_words: list[int]) -> tuple[int, ...]:
+        """An additive map into the monoid, given on the word images in
+        their order (and extended there), on every element in the final
+        numbering: the zero goes to the zero, l + w to f(l) + f(w)."""
+        values = on_words
+        if linear:
+            values += [pos[zero]] * (zero >= n_words)
+            for left, w in sums:
+                values.append(carrier_add(monoid_carrier, values[left], values[w]))
+        return tuple(map(values.__getitem__, order))
+
+    cols = [spread([pos[e[ai]] for e in word_edges]) for ai in range(len(letters))]
     gens = tuple(pos[c] for c in word_edges[0])
-    return SigmaMonoid(monoid_carrier, a.alphabet, pos[0], renumber(cols), gens)
+    rows = []
+    for g in gens:
+        row = [g]
+        for parent, ai in tree[1:]:
+            row.append(cols[ai][row[parent]])
+        rows.append(spread(row))
+    unit = pos[0]
+
+    def table() -> tuple[tuple[int, ...], ...]:
+        built: list = [None] * size
+        built[unit] = tuple(range(size))
+        words, _, left_tree = orbit([unit], [row.__getitem__ for row in rows], size, "transition monoid")
+        for x, (parent, ai) in zip(words[1:], left_tree[1:]):
+            built[x] = tuple(map(rows[ai].__getitem__, built[words[parent]]))
+        if linear:
+            add = _map_adder(monoid_carrier)
+            if zero >= n_words:
+                built[pos[zero]] = (pos[zero],) * size
+            for s, (left, w) in enumerate(sums, size - len(sums)):
+                built[pos[s]] = add(built[pos[left]], built[pos[w]])
+        return tuple(built)
+
+    monoid = SigmaMonoid(monoid_carrier, a.alphabet, unit, _Table(table), gens)
+    vars(monoid).update(letter_rows=tuple(rows), letter_cols=tuple(cols))
+    return monoid
 
 
 def _present_map_family(carrier: FinAlgebra, keys: list) -> list[int]:
@@ -416,7 +506,7 @@ def _subdirect_pairs(m1: SigmaMonoid, m2: SigmaMonoid, limits: Limits) -> list[t
     """
     _check_compatible(m1, m2)
     cap = limits.max_carrier
-    letters = [lambda p, g=g: (m1.mult[p[0]][g[0]], m2.mult[p[1]][g[1]]) for g in zip(m1.gen, m2.gen)]
+    letters = [lambda p, c=c, d=d: (c[p[0]], d[p[1]]) for c, d in zip(m1.letter_cols, m2.letter_cols)]
     pairs = close([(m1.unit, m2.unit)], letters, cap, "subdirect closure")
     if m1.carrier.tag in LINEARISH:
         c1, c2 = m1.carrier, m2.carrier
@@ -427,7 +517,11 @@ def _subdirect_pairs(m1: SigmaMonoid, m2: SigmaMonoid, limits: Limits) -> list[t
 
 def subdirect_product(m1: SigmaMonoid, m2: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> SigmaMonoid:
     """The join in the quotient order: the monoid generated by paired letters
-    inside the product."""
+    inside the product.
+
+    The product of two lawful monoids is a submonoid and subalgebra of their
+    direct product, so it is lawful too: its table is built on first read,
+    and its letters' rows and columns pair the factors'."""
     pairs = _subdirect_pairs(m1, m2, limits)
     c1, c2 = m1.carrier, m2.carrier
     tag = c1.tag
@@ -446,9 +540,18 @@ def subdirect_product(m1: SigmaMonoid, m2: SigmaMonoid, limits: Limits = DEFAULT
             pairs = _relabel_pairs_linearly(m1, m2, pairs)
         case _:
             raise TagMismatchError(f"{tag} is not an algebra-side variety")
-    mult = op_table(pairs, lambda p, q: (m1.mult[p[0]][q[0]], m2.mult[p[1]][q[1]]))
+    table = partial(op_table, pairs, lambda p, q: (m1.mult[p[0]][q[0]], m2.mult[p[1]][q[1]]))
+    lawful = m1.lawful and m2.lawful
+    mult = _Table(table) if lawful else table()
     gens = tuple(map(pairs.index, zip(m1.gen, m2.gen)))
-    return SigmaMonoid(carrier, m1.alphabet, pairs.index((m1.unit, m2.unit)), mult, gens)
+    product = SigmaMonoid(carrier, m1.alphabet, pairs.index((m1.unit, m2.unit)), mult, gens)
+    if lawful:
+        object.__setattr__(product, "lawful", True)
+        index = {p: i for i, p in enumerate(pairs)}
+        for name in ("letter_rows", "letter_cols"):
+            lines = zip(getattr(m1, name), getattr(m2, name))
+            vars(product)[name] = tuple(tuple(index[one[p], two[q]] for p, q in pairs) for one, two in lines)
+    return product
 
 
 def _relabel_pairs_linearly(m1, m2, pairs):
@@ -487,6 +590,11 @@ def sigma_monoid_iso(m1: SigmaMonoid, m2: SigmaMonoid) -> FinMorphism | None:
     partner in the image of the paired evaluation (the subdirect closure), so
     that image must be the graph of a bijection, and no search is involved.
     The closure stops as soon as it outgrows m1.
+
+    The image commutes with right letters and with sums of word images, so
+    on lawful monoids it commutes with every product: x(pa) = (xp)a and
+    x(l + w) = xl + xw, by induction along the words and then the sums.
+    Only monoids built from tables have their products checked pair by pair.
     """
     if m1.size != m2.size:
         return None
@@ -502,10 +610,11 @@ def sigma_monoid_iso(m1: SigmaMonoid, m2: SigmaMonoid) -> FinMorphism | None:
         return None
     if m1.carrier.tag is VarietyTag.POS and not is_order_reflecting(morphism):
         return None
-    for x in range(m1.size):
-        for y in range(m1.size):
-            if morphism.graph[m1.mult[x][y]] != m2.mult[morphism.graph[x]][morphism.graph[y]]:
-                return None
+    if not (m1.lawful and m2.lawful):
+        for x in range(m1.size):
+            for y in range(m1.size):
+                if morphism.graph[m1.mult[x][y]] != m2.mult[morphism.graph[x]][morphism.graph[y]]:
+                    return None
     return morphism
 
 
@@ -530,6 +639,6 @@ def monoid_to_dot(m: SigmaMonoid) -> str:
         lines.append(f'  e{x} [shape={shape}, label="{x}"];')
     for x in range(m.size):
         for ai, a in enumerate(m.alphabet):
-            lines.append(f'  e{x} -> e{m.mult[x][m.gen[ai]]} [label="{a}"];')
+            lines.append(f'  e{x} -> e{m.letter_cols[ai][x]} [label="{a}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -310,6 +310,15 @@ def fibres(graph: Sequence[int], n: int) -> list[int]:
 # presentations: validation and derived structure
 
 
+_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def up_mask(row: Sequence[int]) -> int:
+    """U(x), read off x's row of a join table: the mask of the y with
+    x + y = y, bit n - 1 - y for y.  In a lawful table U(x + y) = U(x) & U(y)."""
+    return int(bytes(map(eq, row, range(len(row)))).translate(_BITS), 2)
+
+
 def jsl_irreducibles(alg: JoinSemilattice) -> list[int]:
     """The join-irreducibles of a join table, after checking that it is a
     semilattice with least element zero.
@@ -332,8 +341,7 @@ def jsl_irreducibles(alg: JoinSemilattice) -> list[int]:
     rows = list(map(tuple, join))
     if rows != list(zip(*join)):
         raise ValueError("join not commutative")
-    bits = bytes.maketrans(b"\0\1", b"01")
-    up = [int(bytes(map(eq, row, range(n))).translate(bits), 2) for row in rows]
+    up = list(map(up_mask, rows))
     if any(list(map(ux.__and__, up)) != list(map(up.__getitem__, row)) for row, ux in zip(rows, up)):
         raise ValueError("join not associative")
     return list(alg.irreducibles)

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -76,13 +77,9 @@ def test_verification_failure_exits_1(monkeypatch, capsys):
     import langdual.cli as cli
 
     def broken(dtag, langs, limits):
-        return {
-            "piece": {"languages": []},
-            "monoid": {"mult": [[0]]},
-            "roundtrip": {"counterexample": "a*"},
-        }
+        return SimpleNamespace(labels=()), SimpleNamespace(size=1), {"counterexample": "a*"}
 
-    monkeypatch.setattr(cli, "correspondence_report", broken)
+    monkeypatch.setattr(cli, "verify_correspondence", broken)
     code = main(["verify-eilenberg", "--variety", "ba", "--regex", "a*"])
     assert code == 1
     report = json.loads(capsys.readouterr().out)

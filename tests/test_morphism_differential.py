@@ -28,6 +28,7 @@ from langdual.varieties import (
     VarietyTag,
     VectZ2,
     subset_sums,
+    unions,
     validate_morphism,
 )
 from helpers import make_jsl, random_algebra, random_morphism, scrambled_jsl
@@ -162,6 +163,30 @@ def test_dual_maps_match_the_oracle_on_every_morphism(tag):
                 dual_morphism(d, m)
         else:
             assert dual_morphism(d, m) == expected
+
+
+def test_join_preserving_lattice_maps_dualize_like_the_scan():
+    # a map that sends each element to the union of its principal downsets'
+    # images keeps joins and the bottom but not always meets or the top; its
+    # least preimages are read off the principal downsets, and must be the
+    # scan's, or its refusal
+    rng = random.Random(19)
+    seen = {"same graph": 0}
+    for _ in range(400):
+        dom, cod = random_algebra(rng, VarietyTag.DL01), random_algebra(rng, VarietyTag.DL01)
+        image = [rng.choice(cod.downset_masks) for _ in range(dom.n_ji)]
+        union = unions(image)
+        m = FinMorphism(dom, cod, tuple(cod.downset_index[union(x)] for x in dom.downset_masks))
+        try:
+            expected = scanning_dual_morphism(DualityTag.DL01_POS, m)
+        except NonFunctionalError as err:
+            with pytest.raises(NonFunctionalError, match=str(err)):
+                dual_morphism(DualityTag.DL01_POS, m)
+            seen[str(err)] = seen.get(str(err), 0) + 1
+        else:
+            assert dual_morphism(DualityTag.DL01_POS, m) == expected
+            seen["same graph"] += 1
+    assert len(seen) == 3 and min(seen.values()) >= 30, seen
 
 
 def test_poset_maps_dualize_like_the_downset_by_downset_preimage():
