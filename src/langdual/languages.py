@@ -269,55 +269,6 @@ def normalize(r: Regex) -> Regex:
     return done[id(r)]
 
 
-def _derive(r: Regex, a: str, done: dict[int, Regex]) -> Regex:
-    """The Brzozowski derivative a^-1 r as a normalized tree, reading and
-    filling done: the id of a node -> its derivative by a.  Entries stay
-    valid while their nodes are alive, so a caller may share done between
-    calls on trees it keeps.
-
-    The derivative of a union is the union of its parts' derivatives, taken
-    over all parts at once as in normalize.
-    """
-    stack = [r]
-    while stack:
-        x = stack.pop()
-        key = id(x)
-        if key in done:
-            continue
-        tag = x.tag
-        if tag < _TAG_LITERAL:
-            done[key] = _EMPTY
-        elif tag == _TAG_LITERAL:
-            done[key] = _EPSILON if x.symbol == a else _EMPTY
-        elif tag == _TAG_STAR:
-            inner = done.get(id(x.inner))
-            if inner is None:
-                stack += (x, x.inner)
-            else:
-                done[key] = make_concat(inner, x)
-        elif tag == _TAG_CONCAT:
-            head = done.get(id(x.left))
-            if x.left.nullable:
-                tail = done.get(id(x.right))
-                if head is None or tail is None:
-                    stack += (x, x.left, x.right)
-                else:
-                    done[key] = make_union([make_concat(head, x.right), tail])
-            elif head is None:
-                stack += (x, x.left)
-            else:
-                done[key] = make_concat(head, x.right)
-        else:
-            parts = _union_parts(x)
-            todo = [p for p in parts if id(p) not in done]
-            if todo:
-                stack.append(x)
-                stack += todo
-            else:
-                done[key] = make_union([done[id(p)] for p in parts])
-    return done[id(r)]
-
-
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -596,51 +547,147 @@ def state_languages(d: Dfa) -> Callable[[int], LanguageId]:
 # compilation and the basic operations
 
 
-def _check_symbols(r: Regex, symbols: frozenset[str]) -> None:
-    """UnknownSymbolError for the first literal, left to right, outside
-    symbols."""
-    stack = [r]
-    seen: set[int] = set()
-    while stack:
-        x = stack.pop()
-        if id(x) in seen:
-            continue
-        seen.add(id(x))
-        if x.tag == _TAG_LITERAL:
-            if x.symbol not in symbols:
-                raise UnknownSymbolError(x.symbol)
-        elif x.tag == _TAG_STAR:
-            stack.append(x.inner)
-        elif x.tag > _TAG_STAR:
-            stack.append(x.right)
-            stack.append(x.left)
-
-
 def _derivative_closure(
     r: Regex, symbols: tuple[str, ...], limits: Limits
-) -> tuple[list[Regex], list[tuple[int, ...]]]:
-    """The normalized derivatives of r in breadth-first order from r, and
-    the transition rows between them."""
-    # every tree _derive walks is a state or part of one, and orbit keeps the
-    # states until it returns, so the memos' ids stay valid
-    steps = [partial(_derive, a=a, done={}) for a in symbols]
+) -> tuple[list[int], list[tuple[int, ...]], list[bool], list[tuple | None], list[frozenset[int]]]:
+    """The derivative automaton of r: (states, rows, nullable, keys, parts).
+
+    Normalized trees are numbered for this call.  A term (an epsilon,
+    literal, star or concatenation node) is numbered by its key: (tag,),
+    (tag, symbol), (tag, inner) or (tag, left, right), over numbered
+    children.  A tree is numbered by the set of its union parts' terms,
+    parts[i]; keys[i] is None unless that set is one term.  0 is the empty
+    set, the empty language, and 1 is epsilon.  make_union's tree depends
+    only on the set of its parts, so two trees are equal exactly when their
+    numbers are, and nothing here sorts or compares a tree.  states are r's
+    derivatives in breadth-first order from r, and rows[q][ai] the state
+    that letter ai takes state q to.
+
+    UnknownSymbolError names the first literal, left to right, outside
+    symbols: the walk over r takes each node's left child first.
+    """
+    keys: list[tuple | None] = [None, (_TAG_EPSILON,)]
+    parts = [frozenset(), frozenset((1,))]
+    nullable = [False, True]
+    ids: dict[object, int] = {parts[0]: 0, parts[1]: 1}
+
+    def term(key: tuple, null: bool) -> int:
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = ids[frozenset((len(keys),))] = len(keys)
+            keys.append(key)
+            parts.append(frozenset((i,)))
+            nullable.append(null)
+        return i
+
+    def union(items: Iterable[int]) -> int:
+        s = frozenset().union(*map(parts.__getitem__, items))
+        i = ids.get(s)
+        if i is None:
+            i = ids[s] = len(keys)
+            keys.append(None)
+            parts.append(s)
+            nullable.append(any(map(nullable.__getitem__, s)))
+        return i
+
+    def concat(left: int, right: int) -> int:  # make_concat
+        if not left or not right:
+            return 0
+        if left == 1 or right == 1:
+            return right if left == 1 else left
+        return term((_TAG_CONCAT, left, right), nullable[left] and nullable[right])
+
+    # the parse tree, bottom-up through the normalizing constructors
+    done: dict[int, int] = {}
+    stack = [r]
+    while stack:
+        x = stack.pop()
+        if id(x) in done:
+            continue
+        tag = x.tag
+        if tag < _TAG_LITERAL:
+            out = tag  # the numbers of the empty set and of epsilon
+        elif tag == _TAG_LITERAL:
+            if x.symbol not in symbols:
+                raise UnknownSymbolError(x.symbol)
+            out = term((tag, x.symbol), False)
+        elif tag == _TAG_STAR:
+            inner = done.get(id(x.inner))
+            if inner is None:
+                stack += (x, x.inner)
+                continue
+            key = keys[inner]
+            out = 1 if inner < 2 else inner if key and key[0] == tag else term((tag, inner), True)
+        elif tag == _TAG_CONCAT:
+            left, right = done.get(id(x.left)), done.get(id(x.right))
+            if left is None or right is None:
+                stack += (x, x.right, x.left)
+                continue
+            out = concat(left, right)
+        else:
+            kids = _union_parts(x)
+            todo = [p for p in kids if id(p) not in done]
+            if todo:
+                stack.append(x)
+                stack += reversed(todo)
+                continue
+            out = union([done[id(p)] for p in kids])
+        done[id(x)] = out
+
+    def derive(i: int, a: str, memo: dict[int, int]) -> int:
+        """a^-1 of tree i, reading and filling memo: number -> its
+        derivative by a.  A union's derivative is the union of its parts'."""
+        stack = [i]
+        while stack:
+            x = stack[-1]
+            if x in memo:
+                stack.pop()
+                continue
+            key = keys[x]
+            if key is None:
+                todo = [t for t in parts[x] if t not in memo]
+                if todo:
+                    stack += todo
+                    continue
+                out = union([memo[t] for t in parts[x]])
+            elif key[0] == _TAG_STAR:
+                inner = memo.get(key[1])
+                if inner is None:
+                    stack.append(key[1])
+                    continue
+                out = concat(inner, x)
+            elif key[0] == _TAG_CONCAT:
+                _, left, right = key
+                head = memo.get(left)
+                tail = memo.get(right) if nullable[left] else 0
+                if head is None or tail is None:
+                    stack += (left, right) if nullable[left] else (left,)
+                    continue
+                out = concat(head, right)
+                out = union((out, tail)) if tail else out
+            else:
+                out = 1 if key[0] == _TAG_LITERAL and key[1] == a else 0
+            memo[x] = out
+            stack.pop()
+        return memo[i]
+
+    steps = [partial(derive, a=a, memo={}) for a in symbols]
     try:
-        states, edges, _ = orbit([normalize(r)], steps, limits.max_states, "derivative closure")
+        states, edges, _ = orbit([done[id(r)]], steps, limits.max_states, "derivative closure")
     except ResourceExceededError:
         raise ResourceExceededError(f"derivative closure exceeded {limits.max_states} states") from None
-    return states, list(map(tuple, edges))
+    return states, list(map(tuple, edges)), nullable, keys, parts
 
 
 def brzozowski_dfa(r: Regex, alphabet: Sequence[str], limits: Limits = DEFAULT_LIMITS) -> Dfa:
     """Raw derivative automaton, before any minimization."""
     symbols = check_alphabet(alphabet)
-    _check_symbols(r, frozenset(symbols))
-    states, rows = _derivative_closure(r, symbols, limits)
+    states, rows, nullable, _, _ = _derivative_closure(r, symbols, limits)
     return Dfa(
         alphabet=symbols,
         n_states=len(states),
         initial=0,
-        finals=frozenset(i for i, s in enumerate(states) if s.nullable),
+        finals=frozenset(i for i, s in enumerate(states) if nullable[s]),
         delta=tuple(rows),
     )
 

@@ -22,15 +22,20 @@ refinement that the round trip's signature pairing replaced).  The presentations
 here (scanned_present_subset), as before the library's closures handed back
 the atoms, basis or join-irreducibles they found.  The regex oracles are the
 recursive dataclass trees and walks that the library's pre-keyed, iterative
-trees replaced; they share nothing with them.  The boolean combinations of
-languages (product automata), and the product algebras with image
-factorization (the textbook subdirect product), serve the tests only.
+trees replaced; they share nothing with them.  The tree derivative closure is
+the one that the library's closure over interned numbers replaced; it shares
+the trees, normalize, make_union, make_concat and orbit with the library, as
+it pins only that numbering the trees changes no state and no row.  The
+boolean combinations of languages (product automata), and the product
+algebras with image factorization (the textbook subdirect product), serve
+the tests only.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from langdual.automata import (
@@ -58,13 +63,23 @@ from langdual.errors import (
     UnknownSymbolError,
 )
 from langdual.languages import (
+    _EMPTY,
+    _EPSILON,
+    _TAG_CONCAT,
+    _TAG_LITERAL,
+    _TAG_STAR,
     Dfa,
     LanguageId,
+    Regex,
     _restrict_reachable,
+    _union_parts,
     canonical_language,
     check_alphabet,
     language_to_regex,
     left_derivative,
+    make_concat,
+    make_union,
+    normalize,
     right_derivative,
     state_languages,
 )
@@ -87,6 +102,7 @@ from langdual.varieties import (
     jsl_from_masks,
     jsl_irreducibles,
     op_table,
+    orbit,
     present_subset,
     two_element_algebra,
     validate_morphism,
@@ -1693,6 +1709,76 @@ def recursive_language_to_regex(lang):
             if s in p:
                 del table[p]
     return recursive_render(get(start, accept))
+
+
+# ---------------------------------------------------------------------------
+# the derivative closure over trees
+#
+# The closure that the library's closure over interned numbers replaced:
+# every derivative is a normalized tree built by make_concat and make_union,
+# which sorts the union parts, and orbit compares the states as trees.
+
+
+def tree_derive(r: Regex, a: str, done: dict[int, Regex]) -> Regex:
+    """The Brzozowski derivative a^-1 r as a normalized tree, reading and
+    filling done: the id of a node -> its derivative by a.  Entries stay
+    valid while their nodes are alive, so a caller may share done between
+    calls on trees it keeps.
+
+    The derivative of a union is the union of its parts' derivatives, taken
+    over all parts at once as in normalize.
+    """
+    stack = [r]
+    while stack:
+        x = stack.pop()
+        key = id(x)
+        if key in done:
+            continue
+        tag = x.tag
+        if tag < _TAG_LITERAL:
+            done[key] = _EMPTY
+        elif tag == _TAG_LITERAL:
+            done[key] = _EPSILON if x.symbol == a else _EMPTY
+        elif tag == _TAG_STAR:
+            inner = done.get(id(x.inner))
+            if inner is None:
+                stack += (x, x.inner)
+            else:
+                done[key] = make_concat(inner, x)
+        elif tag == _TAG_CONCAT:
+            head = done.get(id(x.left))
+            if x.left.nullable:
+                tail = done.get(id(x.right))
+                if head is None or tail is None:
+                    stack += (x, x.left, x.right)
+                else:
+                    done[key] = make_union([make_concat(head, x.right), tail])
+            elif head is None:
+                stack += (x, x.left)
+            else:
+                done[key] = make_concat(head, x.right)
+        else:
+            parts = _union_parts(x)
+            todo = [p for p in parts if id(p) not in done]
+            if todo:
+                stack.append(x)
+                stack += todo
+            else:
+                done[key] = make_union([done[id(p)] for p in parts])
+    return done[id(r)]
+
+
+def tree_derivative_closure(r: Regex, symbols, limits=DEFAULT_LIMITS):
+    """The normalized derivatives of r in breadth-first order from r, and
+    the transition rows between them."""
+    # every tree tree_derive walks is a state or part of one, and orbit keeps
+    # the states until it returns, so the memos' ids stay valid
+    steps = [partial(tree_derive, a=a, done={}) for a in symbols]
+    try:
+        states, edges, _ = orbit([normalize(r)], steps, limits.max_states, "derivative closure")
+    except ResourceExceededError:
+        raise ResourceExceededError(f"derivative closure exceeded {limits.max_states} states") from None
+    return states, list(map(tuple, edges))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ slower reference algorithms in tests/oracles.py.
 No top-level function in src/langdual is memoized by functools.lru_cache or
 functools.cache: such a cache lives as long as the process and keeps every
 argument alive.  Tables derived from an object are cached on the object.
+
+No function in src/langdual imports anything in its body.  The benchmark
+imports langdual afresh for every pass, so a deferred import is paid inside
+whichever instance first reaches it, and shows as a latency outlier there.
 """
 
 import ast
@@ -118,3 +122,27 @@ def test_no_top_level_function_in_src_keeps_a_process_wide_cache(tmp_path):
         encoding="utf-8",
     )
     assert _process_caches(tmp_path) == ["cached.a", "cached.b", "cached.c", "cached.d"]
+
+
+def _local_imports(src: Path) -> list[str]:
+    """module:line of every import statement inside a function body."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                        found.add((path.stem, inner.lineno))
+    return [f"{module}:{line}" for module, line in sorted(found)]
+
+
+def test_no_function_in_src_imports_in_its_body(tmp_path):
+    assert _local_imports(SRC) == []
+    (tmp_path / "lazy.py").write_text(
+        "import json\n\n"
+        "def a():\n    import os\n    return os\n\n"
+        "class B:\n    def c(self):\n        def d():\n            from . import e\n        return d\n\n"
+        "async def f():\n    from json import dumps\n",
+        encoding="utf-8",
+    )
+    assert _local_imports(tmp_path) == ["lazy:4", "lazy:10", "lazy:14"]

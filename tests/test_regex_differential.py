@@ -2,12 +2,12 @@
 
 Seeded hypothesis corpora: parse trees and parse errors, the unknown symbol
 reported for a tree, union-part order, normalized renders, derivative
-renders, the derivative automaton (states and table) and the regex text of
-state elimination must be identical to those of the recursive code in
-`oracles`, byte for byte.  The command line must answer long, deep and
-random regex text with exit 0 or 2, never a traceback, a finished compile
-must leave no tree alive, and a tree pickled in another process must equal
-the tree built here.
+renders, the derivative automaton (states rebuilt from the interned
+closure's tables, and rows) and the regex text of state elimination must be
+identical to those of the recursive code in `oracles`, byte for byte.  The
+command line must answer long, deep and random regex text with exit 0 or 2,
+never a traceback, a finished compile must leave no tree alive, and a tree
+pickled in another process must equal the tree built here.
 """
 
 import contextlib
@@ -35,7 +35,6 @@ from langdual.languages import (
     Literal,
     Star,
     Union,
-    _check_symbols,
     _compare,
     _derivative_closure,
     _union_parts,
@@ -50,7 +49,7 @@ from langdual.languages import (
     render_regex,
     residuals,
 )
-from helpers import derivative
+from helpers import derivative, interned_trees
 from oracles import (
     RecursiveParser,
     as_tree,
@@ -106,7 +105,10 @@ def test_parse_trees_and_errors(text):
 @settings(max_examples=200, deadline=None)
 @given(regexes(max_leaves=14))
 def test_first_unknown_symbol(r):
-    got = _outcome(lambda: _check_symbols(r, frozenset("a")))
+    def compile_raw():
+        brzozowski_dfa(r, "a")
+
+    got = _outcome(compile_raw)
     assert got == _outcome(lambda: recursive_check_symbols(as_tree(r), frozenset("a")))
 
 
@@ -152,9 +154,11 @@ def test_normalized_and_derivative_renders(r):
 @settings(max_examples=150, deadline=None)
 @given(regexes(max_leaves=12))
 def test_derivative_automaton(r):
-    states, rows = _derivative_closure(r, ABC, Limits())
+    states, rows, nullable, keys, parts = _derivative_closure(r, ABC, Limits())
+    trees = interned_trees(keys, parts)
     old_states, old_rows = recursive_derivative_closure(as_tree(r), ABC)
-    assert [render_regex(s) for s in states] == [recursive_render(s) for s in old_states]
+    assert [render_regex(trees[s]) for s in states] == [recursive_render(s) for s in old_states]
+    assert [nullable[s] for s in states] == [recursive_nullable(s) for s in old_states]
     assert rows == old_rows
     dfa = brzozowski_dfa(r, ABC)
     assert dfa.delta == tuple(old_rows)
