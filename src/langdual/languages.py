@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key, partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import LangdualError, RegexSyntaxError, ResourceExceededError, UnknownSymbolError
@@ -164,8 +164,6 @@ _sort_key = cmp_to_key(_compare)
 def _spine(r: Regex, tag: int) -> list[Regex]:
     """The maximal subtrees of r whose root is not a `tag` node, left to
     right: the parts of a union, or the factors of a concatenation."""
-    if r.tag != tag:
-        return [r]
     out = []
     stack = [r]
     while stack:
@@ -178,10 +176,6 @@ def _spine(r: Regex, tag: int) -> list[Regex]:
     return out
 
 
-def _union_parts(r: Regex) -> list[Regex]:
-    return _spine(r, _TAG_UNION)
-
-
 def _chain(node: type, items: list[Regex]) -> Regex:
     """items joined by a binary node class, nested to the right."""
     out = items[-1]
@@ -190,83 +184,163 @@ def _chain(node: type, items: list[Regex]) -> Regex:
     return out
 
 
-def make_union(parts: Iterable[Regex]) -> Regex:
-    """Union normalized to a sorted, duplicate-free, right-nested chain."""
-    flat: dict[Regex, None] = {}
-    for p in parts:
-        for q in _union_parts(p):
-            if q.tag != _TAG_EMPTY:
-                flat[q] = None
-    if not flat:
-        return _EMPTY
-    if len(flat) == 1:
-        return next(iter(flat))
-    if len(flat) == 2:
-        x, y = flat
-        return Union(x, y) if _compare(x, y) < 0 else Union(y, x)
-    return _chain(Union, sorted(flat, key=_sort_key))
+def _post_order(key: Hashable, root, children: Callable) -> dict:
+    """Every node that children reaches from root, each once and after the
+    nodes it reaches, root last: a dict from a node's key to (node, the keys
+    of its children).  children(node) lists (key, child) pairs, and key is
+    root's.
+
+    Nodes are taken from an explicit stack, first child first, and a node
+    shared by several parents is visited once.
+    """
+    order: dict = {}
+    stack = [(key, root, None)]
+    while stack:
+        key, x, pairs = stack.pop()
+        if key in order:
+            continue
+        if pairs is None:
+            pairs = children(x)
+        todo = [(k, c, None) for k, c in pairs if k not in order]
+        if todo:
+            stack.append((key, x, pairs))
+            stack += reversed(todo)
+            continue
+        order[key] = (x, [k for k, _ in pairs])
+    return order
 
 
-def make_concat(left: Regex, right: Regex) -> Regex:
-    if left.tag == _TAG_EMPTY or right.tag == _TAG_EMPTY:
-        return _EMPTY
-    if left.tag == _TAG_EPSILON:
-        return right
-    if right.tag == _TAG_EPSILON:
-        return left
-    return Concat(left, right)
+class _Terms:
+    """Regexes in normal form, numbered for the life of one table.
 
+    A term (an epsilon, literal, star or concatenation node) is numbered by
+    its key: (tag,), (tag, symbol), (tag, inner) or (tag, left, right), over
+    numbered children.  A regex is numbered by the set of its union parts'
+    terms, parts[i]; keys[i] is None unless that set is one term.  0 is the
+    empty set, the empty language, and 1 is epsilon.  union, concat and star
+    build the normal form on numbers, so two regexes have one normal form
+    exactly when their numbers are equal, and no tree is compared or sorted
+    until tree() rebuilds one.
+    """
 
-def make_star(r: Regex) -> Regex:
-    if r.tag < _TAG_LITERAL:
-        return _EPSILON
-    if r.tag == _TAG_STAR:
-        return r
-    return Star(r)
+    __slots__ = ("keys", "parts", "nullable", "_ids", "_trees")
+
+    def __init__(self):
+        self.keys: list[tuple | None] = [None, (_TAG_EPSILON,)]
+        self.parts = [frozenset(), frozenset((1,))]
+        self.nullable = [False, True]
+        self._ids: dict[object, int] = {self.parts[0]: 0, self.parts[1]: 1}
+        self._trees: dict[int, Regex] = {0: _EMPTY, 1: _EPSILON}
+
+    def term(self, key: tuple, null: bool) -> int:
+        ids = self._ids
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = ids[frozenset((len(self.keys),))] = len(self.keys)
+            self.keys.append(key)
+            self.parts.append(frozenset((i,)))
+            self.nullable.append(null)
+        return i
+
+    def union(self, items: Iterable[int]) -> int:
+        parts = self.parts
+        s = frozenset().union(*map(parts.__getitem__, items))
+        i = self._ids.get(s)
+        if i is None:
+            i = self._ids[s] = len(self.keys)
+            self.keys.append(None)
+            parts.append(s)
+            self.nullable.append(any(map(self.nullable.__getitem__, s)))
+        return i
+
+    def concat(self, left: int, right: int) -> int:
+        if not left or not right:
+            return 0
+        if left == 1 or right == 1:
+            return right if left == 1 else left
+        return self.term((_TAG_CONCAT, left, right), self.nullable[left] and self.nullable[right])
+
+    def star(self, inner: int) -> int:
+        if inner < 2:
+            return 1
+        key = self.keys[inner]
+        return inner if key and key[0] == _TAG_STAR else self.term((_TAG_STAR, inner), True)
+
+    def number(self, r: Regex, symbols: Sequence[str] | None = None) -> int:
+        """The number of r's normal form.
+
+        With symbols given, UnknownSymbolError names the first literal, left
+        to right, outside them: the walk takes each node's left child first.
+        """
+        term, concat, union, star = self.term, self.concat, self.union, self.star
+        done: dict[int, int] = {}
+        stack = [r]
+        while stack:
+            x = stack.pop()
+            if id(x) in done:
+                continue
+            tag = x.tag
+            if tag < _TAG_LITERAL:
+                out = tag  # the numbers of the empty set and of epsilon
+            elif tag == _TAG_LITERAL:
+                if symbols is not None and x.symbol not in symbols:
+                    raise UnknownSymbolError(x.symbol)
+                out = term((tag, x.symbol), False)
+            elif tag == _TAG_STAR:
+                inner = done.get(id(x.inner))
+                if inner is None:
+                    stack += (x, x.inner)
+                    continue
+                out = star(inner)
+            elif tag == _TAG_CONCAT:
+                left, right = done.get(id(x.left)), done.get(id(x.right))
+                if left is None or right is None:
+                    stack += (x, x.right, x.left)
+                    continue
+                out = concat(left, right)
+            else:
+                kids = _spine(x, tag)
+                todo = [p for p in kids if id(p) not in done]
+                if todo:
+                    stack.append(x)
+                    stack += reversed(todo)
+                    continue
+                out = union([done[id(p)] for p in kids])
+            done[id(x)] = out
+        return done[id(r)]
+
+    def tree(self, i: int) -> Regex:
+        """The normalized tree of number i: a union is a right-nested chain
+        of its parts sorted by _sort_key.  Trees are kept per number, so
+        equal subtrees are one object."""
+        keys, parts, trees = self.keys, self.parts, self._trees
+
+        def children(j: int) -> list[tuple[int, int]]:
+            key = keys[j]
+            if j in trees or key and key[0] <= _TAG_LITERAL:
+                return []
+            return [(k, k) for k in (parts[j] if key is None else key[1:])]
+
+        for j, (_, kids) in _post_order(i, i, children).items():
+            if j in trees:
+                continue
+            key = keys[j]
+            if key is None:
+                out = _chain(Union, sorted(map(trees.__getitem__, kids), key=_sort_key))
+            elif key[0] == _TAG_LITERAL:
+                out = Literal(key[1])
+            elif key[0] == _TAG_STAR:
+                out = Star(trees[key[1]])
+            else:
+                out = Concat(trees[key[1]], trees[key[2]])
+            trees[j] = out
+        return trees[i]
 
 
 def normalize(r: Regex) -> Regex:
-    """Rebuild a tree bottom-up through the normalizing constructors.
-
-    A union is rebuilt from all its parts in one make_union, which gives the
-    tree that rebuilding it pair by pair would: make_union flattens its
-    arguments, so its result depends only on the set of their parts.  Equal
-    subtrees of the result are one object, so comparing them later costs one
-    identity test; the table that makes them so lives for this call only.
-    """
-    done: dict[int, Regex] = {}
-    shared: dict[Regex, Regex] = {}
-    stack = [r]
-    while stack:
-        x = stack.pop()
-        key = id(x)
-        if key in done:
-            continue
-        tag = x.tag
-        if tag < _TAG_STAR:
-            out = x
-        elif tag == _TAG_STAR:
-            inner = done.get(id(x.inner))
-            if inner is None:
-                stack += (x, x.inner)
-                continue
-            out = make_star(inner)
-        elif tag == _TAG_CONCAT:
-            left, right = done.get(id(x.left)), done.get(id(x.right))
-            if left is None or right is None:
-                stack += (x, x.left, x.right)
-                continue
-            out = make_concat(left, right)
-        else:
-            parts = _union_parts(x)
-            todo = [p for p in parts if id(p) not in done]
-            if todo:
-                stack.append(x)
-                stack += todo
-                continue
-            out = make_union([done[id(p)] for p in parts])
-        done[key] = shared.setdefault(out, out)
-    return done[id(r)]
+    """The normal form of r, as one tree whose equal subtrees are one object."""
+    terms = _Terms()
+    return terms.tree(terms.number(r))
 
 
 # ---------------------------------------------------------------------------
@@ -549,93 +623,19 @@ def state_languages(d: Dfa) -> Callable[[int], LanguageId]:
 
 def _derivative_closure(
     r: Regex, symbols: tuple[str, ...], limits: Limits
-) -> tuple[list[int], list[tuple[int, ...]], list[bool], list[tuple | None], list[frozenset[int]]]:
-    """The derivative automaton of r: (states, rows, nullable, keys, parts).
+) -> tuple[list[int], list[tuple[int, ...]], _Terms]:
+    """The derivative automaton of r: (states, rows, terms).
 
-    Normalized trees are numbered for this call.  A term (an epsilon,
-    literal, star or concatenation node) is numbered by its key: (tag,),
-    (tag, symbol), (tag, inner) or (tag, left, right), over numbered
-    children.  A tree is numbered by the set of its union parts' terms,
-    parts[i]; keys[i] is None unless that set is one term.  0 is the empty
-    set, the empty language, and 1 is epsilon.  make_union's tree depends
-    only on the set of its parts, so two trees are equal exactly when their
-    numbers are, and nothing here sorts or compares a tree.  states are r's
-    derivatives in breadth-first order from r, and rows[q][ai] the state
-    that letter ai takes state q to.
-
-    UnknownSymbolError names the first literal, left to right, outside
-    symbols: the walk over r takes each node's left child first.
+    states are the numbers, in terms, of r's derivatives in breadth-first
+    order from r, and rows[q][ai] the state that letter ai takes state q to.
+    UnknownSymbolError names the first literal of r, left to right, outside
+    symbols.
     """
-    keys: list[tuple | None] = [None, (_TAG_EPSILON,)]
-    parts = [frozenset(), frozenset((1,))]
-    nullable = [False, True]
-    ids: dict[object, int] = {parts[0]: 0, parts[1]: 1}
-
-    def term(key: tuple, null: bool) -> int:
-        i = ids.get(key)
-        if i is None:
-            i = ids[key] = ids[frozenset((len(keys),))] = len(keys)
-            keys.append(key)
-            parts.append(frozenset((i,)))
-            nullable.append(null)
-        return i
-
-    def union(items: Iterable[int]) -> int:
-        s = frozenset().union(*map(parts.__getitem__, items))
-        i = ids.get(s)
-        if i is None:
-            i = ids[s] = len(keys)
-            keys.append(None)
-            parts.append(s)
-            nullable.append(any(map(nullable.__getitem__, s)))
-        return i
-
-    def concat(left: int, right: int) -> int:  # make_concat
-        if not left or not right:
-            return 0
-        if left == 1 or right == 1:
-            return right if left == 1 else left
-        return term((_TAG_CONCAT, left, right), nullable[left] and nullable[right])
-
-    # the parse tree, bottom-up through the normalizing constructors
-    done: dict[int, int] = {}
-    stack = [r]
-    while stack:
-        x = stack.pop()
-        if id(x) in done:
-            continue
-        tag = x.tag
-        if tag < _TAG_LITERAL:
-            out = tag  # the numbers of the empty set and of epsilon
-        elif tag == _TAG_LITERAL:
-            if x.symbol not in symbols:
-                raise UnknownSymbolError(x.symbol)
-            out = term((tag, x.symbol), False)
-        elif tag == _TAG_STAR:
-            inner = done.get(id(x.inner))
-            if inner is None:
-                stack += (x, x.inner)
-                continue
-            key = keys[inner]
-            out = 1 if inner < 2 else inner if key and key[0] == tag else term((tag, inner), True)
-        elif tag == _TAG_CONCAT:
-            left, right = done.get(id(x.left)), done.get(id(x.right))
-            if left is None or right is None:
-                stack += (x, x.right, x.left)
-                continue
-            out = concat(left, right)
-        else:
-            kids = _union_parts(x)
-            todo = [p for p in kids if id(p) not in done]
-            if todo:
-                stack.append(x)
-                stack += reversed(todo)
-                continue
-            out = union([done[id(p)] for p in kids])
-        done[id(x)] = out
+    terms = _Terms()
+    keys, parts, nullable, union, concat = terms.keys, terms.parts, terms.nullable, terms.union, terms.concat
 
     def derive(i: int, a: str, memo: dict[int, int]) -> int:
-        """a^-1 of tree i, reading and filling memo: number -> its
+        """a^-1 of number i, reading and filling memo: number -> its
         derivative by a.  A union's derivative is the union of its parts'."""
         stack = [i]
         while stack:
@@ -671,23 +671,24 @@ def _derivative_closure(
             stack.pop()
         return memo[i]
 
+    start = terms.number(r, symbols)
     steps = [partial(derive, a=a, memo={}) for a in symbols]
     try:
-        states, edges, _ = orbit([done[id(r)]], steps, limits.max_states, "derivative closure")
+        states, edges, _ = orbit([start], steps, limits.max_states, "derivative closure")
     except ResourceExceededError:
         raise ResourceExceededError(f"derivative closure exceeded {limits.max_states} states") from None
-    return states, list(map(tuple, edges)), nullable, keys, parts
+    return states, list(map(tuple, edges)), terms
 
 
 def brzozowski_dfa(r: Regex, alphabet: Sequence[str], limits: Limits = DEFAULT_LIMITS) -> Dfa:
     """Raw derivative automaton, before any minimization."""
     symbols = check_alphabet(alphabet)
-    states, rows, nullable, _, _ = _derivative_closure(r, symbols, limits)
+    states, rows, terms = _derivative_closure(r, symbols, limits)
     return Dfa(
         alphabet=symbols,
         n_states=len(states),
         initial=0,
-        finals=frozenset(i for i, s in enumerate(states) if nullable[s]),
+        finals=frozenset(i for i, s in enumerate(states) if terms.nullable[s]),
         delta=tuple(rows),
     )
 
@@ -739,74 +740,36 @@ def two_sided_residuals(lang: LanguageId, limits: Limits = DEFAULT_LIMITS) -> fr
 
 
 def language_to_regex(lang: LanguageId) -> str:
+    """A regex for lang, by state elimination over numbered normal forms;
+    one tree is built, for the text, at the end."""
     d = lang.dfa
     n = d.n_states
     start, accept = n, n + 1
-    table: dict[tuple[int, int], Regex] = {}
-
-    def get(i, j):
-        return table.get((i, j), _EMPTY)
-
-    def put(i, j, r):
-        if r.tag == _TAG_EMPTY:
-            table.pop((i, j), None)
-        else:
-            table[(i, j)] = r
-
-    put(start, d.initial, _EPSILON)
+    terms = _Terms()
+    # (i, j) -> the number of the regex on the edge from i to j; no edge
+    # carries the empty language, 0
+    table = {(start, d.initial): 1}
     for q in d.finals:
-        put(q, accept, _EPSILON)
+        table[q, accept] = 1
+    letters = [terms.term((_TAG_LITERAL, a), False) for a in d.alphabet]
     for q in range(n):
-        for ai, a in enumerate(d.alphabet):
-            t = d.delta[q][ai]
-            put(q, t, make_union([get(q, t), Literal(a)]))
+        for t, letter in zip(d.delta[q], letters):
+            table[q, t] = terms.union((table.get((q, t), 0), letter))
 
     nodes = [start, accept] + list(range(n))
     for s in range(n):
         nodes.remove(s)
-        loop = make_star(get(s, s))
-        ins = [(p, get(p, s)) for p in nodes if get(p, s).tag != _TAG_EMPTY]
-        outs = [(q, get(s, q)) for q in nodes if get(s, q).tag != _TAG_EMPTY]
+        loop = terms.star(table.get((s, s), 0))
+        ins = [(p, table[p, s]) for p in nodes if (p, s) in table]
+        outs = [(q, table[s, q]) for q in nodes if (s, q) in table]
         for p, rin in ins:
             for q, rout in outs:
-                bridge = make_concat(make_concat(rin, loop), rout)
-                put(p, q, make_union([get(p, q), bridge]))
+                bridge = terms.concat(terms.concat(rin, loop), rout)
+                table[p, q] = terms.union((table.get((p, q), 0), bridge))
         for p in list(table):
             if s in p:
                 del table[p]
-    return render_regex(get(start, accept))
-
-
-def _render_order(r: Regex) -> dict[tuple[int, int], tuple[Regex, int, list[tuple[int, int]]]]:
-    """The (node, context) pairs that render_regex writes for r, each once
-    and after the pairs it is written from, keyed by (id(node), context):
-    (node, context, keys of its parts)."""
-    order: dict[tuple[int, int], tuple[Regex, int, list[tuple[int, int]]]] = {}
-    parts: dict[tuple[int, int], list[tuple[Regex, int]]] = {}
-    stack = [(r, 1)]
-    while stack:
-        x, context = stack[-1]
-        key = (id(x), context)
-        if key in order:
-            stack.pop()
-            continue
-        tag = x.tag
-        if key not in parts:
-            if tag <= _TAG_LITERAL:
-                parts[key] = []
-            elif tag == _TAG_STAR:
-                parts[key] = [(x.inner, 3)]
-            elif tag == _TAG_CONCAT:
-                parts[key] = [(f, 2) for f in _spine(x, tag)]
-            else:
-                parts[key] = [(p, 1) for p in _spine(x, tag)]
-        todo = [item for item in parts[key] if (id(item[0]), item[1]) not in order]
-        if todo:
-            stack.extend(reversed(todo))
-            continue
-        stack.pop()
-        order[key] = (x, context, [(id(p), c) for p, c in parts.pop(key)])
-    return order
+    return render_regex(terms.tree(table.get((start, accept), 0)))
 
 
 def render_regex(r: Regex) -> str:
@@ -824,9 +787,20 @@ def render_regex(r: Regex) -> str:
     a text longer than MAX_REGEX_TEXT characters raises LangdualError: a
     small shared tree can stand for billions of characters.
     """
-    order = _render_order(r)
+
+    def children(item: tuple[Regex, int]) -> list:
+        x, _ = item
+        tag = x.tag
+        if tag <= _TAG_LITERAL:
+            return []
+        if tag == _TAG_STAR:
+            return [((id(x.inner), 3), (x.inner, 3))]
+        c = 2 if tag == _TAG_CONCAT else 1
+        return [((id(p), c), (p, c)) for p in _spine(x, tag)]
+
+    order = _post_order((id(r), 1), (r, 1), children).values()
     width: dict[tuple[int, int], int] = {}
-    for key, (x, context, parts) in order.items():
+    for (x, context), parts in order:
         tag = x.tag
         n = sum(map(width.__getitem__, parts))
         if tag == _TAG_STAR:
@@ -837,11 +811,11 @@ def render_regex(r: Regex) -> str:
             n += len(parts) - 1 + (2 if context > 1 else 0)
         else:
             n = len(x.symbol) if tag == _TAG_LITERAL else 1
-        width[key] = n
+        width[id(x), context] = n
     if n > MAX_REGEX_TEXT:  # the last pair is r at the top
         raise LangdualError(f"regex text would have {n} characters; a report carries at most {MAX_REGEX_TEXT}")
     memo: dict[tuple[int, int], str] = {}
-    for key, (x, context, parts) in order.items():
+    for (x, context), parts in order:
         tag = x.tag
         texts = [memo[key] for key in parts]
         if tag == _TAG_STAR:
@@ -854,7 +828,7 @@ def render_regex(r: Regex) -> str:
             text = f"({text})" if context > 1 else text
         else:
             text = x.symbol if tag == _TAG_LITERAL else "#@"[tag]
-        memo[key] = text
+        memo[id(x), context] = text
     return text
 
 
@@ -873,21 +847,15 @@ def regex_to_json(r: Regex) -> object:
 
     Raises LangdualError when the tree has more than MAX_JSON_DEPTH levels.
     """
-    done: dict[int, tuple[dict, int]] = {}
-    stack = [r]
-    while stack:
-        x = stack[-1]
-        if id(x) in done:
-            stack.pop()
-            continue
+    def children(x: Regex) -> list[tuple[int, Regex]]:
         tag = x.tag
         kids = () if tag < _TAG_STAR else (x.inner,) if tag == _TAG_STAR else (x.left, x.right)
-        todo = [k for k in kids if id(k) not in done]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        built = [done[id(k)] for k in kids]
+        return [(id(k), k) for k in kids]
+
+    done: dict[int, tuple[dict, int]] = {}
+    for key, (x, kids) in _post_order(id(r), r, children).items():
+        tag = x.tag
+        built = [done[k] for k in kids]
         if tag == _TAG_EMPTY:
             obj: dict = {"kind": "empty"}
         elif tag == _TAG_EPSILON:
@@ -899,7 +867,7 @@ def regex_to_json(r: Regex) -> object:
         else:
             kind = "concat" if tag == _TAG_CONCAT else "union"
             obj = {"kind": kind, "left": built[0][0], "right": built[1][0]}
-        done[id(x)] = (obj, 1 + max((levels for _, levels in built), default=0))
+        done[key] = (obj, 1 + max((levels for _, levels in built), default=0))
     obj, levels = done[id(r)]
     if levels > MAX_JSON_DEPTH:
         raise LangdualError(

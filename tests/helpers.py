@@ -15,19 +15,11 @@ from langdual.automata import CCoalgebra, DAlgebra
 from langdual.cli import random_regex
 from langdual.errors import TagMismatchError
 from langdual.languages import (
-    _EPSILON,
-    _TAG_EPSILON,
-    _TAG_LITERAL,
-    _TAG_STAR,
-    Concat,
     LanguageId,
-    Literal,
     Regex,
-    Star,
     compile_regex,
     language_to_regex,
     left_derivative,
-    make_union,
 )
 from langdual.monoids import FreeElement, SigmaMonoid, carrier_add, carrier_zero
 from langdual.varieties import (
@@ -74,28 +66,6 @@ def jsl_leq(alg: JoinSemilattice, x: int, y: int) -> bool:
 def derivative(r: Regex, a: str) -> Regex:
     """Brzozowski derivative: the normalized tree for a^-1 L(r)."""
     return tree_derive(r, a, {})
-
-
-def interned_trees(keys: list, parts: list) -> list[Regex]:
-    """The normalized tree of every number of an interned derivative closure,
-    from its keys and parts tables (see languages._derivative_closure).
-
-    Every number is given after its children's, so one pass in order builds
-    them all."""
-    trees: list[Regex] = []
-    for key, terms in zip(keys, parts):
-        if key is None:
-            tree = make_union([trees[t] for t in terms])
-        elif key[0] == _TAG_EPSILON:
-            tree = _EPSILON
-        elif key[0] == _TAG_LITERAL:
-            tree = Literal(key[1])
-        elif key[0] == _TAG_STAR:
-            tree = Star(trees[key[1]])
-        else:
-            tree = Concat(trees[key[1]], trees[key[2]])
-        trees.append(tree)
-    return trees
 
 
 def is_surjective(m: FinMorphism) -> bool:

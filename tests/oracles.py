@@ -23,12 +23,13 @@ here (scanned_present_subset), as before the library's closures handed back
 the atoms, basis or join-irreducibles they found.  The regex oracles are the
 recursive dataclass trees and walks that the library's pre-keyed, iterative
 trees replaced; they share nothing with them.  The tree derivative closure is
-the one that the library's closure over interned numbers replaced; it shares
-the trees, normalize, make_union, make_concat and orbit with the library, as
-it pins only that numbering the trees changes no state and no row.  The
-boolean combinations of languages (product automata), and the product
-algebras with image factorization (the textbook subdirect product), serve
-the tests only.
+the one that the library's closure over interned numbers replaced, with the
+normalizing tree constructors and tree_normalize that the library's
+numbered normal form replaced; it shares the trees, their sort key and
+orbit with the library, as it pins only that numbering the trees changes no
+state and no row.  The boolean combinations of languages (product
+automata), and the product algebras with image factorization (the textbook
+subdirect product), serve the tests only.
 """
 
 from __future__ import annotations
@@ -66,20 +67,26 @@ from langdual.languages import (
     _EMPTY,
     _EPSILON,
     _TAG_CONCAT,
+    _TAG_EMPTY,
+    _TAG_EPSILON,
     _TAG_LITERAL,
     _TAG_STAR,
+    _TAG_UNION,
+    Concat,
     Dfa,
     LanguageId,
     Regex,
+    Star,
+    Union,
+    _chain,
+    _compare,
     _restrict_reachable,
-    _union_parts,
+    _sort_key,
+    _spine,
     canonical_language,
     check_alphabet,
     language_to_regex,
     left_derivative,
-    make_concat,
-    make_union,
-    normalize,
     right_derivative,
     state_languages,
 )
@@ -1716,7 +1723,83 @@ def recursive_language_to_regex(lang):
 #
 # The closure that the library's closure over interned numbers replaced:
 # every derivative is a normalized tree built by make_concat and make_union,
-# which sorts the union parts, and orbit compares the states as trees.
+# which sorts the union parts, and orbit compares the states as trees.  The
+# normalizing constructors and normalize are the tree ones that the
+# library's numbered normal form replaced.
+
+
+def make_union(parts):
+    """Union normalized to a sorted, duplicate-free, right-nested chain."""
+    flat: dict[Regex, None] = {}
+    for p in parts:
+        for q in _spine(p, _TAG_UNION):
+            if q.tag != _TAG_EMPTY:
+                flat[q] = None
+    if not flat:
+        return _EMPTY
+    if len(flat) == 1:
+        return next(iter(flat))
+    if len(flat) == 2:
+        x, y = flat
+        return Union(x, y) if _compare(x, y) < 0 else Union(y, x)
+    return _chain(Union, sorted(flat, key=_sort_key))
+
+
+def make_concat(left, right):
+    if left.tag == _TAG_EMPTY or right.tag == _TAG_EMPTY:
+        return _EMPTY
+    if left.tag == _TAG_EPSILON:
+        return right
+    if right.tag == _TAG_EPSILON:
+        return left
+    return Concat(left, right)
+
+
+def make_star(r):
+    if r.tag < _TAG_LITERAL:
+        return _EPSILON
+    if r.tag == _TAG_STAR:
+        return r
+    return Star(r)
+
+
+def tree_normalize(r: Regex) -> Regex:
+    """Rebuild a tree bottom-up through the normalizing constructors; a
+    union is rebuilt from all its parts in one make_union.  Equal subtrees
+    of the result are one object."""
+    done: dict[int, Regex] = {}
+    shared: dict[Regex, Regex] = {}
+    stack = [r]
+    while stack:
+        x = stack.pop()
+        key = id(x)
+        if key in done:
+            continue
+        tag = x.tag
+        if tag < _TAG_STAR:
+            out = x
+        elif tag == _TAG_STAR:
+            inner = done.get(id(x.inner))
+            if inner is None:
+                stack += (x, x.inner)
+                continue
+            out = make_star(inner)
+        elif tag == _TAG_CONCAT:
+            left, right = done.get(id(x.left)), done.get(id(x.right))
+            if left is None or right is None:
+                stack += (x, x.left, x.right)
+                continue
+            out = make_concat(left, right)
+        else:
+            parts = _spine(x, _TAG_UNION)
+            todo = [p for p in parts if id(p) not in done]
+            if todo:
+                stack.append(x)
+                stack += todo
+                continue
+            out = make_union([done[id(p)] for p in parts])
+        done[key] = shared.setdefault(out, out)
+    return done[id(r)]
 
 
 def tree_derive(r: Regex, a: str, done: dict[int, Regex]) -> Regex:
@@ -1726,7 +1809,7 @@ def tree_derive(r: Regex, a: str, done: dict[int, Regex]) -> Regex:
     calls on trees it keeps.
 
     The derivative of a union is the union of its parts' derivatives, taken
-    over all parts at once as in normalize.
+    over all parts at once as in tree_normalize.
     """
     stack = [r]
     while stack:
@@ -1758,7 +1841,7 @@ def tree_derive(r: Regex, a: str, done: dict[int, Regex]) -> Regex:
             else:
                 done[key] = make_concat(head, x.right)
         else:
-            parts = _union_parts(x)
+            parts = _spine(x, _TAG_UNION)
             todo = [p for p in parts if id(p) not in done]
             if todo:
                 stack.append(x)
@@ -1775,7 +1858,7 @@ def tree_derivative_closure(r: Regex, symbols, limits=DEFAULT_LIMITS):
     # the states until it returns, so the memos' ids stay valid
     steps = [partial(tree_derive, a=a, done={}) for a in symbols]
     try:
-        states, edges, _ = orbit([normalize(r)], steps, limits.max_states, "derivative closure")
+        states, edges, _ = orbit([tree_normalize(r)], steps, limits.max_states, "derivative closure")
     except ResourceExceededError:
         raise ResourceExceededError(f"derivative closure exceeded {limits.max_states} states") from None
     return states, list(map(tuple, edges))

@@ -1,13 +1,16 @@
 """The pre-keyed, iterative regex layer against the recursive dataclass trees.
 
 Seeded hypothesis corpora: parse trees and parse errors, the unknown symbol
-reported for a tree, union-part order, normalized renders, derivative
-renders, the derivative automaton (states rebuilt from the interned
-closure's tables, and rows) and the regex text of state elimination must be
-identical to those of the recursive code in `oracles`, byte for byte.  The
-command line must answer long, deep and random regex text with exit 0 or 2,
-never a traceback, a finished compile must leave no tree alive, and a tree
-pickled in another process must equal the tree built here.
+reported for a tree, the trees that the numbered constructors rebuild
+(union-part order included), normalized renders, derivative renders, the
+derivative automaton (states rebuilt from the closure's numbers, and rows)
+and the regex text of state elimination, on random languages and on every
+label of four closed pieces, must be identical to those of the recursive
+code in `oracles`, byte for byte.  The command line must answer long, deep
+and random regex text with exit 0 or 2, never a traceback, a finished
+compile must leave no tree alive, state elimination must build no tree but
+the one it renders, and a tree pickled in another process must equal the
+tree built here.
 """
 
 import contextlib
@@ -25,10 +28,13 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import langdual.languages as languages
+from langdual.automata import rqc_closure
 from langdual.cli import main
 from langdual.config import Limits
 from langdual.errors import LangdualError
 from langdual.languages import (
+    _TAG_LITERAL,
+    _TAG_UNION,
     Concat,
     Empty,
     Epsilon,
@@ -37,19 +43,20 @@ from langdual.languages import (
     Union,
     _compare,
     _derivative_closure,
-    _union_parts,
+    _Terms,
+    _spine,
     brzozowski_dfa,
     compile_regex,
     compile_text,
     language_to_regex,
     left_derivative,
-    make_union,
     normalize,
     parse_regex,
     render_regex,
     residuals,
 )
-from helpers import derivative, interned_trees
+from langdual.varieties import VarietyTag
+from helpers import derivative
 from oracles import (
     RecursiveParser,
     as_tree,
@@ -58,6 +65,8 @@ from oracles import (
     recursive_derivative_closure,
     recursive_key,
     recursive_language_to_regex,
+    recursive_make_concat,
+    recursive_make_star,
     recursive_make_union,
     recursive_normalize,
     recursive_nullable,
@@ -114,12 +123,22 @@ def test_first_unknown_symbol(r):
 
 @seed(6101)
 @settings(max_examples=300, deadline=None)
-@given(st.lists(regexes(), max_size=6))
-def test_union_part_order(parts):
-    got = make_union(parts)
-    want = recursive_make_union([as_tree(p) for p in parts])
+@given(st.lists(regexes(), max_size=6), regexes(), regexes())
+def test_numbered_constructors_rebuild_the_recursive_trees(parts, x, y):
+    """union, concat and star on the numbers of normalized parts, then tree,
+    give the recursive constructors' trees, union parts in their order; two
+    numbers are equal exactly when their trees are."""
+    terms = _Terms()
+    got = terms.tree(terms.union(map(terms.number, parts)))
+    want = recursive_make_union([recursive_normalize(as_tree(p)) for p in parts])
     assert as_tree(got) == want
-    assert [as_tree(p) for p in _union_parts(got)] == list(recursive_union_parts(want))
+    assert [as_tree(p) for p in _spine(got, _TAG_UNION)] == list(recursive_union_parts(want))
+    i, j = terms.number(x), terms.number(y)
+    tx, ty = recursive_normalize(as_tree(x)), recursive_normalize(as_tree(y))
+    assert (i == j) == (tx == ty)
+    assert as_tree(terms.tree(terms.concat(i, j))) == recursive_make_concat(tx, ty)
+    assert as_tree(terms.tree(terms.star(i))) == recursive_make_star(tx)
+    assert terms.nullable[terms.concat(i, j)] == recursive_nullable(recursive_make_concat(tx, ty))
 
 
 @seed(6102)
@@ -154,11 +173,10 @@ def test_normalized_and_derivative_renders(r):
 @settings(max_examples=150, deadline=None)
 @given(regexes(max_leaves=12))
 def test_derivative_automaton(r):
-    states, rows, nullable, keys, parts = _derivative_closure(r, ABC, Limits())
-    trees = interned_trees(keys, parts)
+    states, rows, terms = _derivative_closure(r, ABC, Limits())
     old_states, old_rows = recursive_derivative_closure(as_tree(r), ABC)
-    assert [render_regex(trees[s]) for s in states] == [recursive_render(s) for s in old_states]
-    assert [nullable[s] for s in states] == [recursive_nullable(s) for s in old_states]
+    assert [render_regex(terms.tree(s)) for s in states] == [recursive_render(s) for s in old_states]
+    assert [terms.nullable[s] for s in states] == [recursive_nullable(s) for s in old_states]
     assert rows == old_rows
     dfa = brzozowski_dfa(r, ABC)
     assert dfa.delta == tuple(old_rows)
@@ -191,13 +209,39 @@ def test_the_regex_text_bound_counts_every_character(r):
                 render(tree)
 
 
-@pytest.mark.parametrize(
-    "text, word",
-    [("(a|b)*a" + "(a|b)" * 3, "ab"), ("(aab)*", "a"), ("(ab|ba)*a", "b"), ("a(a|b)*b(ab)*", "ab")],
-)
+LARGER = [("(a|b)*a" + "(a|b)" * 3, "ab"), ("(aab)*", "a"), ("(ab|ba)*a", "b"), ("a(a|b)*b(ab)*", "ab")]
+
+
+@pytest.mark.parametrize("text, word", LARGER)
 def test_state_elimination_text_on_larger_automata(text, word):
     lang = left_derivative(compile_text(text, "ab"), word)
     assert language_to_regex(lang) == recursive_language_to_regex(lang)
+
+
+PIECES = [
+    (VarietyTag.BA, "(aab)*"),
+    (VarietyTag.DL01, "(ab|ba)*a"),
+    (VarietyTag.JSL0, "(a|b)*abb"),
+    (VarietyTag.Z2VECT, "(aa)*b"),
+]
+
+
+@pytest.mark.parametrize("tag, text", PIECES, ids=[tag.name for tag, _ in PIECES])
+def test_state_elimination_text_on_every_label_of_a_piece(tag, text):
+    """The labels that the closure, export-dot and correspondence reports
+    name, 32 to 4,096 per piece."""
+    labels = rqc_closure(tag, [compile_text(text, "ab")]).labels
+    assert [language_to_regex(lang) for lang in labels] == [recursive_language_to_regex(lang) for lang in labels]
+
+
+def test_a_label_over_the_text_bound_is_refused(monkeypatch):
+    labels = rqc_closure(VarietyTag.JSL0, [compile_text("(a|b)*abb", "ab")]).labels
+    lang = max(labels, key=lambda lang: len(recursive_language_to_regex(lang)))
+    n = len(recursive_language_to_regex(lang))
+    monkeypatch.setattr(languages, "MAX_REGEX_TEXT", n - 1)
+    with pytest.raises(LangdualError) as refused:
+        language_to_regex(lang)
+    assert str(refused.value) == f"regex text would have {n} characters; a report carries at most {n - 1}"
 
 
 def _cli(argv):
@@ -252,7 +296,9 @@ def test_parse_refuses_a_tree_deeper_than_a_json_report(capsys):
     assert deepest.stdout.startswith(b"{\n") and deepest.stderr == b""
 
 
-def test_compile_text_leaves_no_tree_alive(monkeypatch):
+def _track_construction(monkeypatch):
+    """A list that gets a weak reference to every Literal, Star, Concat and
+    Union node the library builds from now on."""
     built = []
     for name in ("Literal", "Star", "Concat", "Union"):
         node = getattr(languages, name)
@@ -265,10 +311,38 @@ def test_compile_text_leaves_no_tree_alive(monkeypatch):
                 built.append(weakref.ref(self))
 
         monkeypatch.setattr(languages, name, Tracked)
+    return built
+
+
+def test_compile_text_leaves_no_tree_alive(monkeypatch):
+    built = _track_construction(monkeypatch)
     lang = compile_text("(a|b)*a(a|b)(a|b)|(ab)*" + _literal(50), "ab")
     gc.collect()
     assert lang.n_states > 1 and len(built) > 100
     assert [ref for ref in built if ref() is not None] == []
+
+
+@pytest.mark.parametrize("text, word", LARGER)
+def test_state_elimination_builds_only_the_tree_it_renders(monkeypatch, text, word):
+    """The nodes built are exactly the distinct nodes of the rendered tree:
+    elimination runs on numbers, and no intermediate tree is made."""
+    lang = left_derivative(compile_text(text, "ab"), word)
+    rendered = []
+    render = languages.render_regex
+    monkeypatch.setattr(languages, "render_regex", lambda r: rendered.append(r) or render(r))
+    built = _track_construction(monkeypatch)
+    assert language_to_regex(lang) == recursive_language_to_regex(lang)
+    (tree,) = rendered
+    nodes = {}
+    stack = [tree]
+    while stack:
+        x = stack.pop()
+        if id(x) not in nodes:
+            nodes[id(x)] = x
+            stack += [getattr(x, field) for field in x._fields if field != "symbol"]
+    alive = [ref() for ref in built]
+    assert None not in alive
+    assert sorted(map(id, alive)) == sorted(key for key, x in nodes.items() if x.tag >= _TAG_LITERAL)
 
 
 def test_a_tree_pickled_under_another_hash_seed_equals_the_local_tree():
