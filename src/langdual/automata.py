@@ -35,9 +35,7 @@ from .languages import (
 from .varieties import (
     FinAlgebra,
     FinMorphism,
-    JoinSemilattice,
     VarietyTag,
-    VectZ2,
     algebra_to_json,
     close,
     constants,
@@ -256,16 +254,9 @@ def coalgebra_to_dalgebra(d: DualityTag, q: CCoalgebra) -> DAlgebra:
 
 
 def _initial_state_morphism(d: DualityTag, a: DAlgebra) -> FinMorphism:
-    one = free_on_one(d_tag(d))
-    match one:
-        case JoinSemilattice():
-            assert isinstance(a.carrier, JoinSemilattice)
-            graph = (a.carrier.zero, a.init)
-        case VectZ2():
-            graph = (0, a.init)
-        case _:
-            graph = (a.init,)
-    return FinMorphism(one, a.carrier, graph)
+    """The map from the free algebra on one generator that sends its
+    constants to the carrier's and the generator to the initial state."""
+    return FinMorphism(free_on_one(d_tag(d)), a.carrier, (*constants(a.carrier), a.init))
 
 
 def _two_relabel(d: DualityTag) -> FinMorphism:

@@ -55,7 +55,7 @@ from .monoids import (
     transition_monoid,
     validate_monoid,
 )
-from .varieties import FinMorphism, FinPoset, JoinSemilattice, is_partial_order, orbit, validate_morphism
+from .varieties import FinMorphism, FinPoset, is_partial_order, orbit, validate_morphism
 
 
 def piece_to_monoid(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_LIMITS) -> SigmaMonoid:
@@ -88,9 +88,9 @@ def piece_to_monoid(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_L
     before anything was built.  So only a refusal refines the piece beside
     its shifts.
 
-    T is marked lawful when A is: its carrier obeys its laws (a JSL0 dual is
-    the meet table of the piece's below masks, lawful when they are
-    distinct; a POS one must be a partial order; SET and Z2VECT ones always
+    T is marked lawful when A is: its carrier obeys its laws (a JSL0 dual
+    swaps the masks of the piece's carrier, which present a lattice or are
+    refused; a POS one must be a partial order; SET and Z2VECT ones always
     are), and its letters are carrier morphisms, as dual maps are by
     construction and validate_morphism confirms, exactly on a lawful
     carrier.  Then T's elements are carrier morphisms, closed under
@@ -109,11 +109,8 @@ def piece_to_monoid(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_L
         raise
     if monoid.size != algebra.size or not _evaluation_reflects_order(monoid, algebra):
         raise NotRqcClosedError("piece is not closed under right derivatives")
-    carrier = piece.carrier
-    if (
-        (not isinstance(carrier, JoinSemilattice) or len(set(carrier.below)) == carrier.size)
-        and (not isinstance(algebra.carrier, FinPoset) or is_partial_order(algebra.carrier))
-        and all(map(validate_morphism, algebra.alpha))
+    if (not isinstance(algebra.carrier, FinPoset) or is_partial_order(algebra.carrier)) and all(
+        map(validate_morphism, algebra.alpha)
     ):
         object.__setattr__(monoid, "lawful", True)
     return monoid

@@ -168,7 +168,7 @@ def dual_morphism(d: DualityTag, h: FinMorphism) -> FinMorphism:
             # h(j_i) <= b, and those are all the irreducibles below it, so
             # bit i of below[h*(b)] says whether below[h(j_i)] is inside below[b]
             assert isinstance(cod, JoinSemilattice)
-            element = {mask: a for a, mask in enumerate(dom.below)}
+            element = dom.by_below
             images = [cod.below[g[j]] for j in dom.irreducibles]
             try:
                 graph = tuple(

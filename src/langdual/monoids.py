@@ -32,6 +32,7 @@ from .varieties import (
     JoinSemilattice,
     VarietyTag,
     VectZ2,
+    _Table,
     algebra_to_json,
     close,
     constants,
@@ -39,11 +40,10 @@ from .varieties import (
     is_order_reflecting,
     is_partial_order,
     jsl_irreducibles,
+    jsl_of_sets,
     leq,
-    op_table,
     orbit,
     subset_sums,
-    up_mask,
     validate_morphism,
 )
 
@@ -114,7 +114,7 @@ def carrier_add(carrier: FinAlgebra, x: int, y: int) -> int:
     """The additive carrier operation where one exists (join or vector sum)."""
     match carrier:
         case JoinSemilattice():
-            return carrier.join[x][y]
+            return carrier.by_above[carrier.above[x] & carrier.above[y]]
         case VectZ2():
             return x ^ y
     raise TagMismatchError(f"{carrier.tag} has no additive structure")
@@ -136,39 +136,10 @@ def _map_adder(carrier: FinAlgebra) -> Callable[[Sequence[int], Sequence[int]], 
         ids = tuple(range(carrier.size))  # one int object per element, however many sums hold it
         return lambda f, g: tuple(map(ids.__getitem__, map(operator.xor, f, g)))
     assert isinstance(carrier, JoinSemilattice)
-    rows = carrier.join
-    return lambda f, g: tuple(map(operator.getitem, map(rows.__getitem__, f), g))
-
-
-class _Table(Sequence):
-    """A multiplication table whose rows are built on first read.  It is
-    equal to, hashes like and prints as the tuple of its rows, so a monoid
-    compares the same before and after its table is read, and the same as
-    one built from that tuple."""
-
-    def __init__(self, build: Callable[[], tuple[tuple[int, ...], ...]]):
-        self._build = build
-
-    @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        rows = self._build()
-        del self._build  # the tables it reads are no longer needed
-        return rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, i):
-        return self.rows[i]
-
-    def __eq__(self, other) -> bool:
-        return self.rows == (other.rows if isinstance(other, _Table) else other)
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return repr(self.rows)
+    if carrier.size == 1:  # itemgetter of one index returns no tuple
+        return lambda f, g: f
+    above, element, gather = carrier.above, carrier.by_above, operator.itemgetter
+    return lambda f, g: gather(*map(operator.and_, gather(*f)(above), gather(*g)(above)))(element)
 
 
 @dataclass(frozen=True)
@@ -235,8 +206,9 @@ def transition_monoid(
     a parent times a letter), and for JSL0/Z2VECT every sum is a smaller sum
     plus a word image.  The sums close over one int per map, so that a sum
     is one operation: a Z2VECT map's basis images (_encode_linear), added by
-    ^, and a JSL0 map's up-sets U(f(j)) of its join-irreducibles' images side
-    by side, added by &, as U(x + y) = U(x) & U(y).
+    ^, and a JSL0 map's above masks M(f(j)) of its join-irreducibles' images
+    side by side, added by &, as M(x + y) = M(x) & M(y).  Those keys also
+    present the monoid's JSL0 carrier (jsl_of_sets).
 
     Along the same trees each letter's column, x -> xa, and its row, y -> ay,
     take one lookup or one sum per element: a word image's column entry is
@@ -245,8 +217,7 @@ def transition_monoid(
     over a basis, so there a sum is the ^ of the numbers.  The full table
     (mult, a _Table) is built only when read, row by row along the left
     Cayley graph, (bx)y = b(xy), and then the sums, (l + w)y = ly + wy.  The
-    round trip reads only the letters, so correspond builds no n x n table
-    but the join table of a JSL0 carrier.
+    round trip reads only the letters, so correspond builds no n x n table.
 
     The images of the initial state under the closed family are its
     reachable part (the letter orbit, and its sums for JSL0/Z2VECT), so the
@@ -307,17 +278,17 @@ def transition_monoid(
             key = partial(_encode_linear, dim=carrier.dim)
             plus = operator.xor
         else:
-            irreducibles, join = carrier.irreducibles, carrier.join
-            up = {y: up_mask(join[y]) for y in {f[j] for f in (*graphs, zero_map) for j in irreducibles}}
+            irreducibles, above = carrier.irreducibles, carrier.above
+            width = above[carrier.zero].bit_length()
             plus = operator.and_
 
             def key(f: tuple[int, ...]) -> int:
-                return reduce(lambda k, j: k << n | up[f[j]], irreducibles, 0)
+                return reduce(lambda k, j: k << width | above[f[j]], irreducibles, 0)
 
         keys = list(map(key, graphs))
         zero_key = key(zero_map)
-        keys, add_rows, add_tree = grow(keys, [lambda f: zero_key] + [partial(plus, w) for w in keys])
-        zero = add_rows[0][0]
+        keys, _, add_tree = grow(keys, [lambda f: zero_key] + [partial(plus, w) for w in keys])
+        zero = keys.index(zero_key)
         sums = [(x, s - 1) for x, s in add_tree[n_words:] if s]
         if zero >= n_words:
             at_init.append(carrier_zero(carrier))
@@ -347,16 +318,8 @@ def transition_monoid(
                 )
             )
         case JoinSemilattice():
-            # add_cols[y][x] = x + y: word columns from the closure, then
-            # x + (l + w) = (x + l) + w
-            add_cols = [list(col) for col in zip(*add_rows)][1:]
-            del add_rows
-            if zero >= n_words:
-                add_cols.append(list(range(size)))
-            for left, w in sums:
-                add_cols.append(list(map(add_cols[w].__getitem__, add_cols[left])))
-            joins = (map(pos.__getitem__, map(col.__getitem__, order)) for col in map(add_cols.__getitem__, order))
-            monoid_carrier = JoinSemilattice(tuple(zip(*joins)), pos[zero])
+            # a map as the key bits it lacks, all of which the zero has: sums are unions
+            monoid_carrier = jsl_of_sets([keys[zero] ^ keys[x] for x in order])
         case _:
             monoid_carrier = VectZ2((size - 1).bit_length())
 
@@ -395,7 +358,7 @@ def transition_monoid(
                 built[pos[s]] = add(built[pos[left]], built[pos[w]])
         return tuple(built)
 
-    monoid = SigmaMonoid(monoid_carrier, a.alphabet, unit, _Table(table), gens)
+    monoid = SigmaMonoid(monoid_carrier, a.alphabet, unit, _Table(table, size), gens)
     vars(monoid).update(letter_rows=tuple(rows), letter_cols=tuple(cols))
     return monoid
 
@@ -532,22 +495,27 @@ def subdirect_product(m1: SigmaMonoid, m2: SigmaMonoid, limits: Limits = DEFAULT
             order = [[leq(c1, p[0], q[0]) and leq(c2, p[1], q[1]) for q in pairs] for p in pairs]
             carrier = FinPoset(tuple(map(tuple, order)))
         case VarietyTag.JSL0:
-            join = op_table(pairs, lambda p, q: (c1.join[p[0]][q[0]], c2.join[p[1]][q[1]]))
-            carrier = JoinSemilattice(join, pairs.index((c1.zero, c2.zero)))
+            # a pair as the meet-irreducibles of both factors not above it: sums are unions
+            full1, full2 = c1.above[c1.zero], c2.above[c2.zero]
+            shift = full1.bit_length()
+            carrier = jsl_of_sets([full1 ^ c1.above[p] | (full2 ^ c2.above[q]) << shift for p, q in pairs])
         case VarietyTag.Z2VECT:
             r = (len(pairs) - 1).bit_length() if len(pairs) > 1 else 0
             carrier = VectZ2(r)
             pairs = _relabel_pairs_linearly(m1, m2, pairs)
         case _:
             raise TagMismatchError(f"{tag} is not an algebra-side variety")
-    table = partial(op_table, pairs, lambda p, q: (m1.mult[p[0]][q[0]], m2.mult[p[1]][q[1]]))
+    index = {p: i for i, p in enumerate(pairs)}
+
+    def table() -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(index[m1.mult[p][r], m2.mult[q][s]] for r, s in pairs) for p, q in pairs)
+
     lawful = m1.lawful and m2.lawful
-    mult = _Table(table) if lawful else table()
-    gens = tuple(map(pairs.index, zip(m1.gen, m2.gen)))
-    product = SigmaMonoid(carrier, m1.alphabet, pairs.index((m1.unit, m2.unit)), mult, gens)
+    mult = _Table(table, len(pairs)) if lawful else table()
+    gens = tuple(index[p] for p in zip(m1.gen, m2.gen))
+    product = SigmaMonoid(carrier, m1.alphabet, index[m1.unit, m2.unit], mult, gens)
     if lawful:
         object.__setattr__(product, "lawful", True)
-        index = {p: i for i, p in enumerate(pairs)}
         for name in ("letter_rows", "letter_cols"):
             lines = zip(getattr(m1, name), getattr(m2, name))
             vars(product)[name] = tuple(tuple(index[one[p], two[q]] for p, q in pairs) for one, two in lines)

@@ -5,13 +5,14 @@ indices 0..size-1 and morphisms are index arrays; this keeps every law
 exhaustively checkable.  Boolean algebras and bounded distributive lattices
 are stored by their dual presentations (atom count, join-irreducible poset)
 and expand elements on demand.  Tables derived from a presentation
-(principal downsets and downset masks, join-irreducibles and the masks of
-those below each element, a JSL0's order-reversed dual, a poset's downset
-lattice) are computed once per object and live on it:
+(principal downsets and downset masks, a JSL0's join table and its
+order-reversed dual, a poset's downset lattice) are computed once per
+object and live on it:
 
   BA      index = bitmask of atoms
   DL01    index = position in the sorted list of downset masks of the JI poset
-  JSL0    index into an explicit join table with least element
+  JSL0    index -> masks of the join-irreducibles below it and of the
+          meet-irreducibles above it, and back; joins intersect the latter
   Z2VECT  index = coordinate bit vector
   SET     bare index
   POS     index into an explicit order matrix
@@ -92,11 +93,48 @@ class DistLat:
         return {m: i for i, m in enumerate(self.downset_masks)}
 
 
+class _Table(Sequence):
+    """A table of size rows, built on first read.  It is equal to, hashes
+    like and prints as the tuple of its rows, read or not."""
+
+    def __init__(self, build: Callable[[], tuple[tuple[int, ...], ...]], size: int):
+        self._build = build
+        self._size = size
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        rows = self._build()
+        del self._build  # what it reads is no longer needed
+        return rows
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __eq__(self, other) -> bool:
+        return self.rows == (other.rows if isinstance(other, _Table) else other)
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return repr(self.rows)
+
+
 @dataclass(frozen=True)
 class JoinSemilattice:
-    """Join-semilattice with least element, as an explicit join table."""
+    """Join-semilattice with least element, presented by its irreducibles:
+    below[x] masks the join-irreducibles under x (bit i for irreducibles[i]),
+    above[x] the meet-irreducibles over it, and by_below and by_above map
+    them back.  x + y is the element whose above mask is above[x] & above[y],
+    the meet the one whose below mask is below[x] & below[y], and the dual
+    swaps the two.  jsl_of_sets builds one, its join table a _Table; a table
+    given from outside gets its masks from its rows on first use, and is
+    refused with ValueError unless they give it back."""
 
-    join: tuple[tuple[int, ...], ...]
+    join: Sequence[Sequence[int]]
     zero: int
 
     tag = VarietyTag.JSL0
@@ -105,41 +143,73 @@ class JoinSemilattice:
     def size(self) -> int:
         return len(self.join)
 
-    @cached_property
-    def irreducibles(self) -> tuple[int, ...]:
-        """The join-irreducibles of a lawful table (jsl_irreducibles checks
-        the laws): all but the zero and the joins y + z other than y and z."""
+    def __getattr__(self, name: str):
+        # in a lawful table x is the set of the y with x + y != y, the
+        # complement of its up-set U(x), and U(x + y) = U(x) & U(y)
+        if name not in _MASKS:
+            raise AttributeError(name)
         ids = range(self.size)
-        reducible = {self.zero}
-        for y, row in enumerate(self.join):
-            joins = set(compress(row, map(ne, row, ids)))  # y + z for the z not above y
-            joins.discard(y)
-            reducible |= joins
-        return tuple(x for x in ids if x not in reducible)
-
-    @cached_property
-    def below(self) -> tuple[int, ...]:
-        """Per element x, the mask of the irreducibles j_i below it (bit i);
-        in a lawful table x is their join, so the masks tell elements apart."""
-        below = [0] * self.size
-        ids = range(self.size)
-        for i, j in enumerate(self.irreducibles):
-            row = self.join[j]
-            for x in compress(ids, map(eq, row, ids)):  # the x with j + x = x
-                below[x] |= 1 << i
-        return tuple(below)
+        bits = [1 << y for y in ids]
+        try:
+            lattice = jsl_of_sets([sum(compress(bits, map(ne, row, ids))) for row in self.join])
+            if lattice.zero == self.zero and lattice.join == tuple(map(tuple, self.join)):
+                vars(self).update((key, vars(lattice)[key]) for key in _MASKS)
+                return vars(self)[name]
+        except KeyError:
+            pass
+        raise ValueError("join table is not a semilattice: it does not admit meets")
 
     @cached_property
     def dual(self) -> "JoinSemilattice":
         """The order-reversed lattice, meets as its join and the top as its
-        zero.  The irreducibles below x and y are those below their meet, so
-        the meet is the element whose mask is below[x] & below[y].  Raises
-        ValueError on a table without meets."""
-        below = self.below
-        try:
-            return JoinSemilattice(op_table(below, and_), below.index((1 << len(self.irreducibles)) - 1))
-        except (KeyError, ValueError):
-            raise ValueError("join table does not admit meets") from None
+        zero, elements numbered as here: the masks swapped."""
+        dual = _with_masks(self.meet_irreducibles, self.above, self.irreducibles, self.below)
+        vars(dual)["dual"] = self
+        return dual
+
+
+_MASKS = ("irreducibles", "below", "meet_irreducibles", "above", "by_below", "by_above")
+
+
+def _with_masks(irreducibles, below, meet_irreducibles, above) -> JoinSemilattice:
+    """The lattice of these masks, with the dicts back and a lazy join table."""
+    by_below, by_above = {d: x for x, d in enumerate(below)}, {m: x for x, m in enumerate(above)}
+
+    def rows() -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(map(by_above.__getitem__, map(and_, above, repeat(m)))) for m in above)
+
+    lattice = JoinSemilattice(_Table(rows, len(above)), by_below[0])
+    vars(lattice).update(zip(_MASKS, (irreducibles, below, meet_irreducibles, above, by_below, by_above)))
+    return lattice
+
+
+def _irreducible_masks(sets: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The x whose set is no union of smaller ones in a union-closed family
+    of distinct sets, ascending, and per x the mask of those inside sets[x].
+    Each set is the union of the smaller irreducibles inside it, so sets
+    taken by bit count need only the irreducibles found before."""
+    found: list[int] = []
+    for s in sorted(sets, key=int.bit_count):
+        if reduce(or_, compress(found, map(eq, map(and_, found, repeat(s)), found)), 0) != s:
+            found.append(s)
+    index = {s: x for x, s in enumerate(sets)}
+    irreducibles = sorted(map(index.__getitem__, found))
+    masks = [0] * len(sets)
+    for i, j in enumerate(irreducibles):
+        for x in compress(range(len(sets)), map(eq, map(and_, sets, repeat(sets[j])), repeat(sets[j]))):
+            masks[x] |= 1 << i
+    return tuple(irreducibles), tuple(masks)
+
+
+def jsl_of_sets(sets: Sequence[int]) -> JoinSemilattice:
+    """The join-semilattice of a union-closed family of distinct sets with
+    the empty set, element x being sets[x].  Meets intersect below masks, so
+    the complements of those are a family whose irreducibles are the
+    meet-irreducibles."""
+    irreducibles, below = _irreducible_masks(sets)
+    full = (1 << len(irreducibles)) - 1
+    meet_irreducibles, above = _irreducible_masks([full ^ d for d in below])
+    return _with_masks(irreducibles, below, meet_irreducibles, above)
 
 
 @dataclass(frozen=True)
@@ -263,14 +333,6 @@ def orbit(
     return elements, edges, tree
 
 
-def op_table(elements: Sequence[T], op: Callable[[T, T], T]) -> tuple[tuple[int, ...], ...]:
-    """The table of a family closed under op: entry [x][y] is the index of
-    op(elements[x], elements[y]).  Raises KeyError if the family is not
-    closed."""
-    index = {e: i for i, e in enumerate(elements)}
-    return tuple(tuple(map(index.__getitem__, map(op, repeat(x), elements))) for x in elements)
-
-
 def subset_sums(gens: Iterable[int], op: Callable[[int, int], int]) -> list[int]:
     """Index i holds the op-sum of the gens picked by the bits of i, index 0
     the empty sum 0: the span of atoms under | or of a basis under ^."""
@@ -310,27 +372,21 @@ def fibres(graph: Sequence[int], n: int) -> list[int]:
 # presentations: validation and derived structure
 
 
-_BITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def up_mask(row: Sequence[int]) -> int:
-    """U(x), read off x's row of a join table: the mask of the y with
-    x + y = y, bit n - 1 - y for y.  In a lawful table U(x + y) = U(x) & U(y)."""
-    return int(bytes(map(eq, row, range(len(row)))).translate(_BITS), 2)
-
-
 def jsl_irreducibles(alg: JoinSemilattice) -> list[int]:
     """The join-irreducibles of a join table, after checking that it is a
     semilattice with least element zero.
 
-    Raises ValueError unless the table is idempotent and commutative, has the
-    zero as its unit, and gives each x + y the up-set U(x + y) = U(x) & U(y),
-    where U(x) is the bit mask of the y with x + y = y.  U is one-to-one, as
-    x in U(y) and y in U(x) say y + x = x and x + y = y, and (x + y) + z and
-    x + (y + z) have the same up-set U(x) & U(y) & U(z), so the check is
-    exact, with n^2 mask operations instead of n^3 lookups.  A semilattice
-    is generated by its join-irreducibles.
+    A table is one exactly when the masks read off its rows give it back
+    (JoinSemilattice), which takes n^2 mask operations, and one built from
+    masks is one by construction.  Any other is refused with ValueError
+    naming the first law it breaks: a square shape over its elements,
+    idempotence, the zero as unit, commutativity, else associativity.  A
+    semilattice is generated by its join-irreducibles.
     """
+    try:
+        return list(alg.irreducibles)
+    except ValueError:
+        pass
     join, zero, n = alg.join, alg.zero, alg.size
     if not 0 <= zero < n or any(len(row) != n or min(row) < 0 or max(row) >= n for row in join):
         raise ValueError("join table is not square over its elements")
@@ -338,13 +394,9 @@ def jsl_irreducibles(alg: JoinSemilattice) -> list[int]:
         raise ValueError("join not idempotent")
     if list(join[zero]) != list(range(n)):
         raise ValueError("zero is not a unit for join")
-    rows = list(map(tuple, join))
-    if rows != list(zip(*join)):
+    if list(map(tuple, join)) != list(zip(*join)):
         raise ValueError("join not commutative")
-    up = list(map(up_mask, rows))
-    if any(list(map(ux.__and__, up)) != list(map(up.__getitem__, row)) for row, ux in zip(rows, up)):
-        raise ValueError("join not associative")
-    return list(alg.irreducibles)
+    raise ValueError("join not associative")
 
 
 def is_partial_order(alg: FinPoset) -> bool:
@@ -381,7 +433,7 @@ def jsl_from_masks(family: Iterable[int]) -> tuple[JoinSemilattice, tuple[int, .
     masks = tuple(sorted(set(family)))
     if masks[:1] != (0,):
         raise ValueError("family must contain the empty mask")
-    return JoinSemilattice(op_table(masks, or_), 0), masks
+    return jsl_of_sets(masks), masks
 
 
 def leq(alg: FinAlgebra, x: int, y: int) -> bool:
@@ -393,7 +445,7 @@ def leq(alg: FinAlgebra, x: int, y: int) -> bool:
             masks = alg.downset_masks
             return masks[x] & masks[y] == masks[x]
         case JoinSemilattice():
-            return alg.join[x][y] == y
+            return alg.below[x] & alg.below[y] == alg.below[x]
         case FinPoset():
             return alg.leq[x][y]
         case _:
@@ -404,6 +456,9 @@ def leq(alg: FinAlgebra, x: int, y: int) -> bool:
 # distinguished objects
 
 
+_CHAIN = jsl_of_sets((0, 1))  # the two-element JSL0, one object so that it is compared by identity
+
+
 def two_element_algebra(tag: VarietyTag) -> FinAlgebra:
     """The two-element output algebra of the coalgebra side."""
     match tag:
@@ -412,7 +467,7 @@ def two_element_algebra(tag: VarietyTag) -> FinAlgebra:
         case VarietyTag.DL01:
             return DistLat(((True,),))
         case VarietyTag.JSL0:
-            return JoinSemilattice(((0, 1), (1, 1)), 0)
+            return _CHAIN
         case VarietyTag.Z2VECT:
             return VectZ2(1)
     raise TagMismatchError(f"{tag} is not an output-side variety")
@@ -426,7 +481,7 @@ def free_on_one(tag: VarietyTag) -> FinAlgebra:
         case VarietyTag.POS:
             return FinPoset(((True,),))
         case VarietyTag.JSL0:
-            return JoinSemilattice(((0, 1), (1, 1)), 0)
+            return _CHAIN
         case VarietyTag.Z2VECT:
             return VectZ2(1)
     raise TagMismatchError(f"{tag} is not an algebra-side variety")
@@ -455,8 +510,8 @@ def validate_morphism(m: FinMorphism) -> bool:
     domain's generators: atoms (BA), a basis (Z2VECT), join-irreducibles
     (DL01, and JSL0 by g(x + j) = g(x) + g(j) for each x and irreducible j,
     as every y is their join), and every pair for POS.  This is exact for
-    lawful algebras; a JSL0 table from outside is checked by
-    jsl_irreducibles first, as validate_monoid does.
+    lawful algebras; a JSL0 table from outside that is not one raises
+    ValueError when its masks are read.
     """
     if m.dom.tag != m.cod.tag:
         raise TagMismatchError(f"morphism between {m.dom.tag} and {m.cod.tag}")
@@ -487,9 +542,12 @@ def validate_morphism(m: FinMorphism) -> bool:
                 for i, j in combinations(range(dom.n_ji), 2)
             )
         case JoinSemilattice():
+            # g(x + j) = g(x) + g(j), compared on the codomain's above masks
             assert isinstance(cod, JoinSemilattice)
+            up, dom_above, plus = list(map(cod.above.__getitem__, g)), dom.above, dom.by_above.__getitem__
             return g[dom.zero] == cod.zero and all(
-                tuple(map(g.__getitem__, dom.join[j])) == tuple(map(cod.join[g[j]].__getitem__, g))
+                list(map(up.__getitem__, map(plus, map(and_, dom_above, repeat(dom_above[j])))))
+                == list(map(and_, up, repeat(up[j])))
                 for j in dom.irreducibles
             )
         case VectZ2():
@@ -608,8 +666,9 @@ def present_closure(
 ) -> tuple[FinAlgebra, FinMorphism, dict[int, int]]:
     """The subalgebra generated by gens and the constants, presented in its
     own right: (algebra, inclusion into amb, ambient index -> subalgebra
-    index).  A JSL0 closure that is all of amb is amb itself.  Refuses when
-    it would pass cap, which the generators and constants never count
+    index).  A JSL0 closure that is all of amb, as it is when the
+    generators hold every join-irreducible, is amb itself.  Refuses when it
+    would pass cap, which the generators and constants never count
     against."""
     seeds = set(gens) | set(constants(amb))
     cap = max(cap, len(seeds))
@@ -620,12 +679,16 @@ def present_closure(
             masks = amb.downset_masks
             sub, family = generate_family(amb.tag, (masks[x] for x in seeds), masks[-1], cap, what)
             incl = tuple(map(amb.downset_index.__getitem__, family))
+        case JoinSemilattice() if seeds >= set(amb.irreducibles):  # every element is a join of them
+            if amb.size > cap:
+                raise ResourceExceededError(f"{what} exceeded the carrier cap")
+            sub, incl = amb, tuple(range(amb.size))
         case JoinSemilattice():
-            incl = tuple(sorted(close(seeds, [amb.join[g].__getitem__ for g in seeds], cap, what)))
-            if len(incl) == amb.size:
-                sub = amb
-            else:
-                sub = JoinSemilattice(op_table(incl, lambda x, y: amb.join[x][y]), incl.index(amb.zero))
+            # x as the set of the meet-irreducibles not above it: joins are unions
+            above, element, full = amb.above, amb.by_above, amb.above[amb.zero]
+            steps = [lambda x, m=above[g]: element[above[x] & m] for g in seeds]
+            incl = tuple(sorted(close(seeds, steps, cap, what)))
+            sub = jsl_of_sets([full ^ above[x] for x in incl])
         case FinSet():  # SET and POS have no operations
             incl = tuple(sorted(seeds))
             sub = FinSet(len(incl))

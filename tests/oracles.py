@@ -4,9 +4,9 @@ The language oracles work from word membership and plain enumeration, never
 through the minimization/duality code paths they are used to check.  The
 monoid, join-semilattice, closure, class automaton, residual closure, DFA
 equivalence, minimization, left derivative, residual, labelling, DL01,
-morphism check, dual map, labelled round-trip, checked piece-to-monoid,
-state-matching, bit-by-bit union, map-by-map preimage and per-element
-piece oracles are the
+join-semilattice table, morphism check, dual map, labelled round-trip,
+checked piece-to-monoid, state-matching, bit-by-bit union, map-by-map
+preimage and per-element piece oracles are the
 exhaustive algorithms that the library's faster or shorter ones replaced;
 they share only carrier primitives such as validate_morphism, close,
 jsl_from_masks, gaussian_basis and the breadth-first renumbering of a DFA
@@ -38,6 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
+from operator import and_, or_
 
 from langdual.automata import (
     CCoalgebra,
@@ -108,12 +109,19 @@ from langdual.varieties import (
     is_order_reflecting,
     jsl_from_masks,
     jsl_irreducibles,
-    op_table,
     orbit,
     present_subset,
     two_element_algebra,
     validate_morphism,
 )
+
+
+def op_table(elements, op):
+    """The table of a family closed under op: entry [x][y] is the index of
+    op(elements[x], elements[y]), as the library built its join, meet and
+    product tables."""
+    index = {e: i for i, e in enumerate(elements)}
+    return tuple(tuple(index[op(x, y)] for y in elements) for x in elements)
 
 
 def words_up_to(alphabet, max_len):
@@ -377,8 +385,9 @@ def cubic_generated_closure(m, limits=DEFAULT_LIMITS):
 
 
 def cubic_validate_monoid(m, limits=DEFAULT_LIMITS):
-    """Triple associativity scan, every translation through validate_morphism,
-    and generation by the pairwise closure.  Tables must be in range."""
+    """Triple associativity scan, every translation through
+    pairwise_validate_morphism, and generation by the pairwise closure.
+    Tables must be in range."""
     n = m.size
     if len(m.mult) != n or any(len(row) != n for row in m.mult):
         return False
@@ -392,7 +401,7 @@ def cubic_validate_monoid(m, limits=DEFAULT_LIMITS):
     for x in range(n):
         left = FinMorphism(m.carrier, m.carrier, tuple(m.mult[x][y] for y in range(n)))
         right = FinMorphism(m.carrier, m.carrier, tuple(m.mult[y][x] for y in range(n)))
-        if not (validate_morphism(left) and validate_morphism(right)):
+        if not (pairwise_validate_morphism(left) and pairwise_validate_morphism(right)):
             return False
     return cubic_generated_closure(m, limits) == set(range(n))
 
@@ -1364,6 +1373,72 @@ def downset_meet_table(join):
         return tuple(tuple(by_down[dx & dy] for dy in down) for dx in down)
     except KeyError:
         raise ValueError("join table does not admit meets") from None
+
+
+# ---------------------------------------------------------------------------
+# join-semilattices as tables
+#
+# What JoinSemilattice held before it was presented by its irreducibles: the
+# join table of a union-closed family and the meet table of its dual, both
+# built by op_table, and the join-irreducibles and their below masks scanned
+# off a table.  Each works on (join, zero) tables alone.
+
+
+def table_from_masks(family):
+    """jsl_from_masks as a join table: (join, zero, ascending masks)."""
+    masks = tuple(sorted(set(family)))
+    return op_table(masks, or_), 0, masks
+
+
+def scanned_irreducibles(join, zero):
+    """All but the zero and the joins y + z other than y and z."""
+    ids = range(len(join))
+    reducible = {zero}
+    for y, row in enumerate(join):
+        joins = {v for z, v in enumerate(row) if v != z}
+        joins.discard(y)
+        reducible |= joins
+    return tuple(x for x in ids if x not in reducible)
+
+
+def scanned_below(join, irreducibles):
+    """Per x, the mask of the irreducibles j_i with j_i + x = x (bit i)."""
+    below = [0] * len(join)
+    for i, j in enumerate(irreducibles):
+        for x, v in enumerate(join[j]):
+            if v == x:
+                below[x] |= 1 << i
+    return tuple(below)
+
+
+def table_dual(join, zero):
+    """(meet table, top): the meet of x and y is the element whose below
+    mask is below[x] & below[y]."""
+    irreducibles = scanned_irreducibles(join, zero)
+    below = scanned_below(join, irreducibles)
+    try:
+        return op_table(below, and_), below.index((1 << len(irreducibles)) - 1)
+    except (KeyError, ValueError):
+        raise ValueError("join table does not admit meets") from None
+
+
+def table_jsl_irreducibles(join, zero):
+    """jsl_irreducibles with the irreducibles scanned off the table."""
+    n = len(join)
+    if not 0 <= zero < n or any(len(row) != n or min(row) < 0 or max(row) >= n for row in join):
+        raise ValueError("join table is not square over its elements")
+    if any(join[x][x] != x for x in range(n)):
+        raise ValueError("join not idempotent")
+    if list(join[zero]) != list(range(n)):
+        raise ValueError("zero is not a unit for join")
+    rows = list(map(tuple, join))
+    if rows != list(zip(*join)):
+        raise ValueError("join not commutative")
+    up = [sum(1 << y for y, v in enumerate(row) if v == y) for row in rows]
+    for row, ux in zip(rows, up):
+        if [ux & uy for uy in up] != [up[v] for v in row]:
+            raise ValueError("join not associative")
+    return list(scanned_irreducibles(join, zero))
 
 
 def labelled_roundtrip_witness(d, piece, monoid, limits=DEFAULT_LIMITS):

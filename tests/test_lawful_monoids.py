@@ -4,9 +4,9 @@ dualizes without validating them again.
 For every piece below that reaches a monoid, a marked monoid must pass
 `validate_monoid`, and `_roundtrip_witness` must give the same outcome on it
 and on its unmarked `replace` copy, which is validated: the same witness
-graphs, or the same error class, message and counterexample.  A JSL0 piece
-whose `below` masks repeat has a dual that is not a semilattice, so the mark's
-argument does not cover it, and it is never marked.  Every monoid that a
+graphs, or the same error class, message and counterexample.  A JSL0 join
+table that repeats elements is no semilattice, so no masks present it: the
+dual of such a piece is refused, and it reaches no monoid.  Every monoid that a
 piece here reaches validates, marked or not, so that rule is what shows the
 checks behind the mark are kept.  A marked monoid handed on under a smaller
 cap is validated, and refused as before.
@@ -119,13 +119,15 @@ def test_hand_built_pieces_are_marked_only_when_lawful():
                 try:
                     monoid = piece_to_monoid(d, piece, SMALL)
                 except (LangdualError, ValueError):  # a refused piece reaches no round trip
+                    seen[d, kind, "refused"] = seen.get((d, kind, "refused"), 0) + 1
                     continue
                 key = (d, kind, _check(d, piece, monoid, SMALL))
                 seen[key] = seen.get(key, 0) + 1
     for d in DualityTag:
         assert seen.get((d, "endomorphisms", True), 0) >= 10, seen
         assert seen.get((d, "maps", True), 0) >= 1, seen
-    assert seen.get((DualityTag.JSL_SELF, "repeated masks", False), 0) >= 10, seen
+    assert seen.get((DualityTag.JSL_SELF, "repeated masks", "refused"), 0) >= 10, seen
+    assert not seen.get((DualityTag.JSL_SELF, "repeated masks", False)), seen
 
 
 def test_a_marked_monoid_past_a_smaller_cap_is_validated_and_refused_as_before():
