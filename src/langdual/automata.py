@@ -28,6 +28,7 @@ from .errors import TagMismatchError
 from .languages import (
     Dfa,
     LanguageId,
+    language_quotient,
     language_to_regex,
     refine_partition,
     state_languages,
@@ -150,11 +151,9 @@ def class_automaton(gens: Sequence[LanguageId], limits: Limits = DEFAULT_LIMITS)
     and the maps are the product's classes, found in the same order.
     Generator i accepts the words whose map sends offset_i + initial_i into
     its finals.
-
-    The maps are the orbit of the identity under "then a letter"; the map
-    of a·u·l is post[l] of the map of a·u, so each column of pre follows the
-    orbit's tree from the map of a.
     """
+    if not gens:
+        raise ValueError("at least one generator language is required")
     alphabet = gens[0].alphabet
     if any(g.alphabet != alphabet for g in gens):
         raise ValueError("generators must share one alphabet")
@@ -163,8 +162,18 @@ def class_automaton(gens: Sequence[LanguageId], limits: Limits = DEFAULT_LIMITS)
         tuple(off + row[ai] for g, off in zip(gens, offsets) for row in g.dfa.delta)
         for ai in range(len(alphabet))
     ]
-    steps = [lambda m, col=col: tuple(map(col.__getitem__, m)) for col in letters]
-    maps, post_rows, tree = orbit([tuple(range(offsets[-1]))], steps, limits.max_carrier, "transition-map closure")
+    caut = _map_automaton(alphabet, letters, offsets[-1], limits)
+    finals = {off + q for g, off in zip(gens, offsets) for q in g.dfa.finals}
+    starts = [off + g.dfa.initial for g, off in zip(gens, offsets)]
+    return caut, [sum(1 << j for j, m in enumerate(caut.maps) if m[s] in finals) for s in starts]
+
+
+def _map_automaton(alphabet: tuple[str, ...], cols: list[tuple[int, ...]], n: int, limits: Limits) -> ClassAutomaton:
+    """The maps: the orbit of the identity on 0..n-1 under "then letter ai",
+    which sends q to cols[ai][q].  The map of a·u·l is post[l] of the map of
+    a·u, so each column of pre follows the orbit's tree from the map of a."""
+    steps = [lambda m, col=col: tuple(map(col.__getitem__, m)) for col in cols]
+    maps, post_rows, tree = orbit([tuple(range(n))], steps, limits.max_carrier, "transition-map closure")
     post = tuple(zip(*post_rows))
     pre = []
     for first in post_rows[0]:
@@ -172,24 +181,15 @@ def class_automaton(gens: Sequence[LanguageId], limits: Limits = DEFAULT_LIMITS)
         for parent, ai in tree[1:]:
             col.append(post[ai][col[parent]])
         pre.append(tuple(col))
-    caut = ClassAutomaton(alphabet, tuple(maps), 0, post, tuple(pre))
-    gen_masks = []
-    for g, off in zip(gens, offsets):
-        start, finals = off + g.dfa.initial, {off + q for q in g.dfa.finals}
-        gen_masks.append(sum(1 << j for j, m in enumerate(maps) if m[start] in finals))
-    return caut, gen_masks
+    return ClassAutomaton(alphabet, tuple(maps), 0, post, tuple(pre))
 
 
-def _closed_piece(tag: VarietyTag, gens: Iterable[LanguageId], include_right: bool, limits: Limits) -> CCoalgebra:
-    """The labeled piece generated by gens under left derivatives, right
-    derivatives if asked, and the variety operations."""
-    gens = sorted(set(gens), key=lambda g: g.sort_key())
-    if not gens:
-        raise ValueError("at least one generator language is required")
-    caut, gen_masks = class_automaton(gens, limits)
-    sides = (caut.left_preimage, caut.right_preimage) if include_right else (caut.left_preimage,)
+def _closed_piece(tag: VarietyTag, caut: ClassAutomaton, masks: list[int], right: bool, limits: Limits) -> CCoalgebra:
+    """The labeled piece generated by the languages masks over caut under
+    left derivatives, right derivatives if asked, and the variety operations."""
+    sides = (caut.left_preimage, caut.right_preimage) if right else (caut.left_preimage,)
     steps = [side[ai] for ai in range(len(caut.alphabet)) for side in sides]
-    seeds = close(gen_masks, steps, limits.max_carrier, "derivative closure")
+    seeds = close(masks, steps, limits.max_carrier, "derivative closure")
     what = {VarietyTag.BA: "boolean closure", VarietyTag.Z2VECT: "linear closure"}.get(tag, "operation closure")
     carrier, element_masks = generate_family(tag, seeds, caut.full_mask, limits.max_carrier, what)
     mask_index = {m: i for i, m in enumerate(element_masks)}
@@ -205,19 +205,33 @@ def _closed_piece(tag: VarietyTag, gens: Iterable[LanguageId], include_right: bo
     return CCoalgebra(carrier, caut.alphabet, gamma, out)
 
 
-def generate_subcoalgebra(
-    tag: VarietyTag, gens: Iterable[LanguageId], limits: Limits = DEFAULT_LIMITS
-) -> CCoalgebra:
+def generate_subcoalgebra(tag: VarietyTag, gens: Iterable[LanguageId], limits: Limits = DEFAULT_LIMITS) -> CCoalgebra:
     """Smallest labeled subautomaton of the language automaton containing gens,
     closed under left derivatives and the variety operations on languages."""
-    return _closed_piece(tag, gens, False, limits)
+    return _closed_piece(tag, *class_automaton(sorted({*gens}, key=LanguageId.sort_key), limits), False, limits)
 
 
-def rqc_closure(
-    tag: VarietyTag, gens: Iterable[LanguageId], limits: Limits = DEFAULT_LIMITS
-) -> CCoalgebra:
+def rqc_closure(tag: VarietyTag, gens: Iterable[LanguageId], limits: Limits = DEFAULT_LIMITS) -> CCoalgebra:
     """Like generate_subcoalgebra, but also closed under right derivatives."""
-    return _closed_piece(tag, gens, True, limits)
+    return _closed_piece(tag, *class_automaton(sorted({*gens}, key=LanguageId.sort_key), limits), True, limits)
+
+
+def rqc_join(tag: VarietyTag, qs: Sequence[CCoalgebra], limits: Limits = DEFAULT_LIMITS) -> CCoalgebra:
+    """rqc_closure of the labels of qs, the same piece with the same refusals,
+    from one refinement of qs side by side and with no label computed.
+
+    gamma_a sends a state of language L to one of a^-1 L, so the labels'
+    DFAs and the quotient by the refinement, every block a start, both have
+    the labels for states.  Words act on both as u^-1 on the labels: one order
+    of maps and one set of generator masks, all that generate_family reads."""
+    if not (qs := [q for q in qs if q.size]):
+        raise ValueError("at least one generator language is required")
+    if any(q.alphabet != qs[0].alphabet for q in qs):
+        raise ValueError("generators must share one alphabet")
+    quotient = language_quotient(_as_dfa(*qs))[0]
+    caut = _map_automaton(quotient.alphabet, list(zip(*quotient.delta)), quotient.n_states, limits)
+    masks = [sum(1 << j for j, m in enumerate(caut.maps) if m[b] in quotient.finals) for b in range(quotient.n_states)]
+    return _closed_piece(tag, caut, masks, True, limits)
 
 
 def is_rqc_closed(q: CCoalgebra) -> bool:
@@ -280,10 +294,18 @@ def dalgebra_to_coalgebra(d: DualityTag, a: DAlgebra) -> CCoalgebra:
 def language_blocks(*qs: CCoalgebra) -> list[int]:
     """The block of every state of qs, side by side and in order, from one
     refinement: two states share a block when they accept one language."""
-    offsets = accumulate((q.size for q in qs), initial=0)
-    table = [tuple(t + off for t in row) for q, off in zip(qs, offsets) for row in _delta_rows(q)]
-    finals = [s for s, o in enumerate(chain.from_iterable(q.out.graph for q in qs)) if o == 1]
-    return refine_partition(len(table), len(qs[0].alphabet), finals, table)
+    joint = _as_dfa(*qs)
+    return refine_partition(joint.n_states, len(joint.alphabet), joint.finals, joint.delta)
+
+
+def least_odd_language(p: CCoalgebra, q: CCoalgebra) -> LanguageId | None:
+    """The least language by sort_key that states of one of p and q accept
+    and no state of the other does, or None; language_blocks(p, q) finds
+    them, and a LanguageId is built for one state of each only."""
+    block = language_blocks(p, q)
+    odd = set(block[: p.size]).symmetric_difference(block[p.size :])
+    one = {b: s for s, b in enumerate(block) if b in odd}.values()
+    return min(map(state_languages(_as_dfa(p, q)), one), key=LanguageId.sort_key) if one else None
 
 
 def state_language(q: CCoalgebra, state: int) -> LanguageId:
@@ -291,16 +313,16 @@ def state_language(q: CCoalgebra, state: int) -> LanguageId:
     return state_languages(_as_dfa(q))(state)
 
 
-def _delta_rows(q: CCoalgebra) -> list[tuple[int, ...]]:
-    """The letter actions as a transition table, one row per state."""
-    return list(zip(*(g.graph for g in q.gamma)))
-
-
-def _as_dfa(q: CCoalgebra) -> Dfa:
-    """The states as a DFA with the outputs as finality; its initial state
-    is a placeholder."""
-    finals = frozenset(s for s in range(q.size) if q.out.graph[s] == 1)
-    return Dfa(q.alphabet, q.size, 0, finals, tuple(_delta_rows(q)))
+def _as_dfa(*qs: CCoalgebra) -> Dfa:
+    """The states of qs side by side as a DFA, q's state s at s plus the
+    sizes of those before it, with the outputs as finality; its initial
+    state is a placeholder."""
+    offsets = accumulate((q.size for q in qs), initial=0)
+    delta = tuple(
+        tuple(t + off for t in row) for q, off in zip(qs, offsets) for row in zip(*(g.graph for g in q.gamma))
+    )
+    finals = frozenset(s for s, o in enumerate(chain.from_iterable(q.out.graph for q in qs)) if o == 1)
+    return Dfa(qs[0].alphabet, len(delta), 0, finals, delta)
 
 
 def reachable_part(a: DAlgebra, limits: Limits = DEFAULT_LIMITS) -> DAlgebra:

@@ -12,8 +12,8 @@ mutually inverse:
   monoid ->  left-multiplication algebra  ->  dual coalgebra
 
 Label-set inclusion of pieces then coincides with the quotient order of the
-monoids, and joins of pieces with subdirect products.  A coalgebra's labels,
-its state languages, are computed on first read.
+monoids, and joins of pieces with subdirect products; one refinement of two
+pieces decides both.  Labels (state languages) are computed on first read.
 
 Neither direction refines an automaton unless it refuses.  A piece is closed
 under right derivatives exactly when evaluation at the initial state is an
@@ -22,10 +22,10 @@ piece_to_monoid reads closure off the monoid it builds.  A round trip
 dualizes the monoid once and pairs the returned states with the piece's by
 the representative words of the monoid's word images that they accept, a
 pairing that an isomorphism must follow; the structure check then certifies
-it.  Only label inclusion, joins, reports and the classification of a
-refused round trip compute labels.  The transition monoid of a lawful
-algebra is an alphabet-generated monoid, so piece_to_monoid marks the
-monoids it builds lawful and the round trip does not validate them again.
+it.  Only reports and the counterexample of a refused round trip compute
+labels.  The transition monoid of a lawful algebra is an alphabet-generated
+monoid, so piece_to_monoid marks the monoids it builds lawful and the round
+trip does not validate them again; a piece keeps the monoid it dualized to.
 """
 
 from __future__ import annotations
@@ -39,9 +39,11 @@ from .automata import (
     coalgebra_to_dalgebra,
     dalgebra_to_coalgebra,
     is_rqc_closed,
-    label_set,
-    rqc_closure,
+    language_blocks,
+    least_odd_language,
     reachable_part,
+    rqc_closure,
+    rqc_join,
 )
 from .config import DEFAULT_LIMITS, Limits
 from .duality import DualityTag, IsoWitness, c_tag, d_tag
@@ -96,9 +98,16 @@ def piece_to_monoid(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_L
     carrier.  Then T's elements are carrier morphisms, closed under
     composition and the pointwise operations and generated by the letters,
     so T is an alphabet-generated monoid and validate_monoid accepts it.
+
+    The piece keeps T: c_tag is injective, so the piece fixes d, and a
+    closed piece's reachable part, both orbits and present_closure never
+    pass |T| = |A|, so every cap of at least |T| builds this T.  Under a
+    smaller cap the call runs in full, so every refusal is computed.
     """
     if piece.carrier.tag != c_tag(d):
         raise TagMismatchError(f"piece carrier {piece.carrier.tag} does not match {d}")
+    if (kept := vars(piece).get("_monoid")) is not None and kept.size <= limits.max_carrier:
+        return kept
     try:
         algebra = reachable_part(coalgebra_to_dalgebra(d, piece), limits)
         capped = replace(limits, max_carrier=min(algebra.size, limits.max_carrier))
@@ -113,6 +122,7 @@ def piece_to_monoid(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_L
         map(validate_morphism, algebra.alpha)
     ):
         object.__setattr__(monoid, "lawful", True)
+    vars(piece)["_monoid"] = monoid
     return monoid
 
 
@@ -192,24 +202,21 @@ def _roundtrip_witness(d: DualityTag, piece: CCoalgebra, monoid: SigmaMonoid, li
 
     A signature depends only on the language, so any pairing of equal
     languages is this one.  A refusal is therefore classified by the label
-    sets alone: if they agree, the signature pairing was the language
-    matching and its structure error stands; if they differ, the languages
-    changed; with no signature bijection and equal sets, the piece repeats a
-    language (its n states carry fewer than n languages)."""
+    sets alone, read off one refinement: if they agree, the signature pairing
+    was the language matching and its structure error stands; if they
+    differ, the languages changed (the least extra one is the example); with
+    no signature bijection and equal sets, the piece repeats a language."""
     back = monoid_to_piece(d, monoid, limits)
     if (forward := _signature_pairing(piece, back, monoid)) is not None:
         try:
             return _structure_iso(piece, back, forward)
         except CorrespondenceError:
-            if label_set(piece) == label_set(back):
+            if (extra := least_odd_language(piece, back)) is None:
                 raise
-    ours, theirs = label_set(piece), label_set(back)
-    if ours != theirs:
-        extra = sorted(ours.symmetric_difference(theirs), key=lambda l: l.sort_key())
-        raise CorrespondenceError(
-            "round trip changed the language set",
-            counterexample=language_to_regex(extra[0]),
-        )
+    else:
+        extra = least_odd_language(piece, back)
+    if extra is not None:
+        raise CorrespondenceError("round trip changed the language set", counterexample=language_to_regex(extra))
     raise CorrespondenceError("round trip merged two states of one language")
 
 
@@ -257,21 +264,18 @@ def monoid_roundtrip_check(d: DualityTag, m: SigmaMonoid, limits: Limits = DEFAU
     return iso
 
 
-def order_check(
-    d: DualityTag, p1: CCoalgebra, p2: CCoalgebra, limits: Limits = DEFAULT_LIMITS
-) -> bool:
-    """Label inclusion must agree with the monoid quotient order."""
-    inclusion = label_set(p1) <= label_set(p2)
-    m1 = piece_to_monoid(d, p1, limits)
-    m2 = piece_to_monoid(d, p2, limits)
-    return inclusion == quotient_leq(m1, m2, limits)
+def order_check(d: DualityTag, p1: CCoalgebra, p2: CCoalgebra, limits: Limits = DEFAULT_LIMITS) -> bool:
+    """Label inclusion, read off one refinement of both pieces as in
+    is_rqc_closed, must agree with the monoid quotient order."""
+    leq = quotient_leq(piece_to_monoid(d, p1, limits), piece_to_monoid(d, p2, limits), limits)
+    block = language_blocks(p1, p2)
+    return (set(block[: p1.size]) <= set(block[p1.size :])) == leq
 
 
-def piece_join(
-    d: DualityTag, p1: CCoalgebra, p2: CCoalgebra, limits: Limits = DEFAULT_LIMITS
-) -> CCoalgebra:
-    """Smallest piece containing both; its monoid is the subdirect product."""
-    return rqc_closure(c_tag(d), label_set(p1) | label_set(p2), limits)
+def piece_join(d: DualityTag, p1: CCoalgebra, p2: CCoalgebra, limits: Limits = DEFAULT_LIMITS) -> CCoalgebra:
+    """Smallest piece containing both, closed from one refinement of the two
+    (rqc_join); its monoid is the subdirect product."""
+    return rqc_join(c_tag(d), (p1, p2), limits)
 
 
 def verify_correspondence(

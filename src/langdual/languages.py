@@ -532,7 +532,7 @@ def refine_partition(
     return block
 
 
-def _quotient(d: Dfa) -> tuple[Dfa, list[int]]:
+def language_quotient(d: Dfa) -> tuple[Dfa, list[int]]:
     """The quotient of d by language equivalence, its blocks numbered in the
     order of their least states, and the block of every state."""
     k = len(d.alphabet)
@@ -556,7 +556,7 @@ def _quotient(d: Dfa) -> tuple[Dfa, list[int]]:
 
 def minimize_dfa(d: Dfa) -> Dfa:
     """Partition refinement on the reachable part."""
-    return _quotient(_restrict_reachable(d))[0]
+    return language_quotient(_restrict_reachable(d))[0]
 
 
 @dataclass(frozen=True)
@@ -605,7 +605,7 @@ def state_languages(d: Dfa) -> Callable[[int], LanguageId]:
     reaches, renumbered breadth-first from that block, with no minimization
     per state.  Languages are memoized per block.
     """
-    quotient, block_of = _quotient(d)
+    quotient, block_of = language_quotient(d)
     memo: dict[int, LanguageId] = {}
 
     def language(state: int) -> LanguageId:

@@ -6,7 +6,7 @@ monoid, join-semilattice, closure, class automaton, residual closure, DFA
 equivalence, minimization, left derivative, residual, labelling, DL01,
 join-semilattice table, morphism check, dual map, labelled round-trip,
 checked piece-to-monoid, state-matching, bit-by-bit union, map-by-map
-preimage and per-element piece oracles are the
+preimage, per-element piece, label join and label inclusion oracles are the
 exhaustive algorithms that the library's faster or shorter ones replaced;
 they share only carrier primitives such as validate_morphism, close,
 jsl_from_masks, gaussian_basis and the breadth-first renumbering of a DFA
@@ -18,7 +18,9 @@ and transition monoid, as it pins only where the closure verdict comes
 from, the left derivative and residuals share canonical_language and
 state_languages, as they pin only that a minimal DFA needs no second
 minimization, and the state matching shares language_blocks, the
-refinement that the round trip's signature pairing replaced).  The presentations of subalgebras are scanned from their element lists
+refinement that the round trip's signature pairing replaced; the label join
+shares rqc_closure, as it pins only that the join closes the same labels
+without computing them).  The presentations of subalgebras are scanned from their element lists
 here (scanned_present_subset), as before the library's closures handed back
 the atoms, basis or join-irreducibles they found.  The regex oracles are the
 recursive dataclass trees and walks that the library's pre-keyed, iterative
@@ -50,10 +52,11 @@ from langdual.automata import (
     label_set,
     language_blocks,
     reachable_part,
+    rqc_closure,
 )
 from langdual.config import DEFAULT_LIMITS
 from langdual.correspondence import monoid_to_piece
-from langdual.duality import DualityTag, IsoWitness, dual_morphism, dual_object
+from langdual.duality import DualityTag, IsoWitness, c_tag, dual_morphism, dual_object
 from langdual.errors import (
     CorrespondenceError,
     NonFunctionalError,
@@ -1473,6 +1476,17 @@ def labelled_structure_iso(p1, p2):
     if forward.then(p2.out).graph != p1.out.graph:
         raise CorrespondenceError("label bijection does not preserve outputs")
     return IsoWitness(forward, backward)
+
+
+def label_inclusion(p1, p2):
+    """Whether every label of p1 is a label of p2, by their label sets."""
+    return label_set(p1) <= label_set(p2)
+
+
+def label_piece_join(d, p1, p2, limits=DEFAULT_LIMITS):
+    """The join closed from both label sets: the n1 + n2 label DFAs side by
+    side in the class automaton."""
+    return rqc_closure(c_tag(d), label_set(p1) | label_set(p2), limits)
 
 
 # ---------------------------------------------------------------------------
