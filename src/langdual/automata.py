@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, chain
-from operator import or_, xor
 from typing import Callable, Iterable, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
@@ -28,6 +27,7 @@ from .errors import TagMismatchError
 from .languages import (
     Dfa,
     LanguageId,
+    block_language,
     language_quotient,
     language_to_regex,
     refine_partition,
@@ -43,9 +43,10 @@ from .varieties import (
     fibres,
     free_on_one,
     generate_family,
+    generator_sums,
+    generators,
     orbit,
     present_closure,
-    subset_sums,
     two_element_algebra,
     unions,
 )
@@ -194,10 +195,10 @@ def _closed_piece(tag: VarietyTag, caut: ClassAutomaton, masks: list[int], right
     carrier, element_masks = generate_family(tag, seeds, caut.full_mask, limits.max_carrier, what)
     mask_index = {m: i for i, m in enumerate(element_masks)}
     # a BA or Z2VECT index is the bitmask of atoms or basis vectors it sums,
-    # and the letter actions and output are morphisms: op-sums of their images
-    op = {VarietyTag.BA: or_, VarietyTag.Z2VECT: xor}.get(tag)
-    points = [element_masks[1 << i] for i in range(len(element_masks).bit_length() - 1)] if op else element_masks
-    span = (lambda images: tuple(subset_sums(images, op))) if op else tuple
+    # and the letter actions and output are morphisms: sums of their images
+    linear = tag in (VarietyTag.BA, VarietyTag.Z2VECT)
+    points = list(map(element_masks.__getitem__, generators(carrier))) if linear else element_masks
+    span = (lambda images: tuple(generator_sums(carrier, list(images)))) if linear else tuple
     gamma = tuple(
         FinMorphism(carrier, carrier, span(map(mask_index.__getitem__, map(pre, points)))) for pre in caut.left_preimage
     )
@@ -298,14 +299,13 @@ def language_blocks(*qs: CCoalgebra) -> list[int]:
     return refine_partition(joint.n_states, len(joint.alphabet), joint.finals, joint.delta)
 
 
-def least_odd_language(p: CCoalgebra, q: CCoalgebra) -> LanguageId | None:
+def least_odd_language(p: CCoalgebra, q: CCoalgebra) -> tuple[LanguageId | None, list[int]]:
     """The least language by sort_key that states of one of p and q accept
-    and no state of the other does, or None; language_blocks(p, q) finds
-    them, and a LanguageId is built for one state of each only."""
-    block = language_blocks(p, q)
+    and no state of the other does, or None, built from its block only, and
+    the block of every state of p and q side by side: one refinement."""
+    quotient, block = language_quotient(_as_dfa(p, q))
     odd = set(block[: p.size]).symmetric_difference(block[p.size :])
-    one = {b: s for s, b in enumerate(block) if b in odd}.values()
-    return min(map(state_languages(_as_dfa(p, q)), one), key=LanguageId.sort_key) if one else None
+    return min((block_language(quotient, b) for b in odd), key=LanguageId.sort_key, default=None), block
 
 
 def state_language(q: CCoalgebra, state: int) -> LanguageId:

@@ -20,16 +20,18 @@ under right derivatives exactly when evaluation at the initial state is an
 isomorphism from its transition monoid onto its dual algebra, so
 piece_to_monoid reads closure off the monoid it builds.  A round trip
 dualizes the monoid once and pairs the returned states with the piece's by
-the representative words of the monoid's word images that they accept, a
-pairing that an isomorphism must follow; the structure check then certifies
-it.  Only reports and the counterexample of a refused round trip compute
-labels.  The transition monoid of a lawful algebra is an alphabet-generated
-monoid, so piece_to_monoid marks the monoids it builds lawful and the round
-trip does not validate them again; a piece keeps the monoid it dualized to.
+the representative words of the monoid's word images that they accept, as
+an isomorphism must, read by the carriers' generators (atoms, a basis or
+join-irreducibles) only; the structure check certifies it.  Only reports and
+a refused round trip's counterexample compute labels.  The transition
+monoid of a lawful algebra is an alphabet-generated monoid, so
+piece_to_monoid marks the monoids it builds lawful and the round trip does
+not validate them again; a piece keeps the monoid it dualized to.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -57,7 +59,7 @@ from .monoids import (
     transition_monoid,
     validate_monoid,
 )
-from .varieties import FinMorphism, FinPoset, is_partial_order, orbit, validate_morphism
+from .varieties import FinMorphism, FinPoset, generator_sums, generators, is_partial_order, orbit, validate_morphism
 
 
 def piece_to_monoid(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_LIMITS) -> SigmaMonoid:
@@ -165,11 +167,8 @@ def _structure_iso(p1: CCoalgebra, p2: CCoalgebra, graph: Sequence[int]) -> IsoW
     backward = FinMorphism(p2.carrier, p1.carrier, tuple(inverse))
     if not (validate_morphism(forward) and validate_morphism(backward)):
         raise CorrespondenceError("label bijection is not an isomorphism of carriers")
-    for ai in range(len(p1.alphabet)):
-        lhs = forward.then(p2.gamma[ai])
-        rhs = p1.gamma[ai].then(forward)
-        if lhs.graph != rhs.graph:
-            raise CorrespondenceError("label bijection does not commute with transitions")
+    if any(forward.then(g2).graph != g1.then(forward).graph for g1, g2 in zip(p1.gamma, p2.gamma)):
+        raise CorrespondenceError("label bijection does not commute with transitions")
     if forward.then(p2.out).graph != p1.out.graph:
         raise CorrespondenceError("label bijection does not preserve outputs")
     return IsoWitness(forward, backward)
@@ -192,58 +191,53 @@ def roundtrip_check(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_L
 def _roundtrip_witness(d: DualityTag, piece: CCoalgebra, monoid: SigmaMonoid, limits: Limits) -> IsoWitness:
     """roundtrip_check on the piece's monoid.
 
-    The returned states are paired with the piece's by their signatures:
-    which representative words of the monoid's word images each accepts.
-    Every state language of the returned automaton is recognized by the
-    monoid, so its signature fixes it, and its states are distinct
-    languages, as the dual of a generated algebra is observable; so their
-    signatures are distinct.  An isomorphism keeps languages, so it pairs
-    equal signatures and is unique; _structure_iso certifies the pairing.
-
-    A signature depends only on the language, so any pairing of equal
-    languages is this one.  A refusal is therefore classified by the label
-    sets alone, read off one refinement: if they agree, the signature pairing
-    was the language matching and its structure error stands; if they
-    differ, the languages changed (the least extra one is the example); with
-    no signature bijection and equal sets, the piece repeats a language."""
+    The returned automaton is the dual of a generated algebra: lawful, its
+    states of distinct languages recognized by the monoid, so of distinct
+    signatures.  An isomorphism keeps languages, so it pairs equal
+    signatures; _structure_iso certifies the pairing.  One that passes makes
+    the piece lawful, and a lawful piece's signatures are its languages'.
+    So a refusal is classified by the languages, from one refinement: the
+    least extra one if the label sets differ, else the structure error of
+    the pairing by languages, unless the piece repeats one."""
     back = monoid_to_piece(d, monoid, limits)
     if (forward := _signature_pairing(piece, back, monoid)) is not None:
-        try:
+        with suppress(CorrespondenceError):
             return _structure_iso(piece, back, forward)
-        except CorrespondenceError:
-            if (extra := least_odd_language(piece, back)) is None:
-                raise
-    else:
-        extra = least_odd_language(piece, back)
+    extra, block = least_odd_language(piece, back)
     if extra is not None:
         raise CorrespondenceError("round trip changed the language set", counterexample=language_to_regex(extra))
-    raise CorrespondenceError("round trip merged two states of one language")
+    forward = tuple(map(dict(zip(block[piece.size :], range(back.size))).__getitem__, block[: piece.size]))
+    if not _pairable(piece, back) or len(set(forward)) != back.size:
+        raise CorrespondenceError("round trip merged two states of one language")
+    return _structure_iso(piece, back, forward)
+
+
+def _pairable(piece: CCoalgebra, back: CCoalgebra) -> bool:
+    return piece.alphabet == back.alphabet and piece.size == back.size and {*piece.out.graph} <= {0, 1}
 
 
 def _signature_pairing(piece: CCoalgebra, back: CCoalgebra, monoid: SigmaMonoid) -> tuple[int, ...] | None:
     """Each state of piece to the state of back that accepts the same
     representative words, one per word image of the monoid (its tree
-    parent's word plus a letter); None unless that is a bijection.  A column
-    holds the state each state reaches by one word, n lookups in its parent's;
-    a state's signature is its slice of one bytes buffer of their outputs."""
-    n = back.size
-    if piece.alphabet != back.alphabet or piece.size != n or not {*piece.out.graph} <= {0, 1}:
+    parent's word plus a letter), read as the bits of one int; None unless
+    that is a bijection.  Output and letter actions are carrier morphisms,
+    so only the generators read words, and a state's signature is the sum
+    of theirs under it (generator_sums)."""
+    if not _pairable(piece, back):
         return None
     steps = [col.__getitem__ for col in monoid.letter_cols]
     _, _, tree = orbit([monoid.unit], steps, monoid.size, "word images")
 
-    def signatures(q: CCoalgebra) -> list[bytes]:
-        cols: list[Sequence[int]] = [range(n)]
+    def signatures(q: CCoalgebra) -> list[int]:
+        cols = [generators(q.carrier)]
         for parent, ai in tree[1:]:
             cols.append(list(map(q.gamma[ai].graph.__getitem__, cols[parent])))
-        outs = b"".join(bytes(map(q.out.graph.__getitem__, col)) for col in cols)
-        return [outs[s::n] for s in range(n)]
+        outs = b"".join(bytes(map(b"01".__getitem__, map(q.out.graph.__getitem__, col))) for col in cols)
+        return generator_sums(q.carrier, [int(outs[i :: len(cols[0])], 2) for i in range(len(cols[0]))])
 
-    mate = dict(zip(signatures(back), range(n)))
+    mate = dict(zip(signatures(back), range(back.size)))
     forward = tuple(map(mate.get, signatures(piece)))
-    if len(mate) != n or None in forward or len(set(forward)) != n:
-        return None
-    return forward
+    return forward if len(mate) == len(set(forward)) == back.size and None not in forward else None
 
 
 def correspond(

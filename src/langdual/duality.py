@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from operator import and_, or_, xor
+from operator import and_
 
 from .errors import NonFunctionalError, TagMismatchError
 from .varieties import (
@@ -35,8 +35,8 @@ from .varieties import (
     VarietyTag,
     VectZ2,
     fibres,
+    generator_sums,
     identity,
-    subset_sums,
     unions,
 )
 
@@ -131,7 +131,7 @@ def dual_morphism(d: DualityTag, h: FinMorphism) -> FinMorphism:
         case (DualityTag.BA_SET, FinSet()):
             # a function dualizes to preimage between powersets, spanned by
             # the preimages of the points
-            return FinMorphism(new_dom, new_cod, tuple(subset_sums(fibres(g, cod.size), or_)))
+            return FinMorphism(new_dom, new_cod, tuple(generator_sums(new_dom, fibres(g, cod.size))))
         case (DualityTag.DL01_POS, DistLat()):
             # each codomain join-irreducible has a least preimage, the meet of
             # the elements mapping above it, and that is a principal downset.
@@ -144,7 +144,7 @@ def dual_morphism(d: DualityTag, h: FinMorphism) -> FinMorphism:
             principal = dom.principal
             image = [cod_masks[g[dom.downset_index[b]]] for b in principal]
             masks = list(map(cod_masks.__getitem__, g))
-            if masks == list(map(unions(image), dom_masks)):
+            if masks == generator_sums(dom, image):
                 scanned = list(zip(principal, image))
             else:
                 scanned = list(zip(dom_masks, masks))
@@ -182,7 +182,7 @@ def dual_morphism(d: DualityTag, h: FinMorphism) -> FinMorphism:
             # the transpose sends the k-th dual basis vector to the k-th row
             assert isinstance(cod, VectZ2)
             rows = [sum(1 << i for i in range(dom.dim) if g[1 << i] >> k & 1) for k in range(cod.dim)]
-            return FinMorphism(new_dom, new_cod, tuple(subset_sums(rows, xor)))
+            return FinMorphism(new_dom, new_cod, tuple(generator_sums(new_dom, rows)))
     raise TagMismatchError(f"{dom.tag} does not match the pairing {d}")
 
 

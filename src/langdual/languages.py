@@ -598,23 +598,24 @@ def canonical_language(d: Dfa) -> LanguageId:
 
 def state_languages(d: Dfa) -> Callable[[int], LanguageId]:
     """State -> the language accepted from it, from one refinement of all
-    states; the initial state of d is not read.
-
-    The quotient by language equivalence is minimal from each of its states,
-    so a state's canonical DFA is the quotient restricted to what its block
-    reaches, renumbered breadth-first from that block, with no minimization
-    per state.  Languages are memoized per block.
-    """
+    states and no minimization per state (block_language); the initial
+    state of d is not read.  Languages are memoized per block."""
     quotient, block_of = language_quotient(d)
     memo: dict[int, LanguageId] = {}
 
     def language(state: int) -> LanguageId:
         b = block_of[state]
         if b not in memo:
-            memo[b] = LanguageId(_restrict_reachable(quotient, b))
+            memo[b] = block_language(quotient, b)
         return memo[b]
 
     return language
+
+
+def block_language(quotient: Dfa, block: int) -> LanguageId:
+    """The language of a block of language_quotient's quotient: what the
+    block reaches, renumbered breadth-first, as the quotient is minimal."""
+    return LanguageId(_restrict_reachable(quotient, block))
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,32 @@ def unions(masks: Sequence[int]) -> Callable[[int], int]:
     return union
 
 
+def generators(alg: FinAlgebra) -> list[int]:
+    """Atoms (BA), a basis (Z2VECT) or the join-irreducibles (DL01, JSL0)."""
+    match alg:
+        case BoolAlg() | VectZ2():
+            return [1 << i for i in range(alg.size.bit_length() - 1)]
+        case DistLat():
+            return list(map(alg.downset_index.__getitem__, alg.principal))
+        case JoinSemilattice():
+            return list(alg.irreducibles)
+    raise TypeError(f"not an output-side algebra: {alg!r}")
+
+
+def generator_sums(alg: FinAlgebra, images: Sequence[int]) -> list[int]:
+    """Per element, the sum (^ for Z2VECT, | otherwise) of the images of the
+    generators under it: the morphism into bit vectors sending generator i
+    to images[i].  A BA or Z2VECT index is itself such a bit vector."""
+    match alg:
+        case BoolAlg() | VectZ2():
+            return subset_sums(images, xor if isinstance(alg, VectZ2) else or_)
+        case DistLat():
+            return list(map(unions(images), alg.downset_masks))
+        case JoinSemilattice():
+            return list(map(unions(images), alg.below))
+    raise TypeError(f"not an output-side algebra: {alg!r}")
+
+
 def fibres(graph: Sequence[int], n: int) -> list[int]:
     """Per t < n, the mask of the x with graph[x] = t; their unions are preimages."""
     masks = [0] * n
@@ -522,22 +548,21 @@ def validate_morphism(m: FinMorphism) -> bool:
     match dom:
         case BoolAlg():
             # the subset sums of disjoint atom images that cover the top
-            images = [g[1 << i] for i in range(dom.atoms)]
+            images = list(map(g.__getitem__, generators(dom)))
             disjoint = sum(map(int.bit_count, images)) == g[dom.top].bit_count()
-            return list(g) == subset_sums(images, or_) and disjoint and g[dom.top] == cod.top
+            return list(g) == generator_sums(dom, images) and disjoint and g[dom.top] == cod.top
         case DistLat():
             # x is the join of the principal downsets of its JIs, and JIs are
             # join-prime, so g preserves joins once it sends each x to the
             # join of those images; x & y is the join of the meets of two
             # principal downsets, so meets then follow from the pairs of JIs
             assert isinstance(cod, DistLat)
-            index = dom.downset_index
+            index, below = dom.downset_index, dom.principal
             cod_masks = cod.downset_masks
             if g[0] != 0 or g[dom.size - 1] != cod.size - 1:
                 return False
-            below = dom.principal
-            image = [cod_masks[g[index[b]]] for b in below]
-            return list(map(cod_masks.__getitem__, g)) == list(map(unions(image), dom.downset_masks)) and all(
+            image = [cod_masks[g[x]] for x in generators(dom)]
+            return list(map(cod_masks.__getitem__, g)) == generator_sums(dom, image) and all(
                 cod_masks[g[index[below[i] & below[j]]]] == image[i] & image[j]
                 for i, j in combinations(range(dom.n_ji), 2)
             )
@@ -551,7 +576,7 @@ def validate_morphism(m: FinMorphism) -> bool:
                 for j in dom.irreducibles
             )
         case VectZ2():
-            return list(g) == subset_sums([g[1 << i] for i in range(dom.dim)], xor)
+            return list(g) == generator_sums(dom, list(map(g.__getitem__, generators(dom))))
         case FinSet():
             return True
         case FinPoset():
@@ -615,7 +640,7 @@ def mask_lattice_presentation(masks: Iterable[int]) -> tuple[DistLat, tuple[int,
     downsets = _downsets(sub.principal, len(family))
     if downsets is not None and len(downsets) == len(family):
         vars(sub)["downset_masks"] = tuple(sorted(downsets))
-        element_masks = tuple(map(unions(ji), sub.downset_masks))
+        element_masks = tuple(generator_sums(sub, ji))
         if set(element_masks) == family:
             return sub, element_masks
     raise ValueError("family is not a distributive lattice of sets")

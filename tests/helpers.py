@@ -9,6 +9,7 @@ and to state properties.  Identical seeds reproduce identical instances.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Sequence
 
 from langdual.automata import CCoalgebra, DAlgebra
@@ -57,6 +58,17 @@ def random_generators(rng: random.Random, alphabet: Sequence[str], max_states: i
         if lang.n_states <= max_states:
             out.append(lang)
     return out
+
+
+def renamed_states(piece: CCoalgebra, perm: Sequence[int]) -> CCoalgebra:
+    """The same automaton with state s renamed perm[s] on the same carrier,
+    which is not renumbered: the state languages move, the algebra does not."""
+    inverse = sorted(range(piece.size), key=perm.__getitem__)
+    gamma = tuple(
+        FinMorphism(piece.carrier, piece.carrier, tuple(perm[g.graph[s]] for s in inverse)) for g in piece.gamma
+    )
+    out = FinMorphism(piece.carrier, piece.out.cod, tuple(piece.out.graph[s] for s in inverse))
+    return replace(piece, gamma=gamma, out=out)
 
 
 def jsl_leq(alg: JoinSemilattice, x: int, y: int) -> bool:

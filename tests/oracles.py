@@ -20,7 +20,10 @@ state_languages, as they pin only that a minimal DFA needs no second
 minimization, and the state matching shares language_blocks, the
 refinement that the round trip's signature pairing replaced; the label join
 shares rqc_closure, as it pins only that the join closes the same labels
-without computing them).  The presentations of subalgebras are scanned from their element lists
+without computing them; the bytes signature pairing, in which every state
+reads every word, is the one that the pairing through the carrier's
+generators replaced, and its round trip keeps the refusal classification
+of its time and shares the structure check and least_odd_language).  The presentations of subalgebras are scanned from their element lists
 here (scanned_present_subset), as before the library's closures handed back
 the atoms, basis or join-irreducibles they found.  The regex oracles are the
 recursive dataclass trees and walks that the library's pre-keyed, iterative
@@ -51,11 +54,12 @@ from langdual.automata import (
     is_rqc_closed,
     label_set,
     language_blocks,
+    least_odd_language,
     reachable_part,
     rqc_closure,
 )
 from langdual.config import DEFAULT_LIMITS
-from langdual.correspondence import monoid_to_piece
+from langdual.correspondence import _structure_iso, monoid_to_piece
 from langdual.duality import DualityTag, IsoWitness, c_tag, dual_morphism, dual_object
 from langdual.errors import (
     CorrespondenceError,
@@ -928,6 +932,52 @@ def match_states(p, q):
     if len(mate) != n or mate.keys() != set(block[:n]):
         return None
     return tuple(map(mate.__getitem__, block[:n]))
+
+
+def bytes_signature_pairing(piece, back, monoid):
+    """Each state of piece to the state of back that accepts the same
+    representative words, one per word image of the monoid (its tree
+    parent's word plus a letter); None unless that is a bijection.  Every
+    state reads every word: a column holds the state each state reaches by
+    one word, n lookups in its parent's, and a state's signature is its
+    slice of one bytes buffer of their outputs."""
+    n = back.size
+    if piece.alphabet != back.alphabet or piece.size != n or not {*piece.out.graph} <= {0, 1}:
+        return None
+    steps = [col.__getitem__ for col in monoid.letter_cols]
+    _, _, tree = orbit([monoid.unit], steps, monoid.size, "word images")
+
+    def signatures(q):
+        cols = [range(n)]
+        for parent, ai in tree[1:]:
+            cols.append(list(map(q.gamma[ai].graph.__getitem__, cols[parent])))
+        outs = b"".join(bytes(map(q.out.graph.__getitem__, col)) for col in cols)
+        return [outs[s::n] for s in range(n)]
+
+    mate = dict(zip(signatures(back), range(n)))
+    forward = tuple(map(mate.get, signatures(piece)))
+    if len(mate) != n or None in forward or len(set(forward)) != n:
+        return None
+    return forward
+
+
+def bytes_roundtrip_witness(d, piece, monoid, limits=DEFAULT_LIMITS):
+    """The round trip paired by bytes_signature_pairing, with the refusal
+    classified as before the pairing read the generators only: a failed
+    pairing's structure error stands when the label sets agree, and no
+    pairing with equal label sets means a repeated language."""
+    back = monoid_to_piece(d, monoid, limits)
+    if (forward := bytes_signature_pairing(piece, back, monoid)) is not None:
+        try:
+            return _structure_iso(piece, back, forward)
+        except CorrespondenceError:
+            if (extra := least_odd_language(piece, back)[0]) is None:
+                raise
+    else:
+        extra = least_odd_language(piece, back)[0]
+    if extra is not None:
+        raise CorrespondenceError("round trip changed the language set", counterexample=language_to_regex(extra))
+    raise CorrespondenceError("round trip merged two states of one language")
 
 # ---------------------------------------------------------------------------
 # products and images

@@ -6,8 +6,9 @@ Each row runs `correspond` once, checks the piece and monoid sizes,
 validates the monoid (the round trip trusts the monoids piece_to_monoid
 marks), pins the sha256 of `monoid_to_json` (sorted keys), and compares the
 witness graphs with `labelled_roundtrip_witness`, the label-matching round
-trip.  The digests were recorded with the label-matching round trip, before
-it was replaced.  The five cases take about 7 s together on a 2-core host, most of
+trip, and the signature pairing with `bytes_signature_pairing`, in which
+every state reads every word.  The digests were recorded with the
+label-matching round trip, before it was replaced.  The five cases take about 7 s together on a 2-core host, most of
 it the Z2 family of 2,048 elements; the budget for the tier is 10 s.
 """
 
@@ -17,11 +18,11 @@ import json
 import pytest
 
 from langdual.config import DEFAULT_LIMITS
-from langdual.correspondence import correspond
+from langdual.correspondence import _signature_pairing, correspond, monoid_to_piece
 from langdual.duality import DualityTag
 from langdual.languages import compile_text
 from langdual.monoids import monoid_to_json, validate_monoid
-from oracles import labelled_roundtrip_witness
+from oracles import bytes_signature_pairing, labelled_roundtrip_witness
 
 FAMILIES = [
     (DualityTag.BA_SET, "(aab)*", 4096, 12, "e74bbac62c5c5ce6f9e851b20504fa82ba172b4a3ae240aac5fabaa1fc6c4cb2"),
@@ -51,3 +52,7 @@ def test_round_trip_at_cap_size(d, text, piece_size, monoid_size, digest):
     oracle = labelled_roundtrip_witness(d, c.piece, c.monoid, DEFAULT_LIMITS)
     assert c.witness.forward.graph == oracle.forward.graph
     assert c.witness.backward.graph == oracle.backward.graph
+
+    back = monoid_to_piece(d, c.monoid)
+    paired = _signature_pairing(c.piece, back, c.monoid)
+    assert paired == bytes_signature_pairing(c.piece, back, c.monoid) == c.witness.forward.graph

@@ -2,7 +2,9 @@
 elements, whose carriers go through the operation tables of the JSL round
 trip (the piece's join table, its dual, the reachable part of the dual
 algebra and the monoid's join and multiplication tables).  Each monoid is
-validated here, as the round trip trusts the monoids piece_to_monoid marks.
+validated here, as the round trip trusts the monoids piece_to_monoid marks,
+and the signature pairing through the join-irreducibles is compared with
+`bytes_signature_pairing`, in which every state reads every word.
 
 The four cases take about 6 s together on a 2-core host; the budget for the
 tier is 10 s.  The monoid digests were recorded with the pairwise table
@@ -16,12 +18,12 @@ import json
 import pytest
 
 from langdual.automata import coalgebra_to_dalgebra, reachable_part
-from langdual.correspondence import correspond
+from langdual.correspondence import _signature_pairing, correspond, monoid_to_piece
 from langdual.duality import DualityTag, dual_object
 from langdual.languages import compile_text
 from langdual.monoids import monoid_to_json, validate_monoid
 from langdual.varieties import present_closure
-from oracles import downset_meet_table
+from oracles import bytes_signature_pairing, downset_meet_table
 
 JSL = DualityTag.JSL_SELF
 
@@ -51,3 +53,7 @@ def test_jsl_round_trip_at_cap_size(text, size, digest):
     assert reachable_part(algebra) is algebra
     sub, incl, _ = present_closure(algebra.carrier, algebra.carrier.irreducibles, size, "whole lattice")
     assert sub is algebra.carrier and incl.graph == tuple(range(size))
+
+    back = monoid_to_piece(JSL, c.monoid)
+    paired = _signature_pairing(c.piece, back, c.monoid)
+    assert paired == bytes_signature_pairing(c.piece, back, c.monoid) == c.witness.forward.graph

@@ -33,8 +33,7 @@ from langdual.correspondence import _roundtrip_witness, monoid_to_piece, piece_t
 from langdual.duality import DualityTag, c_tag
 from langdual.errors import CorrespondenceError, ResourceExceededError
 from langdual.languages import compile_text
-from langdual.varieties import FinMorphism
-from helpers import random_generators
+from helpers import random_generators, renamed_states
 from oracles import labelled_roundtrip_witness, match_states
 
 AB = ("a", "b")
@@ -103,24 +102,13 @@ def test_matched_round_trip_equals_the_labelled_one_on_the_corpus(corpus):
         assert sorted(outcome[1]) == list(range(piece.size))
 
 
-def _permuted(piece, perm):
-    """The same automaton with state s renamed perm[s]; the carrier is not
-    renumbered, as match_states reads only the transitions and outputs."""
-    inverse = sorted(range(piece.size), key=perm.__getitem__)
-    gamma = tuple(
-        FinMorphism(piece.carrier, piece.carrier, tuple(perm[g.graph[s]] for s in inverse)) for g in piece.gamma
-    )
-    out = FinMorphism(piece.carrier, piece.out.cod, tuple(piece.out.graph[s] for s in inverse))
-    return replace(piece, gamma=gamma, out=out)
-
-
 def test_match_states_pairs_the_states_of_equal_languages(corpus, language_set_ids):
     rng = random.Random(5)
     for i, (d, piece, _) in enumerate(corpus[:100]):
         assert match_states(piece, piece) == tuple(range(piece.size))
         perm = list(range(piece.size))
         rng.shuffle(perm)
-        assert match_states(piece, _permuted(piece, perm)) == tuple(perm)
+        assert match_states(piece, renamed_states(piece, perm)) == tuple(perm)
         others = [
             p
             for j, (e, p, _) in enumerate(corpus)
