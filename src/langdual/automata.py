@@ -12,6 +12,10 @@ derivative- and operation-closed family is a bitmask over maps.  Left and
 right derivatives by a letter are preimages along pre-/postcomposition with
 its map, read as unions of the map's fibres from byte tables built once per
 automaton, and the variety operations become bitwise operations.
+
+Which states accept one language is read off one refinement of coalgebras
+side by side, joint_quotient: the labels, is_rqc_closed and rqc_join here,
+and label inclusion and the refused round trip in correspondence.
 """
 
 from __future__ import annotations
@@ -24,15 +28,7 @@ from typing import Callable, Iterable, Sequence
 from .config import DEFAULT_LIMITS, Limits
 from .duality import DualityTag, c_tag, d_tag, dual_morphism, dual_object
 from .errors import TagMismatchError
-from .languages import (
-    Dfa,
-    LanguageId,
-    block_language,
-    language_quotient,
-    language_to_regex,
-    refine_partition,
-    state_languages,
-)
+from .languages import Dfa, LanguageId, block_language, dot_label, language_quotient, language_to_regex
 from .varieties import (
     FinAlgebra,
     FinMorphism,
@@ -65,8 +61,11 @@ class CCoalgebra:
 
     @cached_property
     def labels(self) -> tuple[LanguageId, ...]:
-        """Every state's language."""
-        return tuple(map(state_languages(_as_dfa(self)), range(self.size)))
+        """Every state's language, read off its block of the quotient, one
+        language per block."""
+        quotient, (block,) = joint_quotient(self)
+        languages = [block_language(quotient, b) for b in range(quotient.n_states)]
+        return tuple(map(languages.__getitem__, block))
 
     @property
     def size(self) -> int:
@@ -89,6 +88,26 @@ class DAlgebra:
 
 def label_set(q: CCoalgebra) -> frozenset[LanguageId]:
     return frozenset(q.labels)
+
+
+def joint_quotient(*qs: CCoalgebra) -> tuple[Dfa, list[list[int]]]:
+    """The states of qs side by side as one DFA (q's state s at s plus the
+    sizes of those before it, outputs as finality), its quotient by language
+    from one refinement (language_quotient), and the block of every state of
+    each q: two states share a block when they accept one language, and a
+    block's language is block_language of the quotient."""
+    offsets = list(accumulate((q.size for q in qs), initial=0))
+    delta = tuple(
+        tuple(t + off for t in row) for q, off in zip(qs, offsets) for row in zip(*(g.graph for g in q.gamma))
+    )
+    finals = frozenset(s for s, o in enumerate(chain.from_iterable(q.out.graph for q in qs)) if o == 1)
+    quotient, block = language_quotient(Dfa(qs[0].alphabet, len(delta), 0, finals, delta))
+    return quotient, [block[i:j] for i, j in zip(offsets, offsets[1:])]
+
+
+def state_language(q: CCoalgebra, state: int) -> LanguageId:
+    """The language accepted from a state, reading outputs as finality."""
+    return q.labels[state]
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +169,7 @@ def class_automaton(gens: Sequence[LanguageId], limits: Limits = DEFAULT_LIMITS)
     component of some reachable product state; two words therefore act
     alike side by side exactly when they act alike on the reachable product,
     and the maps are the product's classes, found in the same order.
-    Generator i accepts the words whose map sends offset_i + initial_i into
-    its finals.
+    Generator i's language is the mask of the start offset_i + initial_i.
     """
     if not gens:
         raise ValueError("at least one generator language is required")
@@ -159,22 +177,19 @@ def class_automaton(gens: Sequence[LanguageId], limits: Limits = DEFAULT_LIMITS)
     if any(g.alphabet != alphabet for g in gens):
         raise ValueError("generators must share one alphabet")
     offsets = list(accumulate((g.n_states for g in gens), initial=0))
-    letters = [
-        tuple(off + row[ai] for g, off in zip(gens, offsets) for row in g.dfa.delta)
-        for ai in range(len(alphabet))
-    ]
-    caut = _map_automaton(alphabet, letters, offsets[-1], limits)
-    finals = {off + q for g, off in zip(gens, offsets) for q in g.dfa.finals}
-    starts = [off + g.dfa.initial for g, off in zip(gens, offsets)]
-    return caut, [sum(1 << j for j, m in enumerate(caut.maps) if m[s] in finals) for s in starts]
+    delta = tuple(tuple(off + t for t in row) for g, off in zip(gens, offsets) for row in g.dfa.delta)
+    finals = frozenset(off + q for g, off in zip(gens, offsets) for q in g.dfa.finals)
+    side_by_side = Dfa(alphabet, offsets[-1], 0, finals, delta)
+    return _map_automaton(side_by_side, [off + g.dfa.initial for g, off in zip(gens, offsets)], limits)
 
 
-def _map_automaton(alphabet: tuple[str, ...], cols: list[tuple[int, ...]], n: int, limits: Limits) -> ClassAutomaton:
-    """The maps: the orbit of the identity on 0..n-1 under "then letter ai",
-    which sends q to cols[ai][q].  The map of a·u·l is post[l] of the map of
-    a·u, so each column of pre follows the orbit's tree from the map of a."""
-    steps = [lambda m, col=col: tuple(map(col.__getitem__, m)) for col in cols]
-    maps, post_rows, tree = orbit([tuple(range(n))], steps, limits.max_carrier, "transition-map closure")
+def _map_automaton(d: Dfa, starts: Iterable[int], limits: Limits) -> tuple[ClassAutomaton, list[int]]:
+    """The maps: the orbit of the identity on d's states under "then letter
+    ai", with the language of each start as a mask, the maps that send it
+    into d's finals.  The map of a·u·l is post[l] of the map of a·u, so each
+    column of pre follows the orbit's tree from the map of a."""
+    steps = [lambda m, col=col: tuple(map(col.__getitem__, m)) for col in zip(*d.delta)]
+    maps, post_rows, tree = orbit([tuple(range(d.n_states))], steps, limits.max_carrier, "transition-map closure")
     post = tuple(zip(*post_rows))
     pre = []
     for first in post_rows[0]:
@@ -182,7 +197,8 @@ def _map_automaton(alphabet: tuple[str, ...], cols: list[tuple[int, ...]], n: in
         for parent, ai in tree[1:]:
             col.append(post[ai][col[parent]])
         pre.append(tuple(col))
-    return ClassAutomaton(alphabet, tuple(maps), 0, post, tuple(pre))
+    masks = [sum(1 << j for j, m in enumerate(maps) if m[s] in d.finals) for s in starts]
+    return ClassAutomaton(d.alphabet, tuple(maps), 0, post, tuple(pre)), masks
 
 
 def _closed_piece(tag: VarietyTag, caut: ClassAutomaton, masks: list[int], right: bool, limits: Limits) -> CCoalgebra:
@@ -229,10 +245,8 @@ def rqc_join(tag: VarietyTag, qs: Sequence[CCoalgebra], limits: Limits = DEFAULT
         raise ValueError("at least one generator language is required")
     if any(q.alphabet != qs[0].alphabet for q in qs):
         raise ValueError("generators must share one alphabet")
-    quotient = language_quotient(_as_dfa(*qs))[0]
-    caut = _map_automaton(quotient.alphabet, list(zip(*quotient.delta)), quotient.n_states, limits)
-    masks = [sum(1 << j for j, m in enumerate(caut.maps) if m[b] in quotient.finals) for b in range(quotient.n_states)]
-    return _closed_piece(tag, caut, masks, True, limits)
+    quotient = joint_quotient(*qs)[0]
+    return _closed_piece(tag, *_map_automaton(quotient, range(quotient.n_states), limits), True, limits)
 
 
 def is_rqc_closed(q: CCoalgebra) -> bool:
@@ -244,8 +258,8 @@ def is_rqc_closed(q: CCoalgebra) -> bool:
     of q.  The labels are the state languages, so that is exact; no label is
     computed.
     """
-    block = language_blocks(q, *(coalg_shift(q, a) for a in q.alphabet))
-    return set(block[q.size :]) <= set(block[: q.size])
+    _, (own, *shifted) = joint_quotient(q, *(coalg_shift(q, a) for a in q.alphabet))
+    return set(chain.from_iterable(shifted)) <= set(own)
 
 
 # ---------------------------------------------------------------------------
@@ -292,39 +306,6 @@ def dalgebra_to_coalgebra(d: DualityTag, a: DAlgebra) -> CCoalgebra:
     return CCoalgebra(dual_object(d, a.carrier), a.alphabet, gamma, out)
 
 
-def language_blocks(*qs: CCoalgebra) -> list[int]:
-    """The block of every state of qs, side by side and in order, from one
-    refinement: two states share a block when they accept one language."""
-    joint = _as_dfa(*qs)
-    return refine_partition(joint.n_states, len(joint.alphabet), joint.finals, joint.delta)
-
-
-def least_odd_language(p: CCoalgebra, q: CCoalgebra) -> tuple[LanguageId | None, list[int]]:
-    """The least language by sort_key that states of one of p and q accept
-    and no state of the other does, or None, built from its block only, and
-    the block of every state of p and q side by side: one refinement."""
-    quotient, block = language_quotient(_as_dfa(p, q))
-    odd = set(block[: p.size]).symmetric_difference(block[p.size :])
-    return min((block_language(quotient, b) for b in odd), key=LanguageId.sort_key, default=None), block
-
-
-def state_language(q: CCoalgebra, state: int) -> LanguageId:
-    """The language accepted from a state, reading outputs as finality."""
-    return state_languages(_as_dfa(q))(state)
-
-
-def _as_dfa(*qs: CCoalgebra) -> Dfa:
-    """The states of qs side by side as a DFA, q's state s at s plus the
-    sizes of those before it, with the outputs as finality; its initial
-    state is a placeholder."""
-    offsets = accumulate((q.size for q in qs), initial=0)
-    delta = tuple(
-        tuple(t + off for t in row) for q, off in zip(qs, offsets) for row in zip(*(g.graph for g in q.gamma))
-    )
-    finals = frozenset(s for s, o in enumerate(chain.from_iterable(q.out.graph for q in qs)) if o == 1)
-    return Dfa(qs[0].alphabet, len(delta), 0, finals, delta)
-
-
 def reachable_part(a: DAlgebra, limits: Limits = DEFAULT_LIMITS) -> DAlgebra:
     """Restrict to the closure of the initial state under letter actions and
     the carrier operations.
@@ -365,11 +346,10 @@ def coalgebra_to_dot(q: CCoalgebra) -> str:
     lines = ["digraph coalgebra {", "  rankdir=LR;"]
     for s in range(q.size):
         shape = "doublecircle" if q.out.graph[s] == 1 else "circle"
-        name = language_to_regex(q.labels[s])
-        lines.append(f'  q{s} [shape={shape}, label="{name}"];')
+        lines.append(f'  q{s} [shape={shape}, label="{dot_label(language_to_regex(q.labels[s]))}"];')
     for s in range(q.size):
         for ai, a in enumerate(q.alphabet):
-            lines.append(f'  q{s} -> q{q.gamma[ai].graph[s]} [label="{a}"];')
+            lines.append(f'  q{s} -> q{q.gamma[ai].graph[s]} [label="{dot_label(a)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -381,6 +361,6 @@ def dalgebra_to_dot(a: DAlgebra) -> str:
     lines.append(f"  start -> q{a.init};")
     for s in range(a.size):
         for ai, sym in enumerate(a.alphabet):
-            lines.append(f'  q{s} -> q{a.alpha[ai].graph[s]} [label="{sym}"];')
+            lines.append(f'  q{s} -> q{a.alpha[ai].graph[s]} [label="{dot_label(sym)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

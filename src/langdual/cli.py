@@ -73,15 +73,14 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_common(parser: argparse.ArgumentParser, *, regexes: bool = True) -> None:
-    if regexes:
-        parser.add_argument(
-            "--regex",
-            action="append",
-            default=[],
-            metavar="STR",
-            help="regular expression; repeat the flag for several generators",
-        )
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--regex",
+        action="append",
+        default=[],
+        metavar="STR",
+        help="regular expression; repeat the flag for several generators",
+    )
     parser.add_argument("--alphabet", default="ab", help="alphabet symbols in order")
     parser.add_argument("--max-states", type=_int_at_least(1), default=None, help="state cap override")
     parser.add_argument("--max-carrier", type=_int_at_least(1), default=None, help="carrier cap override")
@@ -337,10 +336,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, report = _run(args)
-    except LangdualError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (LangdualError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     pieces = _report_text(report)

@@ -13,7 +13,8 @@ mutually inverse:
 
 Label-set inclusion of pieces then coincides with the quotient order of the
 monoids, and joins of pieces with subdirect products; one refinement of two
-pieces decides both.  Labels (state languages) are computed on first read.
+pieces side by side (joint_quotient) decides both.  Labels (state
+languages) are computed on first read.
 
 Neither direction refines an automaton unless it refuses.  A piece is closed
 under right derivatives exactly when evaluation at the initial state is an
@@ -41,8 +42,7 @@ from .automata import (
     coalgebra_to_dalgebra,
     dalgebra_to_coalgebra,
     is_rqc_closed,
-    language_blocks,
-    least_odd_language,
+    joint_quotient,
     reachable_part,
     rqc_closure,
     rqc_join,
@@ -50,7 +50,7 @@ from .automata import (
 from .config import DEFAULT_LIMITS, Limits
 from .duality import DualityTag, IsoWitness, c_tag, d_tag
 from .errors import CorrespondenceError, NotRqcClosedError, ResourceExceededError, TagMismatchError
-from .languages import LanguageId, language_to_regex
+from .languages import LanguageId, block_language, language_to_regex
 from .monoids import (
     SigmaMonoid,
     monoid_to_json,
@@ -203,10 +203,11 @@ def _roundtrip_witness(d: DualityTag, piece: CCoalgebra, monoid: SigmaMonoid, li
     if (forward := _signature_pairing(piece, back, monoid)) is not None:
         with suppress(CorrespondenceError):
             return _structure_iso(piece, back, forward)
-    extra, block = least_odd_language(piece, back)
-    if extra is not None:
+    quotient, (mine, theirs) = joint_quotient(piece, back)
+    if odd := set(mine).symmetric_difference(theirs):
+        extra = min((block_language(quotient, b) for b in odd), key=LanguageId.sort_key)
         raise CorrespondenceError("round trip changed the language set", counterexample=language_to_regex(extra))
-    forward = tuple(map(dict(zip(block[piece.size :], range(back.size))).__getitem__, block[: piece.size]))
+    forward = tuple(map(dict(zip(theirs, range(back.size))).__getitem__, mine))
     if not _pairable(piece, back) or len(set(forward)) != back.size:
         raise CorrespondenceError("round trip merged two states of one language")
     return _structure_iso(piece, back, forward)
@@ -262,8 +263,8 @@ def order_check(d: DualityTag, p1: CCoalgebra, p2: CCoalgebra, limits: Limits = 
     """Label inclusion, read off one refinement of both pieces as in
     is_rqc_closed, must agree with the monoid quotient order."""
     leq = quotient_leq(piece_to_monoid(d, p1, limits), piece_to_monoid(d, p2, limits), limits)
-    block = language_blocks(p1, p2)
-    return (set(block[: p1.size]) <= set(block[p1.size :])) == leq
+    _, (mine, theirs) = joint_quotient(p1, p2)
+    return (set(mine) <= set(theirs)) == leq
 
 
 def piece_join(d: DualityTag, p1: CCoalgebra, p2: CCoalgebra, limits: Limits = DEFAULT_LIMITS) -> CCoalgebra:

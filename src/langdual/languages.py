@@ -596,22 +596,6 @@ def canonical_language(d: Dfa) -> LanguageId:
     return LanguageId(_restrict_reachable(minimize_dfa(d)))
 
 
-def state_languages(d: Dfa) -> Callable[[int], LanguageId]:
-    """State -> the language accepted from it, from one refinement of all
-    states and no minimization per state (block_language); the initial
-    state of d is not read.  Languages are memoized per block."""
-    quotient, block_of = language_quotient(d)
-    memo: dict[int, LanguageId] = {}
-
-    def language(state: int) -> LanguageId:
-        b = block_of[state]
-        if b not in memo:
-            memo[b] = block_language(quotient, b)
-        return memo[b]
-
-    return language
-
-
 def block_language(quotient: Dfa, block: int) -> LanguageId:
     """The language of a block of language_quotient's quotient: what the
     block reaches, renumbered breadth-first, as the quotient is minimal."""
@@ -877,6 +861,11 @@ def regex_to_json(r: Regex) -> object:
     return obj
 
 
+def dot_label(text: str) -> str:
+    """text inside a DOT double-quoted string: backslash and quote escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def dfa_to_dot(d: Dfa) -> str:
     lines = ["digraph dfa {", "  rankdir=LR;", '  start [shape=point, label=""];']
     for q in range(d.n_states):
@@ -888,7 +877,6 @@ def dfa_to_dot(d: Dfa) -> str:
         for ai, a in enumerate(d.alphabet):
             by_target.setdefault(d.delta[q][ai], []).append(a)
         for t in sorted(by_target):
-            label = ",".join(by_target[t])
-            lines.append(f'  q{q} -> q{t} [label="{label}"];')
+            lines.append(f'  q{q} -> q{t} [label="{dot_label(",".join(by_target[t]))}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -24,6 +24,7 @@ from typing import Callable, Iterable
 from .automata import DAlgebra, reachable_part
 from .config import DEFAULT_LIMITS, Limits
 from .errors import NotReachableError, ResourceExceededError, TagMismatchError
+from .languages import dot_label
 from .varieties import (
     FinAlgebra,
     FinMorphism,
@@ -117,15 +118,6 @@ def carrier_add(carrier: FinAlgebra, x: int, y: int) -> int:
             return carrier.by_above[carrier.above[x] & carrier.above[y]]
         case VectZ2():
             return x ^ y
-    raise TagMismatchError(f"{carrier.tag} has no additive structure")
-
-
-def carrier_zero(carrier: FinAlgebra) -> int:
-    match carrier:
-        case JoinSemilattice():
-            return carrier.zero
-        case VectZ2():
-            return 0
     raise TagMismatchError(f"{carrier.tag} has no additive structure")
 
 
@@ -244,7 +236,7 @@ def transition_monoid(
     letters = [m.graph for m in a.alpha]
     seeds = {ident, *letters}
     if linear:
-        zero_map = (carrier_zero(carrier),) * n
+        zero_map = (*constants(carrier),) * n
         seeds.add(zero_map)
     # the seeds never count against the cap, only what grows past them
     cap = max(limits.max_carrier, len(seeds))
@@ -291,7 +283,7 @@ def transition_monoid(
         zero = keys.index(zero_key)
         sums = [(x, s - 1) for x, s in add_tree[n_words:] if s]
         if zero >= n_words:
-            at_init.append(carrier_zero(carrier))
+            at_init += constants(carrier)
         for left, w in sums:
             at_init.append(carrier_add(carrier, at_init[left], at_init[w]))
     if len(set(at_init)) != n:
@@ -474,7 +466,7 @@ def _subdirect_pairs(m1: SigmaMonoid, m2: SigmaMonoid, limits: Limits) -> list[t
     if m1.carrier.tag in LINEARISH:
         c1, c2 = m1.carrier, m2.carrier
         sums = [lambda p, w=w: (carrier_add(c1, p[0], w[0]), carrier_add(c2, p[1], w[1])) for w in pairs]
-        pairs = close([*pairs, (carrier_zero(c1), carrier_zero(c2))], sums, cap, "subdirect closure")
+        pairs = close([*pairs, (*constants(c1), *constants(c2))], sums, cap, "subdirect closure")
     return sorted(pairs)
 
 
@@ -607,6 +599,6 @@ def monoid_to_dot(m: SigmaMonoid) -> str:
         lines.append(f'  e{x} [shape={shape}, label="{x}"];')
     for x in range(m.size):
         for ai, a in enumerate(m.alphabet):
-            lines.append(f'  e{x} -> e{m.letter_cols[ai][x]} [label="{a}"];')
+            lines.append(f'  e{x} -> e{m.letter_cols[ai][x]} [label="{dot_label(a)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

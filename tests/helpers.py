@@ -22,7 +22,7 @@ from langdual.languages import (
     language_to_regex,
     left_derivative,
 )
-from langdual.monoids import FreeElement, SigmaMonoid, carrier_add, carrier_zero
+from langdual.monoids import FreeElement, SigmaMonoid, carrier_add
 from langdual.varieties import (
     BoolAlg,
     DistLat,
@@ -35,6 +35,7 @@ from langdual.varieties import (
     VarietyTag,
     VectZ2,
     algebra_to_json,
+    constants,
     jsl_from_masks,
     jsl_irreducibles,
     two_element_algebra,
@@ -127,7 +128,7 @@ def eval_word(m: SigmaMonoid, x: FreeElement | str) -> int:
         raise TagMismatchError("free element of the wrong variety")
     if x.tag in (VarietyTag.SET, VarietyTag.POS):
         return eval_word(m, x.words[0])
-    total = carrier_zero(m.carrier)
+    total = constants(m.carrier)[0]
     for w in x.words:
         total = carrier_add(m.carrier, total, eval_word(m, w))
     return total

@@ -15,17 +15,19 @@ automaton and generate_family, as it pins only the letter actions; the
 labelled round trip also shares monoid_to_piece, the dualization it
 labels, the checked piece-to-monoid shares the dualization, reachable part
 and transition monoid, as it pins only where the closure verdict comes
-from, the left derivative and residuals share canonical_language and
-state_languages, as they pin only that a minimal DFA needs no second
-minimization, and the state matching shares language_blocks, the
-refinement that the round trip's signature pairing replaced; the label join
-shares rqc_closure, as it pins only that the join closes the same labels
-without computing them; the bytes signature pairing, in which every state
-reads every word, is the one that the pairing through the carrier's
-generators replaced, and its round trip keeps the refusal classification
-of its time and shares the structure check and least_odd_language).  The presentations of subalgebras are scanned from their element lists
-here (scanned_present_subset), as before the library's closures handed back
-the atoms, basis or join-irreducibles they found.  The regex oracles are the
+from, the left derivative and residuals share canonical_language,
+language_quotient and block_language, as they pin only that a minimal DFA
+needs no second minimization, and the state matching shares
+joint_quotient, the refinement that the round trip's signature pairing
+replaced; the label join shares rqc_closure, as it pins only that the join
+closes the same labels without computing them; the bytes signature pairing,
+in which every state reads every word, is the one that the pairing through
+the carrier's generators replaced, and its round trip keeps the refusal
+classification of its time and shares the structure check and
+joint_quotient, through least_odd_language).  The presentations of
+subalgebras are scanned from their element lists here
+(scanned_present_subset), as before the library's closures handed back the
+atoms, basis or join-irreducibles they found.  The regex oracles are the
 recursive dataclass trees and walks that the library's pre-keyed, iterative
 trees replaced; they share nothing with them.  The tree derivative closure is
 the one that the library's closure over interned numbers replaced, with the
@@ -52,9 +54,8 @@ from langdual.automata import (
     class_automaton,
     coalgebra_to_dalgebra,
     is_rqc_closed,
+    joint_quotient,
     label_set,
-    language_blocks,
-    least_odd_language,
     reachable_part,
     rqc_closure,
 )
@@ -91,14 +92,15 @@ from langdual.languages import (
     _restrict_reachable,
     _sort_key,
     _spine,
+    block_language,
     canonical_language,
     check_alphabet,
+    language_quotient,
     language_to_regex,
     left_derivative,
     right_derivative,
-    state_languages,
 )
-from langdual.monoids import LINEARISH, SigmaMonoid, carrier_add, carrier_zero, transition_monoid
+from langdual.monoids import LINEARISH, SigmaMonoid, carrier_add, transition_monoid
 from langdual.varieties import (
     BoolAlg,
     DistLat,
@@ -329,7 +331,7 @@ def cubic_transition_monoid(a, reverse_composition=False, limits=DEFAULT_LIMITS)
     ident = tuple(range(n))
     seeds = [ident] + [m.graph for m in a.alpha]
     if carrier.tag in LINEARISH:
-        seeds.append(tuple(carrier_zero(carrier) for _ in range(n)))
+        seeds.append(tuple(constants(carrier)[0] for _ in range(n)))
     closed = {}
     order = []
     queue = deque()
@@ -507,7 +509,7 @@ def pairwise_subdirect_size(m1, m2):
                 pairs.add(p)
                 frontier.append(p)
     if m1.carrier.tag in LINEARISH:
-        pairs.add((carrier_zero(m1.carrier), carrier_zero(m2.carrier)))
+        pairs.add((constants(m1.carrier)[0], constants(m2.carrier)[0]))
         changed = True
         while changed:
             changed = False
@@ -850,7 +852,7 @@ def propagated_sigma_monoid_iso(m1, m2):
     linear = m1.carrier.tag in LINEARISH
     mapping = {m1.unit: m2.unit}
     if linear:
-        mapping[carrier_zero(m1.carrier)] = carrier_zero(m2.carrier)
+        mapping[constants(m1.carrier)[0]] = constants(m2.carrier)[0]
     changed = True
     while changed:
         changed = False
@@ -927,11 +929,11 @@ def match_states(p, q):
     n = p.size
     if p.alphabet != q.alphabet or q.size != n:
         return None
-    block = language_blocks(p, q)
-    mate = {b: t for t, b in enumerate(block[n:])}
-    if len(mate) != n or mate.keys() != set(block[:n]):
+    _, (mine, theirs) = joint_quotient(p, q)
+    mate = {b: t for t, b in enumerate(theirs)}
+    if len(mate) != n or mate.keys() != set(mine):
         return None
-    return tuple(map(mate.__getitem__, block[:n]))
+    return tuple(map(mate.__getitem__, mine))
 
 
 def bytes_signature_pairing(piece, back, monoid):
@@ -961,6 +963,14 @@ def bytes_signature_pairing(piece, back, monoid):
     return forward
 
 
+def least_odd_language(p, q):
+    """The least language by sort_key that states of one of p and q accept
+    and no state of the other does, or None, from one refinement of the two."""
+    quotient, (mine, theirs) = joint_quotient(p, q)
+    odd = set(mine).symmetric_difference(theirs)
+    return min((block_language(quotient, b) for b in odd), key=LanguageId.sort_key, default=None)
+
+
 def bytes_roundtrip_witness(d, piece, monoid, limits=DEFAULT_LIMITS):
     """The round trip paired by bytes_signature_pairing, with the refusal
     classified as before the pairing read the generators only: a failed
@@ -971,10 +981,10 @@ def bytes_roundtrip_witness(d, piece, monoid, limits=DEFAULT_LIMITS):
         try:
             return _structure_iso(piece, back, forward)
         except CorrespondenceError:
-            if (extra := least_odd_language(piece, back)[0]) is None:
+            if (extra := least_odd_language(piece, back)) is None:
                 raise
     else:
-        extra = least_odd_language(piece, back)[0]
+        extra = least_odd_language(piece, back)
     if extra is not None:
         raise CorrespondenceError("round trip changed the language set", counterexample=language_to_regex(extra))
     raise CorrespondenceError("round trip merged two states of one language")
@@ -1219,7 +1229,8 @@ def minimized_left_derivative(lang, word):
 
 def refined_residuals(lang):
     """Every left derivative, from one refinement of the minimal DFA."""
-    return frozenset(map(state_languages(lang.dfa), range(lang.n_states)))
+    quotient, _ = language_quotient(lang.dfa)
+    return frozenset(block_language(quotient, b) for b in range(quotient.n_states))
 
 
 def mask_language(caut, mask):

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import time
@@ -141,6 +142,34 @@ def test_export_dot_of_the_min_dfa_takes_exactly_one_regex(capsys):
         assert captured.out == "" and captured.err == "error: this verb takes exactly one --regex\n", argv
     code, out = run(capsys, "export-dot", "--object", "coalgebra", "--regex", "a", "--regex", "b")
     assert code == 0 and out.startswith("digraph")
+
+
+def test_dot_labels_escape_quotes_and_backslashes(capsys):
+    """Every label of every DOT object is one well-formed DOT string, which
+    unescapes to a symbol (a comma-joined list of them on a DFA edge), a
+    number, or for the coalgebra the regex text of a state's language."""
+    from langdual.automata import rqc_closure
+    from langdual.languages import compile_text, language_to_regex
+    from langdual.varieties import VarietyTag
+
+    alphabet, regex = 'a"\\', '("\\)*a'
+    piece = rqc_closure(VarietyTag.BA, [compile_text(regex, tuple(alphabet))])
+    texts = {language_to_regex(lang) for lang in piece.labels}
+    assert any('"' in t and "\\" in t for t in texts)
+    label = re.compile(r'label="((?:[^"\\]|\\.)*)"')
+    for obj in ("min-dfa", "coalgebra", "dalgebra", "monoid"):
+        code, out = run(capsys, "export-dot", "--alphabet", alphabet, "--object", obj, "--regex", regex)
+        assert code == 0
+        nodes, edges = set(), set()
+        for line in out.splitlines():
+            assert '"' not in label.sub("", line), (obj, line)
+            for body in label.findall(line):
+                (edges if "->" in line else nodes).add(re.sub(r"\\(.)", r"\1", body))
+        assert {s for e in edges for s in e.split(",")} == set(alphabet), obj
+        if obj == "coalgebra":
+            assert nodes == texts
+        else:
+            assert all(n.isdigit() or n == "" for n in nodes), (obj, nodes)
 
 
 def test_usage_errors_exit_2(capsys):

@@ -13,7 +13,8 @@ must return the same monoid, or raise the same class with the same message.
 `_roundtrip_witness` pairs the piece's states with the returned ones by the
 representative words of the monoid's word images that they accept; the
 pairing must be the one `match_states` finds by refining the two side by
-side, and a successful `correspond` must run neither refinement.
+side, and a successful `correspond` must run no refinement, where the
+labels, `is_rqc_closed`, `order_check` and `piece_join` each run one.
 
 The corpus: seeded generator sets of one or two regexes of at most 5 DFA
 states, closed at a 512-element cap under all four dualities by
@@ -26,8 +27,8 @@ import random
 
 import pytest
 
-import langdual.automata
 import langdual.correspondence
+import langdual.languages
 from langdual.automata import (
     coalgebra_to_dalgebra,
     generate_subcoalgebra,
@@ -36,7 +37,14 @@ from langdual.automata import (
     rqc_closure,
 )
 from langdual.config import Limits
-from langdual.correspondence import correspond, monoid_to_piece, piece_to_monoid, roundtrip_check
+from langdual.correspondence import (
+    correspond,
+    monoid_to_piece,
+    order_check,
+    piece_join,
+    piece_to_monoid,
+    roundtrip_check,
+)
 from langdual.duality import DualityTag, c_tag
 from langdual.errors import LangdualError, NotRqcClosedError, ResourceExceededError
 from langdual.languages import compile_text
@@ -155,11 +163,16 @@ def test_signature_pairing_is_the_refined_matching_on_the_families(d, text, retu
 
 
 def test_a_successful_correspond_runs_no_refinement(corpus, monkeypatch):
-    """`language_blocks` is the refinement under `is_rqc_closed` and the
-    `match_states` oracle."""
+    """`languages.refine_partition` is the one refinement: under
+    `is_rqc_closed`, the labels, `order_check`, `piece_join` and the
+    `match_states` oracle.  Each of those runs it once, a second read of the
+    labels none."""
     unclosed = next((d, p) for d, p in corpus if p.size > 8 and not is_rqc_closed(p))
-    calls = {"is_rqc_closed": 0, "language_blocks": 0}
-    for module, name in ((langdual.correspondence, "is_rqc_closed"), (langdual.automata, "language_blocks")):
+    rng = random.Random(11)
+    generator_sets = [random_generators(rng, AB, max_states=5) for _ in range(20)]
+    families = [(d, [compile_text(text, AB)]) for d, text in FAMILIES[:4]]  # compiling minimizes
+    calls = {"is_rqc_closed": 0, "refine_partition": 0}
+    for module, name in ((langdual.correspondence, "is_rqc_closed"), (langdual.languages, "refine_partition")):
         original = getattr(module, name)
 
         def counted(*args, name=name, original=original):
@@ -167,19 +180,31 @@ def test_a_successful_correspond_runs_no_refinement(corpus, monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(module, name, counted)
-    rng = random.Random(11)
-    for _ in range(20):
-        gens = random_generators(rng, AB, max_states=5)
+    pieces = {d: [] for d in DualityTag}
+    for gens in generator_sets:
         for d in DualityTag:
             try:
-                correspond(d, gens, Limits(max_carrier=64))
+                pieces[d].append(correspond(d, gens, Limits(max_carrier=64)).piece)
             except ResourceExceededError:
                 continue
-    for d, text in FAMILIES[:4]:
-        correspond(d, [compile_text(text, AB)])
-    assert calls == {"is_rqc_closed": 0, "language_blocks": 0}
+    for d, gens in families:
+        correspond(d, gens)
+    assert calls == {"is_rqc_closed": 0, "refine_partition": 0}
+
+    def refinements(run):
+        calls["refine_partition"] = 0
+        run()
+        return calls["refine_partition"]
+
+    for d, (p1, p2, *_) in pieces.items():
+        assert refinements(lambda: p1.labels) == 1
+        assert refinements(lambda: p1.labels) == 0
+        assert refinements(lambda: is_rqc_closed(p2)) == 1
+        assert refinements(lambda: order_check(d, p1, p2)) == 1
+        assert refinements(lambda: piece_join(d, p1, p2)) == 1
 
     # the counters see a refusal's refinement
+    calls["refine_partition"] = 0
     with pytest.raises(NotRqcClosedError):
         piece_to_monoid(*unclosed, Limits(max_carrier=8))
-    assert calls == {"is_rqc_closed": 1, "language_blocks": 1}
+    assert calls == {"is_rqc_closed": 1, "refine_partition": 1}

@@ -30,7 +30,6 @@ from dataclasses import replace
 
 import pytest
 
-import langdual.automata
 import langdual.correspondence
 import langdual.languages
 from langdual.automata import CCoalgebra, rqc_closure
@@ -193,8 +192,7 @@ def test_a_refused_round_trip_refines_once(corpus, monkeypatch):
         calls[0] += 1
         return original(*args)
 
-    for module in (langdual.languages, langdual.automata):
-        monkeypatch.setattr(module, "refine_partition", counted)
+    monkeypatch.setattr(langdual.languages, "refine_partition", counted)
     rng = random.Random(4)
     messages = set()
     small = [(d, p, m) for d, p, m in corpus if 3 <= p.size <= 64]

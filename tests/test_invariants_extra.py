@@ -9,13 +9,12 @@ from langdual.duality import DualityTag
 from langdual.languages import compile_text
 from langdual.monoids import (
     carrier_add,
-    carrier_zero,
     free_language,
     quotient_leq,
     subdirect_product,
     transition_monoid,
 )
-from langdual.varieties import VarietyTag
+from langdual.varieties import VarietyTag, constants
 from helpers import ccoalgebra_to_json, eval_word, language_dalgebra, trivial_monoid
 from oracles import carrier_map_monoid
 
@@ -59,7 +58,7 @@ def test_eval_word_additivity_for_linear_tags():
             assert eval_word(monoid, merged) == carrier_add(
                 monoid.carrier, eval_word(monoid, x), eval_word(monoid, y)
             )
-        assert eval_word(monoid, free_language(tag, [])) == carrier_zero(monoid.carrier)
+        assert eval_word(monoid, free_language(tag, [])) == constants(monoid.carrier)[0]
 
 
 def test_transition_monoid_elements_are_eval_images_linear_case():
@@ -78,7 +77,7 @@ def test_transition_monoid_elements_are_eval_images_linear_case():
                 frontier.append(w + a)
                 word_images.add(eval_word(monoid, w + a))
     # additive span of the word images, with the empty-language image
-    span = set(word_images) | {carrier_zero(monoid.carrier)}
+    span = set(word_images) | {constants(monoid.carrier)[0]}
     changed = True
     while changed:
         changed = False

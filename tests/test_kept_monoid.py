@@ -84,7 +84,7 @@ def test_a_kept_monoid_equals_a_fresh_one_at_every_cap(corpus):
 
 def _counted(monkeypatch, calls):
     """Count the calls of each name in calls, in the module that calls it."""
-    modules = {"transition_monoid": langdual.correspondence, "state_languages": langdual.automata}
+    modules = {"transition_monoid": langdual.correspondence, "block_language": langdual.automata}
     for name in calls:
         original = getattr(modules[name], name)
 
@@ -113,9 +113,9 @@ def test_the_monoid_round_trip_builds_the_dual_piece_s_monoid_afresh(corpus, mon
 @pytest.mark.parametrize("d", list(DualityTag), ids=[d.name for d in DualityTag])
 def test_two_correspondences_an_order_check_and_a_join_label_nothing(d, monkeypatch):
     first, second = [compile_text("(aa)*", AB)], [compile_text("a*b", AB)]
-    calls = {"state_languages": 0, "transition_monoid": 0}
+    calls = {"block_language": 0, "transition_monoid": 0}
     _counted(monkeypatch, calls)
     c1, c2 = correspond(d, first, SMALL), correspond(d, second, SMALL)
     assert order_check(d, c1.piece, c2.piece)
     piece_join(d, c1.piece, c2.piece, SMALL)
-    assert calls == {"state_languages": 0, "transition_monoid": 2}
+    assert calls == {"block_language": 0, "transition_monoid": 2}

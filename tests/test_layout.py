@@ -14,9 +14,15 @@ argument alive.  Tables derived from an object are cached on the object.
 No function in src/langdual imports anything in its body.  The benchmark
 imports langdual afresh for every pass, so a deferred import is paid inside
 whichever instance first reaches it, and shows as a latency outlier there.
+
+Every function that perfbench/tracer.py names in LAYERS or SIZES is a
+callable of its langdual module: the tracer wraps each one by getattr, so
+the traced benchmark pass breaks when one leaves its module.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,6 +84,16 @@ def _unreferenced(src: Path, outside: set[str]) -> list[str]:
 def test_every_top_level_definition_in_src_is_used_in_src_or_from_outside_the_tests():
     assert SRC.is_dir()
     assert _unreferenced(SRC, _outside_users(ROOT)) == []
+
+
+def test_every_function_the_tracer_names_is_a_callable_of_its_module():
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    named = [(module, fn) for module, functions in tracer.LAYERS.items() for fn in functions]
+    named += [(metric.split(".")[0], fn) for metric, (fn, _) in tracer.SIZES.items()]
+    for module, fn in named:
+        assert callable(getattr(importlib.import_module(f"langdual.{module}"), fn, None)), f"langdual.{module}.{fn}"
 
 
 def test_a_local_of_the_same_name_is_no_outside_use(tmp_path):

@@ -5,7 +5,7 @@ transitions and outputs: `labels` refines the states once when it is first
 read.  The round trip, the monoid paths and the right-derivative check never
 read them.  Seeded pieces over all four dualities check that nothing on those
 paths computes a label, that a rebuilt piece, a shift and a dualization each
-label their own structure, and that `language_blocks` groups states as the
+label their own structure, and that `joint_quotient` groups states as the
 labels do.
 """
 
@@ -18,7 +18,7 @@ from langdual.automata import (
     coalgebra_to_dalgebra,
     dalgebra_to_coalgebra,
     is_rqc_closed,
-    language_blocks,
+    joint_quotient,
     rqc_closure,
 )
 from langdual.config import Limits
@@ -60,7 +60,7 @@ def _no_labelling(*_):
 
 
 def test_round_trip_and_monoid_paths_compute_no_label(monkeypatch):
-    monkeypatch.setattr(langdual.automata, "state_languages", _no_labelling)
+    monkeypatch.setattr(langdual.automata, "block_language", _no_labelling)
     runs = set()
     for gens in _generator_sets(seed=31, count=30):
         for d in DualityTag:
@@ -100,11 +100,11 @@ def test_shifts_and_dualizations_label_their_own_states():
             assert q.labels == per_state_labels(q)
 
 
-def test_language_blocks_agree_with_the_labels():
+def test_joint_quotient_blocks_agree_with_the_labels():
     merged = 0
     for _, piece in _pieces(seed=43, count=25):
         for q in (piece, coalg_shift(piece, "ab")):
-            blocks, labels = language_blocks(q), per_state_labels(q)
+            (blocks,), labels = joint_quotient(q)[1], per_state_labels(q)
             pairs = {(b, l) for b, l in zip(blocks, labels)}
             assert len(pairs) == len(set(blocks)) == len(set(labels))
             merged += len(set(blocks)) < q.size

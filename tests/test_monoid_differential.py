@@ -19,7 +19,6 @@ from langdual.errors import LangdualError, NotReachableError, ResourceExceededEr
 from langdual.languages import compile_regex, compile_text
 from langdual.monoids import (
     SigmaMonoid,
-    carrier_zero,
     monoid_to_json,
     quotient_leq,
     subdirect_product,
@@ -34,6 +33,7 @@ from langdual.varieties import (
     VarietyTag,
     VectZ2,
     close,
+    constants,
     jsl_from_masks,
     jsl_irreducibles,
 )
@@ -233,7 +233,7 @@ def _aimed_corruptions(rng, m):
     with itself when the zero is no word image."""
     n = m.size
     mult = m.mult
-    zero = carrier_zero(m.carrier)
+    zero = constants(m.carrier)[0]
     words = close([m.unit], [lambda x, g=g: mult[x][g] for g in m.gen], n, "word images")
     sums = sorted(set(range(n)) - set(words) - {zero})
     right_images = {mult[x][g] for x in range(n) for g in m.gen}

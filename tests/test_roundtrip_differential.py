@@ -27,7 +27,7 @@ from dataclasses import replace
 import pytest
 
 import langdual.correspondence
-from langdual.automata import label_set, language_blocks, rqc_closure
+from langdual.automata import joint_quotient, label_set, rqc_closure
 from langdual.config import Limits
 from langdual.correspondence import _roundtrip_witness, monoid_to_piece, piece_to_monoid
 from langdual.duality import DualityTag, c_tag
@@ -157,8 +157,8 @@ def test_refusals_equal_the_labelled_ones(corpus, language_set_ids):
 
 
 def _distinct_state_languages(d, monoid, limits):
-    blocks = language_blocks(monoid_to_piece(d, monoid, limits))
-    return len(set(blocks)) == len(blocks)
+    quotient, (blocks,) = joint_quotient(monoid_to_piece(d, monoid, limits))
+    return quotient.n_states == len(blocks)
 
 
 def test_the_dual_of_a_generated_monoid_has_distinct_state_languages(corpus):
