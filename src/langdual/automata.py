@@ -317,8 +317,7 @@ def reachable_part(a: DAlgebra, limits: Limits = DEFAULT_LIMITS) -> DAlgebra:
     """
     cap = limits.max_carrier
     letters = [m.graph.__getitem__ for m in a.alpha]
-    # the letters fix the constants; seeding them keeps them off the cap
-    orbit = close([a.init, *constants(a.carrier)], letters, cap, "reachable closure")
+    orbit = close([a.init], letters, cap, "reachable closure")
     sub, incl, to_sub = present_closure(a.carrier, orbit, cap, "reachable closure")
     if sub.size == a.size:
         return a

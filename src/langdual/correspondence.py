@@ -101,10 +101,11 @@ def piece_to_monoid(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_L
     composition and the pointwise operations and generated by the letters,
     so T is an alphabet-generated monoid and validate_monoid accepts it.
 
-    The piece keeps T: c_tag is injective, so the piece fixes d, and a
-    closed piece's reachable part, both orbits and present_closure never
-    pass |T| = |A|, so every cap of at least |T| builds this T.  Under a
-    smaller cap the call runs in full, so every refusal is computed.
+    The piece keeps T: c_tag is injective, so the piece fixes d, and on a
+    closed piece every closure here, seeds included, holds at most
+    |T| = |A| elements, so every cap of at least |T| builds this T and
+    every smaller one refuses.  Under a smaller cap the call runs in full,
+    so every refusal is computed.
     """
     if piece.carrier.tag != c_tag(d):
         raise TagMismatchError(f"piece carrier {piece.carrier.tag} does not match {d}")

@@ -214,10 +214,9 @@ def transition_monoid(
     The images of the initial state under the closed family are its
     reachable part (the letter orbit, and its sums for JSL0/Z2VECT), so the
     algebra is generated exactly when they cover the carrier.  reachable_part
-    runs only where the verdict could differ from that order of checks:
-    when the carrier passes the cap, where the reachable closure is refused
-    first, and before the closure here is refused, where an algebra that is
-    not generated is reported as such.
+    runs only before the closure here is refused, where an algebra that is
+    not generated is reported as such.  The cap bounds the monoid it
+    returns, the identity and the letters included.
     """
     if a.carrier.tag not in D_TAGS:
         raise TagMismatchError(f"{a.carrier.tag} is not an algebra-side variety")
@@ -226,20 +225,11 @@ def transition_monoid(
         if reachable_part(a, limits).size != a.size:
             raise NotReachableError("algebra is not generated by its initial state")
 
-    if a.size > limits.max_carrier:
-        require_generated()
-
     carrier = a.carrier
     n = carrier.size
     linear = carrier.tag in LINEARISH
     ident = tuple(range(n))
     letters = [m.graph for m in a.alpha]
-    seeds = {ident, *letters}
-    if linear:
-        zero_map = (*constants(carrier),) * n
-        seeds.add(zero_map)
-    # the seeds never count against the cap, only what grows past them
-    cap = max(limits.max_carrier, len(seeds))
     if reverse_composition:
         steps = [lambda f, g=g: tuple(map(f.__getitem__, g)) for g in letters]
     else:
@@ -247,7 +237,7 @@ def transition_monoid(
 
     def grow(start: list, moves: list) -> tuple[list, list[list[int]], list]:
         try:
-            return orbit(start, moves, cap, "transition monoid")
+            return orbit(start, moves, limits.max_carrier, "transition monoid")
         except ResourceExceededError:
             require_generated()
             raise
@@ -278,6 +268,7 @@ def transition_monoid(
                 return reduce(lambda k, j: k << width | above[f[j]], irreducibles, 0)
 
         keys = list(map(key, graphs))
+        zero_map = (*constants(carrier),) * n
         zero_key = key(zero_map)
         keys, _, add_tree = grow(keys, [lambda f: zero_key] + [partial(plus, w) for w in keys])
         zero = keys.index(zero_key)

@@ -283,13 +283,14 @@ def close(seeds: Iterable[T], steps: Sequence[Callable[[T], T]], cap: int, what:
     """The closure of seeds under unary steps, in insertion order: the seeds
     without repeats, then each new element as a worklist finds it.
 
-    Raises ResourceExceededError when the closure would pass cap elements;
-    the seeds never count against it, only what grows past them.  A binary
-    operation closes as the steps "op with a generator" when it is
-    associative, since every product of generators is then a shorter
-    product op one generator.
+    Raises ResourceExceededError when the closure would hold more than cap
+    elements, seeds included.  A binary operation closes as the steps "op
+    with a generator" when it is associative, since every product of
+    generators is then a shorter product op one generator.
     """
     closed = list(dict.fromkeys(seeds))
+    if len(closed) > cap:
+        raise ResourceExceededError(f"{what} exceeded the carrier cap")
     seen = set(closed)
     for x in closed:
         for step in steps:
@@ -310,10 +311,12 @@ def orbit(
     steps[s](elements[i]) and tree[i] is the first (element index, step)
     that reached element i, None for a seed.
 
-    Same order and refusals as close; callers that read no table use close,
-    which keeps no table.
+    Same order and refusals as close, seeds counted alike; callers that
+    read no table use close, which keeps no table.
     """
     elements = list(dict.fromkeys(seeds))
+    if len(elements) > cap:
+        raise ResourceExceededError(f"{what} exceeded the carrier cap")
     index = {x: i for i, x in enumerate(elements)}
     tree: list[tuple[int, int] | None] = [None] * len(elements)
     edges = []
@@ -693,10 +696,8 @@ def present_closure(
     own right: (algebra, inclusion into amb, ambient index -> subalgebra
     index).  A JSL0 closure that is all of amb, as it is when the
     generators hold every join-irreducible, is amb itself.  Refuses when it
-    would pass cap, which the generators and constants never count
-    against."""
+    would hold more than cap elements."""
     seeds = set(gens) | set(constants(amb))
-    cap = max(cap, len(seeds))
     match amb:
         case BoolAlg() | VectZ2():
             sub, incl = generate_family(amb.tag, seeds, amb.size - 1, cap, what)
@@ -715,10 +716,10 @@ def present_closure(
             incl = tuple(sorted(close(seeds, steps, cap, what)))
             sub = jsl_of_sets([full ^ above[x] for x in incl])
         case FinSet():  # SET and POS have no operations
-            incl = tuple(sorted(seeds))
+            incl = tuple(sorted(close(seeds, [], cap, what)))
             sub = FinSet(len(incl))
         case FinPoset():
-            incl = tuple(sorted(seeds))
+            incl = tuple(sorted(close(seeds, [], cap, what)))
             sub = FinPoset(tuple(tuple(amb.leq[x][y] for y in incl) for x in incl))
         case _:
             raise TypeError(f"not a FinAlgebra: {amb!r}")

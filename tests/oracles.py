@@ -340,6 +340,8 @@ def cubic_transition_monoid(a, reverse_composition=False, limits=DEFAULT_LIMITS)
             closed[s] = len(order)
             order.append(s)
             queue.append(s)
+    if len(order) > limits.max_carrier:
+        raise ResourceExceededError("transition monoid exceeded the carrier cap")
     while queue:
         f = queue.popleft()
         new = []
@@ -683,6 +685,8 @@ def binary_ops(alg):
 
 def _pairwise_fixpoint(seed, op, cap):
     closed = set(seed)
+    if len(closed) > cap:
+        raise ResourceExceededError("operation closure exceeded the carrier cap")
     queue = deque(sorted(closed))
     while queue:
         x = queue.popleft()
@@ -751,6 +755,8 @@ def per_element_closed_piece(tag, gens, include_right, limits=DEFAULT_LIMITS):
 
 def derivative_mask_closure(caut, seeds, include_right, limits=DEFAULT_LIMITS):
     closed = set(seeds)
+    if len(closed) > limits.max_carrier:
+        raise ResourceExceededError("derivative closure exceeded the carrier cap")
     queue = deque(sorted(closed))
     while queue:
         mask = queue.popleft()
@@ -795,6 +801,8 @@ def pairwise_family(tag, seeds, full, cap):
 
 def pairwise_reachable_part(a, limits=DEFAULT_LIMITS):
     closed = {a.init} | set(constants(a.carrier))
+    if len(closed) > limits.max_carrier:
+        raise ResourceExceededError("reachable closure exceeded the carrier cap")
     unary = unary_ops(a.carrier)
     binary = binary_ops(a.carrier)
     queue = deque(sorted(closed))
@@ -823,6 +831,8 @@ def pairwise_reachable_part(a, limits=DEFAULT_LIMITS):
 
 def pairwise_generate_subalgebra(amb, gens, limits=DEFAULT_LIMITS):
     closed = set(gens) | set(constants(amb))
+    if len(closed) > limits.max_carrier:
+        raise ResourceExceededError("subalgebra closure exceeded the carrier cap")
     unary = unary_ops(amb)
     binary = binary_ops(amb)
     queue = deque(sorted(closed))

@@ -224,6 +224,43 @@ def test_out_of_range_caps_and_counts_are_usage_errors(argv, capsys):
     assert err.startswith("usage: ") and "Traceback" not in err
 
 
+# Each of these caps is below the constants and generators that a closure
+# starts from, which count against it like every other element.
+@pytest.mark.parametrize(
+    "argv, stage",
+    [
+        ("closure --variety dl --regex a* --max-carrier 2", "operation closure"),
+        ("closure --variety jsl --alphabet a --regex a* --max-carrier 1", "operation closure"),
+        ("monoid --variety jsl --alphabet a --regex a* --max-carrier 1", "operation closure"),
+        ("verify-eilenberg --variety dl --alphabet a --regex (aa)* --max-carrier 3", "operation closure"),
+        ("export-dot --variety dl --object dalgebra --regex @ --max-carrier 2", "operation closure"),
+        ("subdirect --variety dl --alphabet a --regex a* --regex (aa)* --max-carrier 3", "operation closure"),
+        ("leq --variety dl --regex b* --regex a* --max-carrier 2", "operation closure"),
+    ],
+)
+def test_a_cap_below_the_seeds_of_a_closure_exits_2(argv, stage, capsys):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {stage} exceeded the carrier cap\n"
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        ("closure --variety dl --regex a*", 3),
+        ("closure --variety jsl --alphabet a --regex a*", 2),
+        ("closure --variety dl --alphabet a --regex (aa)*", 4),
+    ],
+)
+def test_a_closure_fits_exactly_the_cap_of_its_size(argv, size, capsys):
+    for cap in (size - 1, size):
+        code = main([*argv.split(), "--max-carrier", str(cap)])
+        out = capsys.readouterr().out
+        assert code == (0 if cap == size else 2), cap
+    assert json.loads(out)["size"] == size
+
+
 def test_a_closed_pipe_exits_141_without_a_traceback():
     # the report is far larger than a pipe's buffer, so the write fails
     # once the reader has gone

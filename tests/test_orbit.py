@@ -77,18 +77,23 @@ def test_orbit_refuses_at_the_same_size_as_close():
             refusal = _refusal(close, seeds, steps, cap, "test closure")
             assert _refusal(orbit, seeds, steps, cap, "test closure") == refusal
             assert refusal in (None, "test closure exceeded the carrier cap")
-            assert (refusal is not None) == (len(set(seeds)) < size and cap < size)
+            assert (refusal is not None) == (cap < size)
             tripped += refusal is not None
     assert tripped >= 200
 
 
-def test_orbit_seeds_above_the_cap_do_not_count():
-    seeds = list(range(10))
-    elements, edges, tree = orbit(seeds, [lambda x: (x + 1) % 10], 3, "test closure")
-    assert elements == seeds and tree == [None] * 10
+def test_seeds_above_the_cap_are_refused_by_both_primitives():
+    """The cap bounds what the closure holds, seeds included: ten distinct
+    seeds are refused under a cap of 9 even with no steps, and a repeated
+    seed counts once."""
+    seeds = [*range(10), 0, 9]
+    for build in (close, orbit):
+        for steps in ([], [lambda x: (x + 1) % 10]):
+            with pytest.raises(ResourceExceededError, match="^test closure exceeded the carrier cap$"):
+                build(seeds, steps, 9, "test closure")
+    elements, edges, tree = orbit(seeds, [lambda x: (x + 1) % 10], 10, "test closure")
+    assert elements == close(seeds, [], 10, "test closure") == list(range(10)) and tree == [None] * 10
     assert [row[0] for row in edges] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 0]
-    with pytest.raises(ResourceExceededError, match="^test closure exceeded the carrier cap$"):
-        orbit(seeds, [lambda x: x + 1], 3, "test closure")
 
 
 def _class_automaton_outcome(build, gens, limits):
