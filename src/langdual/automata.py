@@ -209,15 +209,16 @@ def _closed_piece(tag: VarietyTag, caut: ClassAutomaton, masks: list[int], right
     seeds = close(masks, steps, limits.max_carrier, "derivative closure")
     what = {VarietyTag.BA: "boolean closure", VarietyTag.Z2VECT: "linear closure"}.get(tag, "operation closure")
     carrier, element_masks = generate_family(tag, seeds, caut.full_mask, limits.max_carrier, what)
-    mask_index = {m: i for i, m in enumerate(element_masks)}
-    # a BA or Z2VECT index is the bitmask of atoms or basis vectors it sums,
-    # and the letter actions and output are morphisms: sums of their images
-    linear = tag in (VarietyTag.BA, VarietyTag.Z2VECT)
-    points = list(map(element_masks.__getitem__, generators(carrier))) if linear else element_masks
-    span = (lambda images: tuple(generator_sums(carrier, list(images)))) if linear else tuple
-    gamma = tuple(
-        FinMorphism(carrier, carrier, span(map(mask_index.__getitem__, map(pre, points)))) for pre in caut.left_preimage
-    )
+    index = {m: i for i, m in enumerate(element_masks)}.__getitem__
+    # the letter actions and output are morphisms, sums of their generators' images: a BA
+    # or Z2VECT index is the bitmask of the generators it sums, a DL01 one is found by its mask
+    points = element_masks if tag is VarietyTag.JSL0 else list(map(element_masks.__getitem__, generators(carrier)))
+    span = tuple if tag is VarietyTag.JSL0 else lambda images: tuple(generator_sums(carrier, list(images)))
+    if tag is VarietyTag.DL01:
+        act = lambda pre: tuple(map(index, generator_sums(carrier, list(map(pre, points)))))
+    else:
+        act = lambda pre: span(map(index, map(pre, points)))
+    gamma = tuple(FinMorphism(carrier, carrier, act(pre)) for pre in caut.left_preimage)
     out = FinMorphism(carrier, two_element_algebra(tag), span(m >> caut.identity_index & 1 for m in points))
     return CCoalgebra(carrier, caut.alphabet, gamma, out)
 

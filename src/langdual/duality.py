@@ -37,7 +37,6 @@ from .varieties import (
     fibres,
     generator_sums,
     identity,
-    unions,
 )
 
 
@@ -160,9 +159,8 @@ def dual_morphism(d: DualityTag, h: FinMorphism) -> FinMorphism:
         case (DualityTag.DL01_POS, FinPoset()):
             # a monotone map dualizes to preimage between downset lattices
             assert isinstance(new_dom, DistLat) and isinstance(new_cod, DistLat)
-            preimage = unions(fibres(g, cod.size))
-            graph = tuple(map(new_cod.downset_index.__getitem__, map(preimage, new_dom.downset_masks)))
-            return FinMorphism(new_dom, new_cod, graph)
+            preimages = generator_sums(new_dom, fibres(g, cod.size))
+            return FinMorphism(new_dom, new_cod, tuple(map(new_cod.downset_index.__getitem__, preimages)))
         case (DualityTag.JSL_SELF, JoinSemilattice()):
             # upper adjoint: h*(b) is the join of the irreducibles j_i with
             # h(j_i) <= b, and those are all the irreducibles below it, so

@@ -876,7 +876,8 @@ def dfa_to_dot(d: Dfa) -> str:
         by_target: dict[int, list[str]] = {}
         for ai, a in enumerate(d.alphabet):
             by_target.setdefault(d.delta[q][ai], []).append(a)
-        for t in sorted(by_target):
-            lines.append(f'  q{q} -> q{t} [label="{dot_label(",".join(by_target[t]))}"];')
+        for t, symbols in sorted(by_target.items()):
+            for label in symbols if "," in symbols else [",".join(symbols)]:  # one edge per symbol if "," is one
+                lines.append(f'  q{q} -> q{t} [label="{dot_label(label)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

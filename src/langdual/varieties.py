@@ -3,11 +3,11 @@
 Every algebra carries an explicit element enumeration, so elements are plain
 indices 0..size-1 and morphisms are index arrays; this keeps every law
 exhaustively checkable.  Boolean algebras and bounded distributive lattices
-are stored by their dual presentations (atom count, join-irreducible poset)
-and expand elements on demand.  Tables derived from a presentation
-(principal downsets and downset masks, a JSL0's join table and its
-order-reversed dual, a poset's downset lattice) are computed once per
-object and live on it:
+are stored by their dual presentations (atom count, join-irreducible poset;
+a generated DL01 reads its JIs off its meets, its elements being their
+unions).  Tables derived from a presentation (principal downsets and downset
+masks, a JSL0's join table and its order-reversed dual, a poset's downset
+lattice) are computed once per object and live on it:
 
   BA      index = bitmask of atoms
   DL01    index = position in the sorted list of downset masks of the JI poset
@@ -268,7 +268,8 @@ class FinMorphism:
         """Composite that applies self first, then other."""
         if self.cod != other.dom:
             raise TagMismatchError("composition endpoints do not match")
-        return FinMorphism(self.dom, other.cod, tuple(other.graph[v] for v in self.graph))
+        g = other.graph
+        return FinMorphism(self.dom, other.cod, tuple([g[v] for v in self.graph]))
 
 
 def identity(alg: FinAlgebra) -> FinMorphism:
@@ -338,10 +339,11 @@ def orbit(
 
 def subset_sums(gens: Iterable[int], op: Callable[[int, int], int]) -> list[int]:
     """Index i holds the op-sum of the gens picked by the bits of i, index 0
-    the empty sum 0: the span of atoms under | or of a basis under ^."""
+    the empty sum 0: the span of atoms under op = or_ or of a basis under
+    op = xor, each written inline rather than called per sum."""
     sums = [0]
     for g in gens:
-        sums += [op(s, g) for s in sums]
+        sums += [s ^ g for s in sums] if op is xor else [s | g for s in sums]
     return sums
 
 
@@ -378,12 +380,17 @@ def generators(alg: FinAlgebra) -> list[int]:
 def generator_sums(alg: FinAlgebra, images: Sequence[int]) -> list[int]:
     """Per element, the sum (^ for Z2VECT, | otherwise) of the images of the
     generators under it: the morphism into bit vectors sending generator i
-    to images[i].  A BA or Z2VECT index is itself such a bit vector."""
+    to images[i].  A BA or Z2VECT index is itself such a bit vector; DL01
+    reads one subset_sums table per 8 JIs, for all downset masks at once."""
     match alg:
         case BoolAlg() | VectZ2():
             return subset_sums(images, xor if isinstance(alg, VectZ2) else or_)
         case DistLat():
-            return list(map(unions(images), alg.downset_masks))
+            sums = [0] * alg.size
+            for i in range(0, alg.n_ji, 8):
+                table = subset_sums(images[i : i + 8], or_)
+                sums = [s | table[d >> i & 255] for s, d in zip(sums, alg.downset_masks)]
+            return sums
         case JoinSemilattice():
             return list(map(unions(images), alg.below))
     raise TypeError(f"not an output-side algebra: {alg!r}")
@@ -621,32 +628,25 @@ def gaussian_basis(vectors: Iterable[int]) -> list[int]:
     return sorted(basis)
 
 
-def mask_lattice_presentation(masks: Iterable[int]) -> tuple[DistLat, tuple[int, ...]]:
-    """Present a 01-sublattice of sets (given as masks) by its JI poset.
-
-    Returns the lattice together with, per element index, the original mask.
-    The join-irreducibles are the least members holding each point, each
-    the first member holding it in ascending order, since no superset of a
-    mask is smaller: such a member is join-prime, and every member is the
-    union of those below it.  Raises ValueError unless the unions of the JI
-    poset's downsets are the family, one member each.
-    """
-    family = set(masks)
-    ji, unseen = [], reduce(or_, family, 0)
-    for s in sorted(family):
+def mask_lattice_presentation(meets: Sequence[int], cap: int, what: str) -> tuple[DistLat, tuple[int, ...]]:
+    """The lattice of unions of an intersection-closed family of masks with
+    0 and the full mask, by its JI poset, and the mask of each element.  The
+    JIs are the least meets holding each point, each the first holding it in
+    ascending order, as no superset of a mask is smaller.  They are
+    join-prime, so distinct downsets of them have distinct unions, one per
+    element, with no join closure: refuses past cap downsets."""
+    ji, unseen = [], reduce(or_, meets, 0)
+    for s in sorted(meets):
         if s & unseen:
             ji.append(s)
             unseen &= ~s
     sub = DistLat(tuple(tuple(a & b == a for b in ji) for a in ji))
-    # a wide antichain has exponentially many downsets: count to the family's
-    # size, and keep the count as the lattice's downset_masks
-    downsets = _downsets(sub.principal, len(family))
-    if downsets is not None and len(downsets) == len(family):
-        vars(sub)["downset_masks"] = tuple(sorted(downsets))
-        element_masks = tuple(generator_sums(sub, ji))
-        if set(element_masks) == family:
-            return sub, element_masks
-    raise ValueError("family is not a distributive lattice of sets")
+    # a wide antichain has exponentially many downsets: count them to the cap
+    downsets = _downsets(sub.principal, cap)
+    if downsets is None:
+        raise ResourceExceededError(f"{what} exceeded the carrier cap")
+    vars(sub)["downset_masks"] = tuple(sorted(downsets))
+    return sub, tuple(generator_sums(sub, ji))
 
 
 def generate_family(
@@ -661,9 +661,10 @@ def generate_family(
     The carrier comes from the generators the closure finds.  BA takes its
     atoms from the seeds' membership signatures and Z2VECT the reduced
     echelon basis of the seeds; both refuse when their span would pass cap.
-    DL01 closes under meets with the seeds, then under joins with those
-    meets, and is presented by mask_lattice_presentation; JSL0 closes under
-    joins with the seeds and is presented by jsl_from_masks.
+    DL01 closes under meets with the seeds and reads its carrier off the
+    join-irreducibles of those meets (mask_lattice_presentation), its
+    elements being their unions; JSL0 closes under joins with the seeds and
+    is presented by jsl_from_masks.
     """
     seeds = set(seeds)
     match tag:
@@ -676,8 +677,7 @@ def generate_family(
             gens, op, algebra = sorted(groups.values()), or_, BoolAlg
         case VarietyTag.DL01:
             seeds |= {0, full}
-            meets = close(seeds, [partial(and_, s) for s in seeds], cap, what)
-            return mask_lattice_presentation(close(meets, [partial(or_, m) for m in meets], cap, what))
+            return mask_lattice_presentation(close(seeds, [partial(and_, s) for s in seeds], cap, what), cap, what)
         case VarietyTag.JSL0:
             return jsl_from_masks(close(seeds | {0}, [partial(or_, s) for s in seeds], cap, what))
         case VarietyTag.Z2VECT:

@@ -6,8 +6,10 @@ monoid, join-semilattice, closure, class automaton, residual closure, DFA
 equivalence, minimization, left derivative, residual, labelling, DL01,
 join-semilattice table, morphism check, dual map, labelled round-trip,
 checked piece-to-monoid, state-matching, bit-by-bit union, map-by-map
-preimage, per-element piece, label join and label inclusion oracles are the
-exhaustive algorithms that the library's faster or shorter ones replaced;
+preimage, per-element piece, label join, label inclusion and join-closed
+DL01 family (join_closed_lattice, presented by the verifying
+mask_lattice_presentation) oracles are the exhaustive algorithms that the
+library's faster or shorter ones replaced;
 they share only carrier primitives such as validate_morphism, close,
 jsl_from_masks, gaussian_basis and the breadth-first renumbering of a DFA
 with the code they check (the per-element piece also shares the class
@@ -110,6 +112,7 @@ from langdual.varieties import (
     JoinSemilattice,
     VarietyTag,
     VectZ2,
+    _downsets,
     close,
     constants,
     gaussian_basis,
@@ -121,6 +124,7 @@ from langdual.varieties import (
     orbit,
     present_subset,
     two_element_algebra,
+    unions,
     validate_morphism,
 )
 
@@ -1082,6 +1086,48 @@ def sorted_order_basis(vectors):
             basis.sort(reverse=True)
     basis.sort()
     return basis
+
+
+def mask_lattice_presentation(masks):
+    """Present a 01-sublattice of sets (given as masks) by its JI poset,
+    verifying that it is one: the presentation that generate_family used
+    on the join closure of its meets, before it read the carrier off the
+    meets' join-irreducibles.
+
+    Returns the lattice together with, per element index, the original mask.
+    The join-irreducibles are the least members holding each point, each
+    the first member holding it in ascending order, since no superset of a
+    mask is smaller: such a member is join-prime, and every member is the
+    union of those below it.  Raises ValueError unless the unions of the JI
+    poset's downsets are the family, one member each.
+    """
+    family = set(masks)
+    ji, unseen = [], 0
+    for s in family:
+        unseen |= s
+    for s in sorted(family):
+        if s & unseen:
+            ji.append(s)
+            unseen &= ~s
+    sub = DistLat(tuple(tuple(a & b == a for b in ji) for a in ji))
+    # a wide antichain has exponentially many downsets: count to the family's
+    # size, and keep the count as the lattice's downset_masks
+    downsets = _downsets(sub.principal, len(family))
+    if downsets is not None and len(downsets) == len(family):
+        vars(sub)["downset_masks"] = tuple(sorted(downsets))
+        element_masks = tuple(map(unions(ji), sub.downset_masks))
+        if set(element_masks) == family:
+            return sub, element_masks
+    raise ValueError("family is not a distributive lattice of sets")
+
+
+def join_closed_lattice(seeds, full, cap, what):
+    """generate_family for DL01 as it was before it read the carrier off the
+    meets' join-irreducibles: the meets closed under joins with every meet,
+    then presented by the verifying mask_lattice_presentation."""
+    seeds = set(seeds) | {0, full}
+    meets = close(seeds, [partial(and_, s) for s in seeds], cap, what)
+    return mask_lattice_presentation(close(meets, [partial(or_, m) for m in meets], cap, what))
 
 
 def scanned_mask_lattice(masks):

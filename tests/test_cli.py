@@ -172,6 +172,26 @@ def test_dot_labels_escape_quotes_and_backslashes(capsys):
             assert all(n.isdigit() or n == "" for n in nodes), (obj, nodes)
 
 
+def test_dot_edge_labels_split_back_into_the_transitions_when_comma_is_a_symbol(capsys):
+    """A DFA edge's label is its symbols joined by ",", or one edge per
+    symbol when "," is one of them, so splitting every label on "," gives
+    back delta; with no "," in the alphabet the edges are not split."""
+    from langdual.languages import compile_text
+
+    edge = re.compile(r'^  q(\d+) -> q(\d+) \[label="(.*)"\];$')
+    for alphabet, regex in (("a,", "a*"), ("a,", "(a,)*a"), (",ab", "(,|a)*b"), ("ab", "(a|b)*a")):
+        d = compile_text(regex, tuple(alphabet)).dfa
+        code, out = run(capsys, "export-dot", "--alphabet", alphabet, "--regex", regex)
+        assert code == 0
+        delta, lines = {}, [m.groups() for m in map(edge.match, out.splitlines()) if m]
+        for q, t, label in lines:
+            for a in [","] if label == "," else label.split(","):
+                assert (int(q), a) not in delta, (alphabet, regex, out)
+                delta[int(q), a] = int(t)
+        assert delta == {(q, a): d.delta[q][ai] for q in range(d.n_states) for ai, a in enumerate(d.alphabet)}
+        assert len(lines) == len({(q, t) for q, t, _ in lines}) or "," in alphabet
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["derive", "--regex", "(ab", "--word", "a"]) == 2
     assert main(["monoid"]) == 2  # no regex

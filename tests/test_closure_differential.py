@@ -31,7 +31,6 @@ from langdual.varieties import (
     VarietyTag,
     VectZ2,
     generate_family,
-    mask_lattice_presentation,
     present_closure,
     present_subset,
 )
@@ -39,6 +38,7 @@ from helpers import language_dalgebra, random_algebra
 from oracles import (
     derivative_mask_closure,
     generated_then_presented,
+    mask_lattice_presentation,
     mask_language,
     pairwise_family,
     pairwise_generate_subalgebra,

@@ -29,7 +29,6 @@ from langdual.varieties import (
     FinMorphism,
     VarietyTag,
     generate_family,
-    mask_lattice_presentation,
     validate_morphism,
 )
 from helpers import random_algebra, random_morphism
@@ -37,6 +36,7 @@ from oracles import (
     bisimulation_equivalent,
     covers_lattice_presentation,
     letterwise_rqc_closed,
+    mask_lattice_presentation,
     pairwise_dl_morphism,
     per_state_labels,
     scanning_language,

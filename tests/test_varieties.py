@@ -20,7 +20,6 @@ from langdual.varieties import (
     is_order_reflecting,
     jsl_from_masks,
     leq,
-    mask_lattice_presentation,
     present_closure,
     present_subset,
     subset_sums,
@@ -28,7 +27,7 @@ from langdual.varieties import (
     validate_morphism,
 )
 from helpers import algebra_from_json, is_injective, is_surjective, make_jsl, make_poset, pairing
-from oracles import image_factorize, product_algebra, sorted_order_basis
+from oracles import image_factorize, mask_lattice_presentation, product_algebra, sorted_order_basis
 
 CHAIN3 = make_jsl(((0, 1, 2), (1, 1, 2), (2, 2, 2)), 0)
 
