@@ -28,13 +28,12 @@ from typing import Callable, Iterable, Sequence
 from .config import DEFAULT_LIMITS, Limits
 from .duality import DualityTag, c_tag, d_tag, dual_morphism, dual_object
 from .errors import TagMismatchError
-from .languages import Dfa, LanguageId, block_language, dot_label, language_quotient, language_to_regex
+from .languages import Dfa, LanguageId, block_language, dot_digraph, language_quotient, language_to_regex
 from .varieties import (
     FinAlgebra,
     FinMorphism,
     VarietyTag,
     algebra_to_json,
-    close,
     constants,
     fibres,
     free_on_one,
@@ -206,7 +205,7 @@ def _closed_piece(tag: VarietyTag, caut: ClassAutomaton, masks: list[int], right
     left derivatives, right derivatives if asked, and the variety operations."""
     sides = (caut.left_preimage, caut.right_preimage) if right else (caut.left_preimage,)
     steps = [side[ai] for ai in range(len(caut.alphabet)) for side in sides]
-    seeds = close(masks, steps, limits.max_carrier, "derivative closure")
+    seeds = orbit(masks, steps, limits.max_carrier, "derivative closure")[0]
     what = {VarietyTag.BA: "boolean closure", VarietyTag.Z2VECT: "linear closure"}.get(tag, "operation closure")
     carrier, element_masks = generate_family(tag, seeds, caut.full_mask, limits.max_carrier, what)
     index = {m: i for i, m in enumerate(element_masks)}.__getitem__
@@ -318,8 +317,8 @@ def reachable_part(a: DAlgebra, limits: Limits = DEFAULT_LIMITS) -> DAlgebra:
     """
     cap = limits.max_carrier
     letters = [m.graph.__getitem__ for m in a.alpha]
-    orbit = close([a.init], letters, cap, "reachable closure")
-    sub, incl, to_sub = present_closure(a.carrier, orbit, cap, "reachable closure")
+    reached = orbit([a.init], letters, cap, "reachable closure")[0]
+    sub, incl, to_sub = present_closure(a.carrier, reached, cap, "reachable closure")
     if sub.size == a.size:
         return a
     alpha = tuple(
@@ -343,24 +342,18 @@ def dalgebra_to_json(a: DAlgebra) -> dict:
 
 
 def coalgebra_to_dot(q: CCoalgebra) -> str:
-    lines = ["digraph coalgebra {", "  rankdir=LR;"]
-    for s in range(q.size):
-        shape = "doublecircle" if q.out.graph[s] == 1 else "circle"
-        lines.append(f'  q{s} [shape={shape}, label="{dot_label(language_to_regex(q.labels[s]))}"];')
-    for s in range(q.size):
-        for ai, a in enumerate(q.alphabet):
-            lines.append(f'  q{s} -> q{q.gamma[ai].graph[s]} [label="{dot_label(a)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    shapes = ["doublecircle" if v == 1 else "circle" for v in q.out.graph]
+    return dot_digraph(
+        "coalgebra",
+        [(f"q{s}", shapes[s], language_to_regex(q.labels[s])) for s in range(q.size)],
+        [(f"q{s}", f"q{m.graph[s]}", a) for s in range(q.size) for a, m in zip(q.alphabet, q.gamma)],
+    )
 
 
 def dalgebra_to_dot(a: DAlgebra) -> str:
-    lines = ["digraph dalgebra {", "  rankdir=LR;", '  start [shape=point, label=""];']
-    for s in range(a.size):
-        lines.append(f'  q{s} [shape=circle, label="{s}"];')
-    lines.append(f"  start -> q{a.init};")
-    for s in range(a.size):
-        for ai, sym in enumerate(a.alphabet):
-            lines.append(f'  q{s} -> q{a.alpha[ai].graph[s]} [label="{dot_label(sym)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return dot_digraph(
+        "dalgebra",
+        [(f"q{s}", "circle", str(s)) for s in range(a.size)],
+        [(f"q{s}", f"q{m.graph[s]}", sym) for s in range(a.size) for sym, m in zip(a.alphabet, a.alpha)],
+        start=f"q{a.init}",
+    )

@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 from .automata import DAlgebra, reachable_part
 from .config import DEFAULT_LIMITS, Limits
 from .errors import NotReachableError, ResourceExceededError, TagMismatchError
-from .languages import dot_label
+from .languages import dot_digraph
 from .varieties import (
     FinAlgebra,
     FinMorphism,
@@ -35,12 +35,10 @@ from .varieties import (
     VectZ2,
     _Table,
     algebra_to_json,
-    close,
     constants,
     gaussian_basis,
     is_order_reflecting,
     is_partial_order,
-    jsl_irreducibles,
     jsl_of_sets,
     leq,
     orbit,
@@ -372,11 +370,11 @@ def validate_monoid(m: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> bool:
     """Monoid axioms, bilinearity and alphabet-generation, through the
     generating structure.
 
-    Checked in turn: table shapes and index ranges; the unit; for JSL0, the
-    join table's laws (jsl_irreducibles), and for POS, that the order is a
-    partial order (is_partial_order); that the constants absorb,
-    x0 = 0 = 0x; that the translations x -> xa and y -> ay by each letter
-    are carrier morphisms; Light's associativity test on the letters,
+    Checked in turn: table shapes and index ranges; the unit; for JSL0, that
+    the join table is a semilattice (its masks give it back), and for POS,
+    that the order is a partial order (is_partial_order); that the constants
+    absorb, x0 = 0 = 0x; that the translations x -> xa and y -> ay by each
+    letter are carrier morphisms; Light's associativity test on the letters,
     x(ay) = (xa)y; and that the unit reaches every element under right
     letters and, for JSL0/Z2VECT, then under sums with word images, in an
     orbit whose tree makes each sum s = l + w, with row s = row l + row w.
@@ -409,8 +407,8 @@ def validate_monoid(m: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> bool:
         raise TagMismatchError(f"{carrier.tag} is not an algebra-side variety")
     if isinstance(carrier, JoinSemilattice):
         try:
-            jsl_irreducibles(carrier)
-        except ValueError:
+            carrier.irreducibles
+        except ValueError:  # the table's masks do not give it back
             return False
     if isinstance(carrier, FinPoset) and not is_partial_order(carrier):
         return False
@@ -424,7 +422,7 @@ def validate_monoid(m: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> bool:
     if not all(tuple(map(row.__getitem__, mult[g])) == mult[row[g]] for g in set(m.gen) for row in mult):
         return False
     cap = limits.max_carrier
-    elements = words = close([m.unit, *m.gen, *zeros], [c.__getitem__ for c in columns], cap, "generation closure")
+    elements = words = orbit([m.unit, *m.gen, *zeros], [c.__getitem__ for c in columns], cap, "generation closure")[0]
     if carrier.tag in LINEARISH:
         elements, _, tree = orbit(words, [partial(carrier_add, carrier, w) for w in words], cap, "generation closure")
         add, sums = _map_adder(carrier), zip(elements[len(words):], tree[len(words):])
@@ -453,11 +451,11 @@ def _subdirect_pairs(m1: SigmaMonoid, m2: SigmaMonoid, limits: Limits) -> list[t
     _check_compatible(m1, m2)
     cap = limits.max_carrier
     letters = [lambda p, c=c, d=d: (c[p[0]], d[p[1]]) for c, d in zip(m1.letter_cols, m2.letter_cols)]
-    pairs = close([(m1.unit, m2.unit)], letters, cap, "subdirect closure")
+    pairs = orbit([(m1.unit, m2.unit)], letters, cap, "subdirect closure")[0]
     if m1.carrier.tag in LINEARISH:
         c1, c2 = m1.carrier, m2.carrier
         sums = [lambda p, w=w: (carrier_add(c1, p[0], w[0]), carrier_add(c2, p[1], w[1])) for w in pairs]
-        pairs = close([*pairs, (*constants(c1), *constants(c2))], sums, cap, "subdirect closure")
+        pairs = orbit([*pairs, (*constants(c1), *constants(c2))], sums, cap, "subdirect closure")[0]
     return sorted(pairs)
 
 
@@ -584,12 +582,8 @@ def monoid_to_json(m: SigmaMonoid) -> dict:
 
 
 def monoid_to_dot(m: SigmaMonoid) -> str:
-    lines = ["digraph cayley {", "  rankdir=LR;"]
-    for x in range(m.size):
-        shape = "doublecircle" if x == m.unit else "circle"
-        lines.append(f'  e{x} [shape={shape}, label="{x}"];')
-    for x in range(m.size):
-        for ai, a in enumerate(m.alphabet):
-            lines.append(f'  e{x} -> e{m.letter_cols[ai][x]} [label="{dot_label(a)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return dot_digraph(
+        "cayley",
+        [(f"e{x}", "doublecircle" if x == m.unit else "circle", str(x)) for x in range(m.size)],
+        [(f"e{x}", f"e{col[x]}", a) for x in range(m.size) for a, col in zip(m.alphabet, m.letter_cols)],
+    )

@@ -280,40 +280,19 @@ def identity(alg: FinAlgebra) -> FinMorphism:
 # closures
 
 
-def close(seeds: Iterable[T], steps: Sequence[Callable[[T], T]], cap: int, what: str) -> list[T]:
-    """The closure of seeds under unary steps, in insertion order: the seeds
-    without repeats, then each new element as a worklist finds it.
+def orbit(
+    seeds: Iterable[T], steps: Sequence[Callable[[T], T]], cap: int, what: str
+) -> tuple[list[T], list[list[int]], list[tuple[int, int] | None]]:
+    """The closure of seeds under unary steps with the graph it walked:
+    returns (elements, edges, tree).  The elements come in insertion order:
+    the seeds without repeats, then each new element as a worklist finds
+    it.  edges[i][s] is the index of steps[s](elements[i]) and tree[i] is
+    the first (element index, step) that reached element i, None for a seed.
 
     Raises ResourceExceededError when the closure would hold more than cap
     elements, seeds included.  A binary operation closes as the steps "op
     with a generator" when it is associative, since every product of
     generators is then a shorter product op one generator.
-    """
-    closed = list(dict.fromkeys(seeds))
-    if len(closed) > cap:
-        raise ResourceExceededError(f"{what} exceeded the carrier cap")
-    seen = set(closed)
-    for x in closed:
-        for step in steps:
-            v = step(x)
-            if v not in seen:
-                if len(closed) >= cap:
-                    raise ResourceExceededError(f"{what} exceeded the carrier cap")
-                seen.add(v)
-                closed.append(v)
-    return closed
-
-
-def orbit(
-    seeds: Iterable[T], steps: Sequence[Callable[[T], T]], cap: int, what: str
-) -> tuple[list[T], list[list[int]], list[tuple[int, int] | None]]:
-    """close(seeds, steps, cap, what) with the graph it walked: returns
-    (elements, edges, tree), where edges[i][s] is the index of
-    steps[s](elements[i]) and tree[i] is the first (element index, step)
-    that reached element i, None for a seed.
-
-    Same order and refusals as close, seeds counted alike; callers that
-    read no table use close, which keeps no table.
     """
     elements = list(dict.fromkeys(seeds))
     if len(elements) > cap:
@@ -406,33 +385,6 @@ def fibres(graph: Sequence[int], n: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # presentations: validation and derived structure
-
-
-def jsl_irreducibles(alg: JoinSemilattice) -> list[int]:
-    """The join-irreducibles of a join table, after checking that it is a
-    semilattice with least element zero.
-
-    A table is one exactly when the masks read off its rows give it back
-    (JoinSemilattice), which takes n^2 mask operations, and one built from
-    masks is one by construction.  Any other is refused with ValueError
-    naming the first law it breaks: a square shape over its elements,
-    idempotence, the zero as unit, commutativity, else associativity.  A
-    semilattice is generated by its join-irreducibles.
-    """
-    try:
-        return list(alg.irreducibles)
-    except ValueError:
-        pass
-    join, zero, n = alg.join, alg.zero, alg.size
-    if not 0 <= zero < n or any(len(row) != n or min(row) < 0 or max(row) >= n for row in join):
-        raise ValueError("join table is not square over its elements")
-    if any(join[x][x] != x for x in range(n)):
-        raise ValueError("join not idempotent")
-    if list(join[zero]) != list(range(n)):
-        raise ValueError("zero is not a unit for join")
-    if list(map(tuple, join)) != list(zip(*join)):
-        raise ValueError("join not commutative")
-    raise ValueError("join not associative")
 
 
 def is_partial_order(alg: FinPoset) -> bool:
@@ -677,9 +629,9 @@ def generate_family(
             gens, op, algebra = sorted(groups.values()), or_, BoolAlg
         case VarietyTag.DL01:
             seeds |= {0, full}
-            return mask_lattice_presentation(close(seeds, [partial(and_, s) for s in seeds], cap, what), cap, what)
+            return mask_lattice_presentation(orbit(seeds, [partial(and_, s) for s in seeds], cap, what)[0], cap, what)
         case VarietyTag.JSL0:
-            return jsl_from_masks(close(seeds | {0}, [partial(or_, s) for s in seeds], cap, what))
+            return jsl_from_masks(orbit(seeds | {0}, [partial(or_, s) for s in seeds], cap, what)[0])
         case VarietyTag.Z2VECT:
             gens, op, algebra = gaussian_basis(seeds), xor, VectZ2
         case _:
@@ -713,13 +665,13 @@ def present_closure(
             # x as the set of the meet-irreducibles not above it: joins are unions
             above, element, full = amb.above, amb.by_above, amb.above[amb.zero]
             steps = [lambda x, m=above[g]: element[above[x] & m] for g in seeds]
-            incl = tuple(sorted(close(seeds, steps, cap, what)))
+            incl = tuple(sorted(orbit(seeds, steps, cap, what)[0]))
             sub = jsl_of_sets([full ^ above[x] for x in incl])
         case FinSet():  # SET and POS have no operations
-            incl = tuple(sorted(close(seeds, [], cap, what)))
+            incl = tuple(sorted(orbit(seeds, [], cap, what)[0]))
             sub = FinSet(len(incl))
         case FinPoset():
-            incl = tuple(sorted(close(seeds, [], cap, what)))
+            incl = tuple(sorted(orbit(seeds, [], cap, what)[0]))
             sub = FinPoset(tuple(tuple(amb.leq[x][y] for y in incl) for x in incl))
         case _:
             raise TypeError(f"not a FinAlgebra: {amb!r}")

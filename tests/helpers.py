@@ -37,11 +37,10 @@ from langdual.varieties import (
     algebra_to_json,
     constants,
     jsl_from_masks,
-    jsl_irreducibles,
     two_element_algebra,
     validate_morphism,
 )
-from oracles import tree_derive
+from oracles import table_jsl_irreducibles, tree_derive
 
 C_OPERATION_TAGS = (VarietyTag.BA, VarietyTag.DL01, VarietyTag.JSL0, VarietyTag.Z2VECT)
 
@@ -153,9 +152,8 @@ def make_poset(leq: Matrix) -> FinPoset:
 
 
 def make_jsl(join: Sequence[Sequence[int]], zero: int) -> JoinSemilattice:
-    alg = JoinSemilattice(tuple(tuple(row) for row in join), zero)
-    jsl_irreducibles(alg)
-    return alg
+    table_jsl_irreducibles(join, zero)
+    return JoinSemilattice(tuple(tuple(row) for row in join), zero)
 
 
 def make_distlat(ji_leq: Matrix) -> DistLat:

@@ -9,8 +9,9 @@ checked piece-to-monoid, state-matching, bit-by-bit union, map-by-map
 preimage, per-element piece, label join, label inclusion and join-closed
 DL01 family (join_closed_lattice, presented by the verifying
 mask_lattice_presentation) oracles are the exhaustive algorithms that the
-library's faster or shorter ones replaced;
-they share only carrier primitives such as validate_morphism, close,
+library's faster or shorter ones replaced, and close is orbit's reference,
+the closure loop that kept no edge table or tree;
+they share only carrier primitives such as validate_morphism, orbit,
 jsl_from_masks, gaussian_basis and the breadth-first renumbering of a DFA
 with the code they check (the per-element piece also shares the class
 automaton and generate_family, as it pins only the letter actions; the
@@ -113,14 +114,12 @@ from langdual.varieties import (
     VarietyTag,
     VectZ2,
     _downsets,
-    close,
     constants,
     gaussian_basis,
     generate_family,
     identity,
     is_order_reflecting,
     jsl_from_masks,
-    jsl_irreducibles,
     orbit,
     present_subset,
     two_element_algebra,
@@ -441,7 +440,7 @@ def translation_validate_monoid(m, limits=DEFAULT_LIMITS):
     translations = [tuple(row) for row in mult] + list(zip(*mult))
     if isinstance(carrier, JoinSemilattice):
         try:
-            irreducibles = jsl_irreducibles(carrier)
+            irreducibles = table_jsl_irreducibles(carrier.join, carrier.zero)
         except ValueError:
             return False
         join, zero = carrier.join, carrier.zero
@@ -651,6 +650,38 @@ def bisimulation_equivalent(d1, d2):
             ty = d1.delta[qy][ai] if sy == 0 else d2.delta[qy][ai]
             stack.append(((sx, tx), (sy, ty)))
     return True
+
+
+# ---------------------------------------------------------------------------
+# worklist closure
+#
+# orbit's reference: the library's closure loop for the callers that read no
+# edge table, until orbit became its only one.  It pins orbit's order and
+# refusals with no index, edges or tree.
+
+
+def close(seeds, steps, cap, what):
+    """The closure of seeds under unary steps, in insertion order: the seeds
+    without repeats, then each new element as a worklist finds it.
+
+    Raises ResourceExceededError when the closure would hold more than cap
+    elements, seeds included.  A binary operation closes as the steps "op
+    with a generator" when it is associative, since every product of
+    generators is then a shorter product op one generator.
+    """
+    closed = list(dict.fromkeys(seeds))
+    if len(closed) > cap:
+        raise ResourceExceededError(f"{what} exceeded the carrier cap")
+    seen = set(closed)
+    for x in closed:
+        for step in steps:
+            v = step(x)
+            if v not in seen:
+                if len(closed) >= cap:
+                    raise ResourceExceededError(f"{what} exceeded the carrier cap")
+                seen.add(v)
+                closed.append(v)
+    return closed
 
 
 # ---------------------------------------------------------------------------
@@ -1543,7 +1574,12 @@ def table_dual(join, zero):
 
 
 def table_jsl_irreducibles(join, zero):
-    """jsl_irreducibles with the irreducibles scanned off the table."""
+    """The join-irreducibles of a join table, scanned off it after checking
+    that it is a semilattice with least element zero.  Any other table is
+    refused with ValueError naming the first law it breaks: a square shape
+    over its elements, idempotence, the zero as unit, commutativity, else
+    associativity.  The library keeps only the verdict, reading the masks
+    (JoinSemilattice.irreducibles)."""
     n = len(join)
     if not 0 <= zero < n or any(len(row) != n or min(row) < 0 or max(row) >= n for row in join):
         raise ValueError("join table is not square over its elements")

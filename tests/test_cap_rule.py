@@ -29,8 +29,9 @@ from langdual.duality import DualityTag, c_tag
 from langdual.errors import LangdualError, ResourceExceededError
 from langdual.languages import compile_regex, compile_text, two_sided_residuals
 from langdual.monoids import subdirect_product, transition_monoid
-from langdual.varieties import FinMorphism, FinSet, VarietyTag, close, generate_family, orbit, present_closure
+from langdual.varieties import FinMorphism, FinSet, VarietyTag, generate_family, orbit, present_closure
 from helpers import C_OPERATION_TAGS, language_dalgebra, random_algebra, random_generators
+from oracles import close
 
 AB = ("a", "b")
 # languages whose transition monoids outgrow their automata

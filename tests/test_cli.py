@@ -463,6 +463,13 @@ PINNED_REPORTS = [
     ("dualize --variety dl --max-carrier 8 --regex (ab)*", 2, EMPTY, "50bdcdbb7937a396466f6c650688419800f421af467ed9aafc73ca8de3caa719"),
     ("verify-eilenberg --variety jsl --max-carrier 8 --regex (a|b)*ab", 2, EMPTY, "50bdcdbb7937a396466f6c650688419800f421af467ed9aafc73ca8de3caa719"),
     ("monoid --variety z2 --max-carrier 16 --regex (a|b)*ab", 2, EMPTY, "018566541412347a460d5e2ec8452ef35ee9cea657101f53011d6baaec49920d"),
+    ("export-dot --regex (ab)*", 0, "4651c494dbea8be6be80bcbceb5a8c6f3e158f99fd01544ba08577832eb388a9", EMPTY),
+    ("export-dot --regex (a|b)*abb", 0, "6630f808de0bf188ad0d0521b641c7668ed6cfdfd780e39e922edabc4df31a70", EMPTY),
+    ('export-dot --object min-dfa --alphabet a"\\ --regex ("\\)*a', 0, "48184a4396624321a85bd8e842ba55139b7aba7f44128f605c4045fee5346484", EMPTY),
+    ('export-dot --object coalgebra --alphabet a"\\ --regex ("\\)*a', 0, "b099812fee8edb5e219dac49af1a7f0f12d1c5ba3329b55ea6a545f21b9a2c30", EMPTY),
+    ('export-dot --object dalgebra --alphabet a"\\ --regex ("\\)*a', 0, "ce76ff06be5a0e780602dedd552e86d590c52062e7ae9971b69817a493293415", EMPTY),
+    ('export-dot --object monoid --alphabet a"\\ --regex ("\\)*a', 0, "310e5f446108d79733035f28416e97539a1f902a64d8c72b9288e6320050793d", EMPTY),
+    ("export-dot --object min-dfa --alphabet a, --regex (a,)*a", 0, "6323b6964b6d1973a0258114905bfa2223277ad5a0a3b82a357dea96e6460722", EMPTY),
 ]
 
 

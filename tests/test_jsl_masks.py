@@ -40,7 +40,6 @@ from langdual.varieties import (
     JoinSemilattice,
     _Table,
     jsl_from_masks,
-    jsl_irreducibles,
     leq,
 )
 from helpers import random_generators, scrambled_jsl
@@ -171,10 +170,12 @@ def test_dual_morphisms_match_the_pairwise_scan():
 
 
 def _verdict(check, join, zero):
+    """("ok", the irreducibles) or ("refused", None): the library refuses a
+    table as one that does not admit meets, the oracle by the law it breaks."""
     try:
-        return ("ok", check(join, zero))
-    except ValueError as err:
-        return ("refused", str(err))
+        return ("ok", list(check(join, zero)))
+    except ValueError:
+        return ("refused", None)
 
 
 def test_hand_built_tables_validate_or_are_refused_as_with_the_scans():
@@ -189,7 +190,7 @@ def test_hand_built_tables_validate_or_are_refused_as_with_the_scans():
             if rng.random() < 0.5:
                 join[y][x] = join[x][y]
         join = tuple(map(tuple, join))
-        ours = _verdict(lambda j, z: jsl_irreducibles(JoinSemilattice(j, z)), join, zero)
+        ours = _verdict(lambda j, z: JoinSemilattice(j, z).irreducibles, join, zero)
         assert ours == _verdict(table_jsl_irreducibles, join, zero)
         seen[ours[0]] += 1
         if ours[0] == "ok":

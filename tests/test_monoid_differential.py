@@ -32,18 +32,18 @@ from langdual.varieties import (
     JoinSemilattice,
     VarietyTag,
     VectZ2,
-    close,
     constants,
     jsl_from_masks,
-    jsl_irreducibles,
 )
 from helpers import language_dalgebra, make_jsl, make_poset, random_algebra, random_morphism, scrambled_jsl
 from oracles import (
+    close,
     cubic_jsl_laws,
     cubic_meet_table,
     cubic_transition_monoid,
     cubic_validate_monoid,
     pairwise_subdirect_size,
+    table_jsl_irreducibles,
     translation_validate_monoid,
 )
 
@@ -181,7 +181,7 @@ def test_transition_monoid_keyed_by_join_irreducibles_matches_the_oracle():
         if d is not DualityTag.JSL_SELF:
             continue
         _, alg = _dual_algebra(d, [compile_text(text, AB)], 4096)
-        assert 4 <= len(jsl_irreducibles(alg.carrier)) <= 8
+        assert 4 <= len(alg.carrier.irreducibles) <= 8
         for reverse in (True, False):
             built, expected = _same(alg, reverse)
             assert built == expected and len(json.loads(built)["mult"]) == alg.size, (text, reverse)
@@ -338,8 +338,10 @@ def test_validate_monoid_rejects_a_non_semilattice_jsl_carrier():
     field = SigmaMonoid(xor, ("a",), 1, ((0, 0), (0, 1)), (1,))
     assert cubic_validate_monoid(field)
     assert not validate_monoid(field)
+    with pytest.raises(ValueError, match="does not admit meets"):
+        xor.irreducibles
     with pytest.raises(ValueError, match="idempotent"):
-        jsl_irreducibles(xor)
+        table_jsl_irreducibles(xor.join, xor.zero)
 
 
 def test_validate_monoid_rejects_pos_carriers_that_are_not_partial_orders():
@@ -415,9 +417,30 @@ def test_jsl_table_laws_are_checked_through_the_irreducibles():
         make_jsl(lopsided.join, 0)
     # a lawful table: the subsets of {0, 1} under union, masks in order
     square, _ = jsl_from_masks(range(4))
-    assert jsl_irreducibles(square) == [1, 2]
+    assert list(square.irreducibles) == [1, 2]
     with pytest.raises(ValueError, match="commutative"):
         make_jsl(((0, 1), (0, 1)), 0)
+
+
+@pytest.mark.parametrize(
+    "law, join, zero",
+    [
+        ("square", ((0, 1, 2), (1, 1, 2), (2, 2, 3)), 0),
+        ("idempotent", ((0, 1, 2), (1, 0, 2), (2, 2, 2)), 0),
+        ("unit", ((0, 1, 2), (1, 1, 2), (2, 2, 2)), 1),
+        ("commutative", ((0, 1, 2), (1, 1, 2), (2, 1, 2)), 0),
+        ("associative", ((0, 1, 2), (1, 1, 0), (2, 0, 2)), 0),
+    ],
+)
+def test_validate_monoid_refuses_a_jsl_carrier_breaking_each_law(law, join, zero):
+    # min on 0 < 1 < 2 with unit 2 and letter 1 is a lawful monoid over the
+    # chain under max; over a table that breaks one law it is refused
+    mult = tuple(tuple(min(x, y) for y in range(3)) for x in range(3))
+    chain = JoinSemilattice(tuple(tuple(max(x, y) for y in range(3)) for x in range(3)), 0)
+    assert validate_monoid(SigmaMonoid(chain, ("a",), 2, mult, (1,)))
+    with pytest.raises(ValueError, match=law):
+        table_jsl_irreducibles(join, zero)
+    assert not validate_monoid(SigmaMonoid(JoinSemilattice(join, zero), ("a",), 2, mult, (1,)))
 
 
 @pytest.mark.parametrize("d", list(DualityTag))

@@ -1,6 +1,6 @@
 """orbit, the closure that also fills its edge table, and what is built on it.
 
-orbit is checked against close on the same input.  The class automaton is
+orbit is checked against its reference, oracles.close, on the same input.  The class automaton is
 checked against the breadth-first worklists it replaced
 (oracles.queue_class_automaton, which acts on the generators' product) on
 seeded corpora of one to three generators, at every cap from 1 to 64 and at
@@ -19,8 +19,8 @@ from langdual.config import DEFAULT_LIMITS, Limits
 from langdual.errors import ResourceExceededError
 from langdual.languages import compile_regex, compile_text
 from langdual.monoids import transition_monoid
-from langdual.varieties import FinMorphism, JoinSemilattice, close, orbit
-from oracles import cubic_transition_monoid, queue_class_automaton, queue_joint_dfa
+from langdual.varieties import FinMorphism, JoinSemilattice, orbit
+from oracles import close, cubic_transition_monoid, queue_class_automaton, queue_joint_dfa
 
 AB = ("a", "b")
 
