@@ -34,6 +34,7 @@ from .varieties import (
     FinMorphism,
     VarietyTag,
     algebra_to_json,
+    cayley_columns,
     constants,
     fibres,
     free_on_one,
@@ -130,13 +131,12 @@ def coalg_shift(q: CCoalgebra, word: str) -> CCoalgebra:
 class ClassAutomaton:
     """Distinct transition maps of the generators' DFAs, side by side.
 
-    Reading a word u from the identity ends in the map gamma_u, so the
-    languages over this automaton are exactly the unions of map-classes.
+    Reading a word u from the identity, map 0, ends in the map gamma_u, so
+    the languages over this automaton are exactly the unions of map-classes.
     """
 
     alphabet: tuple[str, ...]
     maps: tuple[tuple[int, ...], ...]
-    identity_index: int
     post: tuple[tuple[int, ...], ...]  # index of (letter after map): word u -> ua
     pre: tuple[tuple[int, ...], ...]  # index of (map after letter): word u -> au
 
@@ -184,20 +184,13 @@ def class_automaton(gens: Sequence[LanguageId], limits: Limits = DEFAULT_LIMITS)
 
 def _map_automaton(d: Dfa, starts: Iterable[int], limits: Limits) -> tuple[ClassAutomaton, list[int]]:
     """The maps: the orbit of the identity on d's states under "then letter
-    ai", with the language of each start as a mask, the maps that send it
-    into d's finals.  The map of a·u·l is post[l] of the map of a·u, so each
-    column of pre follows the orbit's tree from the map of a."""
+    ai", with its columns (cayley_columns), word u -> ua as post and word
+    u -> au as pre, and the language of each start as a mask, the maps that
+    send it into d's finals."""
     steps = [lambda m, col=col: tuple(map(col.__getitem__, m)) for col in zip(*d.delta)]
-    maps, post_rows, tree = orbit([tuple(range(d.n_states))], steps, limits.max_carrier, "transition-map closure")
-    post = tuple(zip(*post_rows))
-    pre = []
-    for first in post_rows[0]:
-        col = [first]
-        for parent, ai in tree[1:]:
-            col.append(post[ai][col[parent]])
-        pre.append(tuple(col))
+    maps, post, pre = cayley_columns(tuple(range(d.n_states)), steps, limits.max_carrier, "transition-map closure")
     masks = [sum(1 << j for j, m in enumerate(maps) if m[s] in d.finals) for s in starts]
-    return ClassAutomaton(d.alphabet, tuple(maps), 0, post, tuple(pre)), masks
+    return ClassAutomaton(d.alphabet, tuple(maps), post, pre), masks
 
 
 def _closed_piece(tag: VarietyTag, caut: ClassAutomaton, masks: list[int], right: bool, limits: Limits) -> CCoalgebra:
@@ -209,16 +202,16 @@ def _closed_piece(tag: VarietyTag, caut: ClassAutomaton, masks: list[int], right
     what = {VarietyTag.BA: "boolean closure", VarietyTag.Z2VECT: "linear closure"}.get(tag, "operation closure")
     carrier, element_masks = generate_family(tag, seeds, caut.full_mask, limits.max_carrier, what)
     index = {m: i for i, m in enumerate(element_masks)}.__getitem__
-    # the letter actions and output are morphisms, sums of their generators' images: a BA
-    # or Z2VECT index is the bitmask of the generators it sums, a DL01 one is found by its mask
-    points = element_masks if tag is VarietyTag.JSL0 else list(map(element_masks.__getitem__, generators(carrier)))
-    span = tuple if tag is VarietyTag.JSL0 else lambda images: tuple(generator_sums(carrier, list(images)))
-    if tag is VarietyTag.DL01:
+    # the letter actions are morphisms, sums of their generators' images: a BA or Z2VECT
+    # index is the bitmask of the generators it sums, a DL01 or JSL0 one is found by its
+    # mask; the output reads whether the identity, map 0, is in each element's mask
+    points = list(map(element_masks.__getitem__, generators(carrier)))
+    if tag in (VarietyTag.DL01, VarietyTag.JSL0):
         act = lambda pre: tuple(map(index, generator_sums(carrier, list(map(pre, points)))))
     else:
-        act = lambda pre: span(map(index, map(pre, points)))
+        act = lambda pre: tuple(generator_sums(carrier, list(map(index, map(pre, points)))))
     gamma = tuple(FinMorphism(carrier, carrier, act(pre)) for pre in caut.left_preimage)
-    out = FinMorphism(carrier, two_element_algebra(tag), span(m >> caut.identity_index & 1 for m in points))
+    out = FinMorphism(carrier, two_element_algebra(tag), tuple(m & 1 for m in element_masks))
     return CCoalgebra(carrier, caut.alphabet, gamma, out)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial
 from typing import Callable, Iterable
 
 from .automata import DAlgebra, reachable_part
@@ -35,14 +35,15 @@ from .varieties import (
     VectZ2,
     _Table,
     algebra_to_json,
+    cayley_columns,
     constants,
-    gaussian_basis,
+    generate_family,
+    generators,
     is_order_reflecting,
     is_partial_order,
     jsl_of_sets,
     leq,
     orbit,
-    subset_sums,
     validate_morphism,
 )
 
@@ -172,11 +173,6 @@ class SigmaMonoid:
 # transition monoids
 
 
-def _encode_linear(graph: tuple[int, ...], dim: int) -> int:
-    """A linear map on Z2^dim as one integer: its basis images, dim bits each."""
-    return sum(graph[1 << i] << (i * dim) for i in range(dim))
-
-
 def transition_monoid(
     a: DAlgebra,
     reverse_composition: bool = False,
@@ -192,22 +188,24 @@ def transition_monoid(
 
     The letter actions are carrier morphisms, so composition is bilinear and
     the closure is the additive span of the word images.  The word images
-    come from a breadth-first search of the right Cayley graph (each one is
-    a parent times a letter), and for JSL0/Z2VECT every sum is a smaller sum
-    plus a word image.  The sums close over one int per map, so that a sum
-    is one operation: a Z2VECT map's basis images (_encode_linear), added by
-    ^, and a JSL0 map's above masks M(f(j)) of its join-irreducibles' images
-    side by side, added by &, as M(x + y) = M(x) & M(y).  Those keys also
-    present the monoid's JSL0 carrier (jsl_of_sets).
+    and each letter's column, x -> xa, and row, y -> ay, on them come from
+    cayley_columns over the letters: a column entry is an edge of the right
+    Cayley graph and a row entry follows its tree, a(pb) = (ap)b.  For
+    JSL0/Z2VECT every sum is a smaller sum plus a word image.  The sums
+    close over one int per map, so that a sum is one operation: the codes
+    of the images of the carrier's generators side by side, a JSL0 image
+    coded by its above mask and added by &, as M(x + y) = M(x) & M(y), a
+    Z2VECT one by itself and added by ^.  Those keys also present the
+    monoid's JSL0 carrier (jsl_of_sets) and number its Z2VECT elements by
+    their coordinates over a basis (generate_family), so there a sum is the
+    ^ of the numbers; SET, POS and JSL0 elements are numbered by their
+    sorted graphs.
 
-    Along the same trees each letter's column, x -> xa, and its row, y -> ay,
-    take one lookup or one sum per element: a word image's column entry is
-    an edge of the Cayley graph, and (l + w)a = la + wa; a(pb) = (ap)b and
-    a(l + w) = al + aw.  Z2VECT elements are numbered by their coordinates
-    over a basis, so there a sum is the ^ of the numbers.  The full table
-    (mult, a _Table) is built only when read, row by row along the left
-    Cayley graph, (bx)y = b(xy), and then the sums, (l + w)y = ly + wy.  The
-    round trip reads only the letters, so correspond builds no n x n table.
+    Along the sum tree each column and row take one sum per element,
+    (l + w)a = la + wa and a(l + w) = al + aw.  The full table (mult, a
+    _Table) is built only when read, row by row along the left Cayley
+    graph, (bx)y = b(xy), and then the sums, (l + w)y = ly + wy.  The round
+    trip reads only the letters, so correspond builds no n x n table.
 
     The images of the initial state under the closed family are its
     reachable part (the letter orbit, and its sums for JSL0/Z2VECT), so the
@@ -219,30 +217,26 @@ def transition_monoid(
     if a.carrier.tag not in D_TAGS:
         raise TagMismatchError(f"{a.carrier.tag} is not an algebra-side variety")
 
-    def require_generated() -> None:
-        if reachable_part(a, limits).size != a.size:
-            raise NotReachableError("algebra is not generated by its initial state")
+    def grow(closure: Callable, seeds, moves: list) -> tuple:
+        try:
+            return closure(seeds, moves, limits.max_carrier, "transition monoid")
+        except ResourceExceededError:
+            if reachable_part(a, limits).size != a.size:
+                raise NotReachableError("algebra is not generated by its initial state")
+            raise
 
     carrier = a.carrier
     n = carrier.size
     linear = carrier.tag in LINEARISH
-    ident = tuple(range(n))
     letters = [m.graph for m in a.alpha]
     if reverse_composition:
         steps = [lambda f, g=g: tuple(map(f.__getitem__, g)) for g in letters]
     else:
         steps = [lambda f, g=g: tuple(map(g.__getitem__, f)) for g in letters]
 
-    def grow(start: list, moves: list) -> tuple[list, list[list[int]], list]:
-        try:
-            return orbit(start, moves, limits.max_carrier, "transition monoid")
-        except ResourceExceededError:
-            require_generated()
-            raise
-
     # word images: the orbit of the identity over the right Cayley graph,
-    # each one its tree parent times a letter
-    graphs, word_edges, tree = grow([ident], steps)
+    # with each letter's column and row on them
+    graphs, word_cols, word_rows = grow(cayley_columns, tuple(range(n)), steps)
     n_words = len(graphs)
     keys = graphs
     at_init = [f[a.init] for f in graphs]
@@ -255,20 +249,18 @@ def transition_monoid(
     sums: list[tuple[int, int]] = []
     if linear:
         if isinstance(carrier, VectZ2):
-            key = partial(_encode_linear, dim=carrier.dim)
-            plus = operator.xor
+            code, plus = tuple(range(n)), operator.xor
         else:
-            irreducibles, above = carrier.irreducibles, carrier.above
-            width = above[carrier.zero].bit_length()
-            plus = operator.and_
+            code, plus = carrier.above, operator.and_
+        points, width = generators(carrier), max(code).bit_length()
 
-            def key(f: tuple[int, ...]) -> int:
-                return reduce(lambda k, j: k << width | above[f[j]], irreducibles, 0)
+        def key(f: tuple[int, ...]) -> int:
+            return sum(code[f[p]] << i * width for i, p in enumerate(points))
 
         keys = list(map(key, graphs))
         zero_map = (*constants(carrier),) * n
         zero_key = key(zero_map)
-        keys, _, add_tree = grow(keys, [lambda f: zero_key] + [partial(plus, w) for w in keys])
+        keys, _, add_tree = grow(orbit, keys, [lambda f: zero_key] + [partial(plus, w) for w in keys])
         zero = keys.index(zero_key)
         sums = [(x, s - 1) for x, s in add_tree[n_words:] if s]
         if zero >= n_words:
@@ -284,12 +276,18 @@ def transition_monoid(
         join_maps = _map_adder(carrier)
         for left, w in sums:
             graphs.append(join_maps(graphs[left], graphs[w]))
-    pos = _present_map_family(carrier, keys if isinstance(carrier, VectZ2) else graphs)
-    order = sorted(range(size), key=pos.__getitem__)  # order[pos[x]] = x
+    if isinstance(carrier, VectZ2):
+        monoid_carrier, codes = generate_family(VarietyTag.Z2VECT, keys, 0, size, "transition monoid")
+        order = list(map({k: x for x, k in enumerate(keys)}.__getitem__, codes))
+    else:
+        order = sorted(range(size), key=graphs.__getitem__)
+    pos = [0] * size  # order[pos[x]] = x
+    for rank, x in enumerate(order):
+        pos[x] = rank
 
     match carrier:
         case FinSet():
-            monoid_carrier: FinAlgebra = FinSet(size)
+            monoid_carrier = FinSet(size)
         case FinPoset():
             funcs = [graphs[i] for i in order]
             monoid_carrier = FinPoset(
@@ -301,8 +299,6 @@ def transition_monoid(
         case JoinSemilattice():
             # a map as the key bits it lacks, all of which the zero has: sums are unions
             monoid_carrier = jsl_of_sets([keys[zero] ^ keys[x] for x in order])
-        case _:
-            monoid_carrier = VectZ2((size - 1).bit_length())
 
     def spread(on_words: list[int]) -> tuple[int, ...]:
         """An additive map into the monoid, given on the word images in
@@ -315,14 +311,9 @@ def transition_monoid(
                 values.append(carrier_add(monoid_carrier, values[left], values[w]))
         return tuple(map(values.__getitem__, order))
 
-    cols = [spread([pos[e[ai]] for e in word_edges]) for ai in range(len(letters))]
-    gens = tuple(pos[c] for c in word_edges[0])
-    rows = []
-    for g in gens:
-        row = [g]
-        for parent, ai in tree[1:]:
-            row.append(cols[ai][row[parent]])
-        rows.append(spread(row))
+    cols = [spread(list(map(pos.__getitem__, col))) for col in word_cols]
+    rows = [spread(list(map(pos.__getitem__, row))) for row in word_rows]
+    gens = tuple(pos[col[0]] for col in word_cols)
     unit = pos[0]
 
     def table() -> tuple[tuple[int, ...], ...]:
@@ -342,24 +333,6 @@ def transition_monoid(
     monoid = SigmaMonoid(monoid_carrier, a.alphabet, unit, _Table(table, size), gens)
     vars(monoid).update(letter_rows=tuple(rows), letter_cols=tuple(cols))
     return monoid
-
-
-def _present_map_family(carrier: FinAlgebra, keys: list) -> list[int]:
-    """Fix the enumeration of a closed family of maps, per carrier variety.
-
-    Returns the position of each map.  Z2VECT maps come as _encode_linear
-    codes and are numbered by their coordinates over a basis of the family;
-    all other maps come as graphs and are numbered in sorted order.
-    """
-    if carrier.tag is VarietyTag.Z2VECT:
-        coords = {code: i for i, code in enumerate(subset_sums(gaussian_basis(keys), operator.xor))}
-        if len(coords) != len(keys):
-            raise ValueError("map family is not closed under pointwise sums")
-        return [coords[k] for k in keys]
-    pos = [0] * len(keys)
-    for rank, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
-        pos[i] = rank
-    return pos
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +454,10 @@ def subdirect_product(m1: SigmaMonoid, m2: SigmaMonoid, limits: Limits = DEFAULT
             shift = full1.bit_length()
             carrier = jsl_of_sets([full1 ^ c1.above[p] | (full2 ^ c2.above[q]) << shift for p, q in pairs])
         case VarietyTag.Z2VECT:
-            r = (len(pairs) - 1).bit_length() if len(pairs) > 1 else 0
-            carrier = VectZ2(r)
-            pairs = _relabel_pairs_linearly(m1, m2, pairs)
+            # a pair as the code p << dim2 | q, numbered by its coordinates over a basis
+            d2 = c2.dim
+            carrier, codes = generate_family(tag, [p << d2 | q for p, q in pairs], 0, len(pairs), "subdirect closure")
+            pairs = [(code >> d2, code & ~(-1 << d2)) for code in codes]
         case _:
             raise TagMismatchError(f"{tag} is not an algebra-side variety")
     index = {p: i for i, p in enumerate(pairs)}
@@ -501,15 +475,6 @@ def subdirect_product(m1: SigmaMonoid, m2: SigmaMonoid, limits: Limits = DEFAULT
             lines = zip(getattr(m1, name), getattr(m2, name))
             vars(product)[name] = tuple(tuple(index[one[p], two[q]] for p, q in pairs) for one, two in lines)
     return product
-
-
-def _relabel_pairs_linearly(m1, m2, pairs):
-    """Order the pair set so indices are coordinates over a chosen basis."""
-    d2 = m2.carrier.dim if isinstance(m2.carrier, VectZ2) else 0
-    basis = gaussian_basis(p[0] << d2 | p[1] for p in pairs)
-    if 1 << len(basis) != len(pairs):
-        raise ValueError("pair family is not closed under sums")
-    return [(code >> d2, code & ((1 << d2) - 1)) for code in subset_sums(basis, operator.xor)]
 
 
 def quotient_leq(m1: SigmaMonoid, m2: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> bool:

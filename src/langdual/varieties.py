@@ -316,6 +316,25 @@ def orbit(
     return elements, edges, tree
 
 
+def cayley_columns(
+    start: T, steps: Sequence[Callable[[T], T]], cap: int, what: str
+) -> tuple[list[T], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The word images of start, a unit, under steps, as orbit finds them
+    and refuses them, with each step's right and left column: right[s][i]
+    is the index of element i followed by step s (orbit's edges), left[s][i]
+    that of step s followed by element i.  A left column follows orbit's
+    tree, as s(pl) = (sp)l, one lookup per element."""
+    elements, edges, tree = orbit([start], steps, cap, what)
+    right = tuple(zip(*edges))
+    left = []
+    for first in edges[0]:
+        col = [first]
+        for parent, s in tree[1:]:
+            col.append(right[s][col[parent]])
+        left.append(tuple(col))
+    return elements, right, tuple(left)
+
+
 def subset_sums(gens: Iterable[int], op: Callable[[int, int], int]) -> list[int]:
     """Index i holds the op-sum of the gens picked by the bits of i, index 0
     the empty sum 0: the span of atoms under op = or_ or of a basis under
@@ -360,18 +379,18 @@ def generator_sums(alg: FinAlgebra, images: Sequence[int]) -> list[int]:
     """Per element, the sum (^ for Z2VECT, | otherwise) of the images of the
     generators under it: the morphism into bit vectors sending generator i
     to images[i].  A BA or Z2VECT index is itself such a bit vector; DL01
-    reads one subset_sums table per 8 JIs, for all downset masks at once."""
+    and JSL0 read one subset_sums table per 8 join-irreducibles, for all
+    elements' downset or below masks at once."""
     match alg:
         case BoolAlg() | VectZ2():
             return subset_sums(images, xor if isinstance(alg, VectZ2) else or_)
-        case DistLat():
+        case DistLat() | JoinSemilattice():
+            masks = alg.downset_masks if isinstance(alg, DistLat) else alg.below
             sums = [0] * alg.size
-            for i in range(0, alg.n_ji, 8):
+            for i in range(0, len(images), 8):
                 table = subset_sums(images[i : i + 8], or_)
-                sums = [s | table[d >> i & 255] for s, d in zip(sums, alg.downset_masks)]
+                sums = [s | table[d >> i & 255] for s, d in zip(sums, masks)]
             return sums
-        case JoinSemilattice():
-            return list(map(unions(images), alg.below))
     raise TypeError(f"not an output-side algebra: {alg!r}")
 
 
@@ -617,6 +636,10 @@ def generate_family(
     join-irreducibles of those meets (mask_lattice_presentation), its
     elements being their unions; JSL0 closes under joins with the seeds and
     is presented by jsl_from_masks.
+
+    Z2VECT thus numbers any family of ints closed under ^ by its elements'
+    coordinates over that basis: the transition monoid's maps by their keys
+    and the subdirect product's pairs by their codes, full being unread.
     """
     seeds = set(seeds)
     match tag:

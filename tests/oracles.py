@@ -598,7 +598,7 @@ def queue_class_automaton(gens, limits=DEFAULT_LIMITS):
         for ai in range(k)
     )
     post = tuple(tuple(post_rows[j][ai] for j in range(len(maps))) for ai in range(k))
-    caut = ClassAutomaton(alphabet, tuple(maps), 0, post, pre)
+    caut = ClassAutomaton(alphabet, tuple(maps), post, pre)
     gen_masks = [
         sum(1 << j for j in range(len(maps)) if maps[j][0] in fin) for fin in finals
     ]
@@ -783,7 +783,7 @@ def per_element_closed_piece(tag, gens, include_right, limits=DEFAULT_LIMITS):
         FinMorphism(carrier, carrier, tuple(mask_index[scanned_left_preimage(caut, m, ai)] for m in element_masks))
         for ai in range(len(caut.alphabet))
     )
-    out_graph = tuple(m >> caut.identity_index & 1 for m in element_masks)
+    out_graph = tuple(m & 1 for m in element_masks)
     out = FinMorphism(carrier, two_element_algebra(tag), out_graph)
     return CCoalgebra(carrier, caut.alphabet, gamma, out)
 
@@ -1326,7 +1326,7 @@ def mask_language(caut, mask):
     delta = tuple(
         tuple(caut.post[ai][j] for ai in range(len(caut.alphabet))) for j in range(caut.n_maps)
     )
-    return scanning_language(Dfa(caut.alphabet, caut.n_maps, caut.identity_index, finals, delta))
+    return scanning_language(Dfa(caut.alphabet, caut.n_maps, 0, finals, delta))
 
 
 def per_state_labels(q):

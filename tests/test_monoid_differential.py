@@ -19,6 +19,8 @@ from langdual.errors import LangdualError, NotReachableError, ResourceExceededEr
 from langdual.languages import compile_regex, compile_text
 from langdual.monoids import (
     SigmaMonoid,
+    _subdirect_pairs,
+    carrier_add,
     monoid_to_json,
     quotient_leq,
     subdirect_product,
@@ -29,11 +31,14 @@ from langdual.correspondence import monoid_to_piece
 from langdual.varieties import (
     FinMorphism,
     FinPoset,
+    FinSet,
     JoinSemilattice,
     VarietyTag,
     VectZ2,
     constants,
+    gaussian_basis,
     jsl_from_masks,
+    leq,
 )
 from helpers import language_dalgebra, make_jsl, make_poset, random_algebra, random_morphism, scrambled_jsl
 from oracles import (
@@ -443,8 +448,49 @@ def test_validate_monoid_refuses_a_jsl_carrier_breaking_each_law(law, join, zero
     assert not validate_monoid(SigmaMonoid(JoinSemilattice(join, zero), ("a",), 2, mult, (1,)))
 
 
+def _presentation(m):
+    """Everything a monoid's numbering fixes: carrier, unit, letters, their
+    rows and columns, and the full table."""
+    return m.carrier, m.unit, m.gen, m.letter_rows, m.letter_cols, tuple(map(tuple, m.mult))
+
+
+def _reference_subdirect(m1, m2):
+    """The subdirect product's presentation from the paired closure: its
+    pairs sorted, or for Z2VECT numbered by their coordinates over the
+    reduced echelon basis of the codes p << dim2 | q."""
+    pairs = _subdirect_pairs(m1, m2, Limits())
+    c1, c2 = m1.carrier, m2.carrier
+    if c1.tag is VarietyTag.Z2VECT:
+        d2 = c2.dim
+        basis = gaussian_basis(p << d2 | q for p, q in pairs)
+        codes = [0]
+        for b in basis:
+            codes += [code ^ b for code in codes]
+        pairs = [(code >> d2, code & ((1 << d2) - 1)) for code in codes]
+    index = {p: i for i, p in enumerate(pairs)}
+    mult = tuple(tuple(index[m1.mult[p][r], m2.mult[q][s]] for r, s in pairs) for p, q in pairs)
+    match c1.tag:
+        case VarietyTag.SET:
+            carrier = FinSet(len(pairs))
+        case VarietyTag.POS:
+            carrier = FinPoset(tuple(tuple(leq(c1, p, r) and leq(c2, q, s) for r, s in pairs) for p, q in pairs))
+        case VarietyTag.JSL0:
+            join = tuple(
+                tuple(index[carrier_add(c1, p, r), carrier_add(c2, q, s)] for r, s in pairs) for p, q in pairs
+            )
+            carrier = JoinSemilattice(join, index[c1.zero, c2.zero])
+        case VarietyTag.Z2VECT:
+            carrier = VectZ2(len(basis))
+    gen = tuple(index[p] for p in zip(m1.gen, m2.gen))
+    cols = tuple(tuple(row[g] for row in mult) for g in gen)
+    return carrier, index[m1.unit, m2.unit], gen, tuple(map(mult.__getitem__, gen)), cols, mult
+
+
 @pytest.mark.parametrize("d", list(DualityTag))
 def test_subdirect_products_match_the_pairwise_closure(d):
+    """Size, validity and the quotient order, and the numbering of every
+    product, of monoids read off their tables and of lawful ones, whose
+    product pairs their letters' rows and columns."""
     rng = random.Random(31)
     monoids = []
     while len(monoids) < 6:
@@ -459,6 +505,12 @@ def test_subdirect_products_match_the_pairwise_closure(d):
         assert product.size == pairwise_subdirect_size(m1, m2)
         assert validate_monoid(product)
         assert quotient_leq(m1, product) and quotient_leq(m2, product)
+        assert _presentation(product) == _reference_subdirect(m1, m2)
+    for m in monoids:  # transition monoids of reachable algebras are lawful
+        object.__setattr__(m, "lawful", True)
+    for m1, m2 in zip(monoids, monoids[1:]):
+        product = subdirect_product(m1, m2)
+        assert product.lawful and _presentation(product) == _reference_subdirect(m1, m2)
 
 
 def test_jsl_laws_and_meets_match_the_cubic_scans():

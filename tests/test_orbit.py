@@ -1,6 +1,7 @@
 """orbit, the closure that also fills its edge table, and what is built on it.
 
-orbit is checked against its reference, oracles.close, on the same input.  The class automaton is
+orbit is checked against its reference, oracles.close, on the same input,
+and cayley_columns against maps composed directly.  The class automaton is
 checked against the breadth-first worklists it replaced
 (oracles.queue_class_automaton, which acts on the generators' product) on
 seeded corpora of one to three generators, at every cap from 1 to 64 and at
@@ -19,7 +20,7 @@ from langdual.config import DEFAULT_LIMITS, Limits
 from langdual.errors import ResourceExceededError
 from langdual.languages import compile_regex, compile_text
 from langdual.monoids import transition_monoid
-from langdual.varieties import FinMorphism, JoinSemilattice, orbit
+from langdual.varieties import FinMorphism, JoinSemilattice, cayley_columns, orbit
 from oracles import close, cubic_transition_monoid, queue_class_automaton, queue_joint_dfa
 
 AB = ("a", "b")
@@ -96,6 +97,47 @@ def test_seeds_above_the_cap_are_refused_by_both_primitives():
     assert [row[0] for row in edges] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 0]
 
 
+def _map_families(seed, count):
+    """The identity on 2 to 6 points and 1 to 3 random maps as steps "then
+    map", as (identity, maps, steps, size of the monoid), the monoids of at
+    most 200 maps."""
+    rng = random.Random(seed)
+    while count:
+        n = rng.randint(2, 6)
+        maps = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        steps = [lambda f, g=g: tuple(g[x] for x in f) for g in maps]
+        identity = tuple(range(n))
+        size = len(close([identity], steps, 10**4, "test closure"))
+        if size <= 200:
+            count -= 1
+            yield identity, maps, steps, size
+
+
+def test_cayley_columns_compose_the_maps_on_either_side():
+    largest = 0
+    for identity, maps, steps, size in _map_families(seed=5, count=120):
+        elements, right, left = cayley_columns(identity, steps, size, "test closure")
+        assert elements == orbit([identity], steps, size, "test closure")[0]
+        assert elements[0] == identity and len(right) == len(left) == len(maps)
+        index = {f: i for i, f in enumerate(elements)}
+        for g, step, right_col, left_col in zip(maps, steps, right, left):
+            assert right_col == tuple(index[step(f)] for f in elements)
+            assert left_col == tuple(index[tuple(f[x] for x in g)] for f in elements)
+        largest = max(largest, size)
+    assert largest >= 100
+
+
+def test_cayley_columns_refuse_as_orbit_does_at_every_cap():
+    tripped = 0
+    for identity, _, steps, size in _map_families(seed=6, count=40):
+        for cap in range(1, size + 2):
+            refusal = _refusal(orbit, [identity], steps, cap, "test closure")
+            assert _refusal(cayley_columns, identity, steps, cap, "test closure") == refusal
+            assert (refusal is not None) == (cap < size)
+            tripped += refusal is not None
+    assert tripped >= 200
+
+
 def _class_automaton_outcome(build, gens, limits):
     """Everything but the maps, whose states differ: the library's act on
     the generators' DFAs side by side, the oracle's on their product."""
@@ -103,7 +145,7 @@ def _class_automaton_outcome(build, gens, limits):
         caut, masks = build(gens, limits)
     except (ResourceExceededError, ValueError) as err:
         return type(err).__name__, str(err)
-    return caut.alphabet, caut.identity_index, caut.post, caut.pre, masks
+    return caut.alphabet, caut.post, caut.pre, masks
 
 
 def _side_by_side(gens, product_maps):

@@ -4,10 +4,10 @@
 an integer from one 256-entry table per byte; `oracles.bitwise_union_of`
 walks the bits.  The class automaton's left and right preimages are unions
 of the fibres of its pre and post columns; `oracles.scanned_left_preimage`
-and `scanned_right_preimage` test every map.  `_closed_piece` reads BA and
-Z2VECT letter actions off the atom or basis images and maps DL01 and JSL0
-elements through the tables; `oracles.per_element_closed_piece` builds the
-piece one element at a time, as before.  Seeded corpora of all four
+and `scanned_right_preimage` test every map.  `_closed_piece` reads every
+letter action off the images of the carrier's generators (atoms, a basis or
+the join-irreducibles); `oracles.per_element_closed_piece` builds the piece
+one element at a time, as before.  Seeded corpora of all four
 output-side varieties, and the families of the benchmark's boolean-labels
 workload.
 """
