@@ -36,11 +36,10 @@ from .varieties import (
     algebra_to_json,
     cayley_columns,
     constants,
+    element_of,
+    family_generators,
     fibres,
     free_on_one,
-    generate_family,
-    generator_sums,
-    generators,
     orbit,
     present_closure,
     two_element_algebra,
@@ -200,18 +199,15 @@ def _closed_piece(tag: VarietyTag, caut: ClassAutomaton, masks: list[int], right
     steps = [side[ai] for ai in range(len(caut.alphabet)) for side in sides]
     seeds = orbit(masks, steps, limits.max_carrier, "derivative closure")[0]
     what = {VarietyTag.BA: "boolean closure", VarietyTag.Z2VECT: "linear closure"}.get(tag, "operation closure")
-    carrier, element_masks = generate_family(tag, seeds, caut.full_mask, limits.max_carrier, what)
-    index = {m: i for i, m in enumerate(element_masks)}.__getitem__
-    # the letter actions are morphisms, sums of their generators' images: a BA or Z2VECT
-    # index is the bitmask of the generators it sums, a DL01 or JSL0 one is found by its
-    # mask; the output reads whether the identity, map 0, is in each element's mask
-    points = list(map(element_masks.__getitem__, generators(carrier)))
-    if tag in (VarietyTag.DL01, VarietyTag.JSL0):
-        act = lambda pre: tuple(map(index, generator_sums(carrier, list(map(pre, points)))))
-    else:
-        act = lambda pre: tuple(generator_sums(carrier, list(map(index, map(pre, points)))))
-    gamma = tuple(FinMorphism(carrier, carrier, act(pre)) for pre in caut.left_preimage)
-    out = FinMorphism(carrier, two_element_algebra(tag), tuple(m & 1 for m in element_masks))
+    carrier, points = family_generators(tag, seeds, caut.full_mask, limits.max_carrier, what)
+    # the letter actions and the output are morphisms, fixed by their images of the
+    # generators: each image is the element whose generators' masks sum to its mask,
+    # and the output reads whether the identity, map 0, is in a generator's mask
+    element = element_of(carrier, points)
+    gamma = tuple(
+        FinMorphism.on_generators(carrier, carrier, map(element, map(pre, points))) for pre in caut.left_preimage
+    )
+    out = FinMorphism.on_generators(carrier, two_element_algebra(tag), [p & 1 for p in points])
     return CCoalgebra(carrier, caut.alphabet, gamma, out)
 
 
@@ -281,13 +277,13 @@ def _initial_state_morphism(d: DualityTag, a: DAlgebra) -> FinMorphism:
     return FinMorphism(free_on_one(d_tag(d)), a.carrier, (*constants(a.carrier), a.init))
 
 
-def _two_relabel(d: DualityTag) -> FinMorphism:
-    """Canonical identification of dual(free_on_one) with the two-element algebra."""
-    two = two_element_algebra(c_tag(d))
-    dual_one = dual_object(d, free_on_one(d_tag(d)))
-    if d is DualityTag.JSL_SELF:
-        return FinMorphism(dual_one, two, (1, 0))
-    return FinMorphism(dual_one, two, (0, 1))
+# Canonical identification of dual(free_on_one) with the two-element algebra,
+# per duality: its one generator goes to the top, element 1.  For the JSL
+# self-duality that generator is element 0, the old bottom.
+_TWO_RELABEL = {
+    d: FinMorphism.on_generators(dual_object(d, free_on_one(d_tag(d))), two_element_algebra(c_tag(d)), [1])
+    for d in DualityTag
+}
 
 
 def dalgebra_to_coalgebra(d: DualityTag, a: DAlgebra) -> CCoalgebra:
@@ -295,7 +291,7 @@ def dalgebra_to_coalgebra(d: DualityTag, a: DAlgebra) -> CCoalgebra:
     if a.carrier.tag != d_tag(d):
         raise TagMismatchError(f"algebra carrier {a.carrier.tag} does not match {d}")
     gamma = tuple(dual_morphism(d, al) for al in a.alpha)
-    out = dual_morphism(d, _initial_state_morphism(d, a)).then(_two_relabel(d))
+    out = dual_morphism(d, _initial_state_morphism(d, a)).then(_TWO_RELABEL[d])
     return CCoalgebra(dual_object(d, a.carrier), a.alphabet, gamma, out)
 
 

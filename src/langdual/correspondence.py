@@ -22,8 +22,10 @@ isomorphism from its transition monoid onto its dual algebra, so
 piece_to_monoid reads closure off the monoid it builds.  A round trip
 dualizes the monoid once and pairs the returned states with the piece's by
 the representative words of the monoid's word images that they accept, as
-an isomorphism must, read by the carriers' generators (atoms, a basis or
-join-irreducibles) only; the structure check certifies it.  Only reports and
+an isomorphism must, read off the images of the carriers' generators
+(atoms, a basis or join-irreducibles) only; the structure check certifies
+the pairing on those images, so a boolean or lattice round trip builds no
+table as large as its carrier.  Only reports and
 a refused round trip's counterexample compute labels.  The transition
 monoid of a lawful algebra is an alphabet-generated monoid, so
 piece_to_monoid marks the monoids it builds lawful and the round trip does
@@ -34,6 +36,8 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, replace
+from itertools import compress, repeat
+from operator import and_, attrgetter
 from typing import Iterable, Sequence
 
 from .automata import (
@@ -59,7 +63,16 @@ from .monoids import (
     transition_monoid,
     validate_monoid,
 )
-from .varieties import FinMorphism, FinPoset, generator_sums, generators, is_partial_order, orbit, validate_morphism
+from .varieties import (
+    FinMorphism,
+    FinPoset,
+    VectZ2,
+    element_of,
+    generators,
+    generators_under,
+    is_partial_order,
+    validate_morphism,
+)
 
 
 def piece_to_monoid(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_LIMITS) -> SigmaMonoid:
@@ -132,13 +145,12 @@ def piece_to_monoid(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_L
 def _evaluation_reflects_order(monoid: SigmaMonoid, algebra: DAlgebra) -> bool:
     """For a POS carrier, whether the bijection e(f) = f(init) reflects the
     order; e is read off a search over left multiplication, e(unit) = init
-    and e(g·x) = alpha_g(e(x))."""
+    and e(g·x) = alpha_g(e(x)), along the monoid's word images."""
     if not isinstance(algebra.carrier, FinPoset):
         return True
-    steps = [row.__getitem__ for row in monoid.letter_rows]
-    elements, _, tree = orbit([monoid.unit], steps, monoid.size, "evaluation")
+    elements, tree = monoid.word_images
     at = [algebra.init] * monoid.size
-    for x, (parent, ai) in zip(elements[1:], tree[1:]):
+    for x, (parent, ai) in zip(elements[1:], tree):
         at[x] = algebra.alpha[ai].graph[at[elements[parent]]]
     leq = algebra.carrier.leq
     return all(tuple(row) == tuple(map(leq[at[x]].__getitem__, at)) for x, row in enumerate(monoid.carrier.leq))
@@ -161,16 +173,35 @@ def _left_algebra(d: DualityTag, m: SigmaMonoid, limits: Limits) -> DAlgebra:
     return DAlgebra(m.carrier, m.alphabet, left_actions, m.unit)
 
 
-def _structure_iso(p1: CCoalgebra, p2: CCoalgebra, graph: Sequence[int]) -> IsoWitness:
-    """The bijection graph from p1 to p2, checked to commute with the structure."""
-    inverse = sorted(range(len(graph)), key=graph.__getitem__)
-    forward = FinMorphism(p1.carrier, p2.carrier, tuple(graph))
-    backward = FinMorphism(p2.carrier, p1.carrier, tuple(inverse))
-    if not (validate_morphism(forward) and validate_morphism(backward)):
+def _structure_iso(p1: CCoalgebra, p2: CCoalgebra, forward: FinMorphism, backward: FinMorphism) -> IsoWitness:
+    """forward and backward, checked to be mutually inverse carrier
+    isomorphisms between p1 and p2 that commute with the structure; p2 is
+    the automaton a round trip dualizes back, whose maps are carrier
+    morphisms by construction.  forward.backward is the identity on p2, so
+    forward is onto, one-to-one between carriers of one size, and backward
+    is its inverse, a morphism too.  When forward, backward and p1's maps
+    are built on_generators, maps are compared on their images: a composite
+    is given by the images of the first map's images under the second,
+    exactly as the second, forward or a map of p2, keeps sums, and maps
+    that agree on the generators are equal."""
+    if not validate_morphism(forward):
         raise CorrespondenceError("label bijection is not an isomorphism of carriers")
-    if any(forward.then(g2).graph != g1.then(forward).graph for g1, g2 in zip(p1.gamma, p2.gamma)):
+    if all(m.presented for m in (forward, backward, p1.out, *p1.gamma)):
+        values, ones = attrgetter("images"), tuple(generators(p2.carrier))
+
+        def then(f: FinMorphism, g: FinMorphism) -> tuple[int, ...]:
+            return tuple(g.on(f.images))
+    else:
+        values, ones = attrgetter("graph"), tuple(range(p2.size))
+
+        def then(f: FinMorphism, g: FinMorphism) -> tuple[int, ...]:
+            return tuple(map(g.graph.__getitem__, f.graph))
+
+    if p1.size != p2.size or then(backward, forward) != ones:
+        raise CorrespondenceError("label bijection is not an isomorphism of carriers")
+    if any(then(forward, g2) != then(g1, forward) for g1, g2 in zip(p1.gamma, p2.gamma)):
         raise CorrespondenceError("label bijection does not commute with transitions")
-    if forward.then(p2.out).graph != p1.out.graph:
+    if then(forward, p2.out) != tuple(values(p1.out)):
         raise CorrespondenceError("label bijection does not preserve outputs")
     return IsoWitness(forward, backward)
 
@@ -201,9 +232,9 @@ def _roundtrip_witness(d: DualityTag, piece: CCoalgebra, monoid: SigmaMonoid, li
     least extra one if the label sets differ, else the structure error of
     the pairing by languages, unless the piece repeats one."""
     back = monoid_to_piece(d, monoid, limits)
-    if (forward := _signature_pairing(piece, back, monoid)) is not None:
+    if (paired := _signature_pairing(piece, back, monoid)) is not None:
         with suppress(CorrespondenceError):
-            return _structure_iso(piece, back, forward)
+            return _structure_iso(piece, back, *paired)
     quotient, (mine, theirs) = joint_quotient(piece, back)
     if odd := set(mine).symmetric_difference(theirs):
         extra = min((block_language(quotient, b) for b in odd), key=LanguageId.sort_key)
@@ -211,35 +242,65 @@ def _roundtrip_witness(d: DualityTag, piece: CCoalgebra, monoid: SigmaMonoid, li
     forward = tuple(map(dict(zip(theirs, range(back.size))).__getitem__, mine))
     if not _pairable(piece, back) or len(set(forward)) != back.size:
         raise CorrespondenceError("round trip merged two states of one language")
-    return _structure_iso(piece, back, forward)
+    backward = tuple(sorted(range(back.size), key=forward.__getitem__))
+    tables = FinMorphism(piece.carrier, back.carrier, forward), FinMorphism(back.carrier, piece.carrier, backward)
+    return _structure_iso(piece, back, *tables)
 
 
 def _pairable(piece: CCoalgebra, back: CCoalgebra) -> bool:
-    return piece.alphabet == back.alphabet and piece.size == back.size and {*piece.out.graph} <= {0, 1}
+    out = piece.out
+    # into two elements, sums of 0s and 1s are 0s and 1s
+    values = out.images if out.presented and out.cod.size == 2 else out.graph
+    return piece.alphabet == back.alphabet and piece.size == back.size and {*values} <= {0, 1}
 
 
-def _signature_pairing(piece: CCoalgebra, back: CCoalgebra, monoid: SigmaMonoid) -> tuple[int, ...] | None:
-    """Each state of piece to the state of back that accepts the same
-    representative words, one per word image of the monoid (its tree
-    parent's word plus a letter), read as the bits of one int; None unless
-    that is a bijection.  Output and letter actions are carrier morphisms,
-    so only the generators read words, and a state's signature is the sum
-    of theirs under it (generator_sums)."""
+def _signature_pairing(
+    piece: CCoalgebra, back: CCoalgebra, monoid: SigmaMonoid
+) -> tuple[FinMorphism, FinMorphism] | None:
+    """Maps each way between the carriers, built on_generators: a generator
+    goes to the state of the other side with its signature, the words of
+    the monoid's word images that it accepts (_signatures), and element_of
+    finds that state from the generators' signatures, a state's being the
+    sum of theirs under it.  None unless every generator has one."""
     if not _pairable(piece, back):
         return None
-    steps = [col.__getitem__ for col in monoid.letter_cols]
-    _, _, tree = orbit([monoid.unit], steps, monoid.size, "word images")
+    _, tree = monoid.word_images
+    mine, theirs = _signatures(piece, tree), _signatures(back, tree)
+    forward = list(map(element_of(back.carrier, theirs), mine))
+    backward = list(map(element_of(piece.carrier, mine), theirs))
+    if None in forward or None in backward:
+        return None
+    return (
+        FinMorphism.on_generators(piece.carrier, back.carrier, forward),
+        FinMorphism.on_generators(back.carrier, piece.carrier, backward),
+    )
 
-    def signatures(q: CCoalgebra) -> list[int]:
-        cols = [generators(q.carrier)]
-        for parent, ai in tree[1:]:
-            cols.append(list(map(q.gamma[ai].graph.__getitem__, cols[parent])))
-        outs = b"".join(bytes(map(b"01".__getitem__, map(q.out.graph.__getitem__, col))) for col in cols)
-        return generator_sums(q.carrier, [int(outs[i :: len(cols[0])], 2) for i in range(len(cols[0]))])
 
-    mate = dict(zip(signatures(back), range(back.size)))
-    forward = tuple(map(mate.get, signatures(piece)))
-    return forward if len(mate) == len(set(forward)) == back.size and None not in forward else None
+def _signatures(q: CCoalgebra, tree: Sequence[tuple[int, int]]) -> list[int]:
+    """Per generator g of q's carrier, the bits over the word images w, in
+    tree order, of out(gamma_w(g)), read off the images of the generators
+    under output and letter actions alone.  As these keep sums, out.gamma_w
+    is fixed by the mask r of the generators whose images it sends to 1: it
+    sends x to 1 when one under x is in r (an odd number, for Z2VECT).  The
+    word a.u of the tree gives out.gamma_u.gamma_a, whose mask holds i when
+    the image of generator i under gamma_a goes to 1 under u's."""
+    gens, under = generators(q.carrier), generators_under(q.carrier)
+    width = len(gens)
+    flags = [1 << i for i in range(width)]
+    letters = [g.images if under is None else list(map(under.__getitem__, g.images)) for g in q.gamma]
+    rs = [sum(compress(flags, q.out.images))]
+    if isinstance(q.carrier, VectZ2):
+        for parent, ai in tree:
+            odd = map(and_, map(int.bit_count, map(and_, letters[ai], repeat(rs[parent]))), repeat(1))
+            rs.append(sum(compress(flags, odd)))
+    else:
+        for parent, ai in tree:
+            rs.append(sum(compress(flags, map(and_, letters[ai], repeat(rs[parent])))))
+        if under is not None:  # a generator goes to 1 when one below it has an image that does
+            below = list(map(under.__getitem__, gens))
+            rs = [sum(compress(flags, map(and_, below, repeat(r)))) for r in rs]
+    bits = "".join([format(r, f"0{width}b") for r in rs])
+    return [int(bits[width - 1 - i :: width], 2) for i in range(width)]
 
 
 def correspond(

@@ -37,6 +37,7 @@ from .varieties import (
     fibres,
     generator_sums,
     identity,
+    sum_picked,
 )
 
 
@@ -109,20 +110,24 @@ def dual_object(d: DualityTag, alg: FinAlgebra) -> FinAlgebra:
 
 
 def dual_morphism(d: DualityTag, h: FinMorphism) -> FinMorphism:
-    """Contravariant action: swaps and dualizes the endpoints."""
+    """Contravariant action: swaps and dualizes the endpoints.  A map out of
+    an output-side carrier is read at its domain's generators only, which
+    needs no graph of one built on_generators, and the duals of SET, POS
+    and Z2VECT maps are built on_generators."""
     _check_side(d, h.dom)
     if h.dom.tag != h.cod.tag:
         raise TagMismatchError("cannot dualize a cross-variety map")
-    dom, cod, g = h.dom, h.cod, h.graph
+    dom, cod = h.dom, h.cod
     new_dom = dual_object(d, cod)
     new_cod = dual_object(d, dom)
     match (d, dom):
         case (DualityTag.BA_SET, BoolAlg()):
             # each codomain atom sits under the image of exactly one atom
             assert isinstance(cod, BoolAlg)
+            images = h.images
             graph = []
             for j in range(cod.atoms):
-                hits = [i for i in range(dom.atoms) if g[1 << i] >> j & 1]
+                hits = [i for i, image in enumerate(images) if image >> j & 1]
                 if len(hits) != 1:
                     raise NonFunctionalError("atom characterization failed; not a BA morphism")
                 graph.append(hits[0])
@@ -130,23 +135,25 @@ def dual_morphism(d: DualityTag, h: FinMorphism) -> FinMorphism:
         case (DualityTag.BA_SET, FinSet()):
             # a function dualizes to preimage between powersets, spanned by
             # the preimages of the points
-            return FinMorphism(new_dom, new_cod, tuple(generator_sums(new_dom, fibres(g, cod.size))))
+            return FinMorphism.on_generators(new_dom, new_cod, fibres(h.graph, cod.size))
         case (DualityTag.DL01_POS, DistLat()):
             # each codomain join-irreducible has a least preimage, the meet of
             # the elements mapping above it, and that is a principal downset.
-            # When g sends each x to the union of its principal downsets'
+            # When h sends each x to the union of its principal downsets'
             # images, every x mapping above j holds a principal downset that
-            # does, so the meet is that of those principal downsets
+            # does, so the meet is that of those principal downsets.  A map
+            # built on_generators sends x to the union of the images of the
+            # JIs in it, and the least principal downset holding such a JI
+            # is its own: its images scan alike
             assert isinstance(cod, DistLat)
             graph = []
-            dom_masks, cod_masks = dom.downset_masks, cod.downset_masks
+            cod_masks = cod.downset_masks
             principal = dom.principal
-            image = [cod_masks[g[dom.downset_index[b]]] for b in principal]
-            masks = list(map(cod_masks.__getitem__, g))
-            if masks == generator_sums(dom, image):
+            image = list(map(cod_masks.__getitem__, h.images))
+            if h.presented or (masks := list(map(cod_masks.__getitem__, h.graph))) == generator_sums(dom, image):
                 scanned = list(zip(principal, image))
             else:
-                scanned = list(zip(dom_masks, masks))
+                scanned = list(zip(dom.downset_masks, masks))
             for j in range(cod.n_ji):
                 above = [x for x, y in scanned if y >> j & 1]
                 if not above:
@@ -157,17 +164,19 @@ def dual_morphism(d: DualityTag, h: FinMorphism) -> FinMorphism:
                 graph.append(principal.index(meet))
             return FinMorphism(new_dom, new_cod, tuple(graph))
         case (DualityTag.DL01_POS, FinPoset()):
-            # a monotone map dualizes to preimage between downset lattices
+            # a monotone map dualizes to preimage between downset lattices,
+            # spanned by the preimages of the principal downsets
             assert isinstance(new_dom, DistLat) and isinstance(new_cod, DistLat)
-            preimages = generator_sums(new_dom, fibres(g, cod.size))
-            return FinMorphism(new_dom, new_cod, tuple(map(new_cod.downset_index.__getitem__, preimages)))
+            points = fibres(h.graph, cod.size)
+            images = [new_cod.downset_index[sum_picked(points, b)] for b in new_dom.principal]
+            return FinMorphism.on_generators(new_dom, new_cod, images)
         case (DualityTag.JSL_SELF, JoinSemilattice()):
             # upper adjoint: h*(b) is the join of the irreducibles j_i with
             # h(j_i) <= b, and those are all the irreducibles below it, so
             # bit i of below[h*(b)] says whether below[h(j_i)] is inside below[b]
             assert isinstance(cod, JoinSemilattice)
             element = dom.by_below
-            images = [cod.below[g[j]] for j in dom.irreducibles]
+            images = list(map(cod.below.__getitem__, h.on(dom.irreducibles)))
             try:
                 graph = tuple(
                     element[sum(1 << i for i, image in enumerate(images) if image & b == image)]
@@ -179,8 +188,9 @@ def dual_morphism(d: DualityTag, h: FinMorphism) -> FinMorphism:
         case (DualityTag.Z2_SELF, VectZ2()):
             # the transpose sends the k-th dual basis vector to the k-th row
             assert isinstance(cod, VectZ2)
-            rows = [sum(1 << i for i in range(dom.dim) if g[1 << i] >> k & 1) for k in range(cod.dim)]
-            return FinMorphism(new_dom, new_cod, tuple(generator_sums(new_dom, rows)))
+            images = h.images
+            rows = [sum(1 << i for i, image in enumerate(images) if image >> k & 1) for k in range(cod.dim)]
+            return FinMorphism.on_generators(new_dom, new_cod, rows)
     raise TagMismatchError(f"{dom.tag} does not match the pairing {d}")
 
 

@@ -168,6 +168,15 @@ class SigmaMonoid:
         """Per letter a, its column: x -> xa."""
         return tuple(tuple(map(operator.itemgetter(g), self.mult)) for g in self.gen)
 
+    @cached_property
+    def word_images(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """The elements that are words, in the order an orbit of the unit
+        under the letters' rows finds them, and each past the unit as
+        (position of its parent, letter): its word is the letter followed
+        by the parent's."""
+        elements, _, tree = orbit([self.unit], [row.__getitem__ for row in self.letter_rows], self.size, "word images")
+        return tuple(elements), tuple(tree[1:])
+
 
 # ---------------------------------------------------------------------------
 # transition monoids
@@ -289,13 +298,10 @@ def transition_monoid(
         case FinSet():
             monoid_carrier = FinSet(size)
         case FinPoset():
+            # f <= g pointwise: g(q) lies in the row of f(q) for every q
             funcs = [graphs[i] for i in order]
-            monoid_carrier = FinPoset(
-                tuple(
-                    tuple(all(carrier.leq[f[q]][g[q]] for q in range(n)) for g in funcs)
-                    for f in funcs
-                )
-            )
+            rows = [list(map(carrier.leq.__getitem__, f)) for f in funcs]
+            monoid_carrier = FinPoset(tuple(tuple(all(map(operator.getitem, row, g)) for g in funcs) for row in rows))
         case JoinSemilattice():
             # a map as the key bits it lacks, all of which the zero has: sums are unions
             monoid_carrier = jsl_of_sets([keys[zero] ^ keys[x] for x in order])
@@ -419,17 +425,36 @@ def _subdirect_pairs(m1: SigmaMonoid, m2: SigmaMonoid, limits: Limits) -> list[t
     """Image of the paired evaluation: word pairs, then the additive span.
 
     Every element of the span is a sum of word pairs, so closing under
-    "+ word pair" alone reaches it.
+    "+ word pair" alone reaches it.  The sums close over the int codes that
+    subdirect_product presents the pairs by (_pair_codes), so that a sum is
+    one | or ^.
     """
     _check_compatible(m1, m2)
     cap = limits.max_carrier
     letters = [lambda p, c=c, d=d: (c[p[0]], d[p[1]]) for c, d in zip(m1.letter_cols, m2.letter_cols)]
     pairs = orbit([(m1.unit, m2.unit)], letters, cap, "subdirect closure")[0]
     if m1.carrier.tag in LINEARISH:
-        c1, c2 = m1.carrier, m2.carrier
-        sums = [lambda p, w=w: (carrier_add(c1, p[0], w[0]), carrier_add(c2, p[1], w[1])) for w in pairs]
-        pairs = orbit([*pairs, (*constants(c1), *constants(c2))], sums, cap, "subdirect closure")[0]
+        encode, decode, plus = _pair_codes(m1.carrier, m2.carrier)
+        words = [encode(p, q) for p, q in pairs]
+        pairs = list(map(decode, orbit([*words, 0], [partial(plus, w) for w in words], cap, "subdirect closure")[0]))
     return sorted(pairs)
+
+
+def _pair_codes(c1: FinAlgebra, c2: FinAlgebra) -> tuple[Callable, Callable, Callable[[int, int], int]]:
+    """(encode, decode, plus) for pairs of elements of two JSL0 or Z2VECT
+    carriers as ints, the pair of zeros as 0: a JSL0 pair as the masks of
+    the meet-irreducibles of each factor not above it, side by side, added
+    by |; a Z2VECT pair as p << dim2 | q, added by ^."""
+    if isinstance(c1, VectZ2):
+        d2 = c2.dim
+        return (lambda p, q: p << d2 | q), (lambda code: (code >> d2, code & ~(-1 << d2))), operator.xor
+    full1, full2 = c1.above[c1.zero], c2.above[c2.zero]
+    shift, above1, above2, element1, element2 = full1.bit_length(), c1.above, c2.above, c1.by_above, c2.by_above
+    return (
+        (lambda p, q: full1 ^ above1[p] | (full2 ^ above2[q]) << shift),
+        (lambda code: (element1[full1 ^ code & full1], element2[full2 ^ code >> shift])),
+        operator.or_,
+    )
 
 
 def subdirect_product(m1: SigmaMonoid, m2: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> SigmaMonoid:
@@ -449,15 +474,14 @@ def subdirect_product(m1: SigmaMonoid, m2: SigmaMonoid, limits: Limits = DEFAULT
             order = [[leq(c1, p[0], q[0]) and leq(c2, p[1], q[1]) for q in pairs] for p in pairs]
             carrier = FinPoset(tuple(map(tuple, order)))
         case VarietyTag.JSL0:
-            # a pair as the meet-irreducibles of both factors not above it: sums are unions
-            full1, full2 = c1.above[c1.zero], c2.above[c2.zero]
-            shift = full1.bit_length()
-            carrier = jsl_of_sets([full1 ^ c1.above[p] | (full2 ^ c2.above[q]) << shift for p, q in pairs])
+            # a pair by its code (_pair_codes), whose sums are unions
+            encode = _pair_codes(c1, c2)[0]
+            carrier = jsl_of_sets([encode(p, q) for p, q in pairs])
         case VarietyTag.Z2VECT:
-            # a pair as the code p << dim2 | q, numbered by its coordinates over a basis
-            d2 = c2.dim
-            carrier, codes = generate_family(tag, [p << d2 | q for p, q in pairs], 0, len(pairs), "subdirect closure")
-            pairs = [(code >> d2, code & ~(-1 << d2)) for code in codes]
+            # a pair by its code, numbered by its coordinates over a basis: the
+            # codes come in ascending order (generate_family), as the pairs do
+            encode = _pair_codes(c1, c2)[0]
+            carrier = generate_family(tag, [encode(p, q) for p, q in pairs], 0, len(pairs), "subdirect closure")[0]
         case _:
             raise TagMismatchError(f"{tag} is not an algebra-side variety")
     index = {p: i for i, p in enumerate(pairs)}

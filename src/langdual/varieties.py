@@ -2,7 +2,10 @@
 
 Every algebra carries an explicit element enumeration, so elements are plain
 indices 0..size-1 and morphisms are index arrays; this keeps every law
-exhaustively checkable.  Boolean algebras and bounded distributive lattices
+exhaustively checkable.  A morphism out of a BA, DL01, JSL0 or Z2VECT
+carrier may instead be given by its images of the generators (atoms,
+join-irreducibles, a basis), its index array built only when read
+(FinMorphism.on_generators).  Boolean algebras and bounded distributive lattices
 are stored by their dual presentations (atom count, join-irreducible poset;
 a generated DL01 reads its JIs off its meets, its elements being their
 unions).  Tables derived from a presentation (principal downsets and downset
@@ -25,7 +28,7 @@ from enum import Enum
 from functools import cached_property, partial, reduce
 from itertools import combinations, compress, repeat
 from operator import and_, eq, ne, or_, xor
-from typing import Callable, Hashable, Iterable, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ResourceExceededError, TagMismatchError
 
@@ -257,17 +260,74 @@ FinAlgebra = BoolAlg | DistLat | JoinSemilattice | VectZ2 | FinSet | FinPoset
 
 @dataclass(frozen=True)
 class FinMorphism:
+    """A map of carriers by its graph: graph[x] is the image of x.
+
+    A map out of an output-side carrier (BA, DL01, JSL0, Z2VECT) that keeps
+    its sums (joins; ^ for Z2VECT) is fixed by its images of generators(dom),
+    and the library builds its own such maps from those alone
+    (on_generators).  The graph of such a map is the generator sums of its
+    images, built on first read; composing, validating and dualizing it
+    read the images, but for a JSL0 domain, whose join-irreducibles need
+    not be join-prime, its laws and composites read the graph.  Equality,
+    hashing and printing read the graph, so a map equals its table however
+    it was built."""
+
     dom: FinAlgebra
     cod: FinAlgebra
     graph: tuple[int, ...]
 
+    presented = False  # whether the map was built on_generators
+
+    @classmethod
+    def on_generators(cls, dom: FinAlgebra, cod: FinAlgebra, images: Iterable[int]) -> "FinMorphism":
+        """The map sending the i-th of generators(dom) to images[i] and each
+        sum of generators to the sum of their images.  A DL01 or JSL0
+        generator thus goes to the sum of the images of those below it,
+        which is its image when the map is monotone."""
+        m = object.__new__(cls)
+        vars(m).update(dom=dom, cod=cod, _images=tuple(images), presented=True)
+        return m
+
+    @property
+    def images(self) -> Sequence[int]:
+        """The images it was built from, or its graph at generators(dom)."""
+        if self.presented:
+            return self._images
+        return list(map(self.graph.__getitem__, generators(self.dom)))
+
+    def __getattr__(self, name: str):
+        # only a map built on_generators lacks its graph
+        if name != "graph" or not self.presented:
+            raise AttributeError(name)
+        sums = generator_sums(self.dom, _to_codes(self.cod, self._images))
+        graph = vars(self)["graph"] = tuple(_from_codes(self.cod, sums))
+        return graph
+
+    def on(self, elements: Iterable[int]) -> list[int]:
+        """The images of elements of dom: graph reads, or, while a map built
+        on_generators has no graph, the sum of the images of the generators
+        under each."""
+        if not self.presented or "graph" in vars(self):
+            return list(map(self.graph.__getitem__, elements))
+        under = generators_under(self.dom)
+        if under is None:  # a BA or Z2VECT element is the mask of its generators, and its own code
+            op = xor if isinstance(self.dom, VectZ2) else or_
+            return [sum_picked(self._images, x, op) for x in elements]
+        codes = _to_codes(self.cod, self._images)
+        return list(_from_codes(self.cod, [sum_picked(codes, under[x]) for x in elements]))
+
     def __call__(self, x: int) -> int:
-        return self.graph[x]
+        return self.on((x,))[0]
 
     def then(self, other: "FinMorphism") -> "FinMorphism":
-        """Composite that applies self first, then other."""
+        """Composite that applies self first, then other.  Two maps built
+        on_generators compose on the images when other keeps sums, as any
+        out of a BA, DL01 or Z2VECT carrier does, whatever its images, its
+        generators being join-prime or a basis; a JSL0 one need not."""
         if self.cod != other.dom:
             raise TagMismatchError("composition endpoints do not match")
+        if self.presented and other.presented and not isinstance(other.dom, JoinSemilattice):
+            return FinMorphism.on_generators(self.dom, other.cod, other.on(self._images))
         g = other.graph
         return FinMorphism(self.dom, other.cod, tuple([g[v] for v in self.graph]))
 
@@ -363,6 +423,17 @@ def unions(masks: Sequence[int]) -> Callable[[int], int]:
     return union
 
 
+def sum_picked(values: Sequence[int], picked: int, op: Callable[[int, int], int] = or_) -> int:
+    """The op-sum of the values at the bits of picked, 0 when none is, one
+    step per bit set."""
+    total = 0
+    while picked:
+        low = picked & -picked
+        total = op(total, values[low.bit_length() - 1])
+        picked ^= low
+    return total
+
+
 def generators(alg: FinAlgebra) -> list[int]:
     """Atoms (BA), a basis (Z2VECT) or the join-irreducibles (DL01, JSL0)."""
     match alg:
@@ -386,6 +457,8 @@ def generator_sums(alg: FinAlgebra, images: Sequence[int]) -> list[int]:
             return subset_sums(images, xor if isinstance(alg, VectZ2) else or_)
         case DistLat() | JoinSemilattice():
             masks = alg.downset_masks if isinstance(alg, DistLat) else alg.below
+            if len(images) <= 8:  # one table, read at the masks themselves
+                return list(map(subset_sums(images, or_).__getitem__, masks))
             sums = [0] * alg.size
             for i in range(0, len(images), 8):
                 table = subset_sums(images[i : i + 8], or_)
@@ -394,12 +467,86 @@ def generator_sums(alg: FinAlgebra, images: Sequence[int]) -> list[int]:
     raise TypeError(f"not an output-side algebra: {alg!r}")
 
 
+def element_of(alg: FinAlgebra, points: Sequence[int]) -> Callable[[int], int | None]:
+    """s -> the element of an output-side algebra whose points sum to s:
+    points holds an int per generator (generators(alg) order), and an
+    element sums those of the generators under it, by | (^ for Z2VECT).
+    That element is found when one is and the sums tell elements apart, as
+    for the masks of a family (family_generators) or the signatures of a
+    morphism: in BA, DL01 and JSL0 as the one whose generators are those
+    with points inside s, in Z2VECT by an elimination that keeps no row's
+    leading bit in another row.  Otherwise the answer is None, or in BA,
+    DL01 and JSL0 possibly an element of another sum."""
+    if isinstance(alg, VectZ2):
+        rows: list[tuple[int, int]] = []  # (sum, coordinates)
+        for i, v in enumerate(points):
+            c = 1 << i
+            for w, d in rows:
+                if v ^ w < v:
+                    v, c = v ^ w, c ^ d
+            if not v:  # two elements share a sum
+                return lambda s: None
+            rows = [(w ^ v, d ^ c) if w ^ v < w else (w, d) for w, d in rows]
+            rows.append((v, c))
+
+        def solve(s: int) -> int | None:
+            x = 0
+            for w, d in rows:
+                if s ^ w < s:
+                    s, x = s ^ w, x ^ d
+            return None if s else x
+
+        return solve
+    flags = [1 << i for i in range(len(points))]
+    match alg:
+        case DistLat():
+            element = alg.downset_index.get
+        case JoinSemilattice():
+            element = alg.by_below.get
+        case _:
+            element = int  # a BA element is its mask of atoms
+    return lambda s: element(sum(compress(flags, map(eq, map(and_, points, repeat(s)), points))))
+
+
 def fibres(graph: Sequence[int], n: int) -> list[int]:
     """Per t < n, the mask of the x with graph[x] = t; their unions are preimages."""
     masks = [0] * n
     for x, t in enumerate(graph):
         masks[t] |= 1 << x
     return masks
+
+
+def _to_codes(alg: FinAlgebra, elements: Iterable[int]) -> list[int]:
+    """Output-side algebra elements as ints whose | (^ for Z2VECT) is their
+    sum: a DL01 element's downset mask, a JSL0 one's mask of the
+    meet-irreducibles not above it, a BA or Z2VECT one itself."""
+    match alg:
+        case DistLat():
+            return list(map(alg.downset_masks.__getitem__, elements))
+        case JoinSemilattice():
+            return list(map(xor, map(alg.above.__getitem__, elements), repeat(alg.above[alg.zero])))
+    return list(elements)
+
+
+def _from_codes(alg: FinAlgebra, codes: Iterable[int]) -> Iterator[int]:
+    """The elements of codes, inverting _to_codes."""
+    match alg:
+        case DistLat():
+            return map(alg.downset_index.__getitem__, codes)
+        case JoinSemilattice():
+            return map(alg.by_above.__getitem__, map(xor, codes, repeat(alg.above[alg.zero])))
+    return iter(codes)
+
+
+def generators_under(alg: FinAlgebra) -> Sequence[int] | None:
+    """Per element, the mask of the generators below it (bit i for the i-th
+    of generators(alg)); None where the element is that mask."""
+    match alg:
+        case DistLat():
+            return alg.downset_masks
+        case JoinSemilattice():
+            return alg.below
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -463,35 +610,26 @@ def leq(alg: FinAlgebra, x: int, y: int) -> bool:
 # distinguished objects
 
 
-_CHAIN = jsl_of_sets((0, 1))  # the two-element JSL0, one object so that it is compared by identity
+# the two-element algebras, one object each, so that the tables derived
+# from them are built once and the JSL0 one is compared by identity
+_CHAIN = jsl_of_sets((0, 1))
+_POINT = FinPoset(((True,),))
+_TWO = {VarietyTag.BA: BoolAlg(1), VarietyTag.DL01: _POINT.dual, VarietyTag.JSL0: _CHAIN, VarietyTag.Z2VECT: VectZ2(1)}
+_FREE_ON_ONE = {VarietyTag.SET: FinSet(1), VarietyTag.POS: _POINT, VarietyTag.JSL0: _CHAIN, VarietyTag.Z2VECT: VectZ2(1)}
 
 
 def two_element_algebra(tag: VarietyTag) -> FinAlgebra:
     """The two-element output algebra of the coalgebra side."""
-    match tag:
-        case VarietyTag.BA:
-            return BoolAlg(1)
-        case VarietyTag.DL01:
-            return DistLat(((True,),))
-        case VarietyTag.JSL0:
-            return _CHAIN
-        case VarietyTag.Z2VECT:
-            return VectZ2(1)
-    raise TagMismatchError(f"{tag} is not an output-side variety")
+    if tag not in _TWO:
+        raise TagMismatchError(f"{tag} is not an output-side variety")
+    return _TWO[tag]
 
 
 def free_on_one(tag: VarietyTag) -> FinAlgebra:
     """The free algebra on one generator of the algebra side."""
-    match tag:
-        case VarietyTag.SET:
-            return FinSet(1)
-        case VarietyTag.POS:
-            return FinPoset(((True,),))
-        case VarietyTag.JSL0:
-            return _CHAIN
-        case VarietyTag.Z2VECT:
-            return VectZ2(1)
-    raise TagMismatchError(f"{tag} is not an algebra-side variety")
+    if tag not in _FREE_ON_ONE:
+        raise TagMismatchError(f"{tag} is not an algebra-side variety")
+    return _FREE_ON_ONE[tag]
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +656,13 @@ def validate_morphism(m: FinMorphism) -> bool:
     (DL01, and JSL0 by g(x + j) = g(x) + g(j) for each x and irreducible j,
     as every y is their join), and every pair for POS.  This is exact for
     lawful algebras; a JSL0 table from outside that is not one raises
-    ValueError when its masks are read.
+    ValueError when its masks are read.  A BA, DL01 or Z2VECT map built
+    on_generators is checked on its images alone (_images_lawful).
     """
     if m.dom.tag != m.cod.tag:
         raise TagMismatchError(f"morphism between {m.dom.tag} and {m.cod.tag}")
+    if m.presented and not isinstance(m.dom, JoinSemilattice):
+        return _images_lawful(m)
     g = m.graph
     if len(g) != m.dom.size or g and not (min(g) >= 0 and max(g) < m.cod.size):
         return False
@@ -561,14 +702,36 @@ def validate_morphism(m: FinMorphism) -> bool:
         case FinSet():
             return True
         case FinPoset():
+            # x <= y gives g(x) <= g(y): the images of the y above x lie in g(x)'s row
             assert isinstance(cod, FinPoset)
-            n = dom.size
-            for x in range(n):
-                for y in range(n):
-                    if dom.leq[x][y] and not cod.leq[g[x]][g[y]]:
-                        return False
-            return True
+            return all(all(map(cod.leq[gx].__getitem__, compress(g, row))) for gx, row in zip(g, dom.leq))
     raise TypeError(f"not a FinAlgebra: {dom!r}")
+
+
+def _images_lawful(m: FinMorphism) -> bool:
+    """validate_morphism of a map built on_generators out of a BA, DL01 or
+    Z2VECT carrier.  Its graph is the generator sums of its images, so it
+    keeps sums and 0 whatever they are: every Z2VECT map of basis images is
+    linear, a BA one keeps complements when the atom images are disjoint
+    and cover the top, and a DL01 one is a lattice map when it sends the
+    top to the top and keeps the meets of pairs of principal downsets (as
+    in validate_morphism), its value at JI i being the union of the images
+    of the JIs below i."""
+    dom, cod, images = m.dom, m.cod, m._images
+    count = dom.n_ji if isinstance(dom, DistLat) else dom.size.bit_length() - 1
+    if len(images) != count or images and not (min(images) >= 0 and max(images) < cod.size):
+        return False
+    match dom:
+        case BoolAlg():
+            return sum(map(int.bit_count, images)) == cod.atoms and reduce(or_, images, 0) == cod.top
+        case DistLat():
+            below, cod_masks = dom.principal, cod.downset_masks
+            union = unions([cod_masks[y] for y in images])
+            at = list(map(union, below))
+            return union(reduce(or_, below, 0)) == cod_masks[-1] and all(
+                union(below[i] & below[j]) == at[i] & at[j] for i, j in combinations(range(dom.n_ji), 2)
+            )
+    return True
 
 
 def is_order_reflecting(m: FinMorphism) -> bool:
@@ -599,9 +762,9 @@ def gaussian_basis(vectors: Iterable[int]) -> list[int]:
     return sorted(basis)
 
 
-def mask_lattice_presentation(meets: Sequence[int], cap: int, what: str) -> tuple[DistLat, tuple[int, ...]]:
+def mask_lattice_presentation(meets: Sequence[int], cap: int, what: str) -> tuple[DistLat, list[int]]:
     """The lattice of unions of an intersection-closed family of masks with
-    0 and the full mask, by its JI poset, and the mask of each element.  The
+    0 and the full mask, by its JI poset, and the masks of its JIs.  The
     JIs are the least meets holding each point, each the first holding it in
     ascending order, as no superset of a mask is smaller.  They are
     join-prime, so distinct downsets of them have distinct unions, one per
@@ -617,17 +780,18 @@ def mask_lattice_presentation(meets: Sequence[int], cap: int, what: str) -> tupl
     if downsets is None:
         raise ResourceExceededError(f"{what} exceeded the carrier cap")
     vars(sub)["downset_masks"] = tuple(sorted(downsets))
-    return sub, tuple(generator_sums(sub, ji))
+    return sub, ji
 
 
-def generate_family(
+def family_generators(
     tag: VarietyTag, seeds: Iterable[int], full: int, cap: int, what: str
-) -> tuple[FinAlgebra, tuple[int, ...]]:
+) -> tuple[FinAlgebra, list[int]]:
     """The algebra of masks generated by seeds under the set operations of
-    an output-side variety, with the mask of each of its elements: union,
-    intersection and complement in full for BA; union, intersection, 0 and
-    full for DL01; union and 0 for JSL0; symmetric difference and 0 for
-    Z2VECT.
+    an output-side variety, with the masks of its generators, in the order
+    of generators(algebra): union, intersection and complement in full for
+    BA; union, intersection, 0 and full for DL01; union and 0 for JSL0;
+    symmetric difference and 0 for Z2VECT.  Each element's mask is the
+    generator sum of those under it (generate_family).
 
     The carrier comes from the generators the closure finds.  BA takes its
     atoms from the seeds' membership signatures and Z2VECT the reduced
@@ -636,10 +800,6 @@ def generate_family(
     join-irreducibles of those meets (mask_lattice_presentation), its
     elements being their unions; JSL0 closes under joins with the seeds and
     is presented by jsl_from_masks.
-
-    Z2VECT thus numbers any family of ints closed under ^ by its elements'
-    coordinates over that basis: the transition monoid's maps by their keys
-    and the subdirect product's pairs by their codes, full being unread.
     """
     seeds = set(seeds)
     match tag:
@@ -649,19 +809,38 @@ def generate_family(
             for j in range(full.bit_length()):
                 sig = tuple(s >> j & 1 for s in ordered)
                 groups[sig] = groups.get(sig, 0) | 1 << j
-            gens, op, algebra = sorted(groups.values()), or_, BoolAlg
+            gens, algebra = sorted(groups.values()), BoolAlg
         case VarietyTag.DL01:
             seeds |= {0, full}
             return mask_lattice_presentation(orbit(seeds, [partial(and_, s) for s in seeds], cap, what)[0], cap, what)
         case VarietyTag.JSL0:
-            return jsl_from_masks(orbit(seeds | {0}, [partial(or_, s) for s in seeds], cap, what)[0])
+            lattice, masks = jsl_from_masks(orbit(seeds | {0}, [partial(or_, s) for s in seeds], cap, what)[0])
+            return lattice, list(map(masks.__getitem__, lattice.irreducibles))
         case VarietyTag.Z2VECT:
-            gens, op, algebra = gaussian_basis(seeds), xor, VectZ2
+            gens, algebra = gaussian_basis(seeds), VectZ2
         case _:
             raise TagMismatchError(f"{tag} is not an output-side variety")
     if 1 << len(gens) > cap:
         raise ResourceExceededError(f"{what} exceeded the carrier cap")
-    return algebra(len(gens)), tuple(subset_sums(gens, op))
+    return algebra(len(gens)), gens
+
+
+def generate_family(
+    tag: VarietyTag, seeds: Iterable[int], full: int, cap: int, what: str
+) -> tuple[FinAlgebra, tuple[int, ...]]:
+    """family_generators, with the mask of each element in place of the
+    generators', refused alike.
+
+    A Z2VECT element is numbered by its coordinates over the reduced
+    echelon basis, sorted ascending, so its masks come in ascending order:
+    no basis vector holds another's leading bit, so the highest coordinate
+    in which two elements differ decides which is larger.  Z2VECT thus
+    numbers any family of ints closed under ^ by sorting it: the transition
+    monoid's maps by their keys and the subdirect product's pairs by their
+    codes, full being unread.
+    """
+    algebra, gens = family_generators(tag, seeds, full, cap, what)
+    return algebra, tuple(generator_sums(algebra, gens))
 
 
 def present_closure(

@@ -27,7 +27,11 @@ closes the same labels without computing them; the bytes signature pairing,
 in which every state reads every word, is the one that the pairing through
 the carrier's generators replaced, and its round trip keeps the refusal
 classification of its time and shares the structure check and
-joint_quotient, through least_odd_language).  The presentations of
+joint_quotient, through least_odd_language; the tabled piece and tabled
+dual morphism are the eager builders that made every letter action,
+output and dual map a full table, before maps were built from their
+images of the generators, and share the class automaton and
+generate_family with the piece they check).  The presentations of
 subalgebras are scanned from their element lists here
 (scanned_present_subset), as before the library's closures handed back the
 atoms, basis or join-irreducibles they found.  The regex oracles are the
@@ -115,8 +119,11 @@ from langdual.varieties import (
     VectZ2,
     _downsets,
     constants,
+    fibres,
     gaussian_basis,
     generate_family,
+    generator_sums,
+    generators,
     identity,
     is_order_reflecting,
     jsl_from_masks,
@@ -788,6 +795,57 @@ def per_element_closed_piece(tag, gens, include_right, limits=DEFAULT_LIMITS):
     return CCoalgebra(carrier, caut.alphabet, gamma, out)
 
 
+def tabled_closed_piece(tag, gens, include_right, limits=DEFAULT_LIMITS):
+    """The piece generated by gens with its letter actions and output built
+    as full tables, as before they were built from their images of the
+    generators: every element's mask, the generator sums of the preimages
+    of the generators' masks, and an index of all masks."""
+    caut, masks = class_automaton(sorted(set(gens), key=lambda g: g.sort_key()), limits)
+    sides = (caut.left_preimage, caut.right_preimage) if include_right else (caut.left_preimage,)
+    steps = [side[ai] for ai in range(len(caut.alphabet)) for side in sides]
+    seeds = orbit(masks, steps, limits.max_carrier, "derivative closure")[0]
+    what = {VarietyTag.BA: "boolean closure", VarietyTag.Z2VECT: "linear closure"}.get(tag, "operation closure")
+    carrier, element_masks = generate_family(tag, seeds, caut.full_mask, limits.max_carrier, what)
+    index = {m: i for i, m in enumerate(element_masks)}.__getitem__
+    points = list(map(element_masks.__getitem__, generators(carrier)))
+    if tag in (VarietyTag.DL01, VarietyTag.JSL0):
+        act = lambda pre: tuple(map(index, generator_sums(carrier, list(map(pre, points)))))
+    else:
+        act = lambda pre: tuple(generator_sums(carrier, list(map(index, map(pre, points)))))
+    gamma = tuple(FinMorphism(carrier, carrier, act(pre)) for pre in caut.left_preimage)
+    out = FinMorphism(carrier, two_element_algebra(tag), tuple(m & 1 for m in element_masks))
+    return CCoalgebra(carrier, caut.alphabet, gamma, out)
+
+
+def summed_graph(dom, cod, images):
+    """The graph of the map that sends the i-th generator of dom to
+    images[i] and each element to the sum of the images of the generators
+    under it, one element and one generator at a time."""
+    gens = generators(dom)
+    graph = []
+    for x in range(dom.size):
+        match dom:
+            case BoolAlg() | VectZ2():
+                picked = [i for i in range(len(gens)) if x >> i & 1]
+            case DistLat():
+                picked = [i for i in range(len(gens)) if dom.downset_masks[x] >> i & 1]
+            case JoinSemilattice():
+                picked = [i for i, g in enumerate(gens) if jsl_leq(dom, g, x)]
+        y = constants(cod)[0]
+        for i in picked:
+            match cod:
+                case BoolAlg():
+                    y |= images[i]
+                case VectZ2():
+                    y ^= images[i]
+                case DistLat():
+                    y = cod.downset_index[cod.downset_masks[y] | cod.downset_masks[images[i]]]
+                case JoinSemilattice():
+                    y = cod.join[y][images[i]]
+        graph.append(y)
+    return tuple(graph)
+
+
 def derivative_mask_closure(caut, seeds, include_right, limits=DEFAULT_LIMITS):
     closed = set(seeds)
     if len(closed) > limits.max_carrier:
@@ -981,13 +1039,21 @@ def match_states(p, q):
     return tuple(map(mate.__getitem__, mine))
 
 
+def table_pair(p1, p2, forward):
+    """The bijection forward from p1's carrier to p2's, and its inverse, as
+    tables."""
+    backward = tuple(sorted(range(len(forward)), key=forward.__getitem__))
+    return FinMorphism(p1.carrier, p2.carrier, tuple(forward)), FinMorphism(p2.carrier, p1.carrier, backward)
+
+
 def bytes_signature_pairing(piece, back, monoid):
     """Each state of piece to the state of back that accepts the same
     representative words, one per word image of the monoid (its tree
-    parent's word plus a letter); None unless that is a bijection.  Every
-    state reads every word: a column holds the state each state reaches by
-    one word, n lookups in its parent's, and a state's signature is its
-    slice of one bytes buffer of their outputs."""
+    parent's word plus a letter), and back, as tables (table_pair); None
+    unless that is a bijection.  Every state reads every word: a column
+    holds the state each state reaches by one word, n lookups in its
+    parent's, and a state's signature is its slice of one bytes buffer of
+    their outputs."""
     n = back.size
     if piece.alphabet != back.alphabet or piece.size != n or not {*piece.out.graph} <= {0, 1}:
         return None
@@ -1005,7 +1071,7 @@ def bytes_signature_pairing(piece, back, monoid):
     forward = tuple(map(mate.get, signatures(piece)))
     if len(mate) != n or None in forward or len(set(forward)) != n:
         return None
-    return forward
+    return table_pair(piece, back, forward)
 
 
 def least_odd_language(p, q):
@@ -1022,9 +1088,9 @@ def bytes_roundtrip_witness(d, piece, monoid, limits=DEFAULT_LIMITS):
     pairing's structure error stands when the label sets agree, and no
     pairing with equal label sets means a repeated language."""
     back = monoid_to_piece(d, monoid, limits)
-    if (forward := bytes_signature_pairing(piece, back, monoid)) is not None:
+    if (paired := bytes_signature_pairing(piece, back, monoid)) is not None:
         try:
-            return _structure_iso(piece, back, forward)
+            return _structure_iso(piece, back, *paired)
         except CorrespondenceError:
             if (extra := least_odd_language(piece, back)) is None:
                 raise
@@ -1513,6 +1579,54 @@ def scanning_dual_morphism(d, h):
                         image |= 1 << i
                 graph.append(image)
             return FinMorphism(new_dom, new_cod, tuple(graph))
+    return dual_morphism(d, h)
+
+
+def tabled_dual_morphism(d, h):
+    """dual_morphism as before maps were built from their images of the
+    generators: every dual a full table, SET and POS preimages as the
+    generator sums of the fibres, and a DL01 map tested for being the
+    generator sums of its values at the join-irreducibles."""
+    if h.dom.tag != h.cod.tag:
+        raise TagMismatchError("cannot dualize a cross-variety map")
+    dom, cod, g = h.dom, h.cod, h.graph
+    new_dom = dual_object(d, cod)
+    new_cod = dual_object(d, dom)
+    match (d, dom):
+        case (DualityTag.BA_SET, BoolAlg()):
+            graph = []
+            for j in range(cod.atoms):
+                hits = [i for i in range(dom.atoms) if g[1 << i] >> j & 1]
+                if len(hits) != 1:
+                    raise NonFunctionalError("atom characterization failed; not a BA morphism")
+                graph.append(hits[0])
+            return FinMorphism(new_dom, new_cod, tuple(graph))
+        case (DualityTag.BA_SET, FinSet()):
+            return FinMorphism(new_dom, new_cod, tuple(generator_sums(new_dom, fibres(g, cod.size))))
+        case (DualityTag.DL01_POS, DistLat()):
+            graph = []
+            dom_masks, cod_masks = dom.downset_masks, cod.downset_masks
+            principal = dom.principal
+            image = [cod_masks[g[dom.downset_index[b]]] for b in principal]
+            masks = list(map(cod_masks.__getitem__, g))
+            scanned = list(zip(principal, image) if masks == generator_sums(dom, image) else zip(dom_masks, masks))
+            for j in range(cod.n_ji):
+                above = [x for x, y in scanned if y >> j & 1]
+                if not above:
+                    raise NonFunctionalError("no element maps above a join-irreducible")
+                meet = above[0]
+                for x in above:
+                    meet &= x
+                if meet not in principal:
+                    raise NonFunctionalError("least preimage is not join-irreducible")
+                graph.append(principal.index(meet))
+            return FinMorphism(new_dom, new_cod, tuple(graph))
+        case (DualityTag.DL01_POS, FinPoset()):
+            preimages = generator_sums(new_dom, fibres(g, cod.size))
+            return FinMorphism(new_dom, new_cod, tuple(map(new_cod.downset_index.__getitem__, preimages)))
+        case (DualityTag.Z2_SELF, VectZ2()):
+            rows = [sum(1 << i for i in range(dom.dim) if g[1 << i] >> k & 1) for k in range(cod.dim)]
+            return FinMorphism(new_dom, new_cod, tuple(generator_sums(new_dom, rows)))
     return dual_morphism(d, h)
 
 

@@ -54,5 +54,6 @@ def test_round_trip_at_cap_size(d, text, piece_size, monoid_size, digest):
     assert c.witness.backward.graph == oracle.backward.graph
 
     back = monoid_to_piece(d, c.monoid)
-    paired = _signature_pairing(c.piece, back, c.monoid)
-    assert paired == bytes_signature_pairing(c.piece, back, c.monoid) == c.witness.forward.graph
+    paired = [m.graph for m in _signature_pairing(c.piece, back, c.monoid)]
+    assert paired == [m.graph for m in bytes_signature_pairing(c.piece, back, c.monoid)]
+    assert paired == [c.witness.forward.graph, c.witness.backward.graph]

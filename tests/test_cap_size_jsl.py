@@ -55,5 +55,6 @@ def test_jsl_round_trip_at_cap_size(text, size, digest):
     assert sub is algebra.carrier and incl.graph == tuple(range(size))
 
     back = monoid_to_piece(JSL, c.monoid)
-    paired = _signature_pairing(c.piece, back, c.monoid)
-    assert paired == bytes_signature_pairing(c.piece, back, c.monoid) == c.witness.forward.graph
+    paired = [m.graph for m in _signature_pairing(c.piece, back, c.monoid)]
+    assert paired == [m.graph for m in bytes_signature_pairing(c.piece, back, c.monoid)]
+    assert paired == [c.witness.forward.graph, c.witness.backward.graph]

@@ -1,15 +1,18 @@
 """The round trip's signature pairing read through the carrier's generators,
 against the bytes pairing it replaced.
 
-`_signature_pairing` lets only the generators of each carrier read the
-representative words of the monoid's word images (atoms for BA, a basis for
-Z2, join-irreducibles for DL and JSL) and sums their signatures over every
-state (`generator_sums`).  `bytes_signature_pairing` lets every state read
-every word.  On lawful pieces the two must return the same forward, or None
-for both: on a seeded corpus of all four dualities closed at a 512-element
-cap, each piece against its own monoid and against the monoid of another
-piece of the same size and of another size.  The cap-size tiers compare them
-on the cap-size families.
+`_signature_pairing` reads only the images of the generators of each
+carrier (atoms for BA, a basis for Z2, join-irreducibles for DL and JSL)
+under output and letter actions, follows the functionals out.gamma_w over
+the monoid's word images, and pairs the generators of each side with the
+states of the other that have their signatures (`element_of`), as maps
+built on generators.  `bytes_signature_pairing` lets every state read every
+word and pairs all states.  On lawful pieces against their own monoids the
+two must pair alike; against the monoid of another piece of the same
+duality, of the same size and of another size, a pairing of either must be
+certified by `_structure_iso` exactly when one of the other is, with the
+same forward.  The corpus is seeded, of all four dualities closed at a
+512-element cap.  The cap-size tiers compare them on the cap-size families.
 
 On corrupted pieces the round trip must refuse with the same class, message
 and counterexample as with the bytes pairing, and as `bytes_roundtrip_witness`,
@@ -34,9 +37,15 @@ import langdual.correspondence
 import langdual.languages
 from langdual.automata import CCoalgebra, rqc_closure
 from langdual.config import Limits
-from langdual.correspondence import _roundtrip_witness, _signature_pairing, monoid_to_piece, piece_to_monoid
+from langdual.correspondence import (
+    _roundtrip_witness,
+    _signature_pairing,
+    _structure_iso,
+    monoid_to_piece,
+    piece_to_monoid,
+)
 from langdual.duality import DualityTag, c_tag
-from langdual.errors import ResourceExceededError
+from langdual.errors import CorrespondenceError, ResourceExceededError
 from langdual.languages import compile_text
 from langdual.varieties import (
     BoolAlg,
@@ -75,10 +84,21 @@ def corpus():
     return out
 
 
+def _certified(piece, back, paired):
+    """The forward graph of a pairing that _structure_iso certifies, else None."""
+    if paired is None:
+        return None
+    try:
+        return _structure_iso(piece, back, *paired).forward.graph
+    except CorrespondenceError:
+        return None
+
+
 def _both(piece, monoid, back):
-    ours = _signature_pairing(piece, back, monoid)
-    assert ours == bytes_signature_pairing(piece, back, monoid)
-    return ours
+    """Both pairings, which _structure_iso must certify alike."""
+    ours, theirs = _signature_pairing(piece, back, monoid), bytes_signature_pairing(piece, back, monoid)
+    assert _certified(piece, back, ours) == _certified(piece, back, theirs)
+    return ours, theirs
 
 
 def test_the_generator_pairing_is_the_bytes_pairing_on_the_corpus(corpus):
@@ -87,8 +107,9 @@ def test_the_generator_pairing_is_the_bytes_pairing_on_the_corpus(corpus):
     foreign = {"same size": 0, "other size": 0}
     backs = [monoid_to_piece(d, monoid, CAP) for d, _, monoid in corpus]
     for i, (d, piece, monoid) in enumerate(corpus):
-        forward = _both(piece, monoid, backs[i])
-        assert sorted(forward) == list(range(piece.size))
+        ours, theirs = _both(piece, monoid, backs[i])
+        assert [m.graph for m in ours] == [m.graph for m in theirs]
+        assert sorted(ours[0].graph) == list(range(piece.size))
         big[d] += piece.size > 64
         others = [j for j, (e, _, _) in enumerate(corpus) if e is d and j != i]
         same = [j for j in others if corpus[j][1].size == piece.size]
