@@ -187,7 +187,7 @@ def _map_automaton(d: Dfa, starts: Iterable[int], limits: Limits) -> tuple[Class
     u -> au as pre, and the language of each start as a mask, the maps that
     send it into d's finals."""
     steps = [lambda m, col=col: tuple(map(col.__getitem__, m)) for col in zip(*d.delta)]
-    maps, post, pre = cayley_columns(tuple(range(d.n_states)), steps, limits.max_carrier, "transition-map closure")
+    maps, post, pre, _ = cayley_columns(tuple(range(d.n_states)), steps, limits.max_carrier, "transition-map closure")
     masks = [sum(1 << j for j, m in enumerate(maps) if m[s] in d.finals) for s in starts]
     return ClassAutomaton(d.alphabet, tuple(maps), post, pre), masks
 

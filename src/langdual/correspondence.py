@@ -186,16 +186,12 @@ def _structure_iso(p1: CCoalgebra, p2: CCoalgebra, forward: FinMorphism, backwar
     that agree on the generators are equal."""
     if not validate_morphism(forward):
         raise CorrespondenceError("label bijection is not an isomorphism of carriers")
-    if all(m.presented for m in (forward, backward, p1.out, *p1.gamma)):
-        values, ones = attrgetter("images"), tuple(generators(p2.carrier))
+    presented = all(m.presented for m in (forward, backward, p1.out, *p1.gamma))
+    values = attrgetter("images" if presented else "graph")
+    ones = tuple(generators(p2.carrier) if presented else range(p2.size))
 
-        def then(f: FinMorphism, g: FinMorphism) -> tuple[int, ...]:
-            return tuple(g.on(f.images))
-    else:
-        values, ones = attrgetter("graph"), tuple(range(p2.size))
-
-        def then(f: FinMorphism, g: FinMorphism) -> tuple[int, ...]:
-            return tuple(map(g.graph.__getitem__, f.graph))
+    def then(f: FinMorphism, g: FinMorphism) -> tuple[int, ...]:
+        return tuple(g.on(values(f)))
 
     if p1.size != p2.size or then(backward, forward) != ones:
         raise CorrespondenceError("label bijection is not an isomorphism of carriers")
@@ -285,6 +281,7 @@ def _signatures(q: CCoalgebra, tree: Sequence[tuple[int, int]]) -> list[int]:
     word a.u of the tree gives out.gamma_u.gamma_a, whose mask holds i when
     the image of generator i under gamma_a goes to 1 under u's."""
     gens, under = generators(q.carrier), generators_under(q.carrier)
+    under = under and under[0]
     width = len(gens)
     flags = [1 << i for i in range(width)]
     letters = [g.images if under is None else list(map(under.__getitem__, g.images)) for g in q.gamma]

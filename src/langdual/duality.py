@@ -34,6 +34,7 @@ from .varieties import (
     JoinSemilattice,
     VarietyTag,
     VectZ2,
+    element_of,
     fibres,
     generator_sums,
     identity,
@@ -174,16 +175,12 @@ def dual_morphism(d: DualityTag, h: FinMorphism) -> FinMorphism:
             # upper adjoint: h*(b) is the join of the irreducibles j_i with
             # h(j_i) <= b, and those are all the irreducibles below it, so
             # bit i of below[h*(b)] says whether below[h(j_i)] is inside below[b]
+            # (element_of)
             assert isinstance(cod, JoinSemilattice)
-            element = dom.by_below
             images = list(map(cod.below.__getitem__, h.on(dom.irreducibles)))
-            try:
-                graph = tuple(
-                    element[sum(1 << i for i, image in enumerate(images) if image & b == image)]
-                    for b in cod.below
-                )
-            except KeyError:
-                raise NonFunctionalError("no upper adjoint; not a join morphism") from None
+            graph = tuple(map(element_of(dom, images), cod.below))
+            if None in graph:
+                raise NonFunctionalError("no upper adjoint; not a join morphism")
             return FinMorphism(new_dom, new_cod, graph)
         case (DualityTag.Z2_SELF, VectZ2()):
             # the transpose sends the k-th dual basis vector to the k-th row

@@ -37,6 +37,7 @@ from .varieties import (
     algebra_to_json,
     cayley_columns,
     constants,
+    from_codes,
     generate_family,
     generators,
     is_order_reflecting,
@@ -44,6 +45,7 @@ from .varieties import (
     jsl_of_sets,
     leq,
     orbit,
+    to_codes,
     validate_morphism,
 )
 
@@ -173,7 +175,8 @@ class SigmaMonoid:
         """The elements that are words, in the order an orbit of the unit
         under the letters' rows finds them, and each past the unit as
         (position of its parent, letter): its word is the letter followed
-        by the parent's."""
+        by the parent's.  transition_monoid keeps the tree it walked, which
+        is this one."""
         elements, _, tree = orbit([self.unit], [row.__getitem__ for row in self.letter_rows], self.size, "word images")
         return tuple(elements), tuple(tree[1:])
 
@@ -197,9 +200,10 @@ def transition_monoid(
 
     The letter actions are carrier morphisms, so composition is bilinear and
     the closure is the additive span of the word images.  The word images
-    and each letter's column, x -> xa, and row, y -> ay, on them come from
-    cayley_columns over the letters: a column entry is an edge of the right
-    Cayley graph and a row entry follows its tree, a(pb) = (ap)b.  For
+    and each letter's row, y -> ay, and column, x -> xa, on them come from
+    cayley_columns over the letters acting on the left: a row entry is an
+    edge of the left Cayley graph and a column entry follows its tree,
+    (bp)a = b(pa).  The monoid keeps that tree as its word_images.  For
     JSL0/Z2VECT every sum is a smaller sum plus a word image.  The sums
     close over one int per map, so that a sum is one operation: the codes
     of the images of the carrier's generators side by side, a JSL0 image
@@ -212,8 +216,8 @@ def transition_monoid(
 
     Along the sum tree each column and row take one sum per element,
     (l + w)a = la + wa and a(l + w) = al + aw.  The full table (mult, a
-    _Table) is built only when read, row by row along the left Cayley
-    graph, (bx)y = b(xy), and then the sums, (l + w)y = ly + wy.  The round
+    _Table) is built only when read, row by row along that tree, (bx)y =
+    b(xy), and then the sums, (l + w)y = ly + wy.  The round
     trip reads only the letters, so correspond builds no n x n table.
 
     The images of the initial state under the closed family are its
@@ -238,14 +242,16 @@ def transition_monoid(
     n = carrier.size
     linear = carrier.tag in LINEARISH
     letters = [m.graph for m in a.alpha]
+    # a step puts its letter before a map in reading order: the letter acts
+    # first, or last with reverse_composition
     if reverse_composition:
-        steps = [lambda f, g=g: tuple(map(f.__getitem__, g)) for g in letters]
-    else:
         steps = [lambda f, g=g: tuple(map(g.__getitem__, f)) for g in letters]
+    else:
+        steps = [lambda f, g=g: tuple(map(f.__getitem__, g)) for g in letters]
 
-    # word images: the orbit of the identity over the right Cayley graph,
-    # with each letter's column and row on them
-    graphs, word_cols, word_rows = grow(cayley_columns, tuple(range(n)), steps)
+    # word images: the orbit of the identity over the left Cayley graph,
+    # with each letter's row and column on them
+    graphs, word_rows, word_cols, tree = grow(cayley_columns, tuple(range(n)), steps)
     n_words = len(graphs)
     keys = graphs
     at_init = [f[a.init] for f in graphs]
@@ -298,10 +304,13 @@ def transition_monoid(
         case FinSet():
             monoid_carrier = FinSet(size)
         case FinPoset():
-            # f <= g pointwise: g(q) lies in the row of f(q) for every q
             funcs = [graphs[i] for i in order]
-            rows = [list(map(carrier.leq.__getitem__, f)) for f in funcs]
-            monoid_carrier = FinPoset(tuple(tuple(all(map(operator.getitem, row, g)) for g in funcs) for row in rows))
+            monoid_carrier = FinPoset(
+                tuple(
+                    tuple(all(carrier.leq[f[q]][g[q]] for q in range(n)) for g in funcs)
+                    for f in funcs
+                )
+            )
         case JoinSemilattice():
             # a map as the key bits it lacks, all of which the zero has: sums are unions
             monoid_carrier = jsl_of_sets([keys[zero] ^ keys[x] for x in order])
@@ -321,12 +330,12 @@ def transition_monoid(
     rows = [spread(list(map(pos.__getitem__, row))) for row in word_rows]
     gens = tuple(pos[col[0]] for col in word_cols)
     unit = pos[0]
+    words = tuple(pos[:n_words])
 
     def table() -> tuple[tuple[int, ...], ...]:
         built: list = [None] * size
         built[unit] = tuple(range(size))
-        words, _, left_tree = orbit([unit], [row.__getitem__ for row in rows], size, "transition monoid")
-        for x, (parent, ai) in zip(words[1:], left_tree[1:]):
+        for x, (parent, ai) in zip(words[1:], tree):
             built[x] = tuple(map(rows[ai].__getitem__, built[words[parent]]))
         if linear:
             add = _map_adder(monoid_carrier)
@@ -337,7 +346,7 @@ def transition_monoid(
         return tuple(built)
 
     monoid = SigmaMonoid(monoid_carrier, a.alphabet, unit, _Table(table, size), gens)
-    vars(monoid).update(letter_rows=tuple(rows), letter_cols=tuple(cols))
+    vars(monoid).update(letter_rows=tuple(rows), letter_cols=tuple(cols), word_images=(words, tuple(tree)))
     return monoid
 
 
@@ -435,26 +444,28 @@ def _subdirect_pairs(m1: SigmaMonoid, m2: SigmaMonoid, limits: Limits) -> list[t
     pairs = orbit([(m1.unit, m2.unit)], letters, cap, "subdirect closure")[0]
     if m1.carrier.tag in LINEARISH:
         encode, decode, plus = _pair_codes(m1.carrier, m2.carrier)
-        words = [encode(p, q) for p, q in pairs]
-        pairs = list(map(decode, orbit([*words, 0], [partial(plus, w) for w in words], cap, "subdirect closure")[0]))
+        words = encode(pairs)
+        pairs = decode(orbit([*words, 0], [partial(plus, w) for w in words], cap, "subdirect closure")[0])
     return sorted(pairs)
 
 
 def _pair_codes(c1: FinAlgebra, c2: FinAlgebra) -> tuple[Callable, Callable, Callable[[int, int], int]]:
-    """(encode, decode, plus) for pairs of elements of two JSL0 or Z2VECT
-    carriers as ints, the pair of zeros as 0: a JSL0 pair as the masks of
-    the meet-irreducibles of each factor not above it, side by side, added
-    by |; a Z2VECT pair as p << dim2 | q, added by ^."""
-    if isinstance(c1, VectZ2):
-        d2 = c2.dim
-        return (lambda p, q: p << d2 | q), (lambda code: (code >> d2, code & ~(-1 << d2))), operator.xor
-    full1, full2 = c1.above[c1.zero], c2.above[c2.zero]
-    shift, above1, above2, element1, element2 = full1.bit_length(), c1.above, c2.above, c1.by_above, c2.by_above
-    return (
-        (lambda p, q: full1 ^ above1[p] | (full2 ^ above2[q]) << shift),
-        (lambda code: (element1[full1 ^ code & full1], element2[full2 ^ code >> shift])),
-        operator.or_,
-    )
+    """(encode, decode, plus) for lists of pairs of elements of two JSL0 or
+    Z2VECT carriers as ints, the pair of zeros as 0: a pair as its first
+    factor's code (to_codes) shifted past its second's, added by
+    | (^ for Z2VECT)."""
+    linear = isinstance(c2, VectZ2)
+    shift = c2.dim if linear else c2.above[c2.zero].bit_length()
+    low = ~(-1 << shift)
+
+    def encode(pairs: Sequence[tuple[int, int]]) -> list[int]:
+        ones, twos = to_codes(c1, [p for p, _ in pairs]), to_codes(c2, [q for _, q in pairs])
+        return [p << shift | q for p, q in zip(ones, twos)]
+
+    def decode(codes: Sequence[int]) -> list[tuple[int, int]]:
+        return list(zip(from_codes(c1, [c >> shift for c in codes]), from_codes(c2, [c & low for c in codes])))
+
+    return encode, decode, operator.xor if linear else operator.or_
 
 
 def subdirect_product(m1: SigmaMonoid, m2: SigmaMonoid, limits: Limits = DEFAULT_LIMITS) -> SigmaMonoid:
@@ -475,13 +486,12 @@ def subdirect_product(m1: SigmaMonoid, m2: SigmaMonoid, limits: Limits = DEFAULT
             carrier = FinPoset(tuple(map(tuple, order)))
         case VarietyTag.JSL0:
             # a pair by its code (_pair_codes), whose sums are unions
-            encode = _pair_codes(c1, c2)[0]
-            carrier = jsl_of_sets([encode(p, q) for p, q in pairs])
+            carrier = jsl_of_sets(_pair_codes(c1, c2)[0](pairs))
         case VarietyTag.Z2VECT:
             # a pair by its code, numbered by its coordinates over a basis: the
             # codes come in ascending order (generate_family), as the pairs do
-            encode = _pair_codes(c1, c2)[0]
-            carrier = generate_family(tag, [encode(p, q) for p, q in pairs], 0, len(pairs), "subdirect closure")[0]
+            codes = _pair_codes(c1, c2)[0](pairs)
+            carrier = generate_family(tag, codes, 0, len(pairs), "subdirect closure")[0]
         case _:
             raise TagMismatchError(f"{tag} is not an algebra-side variety")
     index = {p: i for i, p in enumerate(pairs)}

@@ -299,8 +299,8 @@ class FinMorphism:
         # only a map built on_generators lacks its graph
         if name != "graph" or not self.presented:
             raise AttributeError(name)
-        sums = generator_sums(self.dom, _to_codes(self.cod, self._images))
-        graph = vars(self)["graph"] = tuple(_from_codes(self.cod, sums))
+        sums = generator_sums(self.dom, to_codes(self.cod, self._images))
+        graph = vars(self)["graph"] = tuple(from_codes(self.cod, sums))
         return graph
 
     def on(self, elements: Iterable[int]) -> list[int]:
@@ -313,8 +313,8 @@ class FinMorphism:
         if under is None:  # a BA or Z2VECT element is the mask of its generators, and its own code
             op = xor if isinstance(self.dom, VectZ2) else or_
             return [sum_picked(self._images, x, op) for x in elements]
-        codes = _to_codes(self.cod, self._images)
-        return list(_from_codes(self.cod, [sum_picked(codes, under[x]) for x in elements]))
+        codes, masks = to_codes(self.cod, self._images), under[0]
+        return list(from_codes(self.cod, [sum_picked(codes, masks[x]) for x in elements]))
 
     def __call__(self, x: int) -> int:
         return self.on((x,))[0]
@@ -378,21 +378,21 @@ def orbit(
 
 def cayley_columns(
     start: T, steps: Sequence[Callable[[T], T]], cap: int, what: str
-) -> tuple[list[T], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+) -> tuple[list[T], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], list[tuple[int, int]]]:
     """The word images of start, a unit, under steps, as orbit finds them
-    and refuses them, with each step's right and left column: right[s][i]
-    is the index of element i followed by step s (orbit's edges), left[s][i]
-    that of step s followed by element i.  A left column follows orbit's
-    tree, as s(pl) = (sp)l, one lookup per element."""
+    and refuses them, with each step's right and left column and orbit's
+    tree past start: right[s][i] is the index of element i followed by step
+    s (orbit's edges), left[s][i] that of step s followed by element i.  A
+    left column follows the tree, as s(pl) = (sp)l, one lookup per element."""
     elements, edges, tree = orbit([start], steps, cap, what)
-    right = tuple(zip(*edges))
+    right, tree = tuple(zip(*edges)), tree[1:]
     left = []
     for first in edges[0]:
         col = [first]
-        for parent, s in tree[1:]:
+        for parent, s in tree:
             col.append(right[s][col[parent]])
         left.append(tuple(col))
-    return elements, right, tuple(left)
+    return elements, right, tuple(left), tree
 
 
 def subset_sums(gens: Iterable[int], op: Callable[[int, int], int]) -> list[int]:
@@ -456,9 +456,7 @@ def generator_sums(alg: FinAlgebra, images: Sequence[int]) -> list[int]:
         case BoolAlg() | VectZ2():
             return subset_sums(images, xor if isinstance(alg, VectZ2) else or_)
         case DistLat() | JoinSemilattice():
-            masks = alg.downset_masks if isinstance(alg, DistLat) else alg.below
-            if len(images) <= 8:  # one table, read at the masks themselves
-                return list(map(subset_sums(images, or_).__getitem__, masks))
+            masks = generators_under(alg)[0]
             sums = [0] * alg.size
             for i in range(0, len(images), 8):
                 table = subset_sums(images[i : i + 8], or_)
@@ -498,13 +496,8 @@ def element_of(alg: FinAlgebra, points: Sequence[int]) -> Callable[[int], int | 
 
         return solve
     flags = [1 << i for i in range(len(points))]
-    match alg:
-        case DistLat():
-            element = alg.downset_index.get
-        case JoinSemilattice():
-            element = alg.by_below.get
-        case _:
-            element = int  # a BA element is its mask of atoms
+    under = generators_under(alg)
+    element = int if under is None else under[1].get  # a BA element is its mask of atoms
     return lambda s: element(sum(compress(flags, map(eq, map(and_, points, repeat(s)), points))))
 
 
@@ -516,7 +509,7 @@ def fibres(graph: Sequence[int], n: int) -> list[int]:
     return masks
 
 
-def _to_codes(alg: FinAlgebra, elements: Iterable[int]) -> list[int]:
+def to_codes(alg: FinAlgebra, elements: Iterable[int]) -> list[int]:
     """Output-side algebra elements as ints whose | (^ for Z2VECT) is their
     sum: a DL01 element's downset mask, a JSL0 one's mask of the
     meet-irreducibles not above it, a BA or Z2VECT one itself."""
@@ -528,8 +521,8 @@ def _to_codes(alg: FinAlgebra, elements: Iterable[int]) -> list[int]:
     return list(elements)
 
 
-def _from_codes(alg: FinAlgebra, codes: Iterable[int]) -> Iterator[int]:
-    """The elements of codes, inverting _to_codes."""
+def from_codes(alg: FinAlgebra, codes: Iterable[int]) -> Iterator[int]:
+    """The elements of codes, inverting to_codes."""
     match alg:
         case DistLat():
             return map(alg.downset_index.__getitem__, codes)
@@ -538,14 +531,15 @@ def _from_codes(alg: FinAlgebra, codes: Iterable[int]) -> Iterator[int]:
     return iter(codes)
 
 
-def generators_under(alg: FinAlgebra) -> Sequence[int] | None:
+def generators_under(alg: FinAlgebra) -> tuple[Sequence[int], dict[int, int]] | None:
     """Per element, the mask of the generators below it (bit i for the i-th
-    of generators(alg)); None where the element is that mask."""
+    of generators(alg)), and the element of each such mask; None where an
+    element is that mask (BA, Z2VECT)."""
     match alg:
         case DistLat():
-            return alg.downset_masks
+            return alg.downset_masks, alg.downset_index
         case JoinSemilattice():
-            return alg.below
+            return alg.below, alg.by_below
     return None
 
 
@@ -702,9 +696,13 @@ def validate_morphism(m: FinMorphism) -> bool:
         case FinSet():
             return True
         case FinPoset():
-            # x <= y gives g(x) <= g(y): the images of the y above x lie in g(x)'s row
             assert isinstance(cod, FinPoset)
-            return all(all(map(cod.leq[gx].__getitem__, compress(g, row))) for gx, row in zip(g, dom.leq))
+            n = dom.size
+            for x in range(n):
+                for y in range(n):
+                    if dom.leq[x][y] and not cod.leq[g[x]][g[y]]:
+                        return False
+            return True
     raise TypeError(f"not a FinAlgebra: {dom!r}")
 
 

@@ -1048,22 +1048,21 @@ def table_pair(p1, p2, forward):
 
 def bytes_signature_pairing(piece, back, monoid):
     """Each state of piece to the state of back that accepts the same
-    representative words, one per word image of the monoid (its tree
-    parent's word plus a letter), and back, as tables (table_pair); None
-    unless that is a bijection.  Every state reads every word: a column
-    holds the state each state reaches by one word, n lookups in its
-    parent's, and a state's signature is its slice of one bytes buffer of
-    their outputs."""
+    representative words, one per word image of the monoid (a letter
+    followed by its tree parent's word, monoid.word_images), and back, as
+    tables (table_pair); None unless that is a bijection.  Every state
+    reads every word: a column holds the state each state reaches by one
+    word, the word a.u's being u's column read through gamma_a, and a
+    state's signature is its slice of one bytes buffer of their outputs."""
     n = back.size
     if piece.alphabet != back.alphabet or piece.size != n or not {*piece.out.graph} <= {0, 1}:
         return None
-    steps = [col.__getitem__ for col in monoid.letter_cols]
-    _, _, tree = orbit([monoid.unit], steps, monoid.size, "word images")
+    _, tree = monoid.word_images
 
     def signatures(q):
         cols = [range(n)]
-        for parent, ai in tree[1:]:
-            cols.append(list(map(q.gamma[ai].graph.__getitem__, cols[parent])))
+        for parent, ai in tree:
+            cols.append(list(map(cols[parent].__getitem__, q.gamma[ai].graph)))
         outs = b"".join(bytes(map(q.out.graph.__getitem__, col)) for col in cols)
         return [outs[s::n] for s in range(n)]
 

@@ -116,8 +116,9 @@ def _map_families(seed, count):
 def test_cayley_columns_compose_the_maps_on_either_side():
     largest = 0
     for identity, maps, steps, size in _map_families(seed=5, count=120):
-        elements, right, left = cayley_columns(identity, steps, size, "test closure")
-        assert elements == orbit([identity], steps, size, "test closure")[0]
+        elements, right, left, tree = cayley_columns(identity, steps, size, "test closure")
+        found, _, found_tree = orbit([identity], steps, size, "test closure")
+        assert (elements, tree) == (found, found_tree[1:])
         assert elements[0] == identity and len(right) == len(left) == len(maps)
         index = {f: i for i, f in enumerate(elements)}
         for g, step, right_col, left_col in zip(maps, steps, right, left):
