@@ -25,7 +25,8 @@ the representative words of the monoid's word images that they accept, as
 an isomorphism must, read off the images of the carriers' generators
 (atoms, a basis or join-irreducibles) only; the structure check certifies
 the pairing on those images, so a boolean or lattice round trip builds no
-table as large as its carrier.  Only reports and
+table as large as its carrier.  A piece whose maps are tables has them
+validated before they are compared on their images.  Only reports and
 a refused round trip's counterexample compute labels.  The transition
 monoid of a lawful algebra is an alphabet-generated monoid, so
 piece_to_monoid marks the monoids it builds lawful and the round trip does
@@ -37,7 +38,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from itertools import compress, repeat
-from operator import and_, attrgetter
+from operator import and_
 from typing import Iterable, Sequence
 
 from .automata import (
@@ -177,27 +178,30 @@ def _structure_iso(p1: CCoalgebra, p2: CCoalgebra, forward: FinMorphism, backwar
     """forward and backward, checked to be mutually inverse carrier
     isomorphisms between p1 and p2 that commute with the structure; p2 is
     the automaton a round trip dualizes back, whose maps are carrier
-    morphisms by construction.  forward.backward is the identity on p2, so
-    forward is onto, one-to-one between carriers of one size, and backward
-    is its inverse, a morphism too.  When forward, backward and p1's maps
-    are built on_generators, maps are compared on their images: a composite
-    is given by the images of the first map's images under the second,
-    exactly as the second, forward or a map of p2, keeps sums, and maps
-    that agree on the generators are equal."""
+    morphisms by construction.  Maps are compared on the images of their
+    domain's generators: a composite is given by the images of the first
+    map's images under the second, exactly as the second, forward or a map
+    of p2, keeps sums, and morphisms that agree on the generators are equal.
+    forward.backward fixes p2's generators, so forward is onto, one-to-one
+    between carriers of one size, and backward, a morphism agreeing with
+    its inverse on them, is that inverse.  A map given as a table need not
+    be a morphism, so backward and p1's are validated first: a p1 map that
+    is none commutes with no morphism through the isomorphism forward, and
+    is refused as one that does not commute."""
     if not validate_morphism(forward):
         raise CorrespondenceError("label bijection is not an isomorphism of carriers")
-    presented = all(m.presented for m in (forward, backward, p1.out, *p1.gamma))
-    values = attrgetter("images" if presented else "graph")
-    ones = tuple(generators(p2.carrier) if presented else range(p2.size))
 
-    def then(f: FinMorphism, g: FinMorphism) -> tuple[int, ...]:
-        return tuple(g.on(values(f)))
+    def lawful(m: FinMorphism) -> bool:
+        return m.presented or validate_morphism(m)
 
-    if p1.size != p2.size or then(backward, forward) != ones:
+    def then(f: FinMorphism, g: FinMorphism) -> list[int]:
+        return g.on(f.images)
+
+    if p1.size != p2.size or not lawful(backward) or then(backward, forward) != generators(p2.carrier):
         raise CorrespondenceError("label bijection is not an isomorphism of carriers")
-    if any(then(forward, g2) != then(g1, forward) for g1, g2 in zip(p1.gamma, p2.gamma)):
+    if any(not lawful(g1) or then(forward, g2) != then(g1, forward) for g1, g2 in zip(p1.gamma, p2.gamma)):
         raise CorrespondenceError("label bijection does not commute with transitions")
-    if then(forward, p2.out) != tuple(values(p1.out)):
+    if not lawful(p1.out) or then(forward, p2.out) != list(p1.out.images):
         raise CorrespondenceError("label bijection does not preserve outputs")
     return IsoWitness(forward, backward)
 

@@ -36,8 +36,8 @@ from .varieties import (
     VectZ2,
     element_of,
     fibres,
-    generator_sums,
     identity,
+    is_generator_sums,
     sum_picked,
 )
 
@@ -151,10 +151,10 @@ def dual_morphism(d: DualityTag, h: FinMorphism) -> FinMorphism:
             cod_masks = cod.downset_masks
             principal = dom.principal
             image = list(map(cod_masks.__getitem__, h.images))
-            if h.presented or (masks := list(map(cod_masks.__getitem__, h.graph))) == generator_sums(dom, image):
+            if h.presented or is_generator_sums(dom, cod, h.graph, h.images):
                 scanned = list(zip(principal, image))
             else:
-                scanned = list(zip(dom.downset_masks, masks))
+                scanned = list(zip(dom.downset_masks, map(cod_masks.__getitem__, h.graph)))
             for j in range(cod.n_ji):
                 above = [x for x, y in scanned if y >> j & 1]
                 if not above:

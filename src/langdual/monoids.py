@@ -38,7 +38,6 @@ from .varieties import (
     cayley_columns,
     constants,
     from_codes,
-    generate_family,
     generators,
     is_order_reflecting,
     is_partial_order,
@@ -206,13 +205,12 @@ def transition_monoid(
     (bp)a = b(pa).  The monoid keeps that tree as its word_images.  For
     JSL0/Z2VECT every sum is a smaller sum plus a word image.  The sums
     close over one int per map, so that a sum is one operation: the codes
-    of the images of the carrier's generators side by side, a JSL0 image
-    coded by its above mask and added by &, as M(x + y) = M(x) & M(y), a
-    Z2VECT one by itself and added by ^.  Those keys also present the
-    monoid's JSL0 carrier (jsl_of_sets) and number its Z2VECT elements by
-    their coordinates over a basis (generate_family), so there a sum is the
-    ^ of the numbers; SET, POS and JSL0 elements are numbered by their
-    sorted graphs.
+    (to_codes) of the images of the carrier's generators side by side,
+    added by | (^ for Z2VECT), the zero map's key being 0.  Those keys also
+    present the monoid's JSL0 carrier (jsl_of_sets) and, sorted, number its
+    Z2VECT elements by their coordinates over a basis (generate_family), so
+    there a sum is the ^ of the numbers; SET, POS and JSL0 elements are
+    numbered by their sorted graphs.
 
     Along the sum tree each column and row take one sum per element,
     (l + w)a = la + wa and a(l + w) = al + aw.  The full table (mult, a
@@ -263,20 +261,16 @@ def transition_monoid(
     zero = 0
     sums: list[tuple[int, int]] = []
     if linear:
-        if isinstance(carrier, VectZ2):
-            code, plus = tuple(range(n)), operator.xor
-        else:
-            code, plus = carrier.above, operator.and_
+        code = to_codes(carrier, range(n))
+        plus = operator.xor if isinstance(carrier, VectZ2) else operator.or_
         points, width = generators(carrier), max(code).bit_length()
 
         def key(f: tuple[int, ...]) -> int:
             return sum(code[f[p]] << i * width for i, p in enumerate(points))
 
         keys = list(map(key, graphs))
-        zero_map = (*constants(carrier),) * n
-        zero_key = key(zero_map)
-        keys, _, add_tree = grow(orbit, keys, [lambda f: zero_key] + [partial(plus, w) for w in keys])
-        zero = keys.index(zero_key)
+        keys, _, add_tree = grow(orbit, keys, [lambda f: 0] + [partial(plus, w) for w in keys])
+        zero = keys.index(0)
         sums = [(x, s - 1) for x, s in add_tree[n_words:] if s]
         if zero >= n_words:
             at_init += constants(carrier)
@@ -287,15 +281,11 @@ def transition_monoid(
     size = len(keys)
 
     if isinstance(carrier, JoinSemilattice):  # full graphs, joined once along the sum tree, to number them
-        graphs += [zero_map] * (zero >= n_words)
+        graphs += [(carrier.zero,) * n] * (zero >= n_words)
         join_maps = _map_adder(carrier)
         for left, w in sums:
             graphs.append(join_maps(graphs[left], graphs[w]))
-    if isinstance(carrier, VectZ2):
-        monoid_carrier, codes = generate_family(VarietyTag.Z2VECT, keys, 0, size, "transition monoid")
-        order = list(map({k: x for x, k in enumerate(keys)}.__getitem__, codes))
-    else:
-        order = sorted(range(size), key=graphs.__getitem__)
+    order = sorted(range(size), key=(keys if isinstance(carrier, VectZ2) else graphs).__getitem__)
     pos = [0] * size  # order[pos[x]] = x
     for rank, x in enumerate(order):
         pos[x] = rank
@@ -312,8 +302,9 @@ def transition_monoid(
                 )
             )
         case JoinSemilattice():
-            # a map as the key bits it lacks, all of which the zero has: sums are unions
-            monoid_carrier = jsl_of_sets([keys[zero] ^ keys[x] for x in order])
+            monoid_carrier = jsl_of_sets([keys[x] for x in order])
+        case VectZ2():
+            monoid_carrier = VectZ2(size.bit_length() - 1)
 
     def spread(on_words: list[int]) -> tuple[int, ...]:
         """An additive map into the monoid, given on the word images in
@@ -488,10 +479,9 @@ def subdirect_product(m1: SigmaMonoid, m2: SigmaMonoid, limits: Limits = DEFAULT
             # a pair by its code (_pair_codes), whose sums are unions
             carrier = jsl_of_sets(_pair_codes(c1, c2)[0](pairs))
         case VarietyTag.Z2VECT:
-            # a pair by its code, numbered by its coordinates over a basis: the
-            # codes come in ascending order (generate_family), as the pairs do
-            codes = _pair_codes(c1, c2)[0](pairs)
-            carrier = generate_family(tag, codes, 0, len(pairs), "subdirect closure")[0]
+            # the pairs are sorted as their codes are, so each is numbered by its
+            # coordinates over a basis (generate_family), and sums are ^
+            carrier = VectZ2(len(pairs).bit_length() - 1)
         case _:
             raise TagMismatchError(f"{tag} is not an algebra-side variety")
     index = {p: i for i, p in enumerate(pairs)}

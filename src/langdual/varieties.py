@@ -268,9 +268,11 @@ class FinMorphism:
     (on_generators).  The graph of such a map is the generator sums of its
     images, built on first read; composing, validating and dualizing it
     read the images, but for a JSL0 domain, whose join-irreducibles need
-    not be join-prime, its laws and composites read the graph.  Equality,
-    hashing and printing read the graph, so a map equals its table however
-    it was built."""
+    not be join-prime, its laws and composites read the graph.  A map given
+    as its graph is checked through the same images: out of a BA, DL01 or
+    Z2VECT carrier it is lawful when they are and the graph is their
+    generator sums (validate_morphism).  Equality, hashing and printing
+    read the graph, so a map equals its table however it was built."""
 
     dom: FinAlgebra
     cod: FinAlgebra
@@ -650,38 +652,21 @@ def validate_morphism(m: FinMorphism) -> bool:
     (DL01, and JSL0 by g(x + j) = g(x) + g(j) for each x and irreducible j,
     as every y is their join), and every pair for POS.  This is exact for
     lawful algebras; a JSL0 table from outside that is not one raises
-    ValueError when its masks are read.  A BA, DL01 or Z2VECT map built
-    on_generators is checked on its images alone (_images_lawful).
+    ValueError when its masks are read.  A BA, DL01 or Z2VECT map is lawful
+    when its images of the generators are (_images_lawful) and, given as a
+    table, it is their generator sums (is_generator_sums).
     """
     if m.dom.tag != m.cod.tag:
         raise TagMismatchError(f"morphism between {m.dom.tag} and {m.cod.tag}")
-    if m.presented and not isinstance(m.dom, JoinSemilattice):
-        return _images_lawful(m)
-    g = m.graph
-    if len(g) != m.dom.size or g and not (min(g) >= 0 and max(g) < m.cod.size):
-        return False
     dom, cod = m.dom, m.cod
+    if m.presented and not isinstance(dom, JoinSemilattice):
+        return _images_lawful(dom, cod, m._images)
+    g = m.graph
+    if len(g) != dom.size or g and not (min(g) >= 0 and max(g) < cod.size):
+        return False
     match dom:
-        case BoolAlg():
-            # the subset sums of disjoint atom images that cover the top
-            images = list(map(g.__getitem__, generators(dom)))
-            disjoint = sum(map(int.bit_count, images)) == g[dom.top].bit_count()
-            return list(g) == generator_sums(dom, images) and disjoint and g[dom.top] == cod.top
-        case DistLat():
-            # x is the join of the principal downsets of its JIs, and JIs are
-            # join-prime, so g preserves joins once it sends each x to the
-            # join of those images; x & y is the join of the meets of two
-            # principal downsets, so meets then follow from the pairs of JIs
-            assert isinstance(cod, DistLat)
-            index, below = dom.downset_index, dom.principal
-            cod_masks = cod.downset_masks
-            if g[0] != 0 or g[dom.size - 1] != cod.size - 1:
-                return False
-            image = [cod_masks[g[x]] for x in generators(dom)]
-            return list(map(cod_masks.__getitem__, g)) == generator_sums(dom, image) and all(
-                cod_masks[g[index[below[i] & below[j]]]] == image[i] & image[j]
-                for i, j in combinations(range(dom.n_ji), 2)
-            )
+        case BoolAlg() | DistLat() | VectZ2():
+            return _images_lawful(dom, cod, images := m.images) and is_generator_sums(dom, cod, g, images)
         case JoinSemilattice():
             # g(x + j) = g(x) + g(j), compared on the codomain's above masks
             assert isinstance(cod, JoinSemilattice)
@@ -691,8 +676,6 @@ def validate_morphism(m: FinMorphism) -> bool:
                 == list(map(and_, up, repeat(up[j])))
                 for j in dom.irreducibles
             )
-        case VectZ2():
-            return list(g) == generator_sums(dom, list(map(g.__getitem__, generators(dom))))
         case FinSet():
             return True
         case FinPoset():
@@ -706,16 +689,22 @@ def validate_morphism(m: FinMorphism) -> bool:
     raise TypeError(f"not a FinAlgebra: {dom!r}")
 
 
-def _images_lawful(m: FinMorphism) -> bool:
-    """validate_morphism of a map built on_generators out of a BA, DL01 or
-    Z2VECT carrier.  Its graph is the generator sums of its images, so it
-    keeps sums and 0 whatever they are: every Z2VECT map of basis images is
-    linear, a BA one keeps complements when the atom images are disjoint
-    and cover the top, and a DL01 one is a lattice map when it sends the
-    top to the top and keeps the meets of pairs of principal downsets (as
-    in validate_morphism), its value at JI i being the union of the images
-    of the JIs below i."""
-    dom, cod, images = m.dom, m.cod, m._images
+def is_generator_sums(dom: FinAlgebra, cod: FinAlgebra, graph: Sequence[int], images: Sequence[int]) -> bool:
+    """Whether graph sends each element of dom to the sum of images at the
+    generators under it, as FinMorphism.on_generators(dom, cod, images)
+    does: every element of cod in range."""
+    return to_codes(cod, graph) == generator_sums(dom, to_codes(cod, images))
+
+
+def _images_lawful(dom: FinAlgebra, cod: FinAlgebra, images: Sequence[int]) -> bool:
+    """Whether the map on_generators of these images out of a BA, DL01 or
+    Z2VECT carrier is a morphism.  Its graph is the generator sums of the
+    images, so it keeps sums and 0 whatever they are: every Z2VECT map of
+    basis images is linear, a BA one keeps complements when the atom images
+    are disjoint and cover the top, and a DL01 one is a lattice map when it
+    sends the top to the top and keeps the meets of pairs of principal
+    downsets, as x & y is the join of those below both, its value at JI i
+    being the union of the images of the JIs below i."""
     count = dom.n_ji if isinstance(dom, DistLat) else dom.size.bit_length() - 1
     if len(images) != count or images and not (min(images) >= 0 and max(images) < cod.size):
         return False
@@ -832,10 +821,10 @@ def generate_family(
     A Z2VECT element is numbered by its coordinates over the reduced
     echelon basis, sorted ascending, so its masks come in ascending order:
     no basis vector holds another's leading bit, so the highest coordinate
-    in which two elements differ decides which is larger.  Z2VECT thus
-    numbers any family of ints closed under ^ by sorting it: the transition
-    monoid's maps by their keys and the subdirect product's pairs by their
-    codes, full being unread.
+    in which two elements differ decides which is larger.  So a family of
+    ints closed under ^ is numbered as here by sorting it, as the
+    transition monoid's maps are by their keys and the subdirect product's
+    pairs by their codes, with no elimination.
     """
     algebra, gens = family_generators(tag, seeds, full, cap, what)
     return algebra, tuple(generator_sums(algebra, gens))
@@ -851,22 +840,20 @@ def present_closure(
     would hold more than cap elements."""
     seeds = set(gens) | set(constants(amb))
     match amb:
-        case BoolAlg() | VectZ2():
-            sub, incl = generate_family(amb.tag, seeds, amb.size - 1, cap, what)
-        case DistLat():
-            masks = amb.downset_masks
-            sub, family = generate_family(amb.tag, (masks[x] for x in seeds), masks[-1], cap, what)
-            incl = tuple(map(amb.downset_index.__getitem__, family))
+        case BoolAlg() | VectZ2() | DistLat():
+            # an element as its code, the top's being the full mask (unread for Z2VECT)
+            full = to_codes(amb, [amb.size - 1])[0]
+            sub, family = generate_family(amb.tag, to_codes(amb, seeds), full, cap, what)
+            incl = tuple(from_codes(amb, family))
         case JoinSemilattice() if seeds >= set(amb.irreducibles):  # every element is a join of them
             if amb.size > cap:
                 raise ResourceExceededError(f"{what} exceeded the carrier cap")
             sub, incl = amb, tuple(range(amb.size))
         case JoinSemilattice():
-            # x as the set of the meet-irreducibles not above it: joins are unions
-            above, element, full = amb.above, amb.by_above, amb.above[amb.zero]
+            above, element = amb.above, amb.by_above
             steps = [lambda x, m=above[g]: element[above[x] & m] for g in seeds]
             incl = tuple(sorted(orbit(seeds, steps, cap, what)[0]))
-            sub = jsl_of_sets([full ^ above[x] for x in incl])
+            sub = jsl_of_sets(to_codes(amb, incl))  # codes whose unions are joins
         case FinSet():  # SET and POS have no operations
             incl = tuple(sorted(orbit(seeds, [], cap, what)[0]))
             sub = FinSet(len(incl))

@@ -26,8 +26,10 @@ replaced; the label join shares rqc_closure, as it pins only that the join
 closes the same labels without computing them; the bytes signature pairing,
 in which every state reads every word, is the one that the pairing through
 the carrier's generators replaced, and its round trip keeps the refusal
-classification of its time and shares the structure check and
-joint_quotient, through least_odd_language; the tabled piece and tabled
+classification of its time and shares joint_quotient, through
+least_odd_language, and its structure check is graph_structure_iso, the
+one that compared whole graphs whenever a map was a table, before tables
+were validated and compared on their images too; the tabled piece and tabled
 dual morphism are the eager builders that made every letter action,
 output and dual map a full table, before maps were built from their
 images of the generators, and share the class automaton and
@@ -52,7 +54,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from operator import and_, or_
+from operator import and_, attrgetter, or_
 
 from langdual.automata import (
     CCoalgebra,
@@ -67,7 +69,7 @@ from langdual.automata import (
     rqc_closure,
 )
 from langdual.config import DEFAULT_LIMITS
-from langdual.correspondence import _structure_iso, monoid_to_piece
+from langdual.correspondence import monoid_to_piece
 from langdual.duality import DualityTag, IsoWitness, c_tag, dual_morphism, dual_object
 from langdual.errors import (
     CorrespondenceError,
@@ -1081,6 +1083,35 @@ def least_odd_language(p, q):
     return min((block_language(quotient, b) for b in odd), key=LanguageId.sort_key, default=None)
 
 
+def graph_structure_iso(p1: CCoalgebra, p2: CCoalgebra, forward: FinMorphism, backward: FinMorphism) -> IsoWitness:
+    """forward and backward, checked to be mutually inverse carrier
+    isomorphisms between p1 and p2 that commute with the structure; p2 is
+    the automaton a round trip dualizes back, whose maps are carrier
+    morphisms by construction.  forward.backward is the identity on p2, so
+    forward is onto, one-to-one between carriers of one size, and backward
+    is its inverse, a morphism too.  When forward, backward and p1's maps
+    are built on_generators, maps are compared on their images: a composite
+    is given by the images of the first map's images under the second,
+    exactly as the second, forward or a map of p2, keeps sums, and maps
+    that agree on the generators are equal."""
+    if not validate_morphism(forward):
+        raise CorrespondenceError("label bijection is not an isomorphism of carriers")
+    presented = all(m.presented for m in (forward, backward, p1.out, *p1.gamma))
+    values = attrgetter("images" if presented else "graph")
+    ones = tuple(generators(p2.carrier) if presented else range(p2.size))
+
+    def then(f: FinMorphism, g: FinMorphism) -> tuple[int, ...]:
+        return tuple(g.on(values(f)))
+
+    if p1.size != p2.size or then(backward, forward) != ones:
+        raise CorrespondenceError("label bijection is not an isomorphism of carriers")
+    if any(then(forward, g2) != then(g1, forward) for g1, g2 in zip(p1.gamma, p2.gamma)):
+        raise CorrespondenceError("label bijection does not commute with transitions")
+    if then(forward, p2.out) != tuple(values(p1.out)):
+        raise CorrespondenceError("label bijection does not preserve outputs")
+    return IsoWitness(forward, backward)
+
+
 def bytes_roundtrip_witness(d, piece, monoid, limits=DEFAULT_LIMITS):
     """The round trip paired by bytes_signature_pairing, with the refusal
     classified as before the pairing read the generators only: a failed
@@ -1089,7 +1120,7 @@ def bytes_roundtrip_witness(d, piece, monoid, limits=DEFAULT_LIMITS):
     back = monoid_to_piece(d, monoid, limits)
     if (paired := bytes_signature_pairing(piece, back, monoid)) is not None:
         try:
-            return _structure_iso(piece, back, *paired)
+            return graph_structure_iso(piece, back, *paired)
         except CorrespondenceError:
             if (extra := least_odd_language(piece, back)) is None:
                 raise

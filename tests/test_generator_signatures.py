@@ -18,12 +18,19 @@ compare them on the cap-size families.
 
 On corrupted pieces the round trip must refuse with the same class, message
 and counterexample as with the bytes pairing, and as `bytes_roundtrip_witness`,
-which classified refusals as before the pairing read generators only.  The
-corruptions: the letter graphs swapped, the states renamed on the same
-carrier, one letter graph shuffled, one output flipped, and pieces that
-repeat a language.  Each runs through `roundtrip_check` and through the round
-trip against the clean piece's monoid, which reaches the pairing whatever
-the piece.  A refused round trip refines once.
+which classified refusals as before the pairing read generators only, and
+certified with `graph_structure_iso`, the structure check that compared
+whole graphs whenever a map was a table.  The corruptions: the letter
+graphs swapped, the states renamed on the same carrier, one letter graph
+shuffled, one output flipped, one letter graph held as a table and moved
+at a state that is no generator, and pieces that repeat a language.  The
+lawful piece with every map copied into a table must be certified with the
+same forward graph as the piece itself.  Each runs through
+`roundtrip_check` and through the round trip against the clean piece's
+monoid, which reaches the pairing whatever the piece.  `_structure_iso`
+alone must also refuse as `graph_structure_iso` does when one entry of
+either witness map, a letter graph or the output is moved.  A refused
+round trip refines once.
 
 The cost: on BA `(aab)*` (4,096 states), DL `(aab)*` (721) and Z2 `(aab)*`
 (512), each letter graph of either side is read at most (generators × word
@@ -60,7 +67,7 @@ from langdual.varieties import (
     two_element_algebra,
 )
 from helpers import random_generators, renamed_states
-from oracles import bytes_roundtrip_witness, bytes_signature_pairing
+from oracles import bytes_roundtrip_witness, bytes_signature_pairing, graph_structure_iso
 
 AB = ("a", "b")
 CAP = Limits(max_carrier=512)
@@ -145,6 +152,24 @@ def _flipped(piece, s):
     return replace(piece, out=FinMorphism(piece.carrier, piece.out.cod, tuple(graph)))
 
 
+def _off_generator(piece, rng):
+    """One letter graph, as a table, moved at one state that is no
+    generator: its images of the generators are the lawful ones."""
+    ai = rng.randrange(len(piece.gamma))
+    graph = list(piece.gamma[ai].graph)
+    s = rng.choice(sorted(set(range(piece.size)) - set(generators(piece.carrier))))
+    graph[s] = rng.choice([v for v in range(piece.size) if v != graph[s]])
+    gamma = list(piece.gamma)
+    gamma[ai] = FinMorphism(piece.carrier, piece.carrier, tuple(graph))
+    return replace(piece, gamma=tuple(gamma))
+
+
+def _as_tables(piece):
+    """The piece with every map copied graph for graph into a table."""
+    gamma = tuple(FinMorphism(g.dom, g.cod, tuple(g.graph)) for g in piece.gamma)
+    return replace(piece, gamma=gamma, out=FinMorphism(piece.out.dom, piece.out.cod, tuple(piece.out.graph)))
+
+
 def _corruptions(piece, rng):
     perm = list(range(piece.size))
     rng.shuffle(perm)
@@ -153,6 +178,8 @@ def _corruptions(piece, rng):
         "renamed states": renamed_states(piece, perm),
         "shuffled letter": _shuffled(piece, rng),
         "flipped output": _flipped(piece, rng.randrange(piece.size)),
+        "off-generator letter": _off_generator(piece, rng),
+        "as tables": _as_tables(piece),
     }
 
 
@@ -195,8 +222,12 @@ def test_corrupted_pieces_are_refused_as_with_the_bytes_pairing(corpus, monkeypa
     seen: dict[str, set] = {}
     small = [(d, p, m) for d, p, m in corpus if 3 <= p.size <= 64]
     for d, piece, monoid in rng.sample(small, 40):
+        clean = _outcome(lambda: _roundtrip_witness(d, piece, monoid, SMALL))
         for kind, bad in _corruptions(piece, rng).items():
-            for outcome in _same_refusals(d, bad, monoid, monkeypatch):
+            outcomes = _same_refusals(d, bad, monoid, monkeypatch)
+            if kind == "as tables":
+                assert clean[0] == "ok" and outcomes == [clean, clean], (d, outcomes)
+            for outcome in outcomes:
                 seen.setdefault(kind, set()).add(outcome[2] if outcome[0] == "raise" else "ok")
     for d, piece in _repeating_pieces():
         closed = rqc_closure(c_tag(d), piece.labels)
@@ -206,6 +237,44 @@ def test_corrupted_pieces_are_refused_as_with_the_bytes_pairing(corpus, monkeypa
     assert "round trip changed the language set" in seen["flipped output"], seen
     assert "round trip changed the language set" in seen["shuffled letter"], seen
     assert "ok" in seen["swapped letters"], seen
+    assert "ok" not in seen["off-generator letter"], seen
+
+
+def _moved(graph, size, rng):
+    """graph with one entry moved to another value below size."""
+    graph = list(graph)
+    s = rng.randrange(len(graph))
+    graph[s] = rng.choice([v for v in range(size) if v != graph[s]])
+    return tuple(graph)
+
+
+def test_the_structure_check_refuses_as_the_graph_check(corpus):
+    """_structure_iso against graph_structure_iso on the pairing of each
+    small piece, with the witness or the piece as tables, and with one
+    entry of backward, forward, a letter graph or the output moved."""
+    rng = random.Random(6)
+    seen: dict[str, set] = {}
+    for d, piece, monoid in [(d, p, m) for d, p, m in corpus if 2 <= p.size <= 64]:
+        back = monoid_to_piece(d, monoid, SMALL)
+        forward, backward = _signature_pairing(piece, back, monoid)
+        tables = [FinMorphism(m.dom, m.cod, tuple(m.graph)) for m in (forward, backward)]
+        letter = FinMorphism(piece.carrier, piece.carrier, _moved(piece.gamma[0].graph, piece.size, rng))
+        cases = {
+            "as tables": (_as_tables(piece), *tables),
+            "table witness": (piece, *tables),
+            "moved backward": (piece, forward, FinMorphism(back.carrier, piece.carrier, _moved(backward.graph, piece.size, rng))),
+            "moved forward": (piece, FinMorphism(piece.carrier, back.carrier, _moved(forward.graph, back.size, rng)), backward),
+            "moved letter": (replace(piece, gamma=(letter, *piece.gamma[1:])), forward, backward),
+            "moved output": (_flipped(piece, rng.randrange(piece.size)), forward, backward),
+        }
+        for kind, (p1, f, b) in cases.items():
+            outcome = _outcome(lambda: _structure_iso(p1, back, f, b))
+            assert outcome == _outcome(lambda: graph_structure_iso(p1, back, f, b)), (d, kind)
+            seen.setdefault(kind, set()).add(outcome[2] if outcome[0] == "raise" else "ok")
+    assert seen["as tables"] == seen["table witness"] == {"ok"}, seen
+    assert seen["moved backward"] == seen["moved forward"] == {"label bijection is not an isomorphism of carriers"}, seen
+    assert seen["moved letter"] == {"label bijection does not commute with transitions"}, seen
+    assert seen["moved output"] == {"label bijection does not preserve outputs"}, seen
 
 
 def test_a_refused_round_trip_refines_once(corpus, monkeypatch):
