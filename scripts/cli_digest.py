@@ -9,9 +9,12 @@ stdout and of its stderr.  Two checkouts whose digests are equal print the
 same reports, refusals included.
 
 The script exits 1 if any case raises out of cli.main or returns an exit
-code other than 0, 1 or 2, and 0 otherwise.
+code other than 0, 1 or 2, and 0 otherwise.  `scripts/cli_digest.sha256`
+holds the sha256 of the whole output as `cli-digest.out`, which CI checks;
+a change that alters a report on purpose updates it in the same commit.
 
-Usage: PYTHONPATH=src python scripts/cli_digest.py
+Usage: PYTHONPATH=src python scripts/cli_digest.py > cli-digest.out
+       sha256sum -c scripts/cli_digest.sha256
 """
 
 import contextlib

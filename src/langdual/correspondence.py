@@ -20,26 +20,23 @@ Neither direction refines an automaton unless it refuses.  A piece is closed
 under right derivatives exactly when evaluation at the initial state is an
 isomorphism from its transition monoid onto its dual algebra, so
 piece_to_monoid reads closure off the monoid it builds.  A round trip
-dualizes the monoid once and pairs the returned states with the piece's by
-the representative words of the monoid's word images that they accept, as
-an isomorphism must, read off the images of the carriers' generators
-(atoms, a basis or join-irreducibles) only; the structure check certifies
-the pairing on those images, so a boolean or lattice round trip builds no
-table as large as its carrier.  A piece whose maps are tables has them
-validated before they are compared on their images.  Only reports and
-a refused round trip's counterexample compute labels.  The transition
-monoid of a lawful algebra is an alphabet-generated monoid, so
-piece_to_monoid marks the monoids it builds lawful and the round trip does
-not validate them again; a piece keeps the monoid it dualized to.
+dualizes the monoid once, and its witness is the dual of that isomorphism
+and of its inverse, as in the paper's proof: maps built on the images of
+the carriers' generators (atoms, a basis or join-irreducibles) only, which
+the structure check certifies on those images, so a boolean or lattice
+round trip builds no table as large as its carrier.  A piece whose maps
+are tables has them validated before they are compared on their images.
+Only reports and a refused round trip's counterexample compute labels.
+The transition monoid of a lawful algebra is an alphabet-generated monoid,
+so piece_to_monoid marks the monoids it builds lawful and the round trip
+does not validate them again; a piece keeps the monoid it dualized to.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, replace
-from itertools import compress, repeat
-from operator import and_
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .automata import (
     CCoalgebra,
@@ -53,7 +50,7 @@ from .automata import (
     rqc_join,
 )
 from .config import DEFAULT_LIMITS, Limits
-from .duality import DualityTag, IsoWitness, c_tag, d_tag
+from .duality import DualityTag, IsoWitness, c_tag, d_tag, dual_morphism
 from .errors import CorrespondenceError, NotRqcClosedError, ResourceExceededError, TagMismatchError
 from .languages import LanguageId, block_language, language_to_regex
 from .monoids import (
@@ -64,16 +61,7 @@ from .monoids import (
     transition_monoid,
     validate_monoid,
 )
-from .varieties import (
-    FinMorphism,
-    FinPoset,
-    VectZ2,
-    element_of,
-    generators,
-    generators_under,
-    is_partial_order,
-    validate_morphism,
-)
+from .varieties import FinMorphism, FinPoset, generators, is_partial_order, validate_morphism
 
 
 def piece_to_monoid(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_LIMITS) -> SigmaMonoid:
@@ -115,6 +103,7 @@ def piece_to_monoid(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_L
     composition and the pointwise operations and generated by the letters,
     so T is an alphabet-generated monoid and validate_monoid accepts it.
 
+    T keeps e as its evaluation, whose dual is the round trip's witness.
     The piece keeps T: c_tag is injective, so the piece fixes d, and on a
     closed piece every closure here, seeds included, holds at most
     |T| = |A| elements, so every cap of at least |T| builds this T and
@@ -144,16 +133,11 @@ def piece_to_monoid(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_L
 
 
 def _evaluation_reflects_order(monoid: SigmaMonoid, algebra: DAlgebra) -> bool:
-    """For a POS carrier, whether the bijection e(f) = f(init) reflects the
-    order; e is read off a search over left multiplication, e(unit) = init
-    and e(g·x) = alpha_g(e(x)), along the monoid's word images."""
+    """For a POS carrier, whether the bijection e(f) = f(init), the
+    monoid's evaluation, reflects the order."""
     if not isinstance(algebra.carrier, FinPoset):
         return True
-    elements, tree = monoid.word_images
-    at = [algebra.init] * monoid.size
-    for x, (parent, ai) in zip(elements[1:], tree):
-        at[x] = algebra.alpha[ai].graph[at[elements[parent]]]
-    leq = algebra.carrier.leq
+    at, leq = monoid.evaluation.graph, algebra.carrier.leq
     return all(tuple(row) == tuple(map(leq[at[x]].__getitem__, at)) for x, row in enumerate(monoid.carrier.leq))
 
 
@@ -223,16 +207,17 @@ def roundtrip_check(d: DualityTag, piece: CCoalgebra, limits: Limits = DEFAULT_L
 def _roundtrip_witness(d: DualityTag, piece: CCoalgebra, monoid: SigmaMonoid, limits: Limits) -> IsoWitness:
     """roundtrip_check on the piece's monoid.
 
-    The returned automaton is the dual of a generated algebra: lawful, its
-    states of distinct languages recognized by the monoid, so of distinct
-    signatures.  An isomorphism keeps languages, so it pairs equal
-    signatures; _structure_iso certifies the pairing.  One that passes makes
-    the piece lawful, and a lawful piece's signatures are its languages'.
-    So a refusal is classified by the languages, from one refinement: the
-    least extra one if the label sets differ, else the structure error of
-    the pairing by languages, unless the piece repeats one."""
+    On the piece's own monoid the witness is the dual of its evaluation
+    isomorphism and of the inverse (_evaluation_pairing), which
+    _structure_iso certifies.  Otherwise, or when that is refused, the
+    returned automaton is the dual of a generated algebra: lawful, its
+    states of distinct languages.  An isomorphism keeps languages, so the
+    pairing by languages, from one refinement, is the only candidate, and a
+    refusal is classified by them: the least extra one if the label sets
+    differ, else the structure error of the pairing by languages, unless
+    the piece repeats one."""
     back = monoid_to_piece(d, monoid, limits)
-    if (paired := _signature_pairing(piece, back, monoid)) is not None:
+    if (paired := _evaluation_pairing(d, piece, back, monoid)) is not None:
         with suppress(CorrespondenceError):
             return _structure_iso(piece, back, *paired)
     quotient, (mine, theirs) = joint_quotient(piece, back)
@@ -247,61 +232,29 @@ def _roundtrip_witness(d: DualityTag, piece: CCoalgebra, monoid: SigmaMonoid, li
     return _structure_iso(piece, back, *tables)
 
 
+def _evaluation_pairing(
+    d: DualityTag, piece: CCoalgebra, back: CCoalgebra, monoid: SigmaMonoid
+) -> tuple[FinMorphism, FinMorphism] | None:
+    """The duals of the evaluation e: T -> A of the piece's own monoid T
+    onto its dual algebra A, and of e's inverse: maps each way between the
+    piece's carrier, the dual of A, and back's, the dual of T.
+    piece_to_monoid proved e an isomorphism of the left-multiplication
+    algebra of T onto A, e(unit) = init and e(ax) = alpha_a(e(x)), so on a
+    lawful piece its dual commutes with the letters and the output.  None
+    for any other monoid, or when A is smaller than the piece's dual, as
+    back then is smaller than the piece."""
+    if vars(piece).get("_monoid") is not monoid or back.size != piece.size:
+        return None
+    e = monoid.evaluation
+    inverse = FinMorphism(e.cod, e.dom, tuple(sorted(range(e.dom.size), key=e.graph.__getitem__)))
+    return dual_morphism(d, e), dual_morphism(d, inverse)
+
+
 def _pairable(piece: CCoalgebra, back: CCoalgebra) -> bool:
     out = piece.out
     # into two elements, sums of 0s and 1s are 0s and 1s
     values = out.images if out.presented and out.cod.size == 2 else out.graph
     return piece.alphabet == back.alphabet and piece.size == back.size and {*values} <= {0, 1}
-
-
-def _signature_pairing(
-    piece: CCoalgebra, back: CCoalgebra, monoid: SigmaMonoid
-) -> tuple[FinMorphism, FinMorphism] | None:
-    """Maps each way between the carriers, built on_generators: a generator
-    goes to the state of the other side with its signature, the words of
-    the monoid's word images that it accepts (_signatures), and element_of
-    finds that state from the generators' signatures, a state's being the
-    sum of theirs under it.  None unless every generator has one."""
-    if not _pairable(piece, back):
-        return None
-    _, tree = monoid.word_images
-    mine, theirs = _signatures(piece, tree), _signatures(back, tree)
-    forward = list(map(element_of(back.carrier, theirs), mine))
-    backward = list(map(element_of(piece.carrier, mine), theirs))
-    if None in forward or None in backward:
-        return None
-    return (
-        FinMorphism.on_generators(piece.carrier, back.carrier, forward),
-        FinMorphism.on_generators(back.carrier, piece.carrier, backward),
-    )
-
-
-def _signatures(q: CCoalgebra, tree: Sequence[tuple[int, int]]) -> list[int]:
-    """Per generator g of q's carrier, the bits over the word images w, in
-    tree order, of out(gamma_w(g)), read off the images of the generators
-    under output and letter actions alone.  As these keep sums, out.gamma_w
-    is fixed by the mask r of the generators whose images it sends to 1: it
-    sends x to 1 when one under x is in r (an odd number, for Z2VECT).  The
-    word a.u of the tree gives out.gamma_u.gamma_a, whose mask holds i when
-    the image of generator i under gamma_a goes to 1 under u's."""
-    gens, under = generators(q.carrier), generators_under(q.carrier)
-    under = under and under[0]
-    width = len(gens)
-    flags = [1 << i for i in range(width)]
-    letters = [g.images if under is None else list(map(under.__getitem__, g.images)) for g in q.gamma]
-    rs = [sum(compress(flags, q.out.images))]
-    if isinstance(q.carrier, VectZ2):
-        for parent, ai in tree:
-            odd = map(and_, map(int.bit_count, map(and_, letters[ai], repeat(rs[parent]))), repeat(1))
-            rs.append(sum(compress(flags, odd)))
-    else:
-        for parent, ai in tree:
-            rs.append(sum(compress(flags, map(and_, letters[ai], repeat(rs[parent])))))
-        if under is not None:  # a generator goes to 1 when one below it has an image that does
-            below = list(map(under.__getitem__, gens))
-            rs = [sum(compress(flags, map(and_, below, repeat(r)))) for r in rs]
-    bits = "".join([format(r, f"0{width}b") for r in rs])
-    return [int(bits[width - 1 - i :: width], 2) for i in range(width)]
 
 
 def correspond(

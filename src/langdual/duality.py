@@ -7,13 +7,14 @@ Objects and morphisms dualize contravariantly:
             downset lattices)
   JSL_SELF  join-semilattices with zero, self-dual by order reversal; a
             morphism dualizes to its upper adjoint read in reversed orders,
-            which is read off the domain's join-irreducibles
+            given by its values at the codomain's meet-irreducibles
   Z2_SELF   Z2 vector spaces, self-dual by transposition in coordinate bases:
             the dual map is spanned by the transposed basis columns
 
 Because boolean algebras and distributive lattices are stored by their dual
 presentations, dualizing twice lands on a presentation-equal object and the
-double-dual witnesses are identities.
+double-dual witnesses are identities; a DL01, POS or JSL0 object keeps its
+dual both ways, so dualizing one twice returns it.
 """
 
 from __future__ import annotations
@@ -99,11 +100,7 @@ def dual_object(d: DualityTag, alg: FinAlgebra) -> FinAlgebra:
             return FinSet(alg.atoms)
         case (DualityTag.BA_SET, FinSet()):
             return BoolAlg(alg.size)
-        case (DualityTag.DL01_POS, DistLat()):
-            return FinPoset(alg.ji_leq)
-        case (DualityTag.DL01_POS, FinPoset()):
-            return alg.dual
-        case (DualityTag.JSL_SELF, JoinSemilattice()):
+        case (DualityTag.DL01_POS, DistLat() | FinPoset()) | (DualityTag.JSL_SELF, JoinSemilattice()):
             return alg.dual
         case (DualityTag.Z2_SELF, VectZ2()):
             return VectZ2(alg.dim)
@@ -113,8 +110,8 @@ def dual_object(d: DualityTag, alg: FinAlgebra) -> FinAlgebra:
 def dual_morphism(d: DualityTag, h: FinMorphism) -> FinMorphism:
     """Contravariant action: swaps and dualizes the endpoints.  A map out of
     an output-side carrier is read at its domain's generators only, which
-    needs no graph of one built on_generators, and the duals of SET, POS
-    and Z2VECT maps are built on_generators."""
+    needs no graph of one built on_generators, and the duals of SET, POS,
+    JSL0 and Z2VECT maps are built on_generators."""
     _check_side(d, h.dom)
     if h.dom.tag != h.cod.tag:
         raise TagMismatchError("cannot dualize a cross-variety map")
@@ -175,13 +172,16 @@ def dual_morphism(d: DualityTag, h: FinMorphism) -> FinMorphism:
             # upper adjoint: h*(b) is the join of the irreducibles j_i with
             # h(j_i) <= b, and those are all the irreducibles below it, so
             # bit i of below[h*(b)] says whether below[h(j_i)] is inside below[b]
-            # (element_of)
+            # (element_of).  Those masks meet as b does and below masks are
+            # closed under intersection, so h* exists everywhere exactly when
+            # it does at the meet-irreducibles, the dual's generators, and it
+            # keeps meets, the dual's joins
             assert isinstance(cod, JoinSemilattice)
             images = list(map(cod.below.__getitem__, h.on(dom.irreducibles)))
-            graph = tuple(map(element_of(dom, images), cod.below))
-            if None in graph:
+            adjoint = list(map(element_of(dom, images), map(cod.below.__getitem__, cod.meet_irreducibles)))
+            if None in adjoint:
                 raise NonFunctionalError("no upper adjoint; not a join morphism")
-            return FinMorphism(new_dom, new_cod, graph)
+            return FinMorphism.on_generators(new_dom, new_cod, adjoint)
         case (DualityTag.Z2_SELF, VectZ2()):
             # the transpose sends the k-th dual basis vector to the k-th row
             assert isinstance(cod, VectZ2)

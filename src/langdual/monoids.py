@@ -144,7 +144,8 @@ class SigmaMonoid:
     rows and columns apart; the round trip, quotient_leq and, on lawful
     monoids, sigma_monoid_iso read only those.  Any other monoid reads them
     off its table.  Equality and hashing compare the tables whether or not
-    they have been read."""
+    they have been read.  A transition monoid also keeps its evaluation,
+    f -> f(init), a map from its carrier onto the algebra's."""
 
     carrier: FinAlgebra
     alphabet: tuple[str, ...]
@@ -154,6 +155,8 @@ class SigmaMonoid:
     # set only by correspondence.piece_to_monoid and by subdirect_product of
     # two lawful monoids; constructors and replace leave it False
     lawful: bool = field(default=False, init=False, repr=False, compare=False)
+    # set only by transition_monoid
+    evaluation: FinMorphism | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -168,16 +171,6 @@ class SigmaMonoid:
     def letter_cols(self) -> tuple[tuple[int, ...], ...]:
         """Per letter a, its column: x -> xa."""
         return tuple(tuple(map(operator.itemgetter(g), self.mult)) for g in self.gen)
-
-    @cached_property
-    def word_images(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-        """The elements that are words, in the order an orbit of the unit
-        under the letters' rows finds them, and each past the unit as
-        (position of its parent, letter): its word is the letter followed
-        by the parent's.  transition_monoid keeps the tree it walked, which
-        is this one."""
-        elements, _, tree = orbit([self.unit], [row.__getitem__ for row in self.letter_rows], self.size, "word images")
-        return tuple(elements), tuple(tree[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +195,15 @@ def transition_monoid(
     and each letter's row, y -> ay, and column, x -> xa, on them come from
     cayley_columns over the letters acting on the left: a row entry is an
     edge of the left Cayley graph and a column entry follows its tree,
-    (bp)a = b(pa).  The monoid keeps that tree as its word_images.  For
-    JSL0/Z2VECT every sum is a smaller sum plus a word image.  The sums
-    close over one int per map, so that a sum is one operation: the codes
-    (to_codes) of the images of the carrier's generators side by side,
-    added by | (^ for Z2VECT), the zero map's key being 0.  Those keys also
-    present the monoid's JSL0 carrier (jsl_of_sets) and, sorted, number its
-    Z2VECT elements by their coordinates over a basis (generate_family), so
-    there a sum is the ^ of the numbers; SET, POS and JSL0 elements are
-    numbered by their sorted graphs.
+    (bp)a = b(pa).  For JSL0/Z2VECT every sum is a smaller sum plus a word
+    image.  The sums close over one int per map, so that a sum is one
+    operation: the codes (to_codes) of the images of the carrier's
+    generators side by side, added by | (^ for Z2VECT), the zero map's key
+    being 0.  Those keys also present the monoid's JSL0 carrier
+    (jsl_of_sets) and, sorted, number its Z2VECT elements by their
+    coordinates over a basis (generate_family), so there a sum is the ^ of
+    the numbers; SET, POS and JSL0 elements are numbered by their sorted
+    graphs.
 
     Along the sum tree each column and row take one sum per element,
     (l + w)a = la + wa and a(l + w) = al + aw.  The full table (mult, a
@@ -220,10 +213,13 @@ def transition_monoid(
 
     The images of the initial state under the closed family are its
     reachable part (the letter orbit, and its sums for JSL0/Z2VECT), so the
-    algebra is generated exactly when they cover the carrier.  reachable_part
-    runs only before the closure here is refused, where an algebra that is
-    not generated is reported as such.  The cap bounds the monoid it
-    returns, the identity and the letters included.
+    algebra is generated exactly when they cover the carrier.  The monoid
+    keeps them as its evaluation e(f) = f(init), onto the algebra's
+    carrier; with reverse_composition, e(unit) = init and e(ax) =
+    alpha_a(e(x)).  reachable_part runs only before the closure here is
+    refused, where an algebra that is not generated is reported as such.
+    The cap bounds the monoid it returns, the identity and the letters
+    included.
     """
     if a.carrier.tag not in D_TAGS:
         raise TagMismatchError(f"{a.carrier.tag} is not an algebra-side variety")
@@ -337,7 +333,11 @@ def transition_monoid(
         return tuple(built)
 
     monoid = SigmaMonoid(monoid_carrier, a.alphabet, unit, _Table(table, size), gens)
-    vars(monoid).update(letter_rows=tuple(rows), letter_cols=tuple(cols), word_images=(words, tuple(tree)))
+    vars(monoid).update(
+        letter_rows=tuple(rows),
+        letter_cols=tuple(cols),
+        evaluation=FinMorphism(monoid_carrier, carrier, tuple(map(at_init.__getitem__, order))),
+    )
     return monoid
 
 

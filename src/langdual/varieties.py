@@ -95,6 +95,13 @@ class DistLat:
         """The element index of each downset mask."""
         return {m: i for i, m in enumerate(self.downset_masks)}
 
+    @cached_property
+    def dual(self) -> "FinPoset":
+        """The poset of join-irreducibles, whose dual is this lattice."""
+        dual = FinPoset(self.ji_leq)
+        vars(dual)["dual"] = self
+        return dual
+
 
 class _Table(Sequence):
     """A table of size rows, built on first read.  It is equal to, hashes
@@ -251,8 +258,11 @@ class FinPoset:
 
     @cached_property
     def dual(self) -> DistLat:
-        """The lattice of downsets, which has this poset as its JIs."""
-        return DistLat(self.leq)
+        """The lattice of downsets, which has this poset as its JIs and as
+        its dual."""
+        dual = DistLat(self.leq)
+        vars(dual)["dual"] = self
+        return dual
 
 
 FinAlgebra = BoolAlg | DistLat | JoinSemilattice | VectZ2 | FinSet | FinPoset
@@ -265,14 +275,16 @@ class FinMorphism:
     A map out of an output-side carrier (BA, DL01, JSL0, Z2VECT) that keeps
     its sums (joins; ^ for Z2VECT) is fixed by its images of generators(dom),
     and the library builds its own such maps from those alone
-    (on_generators).  The graph of such a map is the generator sums of its
-    images, built on first read; composing, validating and dualizing it
-    read the images, but for a JSL0 domain, whose join-irreducibles need
-    not be join-prime, its laws and composites read the graph.  A map given
-    as its graph is checked through the same images: out of a BA, DL01 or
-    Z2VECT carrier it is lawful when they are and the graph is their
-    generator sums (validate_morphism).  Equality, hashing and printing
-    read the graph, so a map equals its table however it was built."""
+    (on_generators): a closure's letter maps and output, and the dual of
+    every map out of a SET, POS, JSL0 or Z2VECT carrier.  The graph of such
+    a map is the generator sums of its images, built on first read;
+    composing, validating and dualizing it read the images, but for a JSL0
+    domain, whose join-irreducibles need not be join-prime, its laws and
+    composites read the graph.  A map given as its graph is checked through
+    the same images: out of a BA, DL01 or Z2VECT carrier it is lawful when
+    they are and the graph is their generator sums (validate_morphism).
+    Equality, hashing and printing read the graph, so a map equals its
+    table however it was built."""
 
     dom: FinAlgebra
     cod: FinAlgebra
@@ -472,11 +484,11 @@ def element_of(alg: FinAlgebra, points: Sequence[int]) -> Callable[[int], int | 
     points holds an int per generator (generators(alg) order), and an
     element sums those of the generators under it, by | (^ for Z2VECT).
     That element is found when one is and the sums tell elements apart, as
-    for the masks of a family (family_generators) or the signatures of a
-    morphism: in BA, DL01 and JSL0 as the one whose generators are those
-    with points inside s, in Z2VECT by an elimination that keeps no row's
-    leading bit in another row.  Otherwise the answer is None, or in BA,
-    DL01 and JSL0 possibly an element of another sum."""
+    for the masks of a family (family_generators): in BA, DL01 and JSL0 as
+    the one whose generators are those with points inside s (so a JSL0
+    upper adjoint, dual_morphism), in Z2VECT by an elimination that keeps
+    no row's leading bit in another row.  Otherwise the answer is None, or
+    in BA, DL01 and JSL0 possibly an element of another sum."""
     if isinstance(alg, VectZ2):
         rows: list[tuple[int, int]] = []  # (sum, coordinates)
         for i, v in enumerate(points):

@@ -25,7 +25,10 @@ joint_quotient, the refinement that the round trip's signature pairing
 replaced; the label join shares rqc_closure, as it pins only that the join
 closes the same labels without computing them; the bytes signature pairing,
 in which every state reads every word, is the one that the pairing through
-the carrier's generators replaced, and its round trip keeps the refusal
+the carrier's generators replaced before the round trip's witness became
+the dual of the evaluation isomorphism, read over the word-image tree
+(word_images) that the transition monoid kept until then; its round trip
+keeps the refusal
 classification of its time and shares joint_quotient, through
 least_odd_language, and its structure check is graph_structure_iso, the
 one that compared whole graphs whenever a map was a table, before tables
@@ -121,6 +124,7 @@ from langdual.varieties import (
     VectZ2,
     _downsets,
     constants,
+    element_of,
     fibres,
     gaussian_basis,
     generate_family,
@@ -333,9 +337,11 @@ def _map_carrier(carrier, funcs):
     raise TypeError(f"not an algebra-side carrier: {carrier!r}")
 
 
-def cubic_transition_monoid(a, reverse_composition=False, limits=DEFAULT_LIMITS):
+def cubic_transition_maps(a, limits=DEFAULT_LIMITS):
     """Closure of the letter actions under composition both ways and pointwise
-    sums against every known map, then every table built from graphs."""
+    sums against every known map: the maps as graphs in the monoid's
+    numbering (sorted, or spanned by a basis for Z2VECT), and the index of
+    each."""
     if reachable_part(a, limits).size != a.size:
         raise NotReachableError("algebra is not generated by its initial state")
     carrier = a.carrier
@@ -369,7 +375,13 @@ def cubic_transition_monoid(a, reverse_composition=False, limits=DEFAULT_LIMITS)
                 closed[h] = len(order)
                 order.append(h)
                 queue.append(h)
-    funcs, index = _present_map_family(carrier, order)
+    return _present_map_family(carrier, order)
+
+
+def cubic_transition_monoid(a, reverse_composition=False, limits=DEFAULT_LIMITS):
+    """The monoid of cubic_transition_maps, every table built from graphs."""
+    funcs, index = cubic_transition_maps(a, limits)
+    n = a.carrier.size
 
     def compose(i, j):
         f, g = funcs[i], funcs[j]
@@ -380,7 +392,7 @@ def cubic_transition_monoid(a, reverse_composition=False, limits=DEFAULT_LIMITS)
     size = len(funcs)
     mult = tuple(tuple(compose(i, j) for j in range(size)) for i in range(size))
     gens = tuple(index[m.graph] for m in a.alpha)
-    return SigmaMonoid(_map_carrier(carrier, funcs), a.alphabet, index[ident], mult, gens)
+    return SigmaMonoid(_map_carrier(a.carrier, funcs), a.alphabet, index[tuple(range(n))], mult, gens)
 
 
 def cubic_generated_closure(m, limits=DEFAULT_LIMITS):
@@ -1048,10 +1060,20 @@ def table_pair(p1, p2, forward):
     return FinMorphism(p1.carrier, p2.carrier, tuple(forward)), FinMorphism(p2.carrier, p1.carrier, backward)
 
 
+def word_images(monoid):
+    """The elements that are words, in the order an orbit of the unit under
+    the letters' rows finds them, and each past the unit as (position of its
+    parent, letter): its word is the letter followed by the parent's.
+    transition_monoid walks the same tree."""
+    rows = [row.__getitem__ for row in monoid.letter_rows]
+    elements, _, tree = orbit([monoid.unit], rows, monoid.size, "word images")
+    return tuple(elements), tuple(tree[1:])
+
+
 def bytes_signature_pairing(piece, back, monoid):
     """Each state of piece to the state of back that accepts the same
     representative words, one per word image of the monoid (a letter
-    followed by its tree parent's word, monoid.word_images), and back, as
+    followed by its tree parent's word, word_images), and back, as
     tables (table_pair); None unless that is a bijection.  Every state
     reads every word: a column holds the state each state reaches by one
     word, the word a.u's being u's column read through gamma_a, and a
@@ -1059,7 +1081,7 @@ def bytes_signature_pairing(piece, back, monoid):
     n = back.size
     if piece.alphabet != back.alphabet or piece.size != n or not {*piece.out.graph} <= {0, 1}:
         return None
-    _, tree = monoid.word_images
+    _, tree = word_images(monoid)
 
     def signatures(q):
         cols = [range(n)]
@@ -1615,8 +1637,9 @@ def scanning_dual_morphism(d, h):
 def tabled_dual_morphism(d, h):
     """dual_morphism as before maps were built from their images of the
     generators: every dual a full table, SET and POS preimages as the
-    generator sums of the fibres, and a DL01 map tested for being the
-    generator sums of its values at the join-irreducibles."""
+    generator sums of the fibres, a DL01 map tested for being the generator
+    sums of its values at the join-irreducibles, and a JSL0 upper adjoint
+    looked up at every element of the codomain."""
     if h.dom.tag != h.cod.tag:
         raise TagMismatchError("cannot dualize a cross-variety map")
     dom, cod, g = h.dom, h.cod, h.graph
@@ -1654,6 +1677,13 @@ def tabled_dual_morphism(d, h):
         case (DualityTag.DL01_POS, FinPoset()):
             preimages = generator_sums(new_dom, fibres(g, cod.size))
             return FinMorphism(new_dom, new_cod, tuple(map(new_cod.downset_index.__getitem__, preimages)))
+        case (DualityTag.JSL_SELF, JoinSemilattice()):
+            # upper adjoint, one element_of lookup per element of cod
+            images = list(map(cod.below.__getitem__, h.on(dom.irreducibles)))
+            graph = tuple(map(element_of(dom, images), cod.below))
+            if None in graph:
+                raise NonFunctionalError("no upper adjoint; not a join morphism")
+            return FinMorphism(new_dom, new_cod, graph)
         case (DualityTag.Z2_SELF, VectZ2()):
             rows = [sum(1 << i for i in range(dom.dim) if g[1 << i] >> k & 1) for k in range(cod.dim)]
             return FinMorphism(new_dom, new_cod, tuple(generator_sums(new_dom, rows)))

@@ -1,12 +1,13 @@
 """The BA, DL and Z2 rows of the cap-size families: correspond on pieces of
 512 to 4,096 states, whose round trip pairs the returned states with the
-piece's by word signatures instead of labelling them.
+piece's by the dual of the evaluation isomorphism instead of labelling
+them.
 
 Each row runs `correspond` once, checks the piece and monoid sizes,
 validates the monoid (the round trip trusts the monoids piece_to_monoid
 marks), pins the sha256 of `monoid_to_json` (sorted keys), and compares the
 witness graphs with `labelled_roundtrip_witness`, the label-matching round
-trip, and the signature pairing with `bytes_signature_pairing`, in which
+trip, and the evaluation pairing with `bytes_signature_pairing`, in which
 every state reads every word.  The digests were recorded with the
 label-matching round trip, before it was replaced.  The five cases take about 7 s together on a 2-core host, most of
 it the Z2 family of 2,048 elements; the budget for the tier is 10 s.
@@ -18,7 +19,7 @@ import json
 import pytest
 
 from langdual.config import DEFAULT_LIMITS
-from langdual.correspondence import _signature_pairing, correspond, monoid_to_piece
+from langdual.correspondence import _evaluation_pairing, correspond, monoid_to_piece
 from langdual.duality import DualityTag
 from langdual.languages import compile_text
 from langdual.monoids import monoid_to_json, validate_monoid
@@ -54,6 +55,6 @@ def test_round_trip_at_cap_size(d, text, piece_size, monoid_size, digest):
     assert c.witness.backward.graph == oracle.backward.graph
 
     back = monoid_to_piece(d, c.monoid)
-    paired = [m.graph for m in _signature_pairing(c.piece, back, c.monoid)]
+    paired = [m.graph for m in _evaluation_pairing(d, c.piece, back, c.monoid)]
     assert paired == [m.graph for m in bytes_signature_pairing(c.piece, back, c.monoid)]
     assert paired == [c.witness.forward.graph, c.witness.backward.graph]

@@ -3,8 +3,9 @@ elements, whose carriers go through the operation tables of the JSL round
 trip (the piece's join table, its dual, the reachable part of the dual
 algebra and the monoid's join and multiplication tables).  Each monoid is
 validated here, as the round trip trusts the monoids piece_to_monoid marks,
-and the signature pairing through the join-irreducibles is compared with
-`bytes_signature_pairing`, in which every state reads every word.
+and the evaluation pairing, the dual of the evaluation isomorphism, is
+compared with `bytes_signature_pairing`, in which every state reads every
+word.
 
 The four cases take about 6 s together on a 2-core host; the budget for the
 tier is 10 s.  The monoid digests were recorded with the pairwise table
@@ -18,7 +19,7 @@ import json
 import pytest
 
 from langdual.automata import coalgebra_to_dalgebra, reachable_part
-from langdual.correspondence import _signature_pairing, correspond, monoid_to_piece
+from langdual.correspondence import _evaluation_pairing, correspond, monoid_to_piece
 from langdual.duality import DualityTag, dual_object
 from langdual.languages import compile_text
 from langdual.monoids import monoid_to_json, validate_monoid
@@ -55,6 +56,6 @@ def test_jsl_round_trip_at_cap_size(text, size, digest):
     assert sub is algebra.carrier and incl.graph == tuple(range(size))
 
     back = monoid_to_piece(JSL, c.monoid)
-    paired = [m.graph for m in _signature_pairing(c.piece, back, c.monoid)]
+    paired = [m.graph for m in _evaluation_pairing(JSL, c.piece, back, c.monoid)]
     assert paired == [m.graph for m in bytes_signature_pairing(c.piece, back, c.monoid)]
     assert paired == [c.witness.forward.graph, c.witness.backward.graph]

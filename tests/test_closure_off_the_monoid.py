@@ -1,5 +1,5 @@
-"""Closure read off the transition monoid, and the round trip paired by word
-signatures, against the refinements they replaced.
+"""Closure read off the transition monoid, and the round trip paired by the
+dual of its evaluation isomorphism, against the refinements they replaced.
 
 `piece_to_monoid` builds the transition monoid T of the piece's dual algebra
 A with its closure capped at |A|, and refuses the piece as not closed under
@@ -11,9 +11,8 @@ first, then the reachable part and the monoid at the caller's cap.  Both
 must return the same monoid, or raise the same class with the same message.
 
 `_roundtrip_witness` pairs the piece's states with the returned ones by the
-representative words of the monoid's word images that they accept; the
-pairing must be the one `match_states` finds by refining the two side by
-side, and a successful `correspond` must run no refinement, where the
+dual of the evaluation isomorphism of the piece's monoid; the pairing must
+be the one `match_states` finds by refining the two side by side, and a successful `correspond` must run no refinement, where the
 labels, `is_rqc_closed`, `order_check` and `piece_join` each run one.
 
 The corpus: seeded generator sets of one or two regexes of at most 5 DFA
@@ -150,7 +149,7 @@ def _paired_like_the_refinement(d, piece, limits, returned):
     assert forward == match_states(piece, returned.pop())
 
 
-def test_signature_pairing_is_the_refined_matching_on_the_corpus(corpus, returned):
+def test_the_evaluation_pairing_is_the_refined_matching_on_the_corpus(corpus, returned):
     closed = [(d, piece) for d, piece in corpus if is_rqc_closed(piece)]
     assert len(closed) >= 100
     for d, piece in closed:
@@ -158,7 +157,7 @@ def test_signature_pairing_is_the_refined_matching_on_the_corpus(corpus, returne
 
 
 @pytest.mark.parametrize("d, text", FAMILIES, ids=[f"{d.name}-{text}" for d, text in FAMILIES])
-def test_signature_pairing_is_the_refined_matching_on_the_families(d, text, returned):
+def test_the_evaluation_pairing_is_the_refined_matching_on_the_families(d, text, returned):
     _paired_like_the_refinement(d, rqc_closure(c_tag(d), [compile_text(text, AB)]), Limits(), returned)
 
 

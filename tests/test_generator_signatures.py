@@ -1,20 +1,19 @@
-"""The round trip's signature pairing read through the carrier's generators,
-against the bytes pairing it replaced.
+"""The round trip's witness, the dual of the evaluation isomorphism, against
+the bytes pairing by word signatures that it replaced.
 
-`_signature_pairing` reads only the images of the generators of each
-carrier (atoms for BA, a basis for Z2, join-irreducibles for DL and JSL)
-under output and letter actions, follows the functionals out.gamma_w over
-the monoid's word images, and pairs the generators of each side with the
-states of the other that have their signatures (`element_of`), as maps
-built on generators.  `bytes_signature_pairing` lets every state read the
-same words and pairs all states.  On lawful pieces, against their own
-monoids and against the monoid of another piece of the same duality, of
-the same size and of another size, the generator pairing must pair with
-the same graphs both ways whenever the bytes pairing pairs, and
+`_evaluation_pairing` returns the duals of the evaluation e(f) = f(init)
+of the piece's own monoid onto its dual algebra and of e's inverse, as maps
+built on generators, and None for any other monoid.
+`bytes_signature_pairing` lets every state read the representative words of
+the monoid's word images and pairs all states.  On lawful pieces against
+their own monoids the two must pair with the same graphs, and
 `_structure_iso` must certify a pairing of either exactly when it
-certifies one of the other, with the same forward.  The corpus is seeded,
-of all four dualities closed at a 512-element cap.  The cap-size tiers
-compare them on the cap-size families.
+certifies one of the other, with the same forward.  Against the monoid of
+another piece of the same duality, of the same size and of another size,
+the evaluation pairing must be None and the round trip, which then refines,
+must end as `bytes_roundtrip_witness` does.  The corpus is seeded, of all
+four dualities closed at a 512-element cap.  The cap-size tiers compare the
+pairings on the cap-size families.
 
 On corrupted pieces the round trip must refuse with the same class, message
 and counterexample as with the bytes pairing, and as `bytes_roundtrip_witness`,
@@ -27,14 +26,14 @@ at a state that is no generator, and pieces that repeat a language.  The
 lawful piece with every map copied into a table must be certified with the
 same forward graph as the piece itself.  Each runs through
 `roundtrip_check` and through the round trip against the clean piece's
-monoid, which reaches the pairing whatever the piece.  `_structure_iso`
-alone must also refuse as `graph_structure_iso` does when one entry of
-either witness map, a letter graph or the output is moved.  A refused
-round trip refines once.
+monoid, which refines whatever the piece.  `_structure_iso` alone must also
+refuse as `graph_structure_iso` does when one entry of either witness map,
+a letter graph or the output is moved.  A refused round trip refines once,
+one certified through the piece's own monoid never, and one certified
+against another piece's monoid once.
 
 The cost: on BA `(aab)*` (4,096 states), DL `(aab)*` (721) and Z2 `(aab)*`
-(512), each letter graph of either side is read at most (generators × word
-images) times by the pairing.
+(512), the pairing reads no entry of either side's letter graphs.
 """
 
 import random
@@ -47,8 +46,8 @@ import langdual.languages
 from langdual.automata import CCoalgebra, rqc_closure
 from langdual.config import Limits
 from langdual.correspondence import (
+    _evaluation_pairing,
     _roundtrip_witness,
-    _signature_pairing,
     _structure_iso,
     monoid_to_piece,
     piece_to_monoid,
@@ -102,24 +101,20 @@ def _certified(piece, back, paired):
         return None
 
 
-def _both(piece, monoid, back):
-    """Both pairings: the generator one pairs as the bytes one does when
-    that pairs, and _structure_iso certifies them alike."""
-    ours, theirs = _signature_pairing(piece, back, monoid), bytes_signature_pairing(piece, back, monoid)
-    if theirs is not None:
-        assert ours is not None and [m.graph for m in ours] == [m.graph for m in theirs]
-    assert _certified(piece, back, ours) == _certified(piece, back, theirs)
-    return ours, theirs
-
-
 def test_the_generator_pairing_is_the_bytes_pairing_on_the_corpus(corpus):
+    """On its own monoid a piece is paired as the bytes pairing pairs it and
+    certified alike; on another piece's monoid the evaluation pairing is
+    None and the round trip ends as bytes_roundtrip_witness does."""
     rng = random.Random(2)
     big = {d: 0 for d in DualityTag}
     foreign = {"same size": 0, "other size": 0, "paired": 0}
     backs = [monoid_to_piece(d, monoid, CAP) for d, _, monoid in corpus]
     for i, (d, piece, monoid) in enumerate(corpus):
-        ours, theirs = _both(piece, monoid, backs[i])
-        assert theirs is not None and sorted(ours[0].graph) == list(range(piece.size))
+        ours = _evaluation_pairing(d, piece, backs[i], monoid)
+        theirs = bytes_signature_pairing(piece, backs[i], monoid)
+        assert theirs is not None and [m.graph for m in ours] == [m.graph for m in theirs]
+        assert sorted(ours[0].graph) == list(range(piece.size))
+        assert _certified(piece, backs[i], ours) == _certified(piece, backs[i], theirs) is not None
         big[d] += piece.size > 64
         others = [j for j, (e, _, _) in enumerate(corpus) if e is d and j != i]
         same = [j for j in others if corpus[j][1].size == piece.size]
@@ -127,7 +122,10 @@ def test_the_generator_pairing_is_the_bytes_pairing_on_the_corpus(corpus):
         for kind, pool in (("same size", same), ("other size", other)):
             if pool:
                 j = rng.choice(pool)
-                foreign["paired"] += _both(piece, corpus[j][2], backs[j])[1] is not None
+                assert _evaluation_pairing(d, piece, backs[j], corpus[j][2]) is None
+                ran = _outcome(lambda: _roundtrip_witness(d, piece, corpus[j][2], CAP))
+                assert ran == _outcome(lambda: bytes_roundtrip_witness(d, piece, corpus[j][2], CAP)), (d, kind)
+                foreign["paired"] += bytes_signature_pairing(piece, backs[j], corpus[j][2]) is not None
                 foreign[kind] += 1
     assert min(big.values()) >= 10, big
     assert min(foreign.values()) >= 100, foreign
@@ -193,6 +191,11 @@ def _repeating_pieces():
         yield d, CCoalgebra(carrier, AB, (identity(carrier),) * 2, out)
 
 
+def _bytes_pairing(d, piece, back, monoid):
+    """bytes_signature_pairing in the place of _evaluation_pairing."""
+    return bytes_signature_pairing(piece, back, monoid)
+
+
 def _same_refusals(d, bad, monoid, monkeypatch):
     """roundtrip_check of bad, and its round trip on monoid, with each
     pairing and with bytes_roundtrip_witness; returns the outcomes.  The
@@ -202,11 +205,11 @@ def _same_refusals(d, bad, monoid, monkeypatch):
     for check in ("roundtrip_check", "witness"):
         runs = []
         for pairing, witness in (
-            (_signature_pairing, _roundtrip_witness),
-            (bytes_signature_pairing, _roundtrip_witness),
-            (_signature_pairing, bytes_roundtrip_witness),
+            (_evaluation_pairing, _roundtrip_witness),
+            (_bytes_pairing, _roundtrip_witness),
+            (_evaluation_pairing, bytes_roundtrip_witness),
         ):
-            monkeypatch.setattr(langdual.correspondence, "_signature_pairing", pairing)
+            monkeypatch.setattr(langdual.correspondence, "_evaluation_pairing", pairing)
             monkeypatch.setattr(langdual.correspondence, "_roundtrip_witness", witness)
             if check == "roundtrip_check":
                 runs.append(_outcome(lambda: langdual.correspondence.roundtrip_check(d, bad, SMALL)))
@@ -256,7 +259,7 @@ def test_the_structure_check_refuses_as_the_graph_check(corpus):
     seen: dict[str, set] = {}
     for d, piece, monoid in [(d, p, m) for d, p, m in corpus if 2 <= p.size <= 64]:
         back = monoid_to_piece(d, monoid, SMALL)
-        forward, backward = _signature_pairing(piece, back, monoid)
+        forward, backward = _evaluation_pairing(d, piece, back, monoid)
         tables = [FinMorphism(m.dom, m.cod, tuple(m.graph)) for m in (forward, backward)]
         letter = FinMorphism(piece.carrier, piece.carrier, _moved(piece.gamma[0].graph, piece.size, rng))
         cases = {
@@ -278,6 +281,10 @@ def test_the_structure_check_refuses_as_the_graph_check(corpus):
 
 
 def test_a_refused_round_trip_refines_once(corpus, monkeypatch):
+    """A refused round trip refines once, one certified through the piece's
+    own monoid never, and one certified against another piece's monoid,
+    which only the private entry point can ask for, once, with the witness
+    of bytes_roundtrip_witness."""
     calls = [0]
     original = langdual.languages.refine_partition
 
@@ -288,23 +295,32 @@ def test_a_refused_round_trip_refines_once(corpus, monkeypatch):
     monkeypatch.setattr(langdual.languages, "refine_partition", counted)
     rng = random.Random(4)
     messages = set()
+    certified = {"own": 0, "foreign": 0}
     small = [(d, p, m) for d, p, m in corpus if 3 <= p.size <= 64]
     cases = [(d, renamed_states(p, rng.sample(range(p.size), p.size)), m) for d, p, m in small[:30]]
     cases += [(d, _flipped(p, 0), m) for d, p, m in small[:30]]
     cases += [(d, p, piece_to_monoid(d, rqc_closure(c_tag(d), p.labels))) for d, p in _repeating_pieces()]
+    cases += small[:30]
     for d, bad, monoid in cases:
         calls[0] = 0
         outcome = _outcome(lambda: _roundtrip_witness(d, bad, monoid, SMALL))
+        refinements = calls[0]
         if outcome[0] == "raise":
-            assert calls[0] == 1, outcome
+            assert refinements == 1, outcome
             messages.add(outcome[2])
+        elif vars(bad).get("_monoid") is monoid:
+            assert refinements == 0
+            certified["own"] += 1
         else:
-            assert calls[0] == 0
+            assert refinements == 1
+            assert outcome == _outcome(lambda: bytes_roundtrip_witness(d, bad, monoid, SMALL))
+            certified["foreign"] += 1
     assert messages >= {
         "label bijection is not an isomorphism of carriers",
         "round trip changed the language set",
         "round trip merged two states of one language",
     }, messages
+    assert certified["own"] == 30 and certified["foreign"] >= 1, certified
 
 
 class CountingTuple(tuple):
@@ -326,16 +342,13 @@ def _counting(q):
     [(DualityTag.BA_SET, "(aab)*", 4096), (DualityTag.DL01_POS, "(aab)*", 721), (DualityTag.Z2_SELF, "(aab)*", 512)],
     ids=["BA", "DL", "Z2"],
 )
-def test_the_pairing_reads_each_letter_graph_once_per_generator_and_word_image(d, text, size):
+def test_the_pairing_reads_no_letter_graph(d, text, size):
     piece = rqc_closure(c_tag(d), [compile_text(text, AB)])
     monoid = piece_to_monoid(d, piece)
     back = monoid_to_piece(d, monoid)
     assert piece.size == back.size == size
-    words = len(monoid.word_images[0])
     counted = [_counting(piece), _counting(back)]
-    assert _signature_pairing(*counted, monoid) == _signature_pairing(piece, back, monoid) is not None
+    vars(counted[0])["_monoid"] = monoid  # the copy keeps the piece's monoid
+    assert _evaluation_pairing(d, *counted, monoid) == _evaluation_pairing(d, piece, back, monoid) is not None
     for q in counted:
-        bound = len(generators(q.carrier)) * words
-        assert 10 * bound < size * words  # every state reading every word image
-        for g in q.gamma:
-            assert 0 < g.graph.reads <= bound
+        assert [g.graph.reads for g in q.gamma] == [0] * len(q.gamma)

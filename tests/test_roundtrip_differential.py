@@ -1,9 +1,11 @@
-"""The round trip paired by word signatures against the label-based oracle.
+"""The round trip paired by the dual of the evaluation isomorphism against
+the label-based oracle.
 
-`_roundtrip_witness` dualizes the monoid once and pairs the returned states
-with the piece's by their signatures: which representative words of the
-monoid's word images each accepts.  Only a refusal compares label sets, to
-name what went wrong.  `labelled_roundtrip_witness` labels every returned
+`_roundtrip_witness` dualizes the monoid once and, on the piece's own
+monoid, pairs the returned states with the piece's by the dual of the
+evaluation e(f) = f(init) and of its inverse; against another monoid it
+pairs them by one refinement.  Only a refusal compares label sets, to name
+what went wrong.  `labelled_roundtrip_witness` labels every returned
 state and matches by labels, as the library did before.  Both must return
 the same forward and backward graphs, or raise the same class with the same
 message and counterexample.  A refusal dualizes the monoid once, and
